@@ -1140,9 +1140,10 @@ let probe_cmd =
               instruction-stream probes that dispatch to the same analysis callbacks. \
               Probes attach and detach live: $(b,--probe-at) arms them mid-run at a step \
               count, $(b,--detach-at) disarms them, and a probe attached from inside a \
-              host call takes effect at the next function entry. Tier-1 compiled \
-              functions deopt to probed tier-0 execution while a probe matches them and \
-              re-tier after detach." ]
+              host call takes effect at the next function entry. Probes run on tier 1: \
+              a function a probe matches is compiled together with its probe sites at its \
+              first entry after the attach, with or without $(b,--tier), while unmatched \
+              functions keep their usual tier; after detach it re-tiers as usual." ]
   in
   Cmd.v info
     Term.(const run $ input_arg $ analysis_arg $ invoke_arg $ attach_arg $ probe_at_arg

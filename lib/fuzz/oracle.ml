@@ -695,13 +695,17 @@ let absint_soundness (info : Gen.info) : verdict =
     - the probed run's outcome, final memory and exported globals to
       equal the {e plain} run's (probes must not perturb execution, and
       they charge fuel at tier-0 parity, so both run at [base_fuel]);
-    - with all hook groups attached for the whole run (tier 0 or with
-      the tier-1 compiler forced on, so attach-deopt is exercised), the
-      probe event stream to be byte-identical to the AOT stream;
+    - with all hook groups attached for the whole run, the probe event
+      stream to be byte-identical to the AOT stream; with all groups
+      attached to one function only and no tier policy (probed tier-1
+      frames interleaved with unprobed tier-0 frames on one call
+      stack), identical to the AOT stream's events in that function;
     - with a mid-run attach or detach (a step trigger at half the plain
       run's step count), the probe stream to be an order-preserving
       subsequence of the AOT stream — live attachment may only narrow
-      the observation window, never reorder or invent events.
+      the observation window, never reorder or invent events;
+    - every probed body that was entered to be compiled (probed bodies
+      have no tier-0 form), except under a mid-run attach.
 
     Both recorded runs drop events emitted during instantiation (the
     start function): probes attach after [instantiate] returns, so the
@@ -709,7 +713,9 @@ let absint_soundness (info : Gen.info) : verdict =
 
 (** How the probed run attaches its all-groups probe. *)
 type probe_variant =
-  | P_plain  (** attach before the run, tier 0 throughout *)
+  | P_func of int
+      (** attach all groups [@func=f] before the run, no tier policy:
+          unprobed functions stay on tier 0 *)
   | P_tiered  (** attach before the run, tier-1 compiler forced on *)
   | P_attach_mid of int  (** tiered; attach once [steps] reaches [n] *)
   | P_detach_mid of int  (** attached from the start, detached at [n] *)
@@ -753,10 +759,24 @@ let run_recorded_aot (m : Ast.module_) ~fuel ~buf : (run_result, string) result 
   | Ok (Ok (inst, outcome)) -> Ok (snapshot m inst outcome)
   | Ok (Error err) -> Ok { outcome = Error err; mem_digest = None; globals = [] }
 
+(** Location function of a recorded event line ([KIND F:I ...]). *)
+let event_func line =
+  match String.split_on_char ' ' line with
+  | _ :: loc :: _ ->
+    (match String.index_opt loc ':' with
+     | Some i -> int_of_string_opt (String.sub loc 0 i)
+     | None -> None)
+  | _ -> None
+
+let event_lines s = List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
+
 (** Engine-probe run on the {e original} module, recording into [buf].
     A fresh metrics registry keeps campaign iterations from sharing
-    probe counters. *)
-let run_probed (m : Ast.module_) ~fuel ~variant ~buf : (run_result, string) result =
+    probe counters. Also returns the probed bodies (module function
+    indices) that a profiler saw entered but that are not compiled,
+    except under a mid-run attach, where frames entered before it
+    legitimately ran unprobed. *)
+let run_probed (m : Ast.module_) ~fuel ~variant ~buf : (run_result * int list, string) result =
   match
     guarded (fun () ->
       let inst = Interp.instantiate ~fuel ~imports:[] m in
@@ -765,11 +785,13 @@ let run_probed (m : Ast.module_) ~fuel ~variant ~buf : (run_result, string) resu
           (recording_analysis buf)
       in
       Buffer.clear buf;
+      let prof = Obs.Profile.create () in
+      Interp.set_profiler inst (Some prof);
       let all =
         { Obs.Probe.sp_groups = []; sp_func = None; sp_loc = None; sp_nth = 1 }
       in
       (match variant with
-       | P_plain -> ignore (Wasabi.Runtime.Probe.attach c all)
+       | P_func f -> ignore (Wasabi.Runtime.Probe.attach c { all with sp_func = Some f })
        | P_tiered ->
          Tier1.enable ~threshold:1 inst;
          ignore (Wasabi.Runtime.Probe.attach c all)
@@ -784,11 +806,31 @@ let run_probed (m : Ast.module_) ~fuel ~variant ~buf : (run_result, string) resu
         with e ->
           (match Error.classify e with Some err -> Error err | None -> raise e)
       in
-      (inst, outcome))
+      (inst, prof, outcome))
   with
   | Error crash -> Error crash
-  | Ok (Ok (inst, outcome)) -> Ok (snapshot m inst outcome)
-  | Ok (Error err) -> Ok { outcome = Error err; mem_digest = None; globals = [] }
+  | Ok (Ok (inst, prof, outcome)) ->
+    let n_imp = Ast.num_imported_funcs m in
+    let entered =
+      match variant with
+      | P_attach_mid _ -> []
+      | P_func _ | P_tiered | P_detach_mid _ ->
+        List.filter_map
+          (fun (r : Obs.Profile.func_row) ->
+             if r.Obs.Profile.fr_calls > 0 then Some (n_imp + r.Obs.Profile.fr_fid) else None)
+          (Obs.Profile.func_rows prof)
+    in
+    let uncompiled = ref [] in
+    Array.iteri
+      (fun j (c : Interp.code) ->
+         let f = n_imp + j in
+         match c.Interp.c_probe, c.Interp.c_tier with
+         | Some _, (Interp.T_interp | Interp.T_unsupported) when List.mem f entered ->
+           uncompiled := f :: !uncompiled
+         | _ -> ())
+      inst.Interp.inst_code;
+    Ok (snapshot m inst outcome, !uncompiled)
+  | Ok (Error err) -> Ok ({ outcome = Error err; mem_digest = None; globals = [] }, [])
 
 (** First line of [sub] (as [(index, line)]) that cannot be matched by
     an order-preserving scan of [of_]; [None] when [sub] is a
@@ -829,9 +871,10 @@ let probe_parity ~index (info : Gen.info) : verdict =
         else if is_out_of_fuel aot.outcome then Skip "instrumented-exhausted"
         else begin
           let mid = max 1 (steps / 2) in
+          let nfuncs = Ast.num_imported_funcs m + List.length m.Ast.funcs in
           let variant, vname =
             match index mod 4 with
-            | 0 -> (P_plain, "attach-all")
+            | 0 -> (P_func (index / 4 mod max 1 nfuncs), "one-function attach-all")
             | 1 -> (P_tiered, "tiered attach-all")
             | 2 -> (P_attach_mid mid, "tiered mid-run attach")
             | _ -> (P_detach_mid mid, "mid-run detach")
@@ -839,7 +882,9 @@ let probe_parity ~index (info : Gen.info) : verdict =
           let buf_p = Buffer.create 1024 in
           match run_probed m ~fuel:base_fuel ~variant ~buf:buf_p with
           | Error crash -> violation "totality-exec" "probed run (%s) crashed: %s" vname crash
-          | Ok probed ->
+          | Ok (_, f :: _) ->
+            violation "probe-parity" "probed function %d ran without being compiled (%s)" f vname
+          | Ok (probed, []) ->
             if engine_bug probed.outcome then
               violation "engine-bug" "probed run (%s): %s" vname
                 (string_of_outcome probed.outcome)
@@ -848,7 +893,15 @@ let probe_parity ~index (info : Gen.info) : verdict =
               | Pass ->
                 let sa = Buffer.contents buf_aot and sp = Buffer.contents buf_p in
                 (match variant with
-                 | P_plain | P_tiered ->
+                 | P_func f ->
+                   let want = List.filter (fun l -> event_func l = Some f) (event_lines sa) in
+                   let got = event_lines sp in
+                   if want = got then Pass
+                   else
+                     violation "probe-parity"
+                       "hook-event streams of function %d diverged (%s): %s" f vname
+                       (first_stream_diff (String.concat "\n" want) (String.concat "\n" got))
+                 | P_tiered ->
                    if String.equal sa sp then Pass
                    else
                      violation "probe-parity" "hook-event streams diverged (%s): %s" vname

@@ -102,11 +102,14 @@ val probe_parity : index:int -> Gen.info -> verdict
     run's; the probe event stream must be byte-identical to the AOT
     stream when all groups are attached for the whole run, and an
     order-preserving subsequence of it under mid-run attach/detach.
-    [index mod 4] selects the variant: full attach on tier 0, full
-    attach with the tier-1 compiler forced on (attach-deopt), tiered
-    mid-run attach (step trigger at half the plain run's step count),
-    mid-run detach. [Skip] when the base or the AOT run exhausts its
-    fuel. *)
+    [index mod 4] selects the variant: all groups attached to one
+    function with no tier policy (its stream must equal the AOT
+    stream's events in that function), full attach with the tier-1
+    compiler forced on, tiered mid-run attach (step trigger at half the
+    plain run's step count), mid-run detach. A probed body that was
+    entered but is not compiled is a violation (not checked under a
+    mid-run attach, where frames entered before it legitimately ran
+    unprobed). [Skip] when the base or the AOT run exhausts its fuel. *)
 
 val execution_total : Wasm.Ast.module_ -> verdict
 (** Execution totality for an arbitrary valid module (mutation

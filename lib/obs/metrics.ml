@@ -24,8 +24,17 @@ type histogram = {
   h_lock : Mutex.t;  (** guards buckets/sum/count against concurrent observers *)
 }
 
+(** A counter's value is its atomic total plus whatever its pull
+    sources report. [c_pulled] pairs the final values of released
+    sources with the live ones and is swapped as a whole, so a read
+    never counts a source both as folded and as live. *)
+type counter = {
+  c_total : float Atomic.t;
+  c_pulled : (float * (unit -> float) list) Atomic.t;
+}
+
 type kind =
-  | Counter of float Atomic.t
+  | Counter of counter
   | Gauge of float Atomic.t
   | Histogram of histogram
 
@@ -53,7 +62,6 @@ let default = create ()
 let default_time_bounds =
   Array.init 27 (fun i -> 1e-6 *. Float.of_int (1 lsl i))
 
-type counter = float Atomic.t
 type gauge = float Atomic.t
 
 let register reg ~name ~help ~labels ~make ~cast =
@@ -72,7 +80,7 @@ let register reg ~name ~help ~labels ~make ~cast =
 
 let counter ?(registry = default) ?(help = "") ?(labels = []) name : counter =
   register registry ~name ~help ~labels
-    ~make:(fun () -> Counter (Atomic.make 0.0))
+    ~make:(fun () -> Counter { c_total = Atomic.make 0.0; c_pulled = Atomic.make (0.0, []) })
     ~cast:(function
       | Counter c -> c
       | _ -> invalid_arg (name ^ ": registered with a different metric type"))
@@ -98,13 +106,22 @@ let histogram ?(registry = default) ?(help = "") ?(labels = [])
       | Histogram h -> h
       | _ -> invalid_arg (name ^ ": registered with a different metric type"))
 
-(* lock-free add: CAS loop over the boxed float *)
-let rec atomic_add (c : float Atomic.t) by =
-  let cur = Atomic.get c in
-  if not (Atomic.compare_and_set c cur (cur +. by)) then atomic_add c by
+(* lock-free read-modify-write: CAS loop over the boxed value *)
+let rec update (a : 'a Atomic.t) f =
+  let cur = Atomic.get a in
+  if not (Atomic.compare_and_set a cur (f cur)) then update a f
 
-let inc ?(by = 1.0) (c : counter) = atomic_add c by
-let counter_value (c : counter) = Atomic.get c
+let inc ?(by = 1.0) (c : counter) = update c.c_total (fun cur -> cur +. by)
+
+let counter_value (c : counter) =
+  let folded, live = Atomic.get c.c_pulled in
+  List.fold_left (fun acc f -> acc +. f ()) (Atomic.get c.c_total +. folded) live
+
+let pull (c : counter) (f : unit -> float) =
+  update c.c_pulled (fun (folded, live) -> (folded, f :: live));
+  fun () ->
+    update c.c_pulled (fun ((folded, live) as cur) ->
+      if List.memq f live then (folded +. f (), List.filter (( != ) f) live) else cur)
 
 let set (g : gauge) v = Atomic.set g v
 let gauge_value (g : gauge) = Atomic.get g
@@ -194,11 +211,13 @@ let to_prometheus reg =
          Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" m.m_name (type_name m.m_kind));
          List.iter
            (fun m' ->
-              match m'.m_kind with
-              | Counter v | Gauge v ->
+              let scalar v =
                 Buffer.add_string b
-                  (Printf.sprintf "%s%s %s\n" m'.m_name (prom_labels m'.m_labels)
-                     (fmt_num (Atomic.get v)))
+                  (Printf.sprintf "%s%s %s\n" m'.m_name (prom_labels m'.m_labels) (fmt_num v))
+              in
+              match m'.m_kind with
+              | Counter c -> scalar (counter_value c)
+              | Gauge g -> scalar (Atomic.get g)
               | Histogram h ->
                 Mutex.lock h.h_lock;
                 let buckets = Array.copy h.h_buckets in
@@ -262,9 +281,10 @@ let to_json reg =
        if m.m_help <> "" then
          Buffer.add_string b (Printf.sprintf ", \"help\": \"%s\"" (json_escape m.m_help));
        Buffer.add_string b (Printf.sprintf ", \"labels\": %s" (json_labels m.m_labels));
+       let scalar v = Buffer.add_string b (Printf.sprintf ", \"value\": %s" (fmt_num v)) in
        (match m.m_kind with
-        | Counter v | Gauge v ->
-          Buffer.add_string b (Printf.sprintf ", \"value\": %s" (fmt_num (Atomic.get v)))
+        | Counter c -> scalar (counter_value c)
+        | Gauge g -> scalar (Atomic.get g)
         | Histogram h ->
           Mutex.lock h.h_lock;
           let buckets = Array.copy h.h_buckets in

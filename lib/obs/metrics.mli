@@ -6,7 +6,8 @@
     (first-registration order, grouped into families by name), so tests can
     compare serialized output against golden files byte for byte.
 
-    All operations are domain-safe: counters and gauges are atomics,
+    All operations are domain-safe: counters and gauges are atomics
+    (a counter may also pull counts kept elsewhere, see {!pull}),
     histogram observations take a per-histogram mutex, and registration
     is guarded by the registry lock — so concurrent serve workers and
     fuzz jobs can share one registry without losing updates. *)
@@ -45,7 +46,17 @@ val histogram :
     registered with a different metric type (same for the other two). *)
 
 val inc : ?by:float -> counter -> unit
+
 val counter_value : counter -> float
+(** The atomic total plus the current value of every pull source. *)
+
+val pull : counter -> (unit -> float) -> unit -> unit
+(** [pull c f] makes every read of [c] (value and exposition) add
+    [f ()], so a count kept elsewhere (plain fields a hot path bumps
+    without any atomic) reads exactly, without an [inc] per event.
+    [f] must not keep its owner alive. The returned thunk releases the
+    source: [f ()] is folded into the total for good and [f] is no
+    longer called (idempotent; [f]'s value must not change after it). *)
 
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float

@@ -14,27 +14,40 @@ type entry = {
 }
 
 type t = {
-  mutable p_entries : entry list;  (** attach order *)
+  p_entries : entry list ref;  (** attach order; also read by the fired-counter source *)
   mutable p_next_id : int;
   c_attached : Metrics.counter;
   c_fired : Metrics.counter;
   c_detached : Metrics.counter;
 }
 
+(* Delivered events are counted in the entries' plain [e_fired] fields
+   only; [wasabi_probe_fired_total] pulls their sum whenever it is read,
+   and folds it in for good once the manager is collected. The source
+   closes over the entry list, not the manager, so the registry does not
+   keep the manager alive. *)
 let create ?registry () =
-  {
-    p_entries = [];
-    p_next_id = 0;
-    c_attached =
-      Metrics.counter ?registry "wasabi_probe_attached_total"
-        ~help:"Probe entries attached to the engine-probe backend";
-    c_fired =
-      Metrics.counter ?registry "wasabi_probe_fired_total"
-        ~help:"Hook events delivered by engine-side probes";
-    c_detached =
-      Metrics.counter ?registry "wasabi_probe_detached_total"
-        ~help:"Probe entries detached from the engine-probe backend";
-  }
+  let entries = ref [] in
+  (* registration order fixes the exposition order *)
+  let c_detached =
+    Metrics.counter ?registry "wasabi_probe_detached_total"
+      ~help:"Probe entries detached from the engine-probe backend"
+  in
+  let c_fired =
+    Metrics.counter ?registry "wasabi_probe_fired_total"
+      ~help:"Hook events delivered by engine-side probes"
+  in
+  let c_attached =
+    Metrics.counter ?registry "wasabi_probe_attached_total"
+      ~help:"Probe entries attached to the engine-probe backend"
+  in
+  let release =
+    Metrics.pull c_fired (fun () ->
+      float_of_int (List.fold_left (fun n e -> n + e.e_fired) 0 !entries))
+  in
+  let t = { p_entries = entries; p_next_id = 0; c_attached; c_fired; c_detached } in
+  Gc.finalise (fun _ -> release ()) t;
+  t
 
 (** {1 Spec syntax} *)
 
@@ -108,7 +121,7 @@ let attach t spec =
       { e_id = t.p_next_id; e_spec = spec; e_active = true; e_hits = 0; e_fired = 0 }
     in
     t.p_next_id <- t.p_next_id + 1;
-    t.p_entries <- t.p_entries @ [ e ];
+    t.p_entries := !(t.p_entries) @ [ e ];
     Metrics.inc t.c_attached;
     e)
 
@@ -119,10 +132,10 @@ let detach t e =
       Metrics.inc t.c_detached
     end)
 
-let detach_all t = List.iter (fun e -> detach t e) t.p_entries
+let detach_all t = List.iter (fun e -> detach t e) !(t.p_entries)
 
-let entries t = List.filter (fun e -> e.e_active) t.p_entries
-let all_entries t = t.p_entries
+let entries t = List.filter (fun e -> e.e_active) !(t.p_entries)
+let all_entries t = !(t.p_entries)
 
 (** {1 Predicates} *)
 
@@ -131,19 +144,34 @@ let site_matches sp ~group ~func ~instr =
   && (match sp.sp_func with None -> true | Some f -> f = func)
   && (match sp.sp_loc with None -> true | Some (f, i) -> f = func && i = instr)
 
-let should_fire e ~fired =
+let should_fire e =
   e.e_active
   && begin
     e.e_hits <- e.e_hits + 1;
     if e.e_hits >= e.e_spec.sp_nth then begin
       e.e_fired <- e.e_fired + 1;
-      Metrics.inc fired;
       true
     end
     else false
   end
 
-let fired_counter t = t.c_fired
+let gate = function
+  | [ e ] when e.e_spec.sp_nth = 1 ->
+    (* the common case: one unconditional entry is a flag test *)
+    fun () ->
+      e.e_active
+      && begin
+        e.e_hits <- e.e_hits + 1;
+        e.e_fired <- e.e_fired + 1;
+        true
+      end
+  | [ e ] -> fun () -> should_fire e
+  | es ->
+    (* every matching entry counts the occurrence (no short-circuit): the
+       [@nth] counters stay exact even when another entry already fires
+       the event *)
+    fun () -> List.fold_left (fun acc e -> should_fire e || acc) false es
+
 let attached_total t = int_of_float (Metrics.counter_value t.c_attached)
 let fired_total t = int_of_float (Metrics.counter_value t.c_fired)
 let detached_total t = int_of_float (Metrics.counter_value t.c_detached)

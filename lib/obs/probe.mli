@@ -13,8 +13,10 @@
     Every attach/detach is wrapped in a [probe.attach] / [probe.detach]
     {!Span} phase and counted in the [wasabi_probe_attached_total] /
     [wasabi_probe_detached_total] counters; every delivered event counts
-    into [wasabi_probe_fired_total]. Counters live in the default
-    {!Metrics} registry unless [create ?registry] says otherwise. *)
+    into [wasabi_probe_fired_total], which is kept off the event path (a
+    plain per-entry count the counter pulls whenever it is read) and is
+    exact at every read. Counters live in the default {!Metrics}
+    registry unless [create ?registry] says otherwise. *)
 
 (** A parsed probe specification. Concrete syntax:
 
@@ -72,12 +74,13 @@ val site_matches : spec -> group:string -> func:int -> instr:int -> bool
 (** Static part of the predicate: does an event of [group] reported at
     ([func], [instr]) fall under the spec? *)
 
-val should_fire : entry -> fired:Metrics.counter -> bool
-(** Dynamic part: count one matching occurrence against [entry] and
-    decide delivery ([e_active] and the [@nth] threshold). When true,
-    the event must be delivered and is counted as fired. *)
+val gate : entry list -> unit -> bool
+(** The dynamic part, compiled for one site from the entries whose
+    static predicate matched it: each call counts one occurrence against
+    every entry (its [e_hits]) and decides delivery ([e_active] and the
+    [@nth] threshold), counting a delivery in [e_fired]. One entry with
+    [@nth=1] compiles to a flag test. *)
 
-val fired_counter : t -> Metrics.counter
 val attached_total : t -> int
 val fired_total : t -> int
 val detached_total : t -> int

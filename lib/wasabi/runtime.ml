@@ -753,13 +753,13 @@ let fork ?sink (rt : t) (analysis : Analysis.t) : Interp.instance * t =
 (** {1 The engine-probe backend}
 
     The second way to run an analysis: instead of rewriting the binary
-    ahead of time, probes are patched into the {e original} module's
-    pre-decoded instruction stream inside the engine ([Interp.probe_function]).
+    ahead of time, probes are compiled into the {e original} module's
+    tier-1 closures inside the engine ([Interp.probe_function]).
     No re-encode, no i64 splitting, no argument marshalling through wasm
-    locals — event closures peek operands directly off the live operand
-    stack and invoke the same {!Analysis.t} callbacks the AOT hook path
-    dispatches to, so every analysis runs unmodified under either
-    backend.
+    locals — event closures peek the few operands their site boxes onto
+    the live operand stack and invoke the same {!Analysis.t} callbacks
+    the AOT hook path dispatches to, so every analysis runs unmodified
+    under either backend.
 
     Event synthesis mirrors the instrumenter's contract exactly
     (location values, event order, [end] events of every block a branch
@@ -767,12 +767,16 @@ let fork ?sink (rt : t) (analysis : Analysis.t) : Interp.instance * t =
     the probe-parity differential fuzz oracle holds the two backends to
     an identical hook-event stream.
 
-    Probes attach and detach while the instance runs. Attach takes
-    effect at the next entry of each function (frames already on the
-    stack finish on the code they entered with); detach silences the
-    already-installed closures immediately via the entry's active flag.
-    Attaching deopts tier-1-compiled bodies back to the probed tier-0
-    loop; detaching lets them re-tier naturally. *)
+    Probes attach and detach while the instance runs. Attach and detach
+    compile nothing: they rebuild each function's sparse site table and
+    mark the bodies that have one. A probed body is compiled with its
+    sites into tier 1 at its first entry after the mark, on every
+    instance, with or without a tier policy (probes imply tier 1; there
+    is no tier-0 probe path), so unprobed sites and functions run at
+    full tier-1 speed. Frames already on the stack finish on the code
+    they entered with; detach silences their installed closures
+    immediately via the entry's active flag, and detached bodies re-tier
+    naturally. *)
 module Probe = struct
   open Wasm.Interp
   open Wasm.Ast
@@ -795,7 +799,6 @@ module Probe = struct
     mutable pc_indirect : int array;  (** per-table-slot callee resolution *)
     pc_n_imp : int;  (** imported functions: defined j ↔ index n_imp + j *)
     pc_start : int option;
-    pc_xbodies : xinstr array option array;  (** unfused re-decodes, cached *)
   }
 
   let target_instr (e : pctrl) =
@@ -836,21 +839,31 @@ module Probe = struct
         end
       end
 
-  let xbody_of c j =
-    match c.pc_xbodies.(j) with
-    | Some x -> x
-    | None ->
-      let x = unfused_xbody c.pc_inst.inst_code.(j) in
-      c.pc_xbodies.(j) <- Some x;
-      x
+  (** One event of a site: the closure plus the top-of-stack operands
+      and the local it reads. *)
+  let event ?(operands = 0) ?(local = -1) pe_fire =
+    { pe_fire; pe_operands = operands; pe_local = local }
 
-  (** Build the probed body of defined function [j] from the currently
-      attached probe set: [None] when no active probe matches any event
-      site in the function. Every synthesized event closure is a gate
-      (the statically-matching probe entries' dynamic [should_fire])
-      around the analysis callback, wrapped — only while a profiler is
-      attached — in the ["hook.<group>"] / ["dispatch.probe"] /
-      ["dispatch.analysis"] timing split. *)
+  (** The events of one site, fired in order, as one event reading what
+      any of them reads. *)
+  let compose = function
+    | [] -> None
+    | [ e ] -> Some e
+    | es ->
+      Some
+        {
+          pe_fire = (fun locals -> List.iter (fun e -> e.pe_fire locals) es);
+          pe_operands = List.fold_left (fun m e -> max m e.pe_operands) 0 es;
+          pe_local = List.fold_left (fun l e -> max l e.pe_local) (-1) es;
+        }
+
+  (** Build the probe-site table of defined function [j] from the
+      currently attached probe set: [None] when no active probe matches
+      any event site in the function. Every synthesized event closure is
+      a gate compiled from the statically-matching probe entries
+      ({!Obs.Probe.gate}) around the analysis callback, wrapped — only
+      while a profiler is attached — in the ["hook.<group>"] /
+      ["dispatch.probe"] / ["dispatch.analysis"] timing split. *)
   let build_hooks c ~(j : int) : probe_hooks option =
     let inst = c.pc_inst in
     let code = inst.inst_code.(j) in
@@ -861,8 +874,8 @@ module Probe = struct
     let st = inst.inst_stack in
     let peek d = Array.unsafe_get st.data (st.size - 1 - d) in
     let loc at = Location.make ~func:fidx ~instr:at in
-    let mk_event ~group ~at (build : Analysis.t -> Value.t array -> unit) :
-        (Value.t array -> unit) option =
+    let mk_event ?operands ?local ~group ~at
+        (build : Analysis.t -> Location.t -> Value.t array -> unit) : probe_event option =
       let gname = Hook.group_name group in
       match
         List.filter
@@ -872,32 +885,22 @@ module Probe = struct
       with
       | [] -> None
       | es ->
-        let fast = build c.pc_analysis in
-        let profiled = lazy (build c.pc_marked) in
-        let timer_key = "hook." ^ gname in
-        let fired = Obs.Probe.fired_counter c.pc_mgr in
+        let here = loc at in
+        let gate = Obs.Probe.gate es in
         Some
-          (fun locals ->
-             (* every matching entry counts the occurrence (no
-                short-circuit): the [@nth] counters stay exact even
-                when another entry already fires the event *)
-             let fire =
-               List.fold_left
-                 (fun acc e -> Obs.Probe.should_fire e ~fired || acc)
-                 false es
-             in
-             if fire then
+          (event ?operands ?local (fun locals ->
+             if gate () then
                match c.pc_prof with
-               | None -> fast locals
+               | None -> build c.pc_analysis here locals
                | Some p ->
                  let t0 = Obs.Clock.now_ns () in
                  c.pc_mark := -1L;
-                 (Lazy.force profiled) locals;
+                 build c.pc_marked here locals;
                  let t2 = Obs.Clock.now_ns () in
                  let t1 = if !(c.pc_mark) < 0L then t2 else !(c.pc_mark) in
-                 Obs.Profile.add_time p timer_key (Int64.sub t2 t0);
+                 Obs.Profile.add_time p ("hook." ^ gname) (Int64.sub t2 t0);
                  Obs.Profile.add_time p "dispatch.probe" (Int64.sub t1 t0);
-                 Obs.Profile.add_time p "dispatch.analysis" (Int64.sub t2 t1))
+                 Obs.Profile.add_time p "dispatch.analysis" (Int64.sub t2 t1)))
     in
     let pre = Array.make n [] and post = Array.make n [] in
     let any = ref false in
@@ -926,10 +929,9 @@ module Probe = struct
     let end_events ended =
       List.filter_map
         (fun (eb : Metadata.ended_block) ->
+           let begin_loc = loc eb.Metadata.eb_begin_instr in
            mk_event ~group:Hook.G_end ~at:eb.Metadata.eb_end_loc.Location.instr
-             (fun a _ ->
-                a.Analysis.end_ eb.Metadata.eb_end_loc eb.Metadata.eb_kind
-                  (loc eb.Metadata.eb_begin_instr)))
+             (fun a here _ -> a.Analysis.end_ here eb.Metadata.eb_kind begin_loc))
         ended
     in
     let cond_of v = not (Int32.equal (Value.as_i32 v) 0l) in
@@ -938,33 +940,33 @@ module Probe = struct
          match ins with
          | Nop ->
            add_post_event at
-             (mk_event ~group:Hook.G_nop ~at (fun a _ -> a.Analysis.nop (loc at)))
+             (mk_event ~group:Hook.G_nop ~at (fun a here _ -> a.Analysis.nop here))
          | Unreachable ->
            add_pre_event at
-             (mk_event ~group:Hook.G_unreachable ~at (fun a _ ->
-                a.Analysis.unreachable (loc at)))
+             (mk_event ~group:Hook.G_unreachable ~at (fun a here _ ->
+                a.Analysis.unreachable here))
          | Block _ ->
            ctrl := { k = Hook.Bblock; cb = at; ce = jumps.end_of.(at) } :: !ctrl;
            add_post_event at
-             (mk_event ~group:Hook.G_begin ~at (fun a _ ->
-                a.Analysis.begin_ (loc at) Hook.Bblock))
+             (mk_event ~group:Hook.G_begin ~at (fun a here _ ->
+                a.Analysis.begin_ here Hook.Bblock))
          | Loop _ ->
            ctrl := { k = Hook.Bloop; cb = at; ce = jumps.end_of.(at) } :: !ctrl;
            (* on the loop-head slot, the back-branch target: fires once
               per iteration, like the AOT hook inside the loop *)
            add_pre_event (at + 1)
-             (mk_event ~group:Hook.G_begin ~at (fun a _ ->
-                a.Analysis.begin_ (loc at) Hook.Bloop))
+             (mk_event ~group:Hook.G_begin ~at (fun a here _ ->
+                a.Analysis.begin_ here Hook.Bloop))
          | If _ ->
            add_pre_event at
-             (mk_event ~group:Hook.G_if ~at (fun a _ ->
-                a.Analysis.if_ (loc at) (cond_of (peek 0))));
+             (mk_event ~operands:1 ~group:Hook.G_if ~at (fun a here _ ->
+                a.Analysis.if_ here (cond_of (peek 0))));
            ctrl := { k = Hook.Bif; cb = at; ce = jumps.end_of.(at) } :: !ctrl;
            (* first slot of the then-branch: fires only when the
               condition was true, like the AOT hook inside the branch *)
            add_pre_event (at + 1)
-             (mk_event ~group:Hook.G_begin ~at (fun a _ ->
-                a.Analysis.begin_ (loc at) Hook.Bif))
+             (mk_event ~group:Hook.G_begin ~at (fun a here _ ->
+                a.Analysis.begin_ here Hook.Bif))
          | Else ->
            let e, rest =
              match !ctrl with
@@ -973,13 +975,14 @@ module Probe = struct
            in
            ctrl := { e with k = Hook.Belse; cb = at } :: rest;
            (* reached only by the then-branch falling through *)
+           let if_loc = loc e.cb in
            add_pre_event at
-             (mk_event ~group:Hook.G_end ~at (fun a _ ->
-                a.Analysis.end_ (loc at) Hook.Bif (loc e.cb)));
+             (mk_event ~group:Hook.G_end ~at (fun a here _ ->
+                a.Analysis.end_ here Hook.Bif if_loc));
            (* first slot of the else-branch: false-condition path only *)
            add_pre_event (at + 1)
-             (mk_event ~group:Hook.G_begin ~at (fun a _ ->
-                a.Analysis.begin_ (loc at) Hook.Belse))
+             (mk_event ~group:Hook.G_begin ~at (fun a here _ ->
+                a.Analysis.begin_ here Hook.Belse))
          | End ->
            let e, rest =
              match !ctrl with
@@ -987,25 +990,27 @@ module Probe = struct
              | [] -> invalid_arg "unbalanced end"
            in
            ctrl := rest;
+           let begin_loc = loc e.cb in
            add_pre_event at
-             (mk_event ~group:Hook.G_end ~at (fun a _ ->
-                a.Analysis.end_ (loc at) e.k (loc e.cb)))
+             (mk_event ~group:Hook.G_end ~at (fun a here _ ->
+                a.Analysis.end_ here e.k begin_loc))
          | Br l ->
            let t = resolve_target l in
            add_pre_event at
-             (mk_event ~group:Hook.G_br ~at (fun a _ -> a.Analysis.br (loc at) t));
+             (mk_event ~group:Hook.G_br ~at (fun a here _ -> a.Analysis.br here t));
            List.iter (add_pre at) (end_events (ended_blocks l))
          | BrIf l ->
            let t = resolve_target l in
            add_pre_event at
-             (mk_event ~group:Hook.G_br_if ~at (fun a _ ->
-                a.Analysis.br_if (loc at) t (cond_of (peek 0))));
+             (mk_event ~operands:1 ~group:Hook.G_br_if ~at (fun a here _ ->
+                a.Analysis.br_if here t (cond_of (peek 0))));
            (match end_events (ended_blocks l) with
             | [] -> ()
             | evs ->
               (* end events fire only when the branch is taken *)
-              add_pre at (fun locals ->
-                if cond_of (peek 0) then List.iter (fun f -> f locals) evs))
+              add_pre at
+                (event ~operands:1 (fun locals ->
+                   if cond_of (peek 0) then List.iter (fun e -> e.pe_fire locals) evs)))
          | BrTable (ls, d) ->
            let entry l = (resolve_target l, ended_blocks l) in
            let targets_info = Array.of_list (List.map entry ls) in
@@ -1013,8 +1018,8 @@ module Probe = struct
            let targets = Array.map fst targets_info in
            let default_t = fst default_info in
            let bt_event =
-             mk_event ~group:Hook.G_br_table ~at (fun a _ ->
-               a.Analysis.br_table (loc at) targets default_t
+             mk_event ~group:Hook.G_br_table ~at (fun a here _ ->
+               a.Analysis.br_table here targets default_t
                  (Int32.to_int (Value.as_i32 (peek 0))))
            in
            let entry_ends = Array.map (fun (_, ended) -> end_events ended) targets_info in
@@ -1023,56 +1028,58 @@ module Probe = struct
              (match default_ends with [] -> false | _ -> true)
              || Array.exists (function [] -> false | _ -> true) entry_ends
            in
-           if bt_event <> None || have_ends then
-             add_pre at (fun locals ->
-               (match bt_event with None -> () | Some f -> f locals);
-               if have_ends then begin
-                 (* signed read, like the AOT dispatcher: a negative
-                    index is >= 2^31 unsigned, out of range, default *)
-                 let idx = Int32.to_int (Value.as_i32 (peek 0)) in
-                 let ends =
-                   if idx >= 0 && idx < Array.length entry_ends then entry_ends.(idx)
-                   else default_ends
-                 in
-                 List.iter (fun f -> f locals) ends
-               end)
+           if Option.is_some bt_event || have_ends then
+             add_pre at
+               (event ~operands:1 (fun locals ->
+                  (match bt_event with None -> () | Some e -> e.pe_fire locals);
+                  if have_ends then begin
+                    (* signed read, like the AOT dispatcher: a negative
+                       index is >= 2^31 unsigned, out of range, default *)
+                    let idx = Int32.to_int (Value.as_i32 (peek 0)) in
+                    let ends =
+                      if idx >= 0 && idx < Array.length entry_ends then entry_ends.(idx)
+                      else default_ends
+                    in
+                    List.iter (fun e -> e.pe_fire locals) ends
+                  end))
          | Return ->
            let arity = code.c_arity in
            add_pre_event at
-             (mk_event ~group:Hook.G_return ~at (fun a _ ->
-                a.Analysis.return_ (loc at) (if arity = 0 then [] else [ peek 0 ])));
+             (mk_event ~operands:arity ~group:Hook.G_return ~at (fun a here _ ->
+                a.Analysis.return_ here (if arity = 0 then [] else [ peek 0 ])));
            List.iter (add_pre at) (end_events (ended_blocks (List.length !ctrl - 1)))
          | Call fi ->
            let ft = func_type_of inst.inst_funcs.(fi) in
            let np = List.length ft.Types.params in
            let nr = List.length ft.Types.results in
            add_pre_event at
-             (mk_event ~group:Hook.G_call ~at (fun a _ ->
+             (mk_event ~operands:np ~group:Hook.G_call ~at (fun a here _ ->
                 let args = List.init np (fun i -> peek (np - 1 - i)) in
-                a.Analysis.call_pre (loc at) fi args None));
+                a.Analysis.call_pre here fi args None));
            add_post_event at
-             (mk_event ~group:Hook.G_call ~at (fun a _ ->
-                a.Analysis.call_post (loc at) (if nr = 0 then [] else [ peek 0 ])))
+             (mk_event ~operands:nr ~group:Hook.G_call ~at (fun a here _ ->
+                a.Analysis.call_post here (if nr = 0 then [] else [ peek 0 ])))
          | CallIndirect ti ->
            let ft = inst.inst_types.(ti) in
            let np = List.length ft.Types.params in
            let nr = List.length ft.Types.results in
            add_pre_event at
-             (mk_event ~group:Hook.G_call ~at (fun a _ ->
+             (mk_event ~operands:(np + 1) ~group:Hook.G_call ~at (fun a here _ ->
                 let tbl = Value.as_i32 (peek 0) in
                 let args = List.init np (fun i -> peek (np - i)) in
-                a.Analysis.call_pre (loc at) (resolve_indirect_orig c tbl) args
+                a.Analysis.call_pre here (resolve_indirect_orig c tbl) args
                   (Some (Int32.to_int tbl))));
            add_post_event at
-             (mk_event ~group:Hook.G_call ~at (fun a _ ->
-                a.Analysis.call_post (loc at) (if nr = 0 then [] else [ peek 0 ])))
+             (mk_event ~operands:nr ~group:Hook.G_call ~at (fun a here _ ->
+                a.Analysis.call_post here (if nr = 0 then [] else [ peek 0 ])))
          | Drop ->
            add_pre_event at
-             (mk_event ~group:Hook.G_drop ~at (fun a _ -> a.Analysis.drop (loc at) (peek 0)))
+             (mk_event ~operands:1 ~group:Hook.G_drop ~at (fun a here _ ->
+                a.Analysis.drop here (peek 0)))
          | Select ->
            add_pre_event at
-             (mk_event ~group:Hook.G_select ~at (fun a _ ->
-                a.Analysis.select (loc at) (cond_of (peek 0)) (peek 2) (peek 1)))
+             (mk_event ~operands:3 ~group:Hook.G_select ~at (fun a here _ ->
+                a.Analysis.select here (cond_of (peek 0)) (peek 2) (peek 1)))
          | LocalGet x | LocalSet x | LocalTee x ->
            let opn =
              Hook.local_op_name
@@ -1084,130 +1091,138 @@ module Probe = struct
            (* after the instruction the local holds the reported value
               for all three ops, like the AOT [local.get x] argument *)
            add_post_event at
-             (mk_event ~group:Hook.G_local ~at (fun a locals ->
-                a.Analysis.local (loc at) opn x locals.(x)))
+             (mk_event ~local:x ~group:Hook.G_local ~at (fun a here locals ->
+                a.Analysis.local here opn x locals.(x)))
          | GlobalGet x ->
            add_post_event at
-             (mk_event ~group:Hook.G_global ~at (fun a _ ->
-                a.Analysis.global (loc at) (Hook.global_op_name Hook.Gget) x (peek 0)))
+             (mk_event ~operands:1 ~group:Hook.G_global ~at (fun a here _ ->
+                a.Analysis.global here (Hook.global_op_name Hook.Gget) x (peek 0)))
          | GlobalSet x ->
            add_post_event at
-             (mk_event ~group:Hook.G_global ~at (fun a _ ->
-                a.Analysis.global (loc at) (Hook.global_op_name Hook.Gset) x
+             (mk_event ~group:Hook.G_global ~at (fun a here _ ->
+                a.Analysis.global here (Hook.global_op_name Hook.Gset) x
                   inst.inst_globals.(x).g_value))
          | Load op ->
            let opn = string_of_instr ins in
            let addr = ref 0l in
            (match
-              mk_event ~group:Hook.G_load ~at (fun a _ ->
-                a.Analysis.load (loc at) opn
+              mk_event ~operands:1 ~group:Hook.G_load ~at (fun a here _ ->
+                a.Analysis.load here opn
                   { Analysis.addr = !addr; offset = op.loffset }
                   (peek 0))
             with
             | None -> ()
             | Some ev ->
-              add_pre at (fun _ -> addr := Value.as_i32 (peek 0));
+              add_pre at (event ~operands:1 (fun _ -> addr := Value.as_i32 (peek 0)));
               add_post at ev)
          | Store op ->
            let opn = string_of_instr ins in
            let addr = ref 0l in
            let v = ref (Value.I32 0l) in
            (match
-              mk_event ~group:Hook.G_store ~at (fun a _ ->
-                a.Analysis.store (loc at) opn
+              mk_event ~group:Hook.G_store ~at (fun a here _ ->
+                a.Analysis.store here opn
                   { Analysis.addr = !addr; offset = op.soffset }
                   !v)
             with
             | None -> ()
             | Some ev ->
-              add_pre at (fun _ ->
-                v := peek 0;
-                addr := Value.as_i32 (peek 1));
+              add_pre at
+                (event ~operands:2 (fun _ ->
+                   v := peek 0;
+                   addr := Value.as_i32 (peek 1)));
               add_post at ev)
          | MemorySize ->
            add_post_event at
-             (mk_event ~group:Hook.G_memory_size ~at (fun a _ ->
-                a.Analysis.memory_size (loc at) (Int32.to_int (Value.as_i32 (peek 0)))))
+             (mk_event ~operands:1 ~group:Hook.G_memory_size ~at (fun a here _ ->
+                a.Analysis.memory_size here (Int32.to_int (Value.as_i32 (peek 0)))))
          | MemoryGrow ->
            let delta = ref 0 in
            (match
-              mk_event ~group:Hook.G_memory_grow ~at (fun a _ ->
-                a.Analysis.memory_grow (loc at) !delta
+              mk_event ~operands:1 ~group:Hook.G_memory_grow ~at (fun a here _ ->
+                a.Analysis.memory_grow here !delta
                   (Int32.to_int (Value.as_i32 (peek 0))))
             with
             | None -> ()
             | Some ev ->
-              add_pre at (fun _ -> delta := Int32.to_int (Value.as_i32 (peek 0)));
+              add_pre at
+                (event ~operands:1 (fun _ -> delta := Int32.to_int (Value.as_i32 (peek 0))));
               add_post at ev)
          | Const v ->
            add_post_event at
-             (mk_event ~group:Hook.G_const ~at (fun a _ -> a.Analysis.const (loc at) v))
+             (mk_event ~group:Hook.G_const ~at (fun a here _ -> a.Analysis.const here v))
          | Test _ | Unary _ | Convert _ ->
            let opn = string_of_instr ins in
            let input = ref (Value.I32 0l) in
            (match
-              mk_event ~group:Hook.G_unary ~at (fun a _ ->
-                a.Analysis.unary (loc at) opn !input (peek 0))
+              mk_event ~operands:1 ~group:Hook.G_unary ~at (fun a here _ ->
+                a.Analysis.unary here opn !input (peek 0))
             with
             | None -> ()
             | Some ev ->
-              add_pre at (fun _ -> input := peek 0);
+              add_pre at (event ~operands:1 (fun _ -> input := peek 0));
               add_post at ev)
          | Compare _ | Binary _ ->
            let opn = string_of_instr ins in
            let xa = ref (Value.I32 0l) in
            let xb = ref (Value.I32 0l) in
            (match
-              mk_event ~group:Hook.G_binary ~at (fun a _ ->
-                a.Analysis.binary (loc at) opn !xa !xb (peek 0))
+              mk_event ~operands:1 ~group:Hook.G_binary ~at (fun a here _ ->
+                a.Analysis.binary here opn !xa !xb (peek 0))
             with
             | None -> ()
             | Some ev ->
-              add_pre at (fun _ ->
-                xb := peek 0;
-                xa := peek 1);
+              add_pre at
+                (event ~operands:2 (fun _ ->
+                   xb := peek 0;
+                   xa := peek 1));
               add_post at ev))
       body;
     let enter_evs =
       (if c.pc_start = Some fidx then
          match
-           mk_event ~group:Hook.G_start ~at:(-1) (fun a _ -> a.Analysis.start (loc (-1)))
+           mk_event ~group:Hook.G_start ~at:(-1) (fun a here _ -> a.Analysis.start here)
          with
          | None -> []
          | Some f -> [ f ]
        else [])
       @
       match
-        mk_event ~group:Hook.G_begin ~at:(-1) (fun a _ ->
-          a.Analysis.begin_ (loc (-1)) Hook.Bfunction)
+        mk_event ~group:Hook.G_begin ~at:(-1) (fun a here _ ->
+          a.Analysis.begin_ here Hook.Bfunction)
       with
       | None -> []
       | Some f -> [ f ]
     in
     let exit_ev =
-      mk_event ~group:Hook.G_end ~at:n (fun a _ ->
-        a.Analysis.end_ (loc n) Hook.Bfunction (loc (-1)))
+      let fn_begin = loc (-1) in
+      mk_event ~group:Hook.G_end ~at:n (fun a here _ ->
+        a.Analysis.end_ here Hook.Bfunction fn_begin)
     in
-    match (!any, enter_evs, exit_ev) with
-    | false, [], None -> None
-    | _ ->
-      let compose = function
-        | [] -> None
-        | [ f ] -> Some f
-        | fs -> Some (fun locals -> List.iter (fun f -> f locals) fs)
-      in
+    if not !any && List.is_empty enter_evs && Option.is_none exit_ev then None
+    else begin
+      let sites = ref [] in
+      for at = n - 1 downto 0 do
+        match (pre.(at), post.(at)) with
+        | [], [] -> ()
+        | p, q ->
+          sites :=
+            { site_pc = at; site_pre = compose (List.rev p); site_post = compose (List.rev q) }
+            :: !sites
+      done;
       Some
         {
-          pp_body = xbody_of c j;
-          pp_pre = Array.map (fun fs -> compose (List.rev fs)) pre;
-          pp_post = Array.map (fun fs -> compose (List.rev fs)) post;
-          pp_enter = compose enter_evs;
-          pp_exit = exit_ev;
+          ph_sites = Array.of_list !sites;
+          ph_enter = compose enter_evs;
+          ph_exit = exit_ev;
+          ph_compile = Wasm.Tier1.compile;
         }
+    end
 
-  (** Re-derive every probed body from the current probe set. Functions
-      with at least one matching event site get a probed body (deopting
-      any tier-1 closure); the rest return to normal tiered execution. *)
+  (** Re-derive every probe-site table from the current probe set.
+      Functions with at least one matching event site are marked probed
+      (compiled with their sites at their next entry); the rest return to
+      normal tiered execution. Nothing is compiled here. *)
   let rebuild c =
     Array.iteri
       (fun j _ ->
@@ -1237,7 +1252,6 @@ module Probe = struct
         pc_indirect = [||];
         pc_n_imp = num_imported_funcs inst.inst_module;
         pc_start = inst.inst_module.start;
-        pc_xbodies = Array.make (Array.length inst.inst_code) None;
       }
     in
     set_probes inst
@@ -1257,9 +1271,15 @@ module Probe = struct
          });
     c
 
+  (** Attach [spec]; if tier 1 declines a body it would probe, the
+      entry is detached again and the structured error re-raised. *)
   let attach c spec =
     let e = Obs.Probe.attach c.pc_mgr spec in
-    rebuild c;
+    (try rebuild c
+     with ex ->
+       Obs.Probe.detach c.pc_mgr e;
+       rebuild c;
+       raise ex);
     e
 
   let detach c e =

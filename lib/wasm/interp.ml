@@ -137,27 +137,6 @@ type stack = {
   mutable size : int;
 }
 
-(** Engine-probe instrumentation installed on one function body: a
-    re-decoded, {e unfused} copy of the instruction stream (so every
-    original instruction index is executed individually and can carry
-    hooks) plus per-slot pre/post event closures and frame enter/exit
-    events. Closures receive the frame's locals; everything else
-    (instance, operand stack, static site information) is baked in when
-    the probes are compiled. [None] in a slot costs one match. *)
-type probe_hooks = {
-  pp_body : xinstr array;
-      (** unfused re-decode of the body, same indexing as [c_xbody] *)
-  pp_pre : (Value.t array -> unit) option array;
-      (** fired before the slot's instruction executes *)
-  pp_post : (Value.t array -> unit) option array;
-      (** fired after the slot's instruction completes without trapping
-          and falls through; only installed on fall-through instructions *)
-  pp_enter : (Value.t array -> unit) option;  (** frame entry *)
-  pp_exit : (Value.t array -> unit) option;
-      (** implicit fall-off function exit only; explicit [return] and
-          branches to the function label fire their events via [pp_pre] *)
-}
-
 (** Registration handle of a probe controller, so snapshot/restore can
     treat probe state explicitly: [ps_capture] returns a thunk that
     re-arms exactly the probe set attached at capture time, and
@@ -230,10 +209,45 @@ and code = {
   mutable c_tier : tier_state;
   mutable c_hot : int;  (** calls observed while still on tier 0 *)
   mutable c_probe : probe_hooks option;
-      (** engine probes installed on this body; frames entered while set
-          run on the probed dispatch loop ([exec_probed]) regardless of
-          tier state, and tier-up is suspended. [None] costs one match
-          per call. *)
+      (** engine probes installed on this body. A probed body has no
+          tier-0 form: it is compiled with its sites ([ph_compile]) at
+          its first entry after the mark, and tier-up counting is
+          suspended. The call path reads it only while [c_tier] is
+          [T_interp], so a compiled body pays nothing for it. *)
+}
+
+(** One engine-probe event closure and what it reads of the frame. The
+    closure receives the frame's locals and peeks its operands off the
+    instance stack ([data.(size - 1)] is the top), so whoever fires it
+    first materialises the top [pe_operands] operands and local
+    [pe_local] in boxed form. *)
+and probe_event = {
+  pe_fire : Value.t array -> unit;
+  pe_operands : int;  (** top-of-stack operands the closure peeks *)
+  pe_local : int;  (** the local it reads, or [-1] *)
+}
+
+(** The events of one instruction: [site_pre] fires before it executes,
+    [site_post] after it completes and falls through (only installed on
+    fall-through instructions, so a taken branch never reaches one). *)
+and probe_site = {
+  site_pc : int;
+  site_pre : probe_event option;
+  site_post : probe_event option;
+}
+
+(** Engine-probe instrumentation of one function body: a sparse site
+    table plus frame events. [ph_enter] fires on frame entry,
+    [ph_exit] only on the implicit fall-off-the-end exit (explicit
+    [return]s and branches to the function label report theirs through
+    their sites). [ph_compile] is the tier-1 compiler that turns the
+    body and these sites into a closure ({!Tier1.compile}, which this
+    module cannot name). *)
+and probe_hooks = {
+  ph_sites : probe_site array;  (** sorted by [site_pc] *)
+  ph_enter : probe_event option;
+  ph_exit : probe_event option;
+  ph_compile : instance -> int -> compiled_body option;
 }
 
 (** A compiled (tier-1) function body. Called with the frame's locals;
@@ -246,8 +260,8 @@ and tier_state =
   | T_interp  (** not (yet) compiled; runs on the tier-0 dispatch loop *)
   | T_compiled of compiled_body
   | T_unsupported
-      (** the compiler declined this body; stop counting and stay on
-          tier 0 permanently *)
+      (** the compiler declined this body, or deopt-on-fault distrusts
+          it; stop counting and stay on tier 0 permanently *)
 
 (** Tier-up policy installed on an instance: once a function has been
     entered [tp_threshold] times, [tp_compile] is asked for a compiled
@@ -282,7 +296,8 @@ and instance = {
           [None] costs one match at each of those cold points *)
   mutable inst_deopt_on_fault : bool;
       (** when set, a compiled body unwound by a governor violation or
-          an injected host fault is deopted back to tier 0 permanently *)
+          an injected host fault is deopted: back to tier 0 permanently
+          when unprobed, recompiled at its next entry when probed *)
   mutable inst_triggers : (int * (unit -> unit)) list;
       (** pending step triggers, sorted by step count: each fires once
           when [steps] first reaches its threshold, checked at batch
@@ -301,8 +316,9 @@ let max_call_depth = 10_000
 (** Environmental unwinds — governor budget violations and injected host
     faults — are not properties of the compiled code, but a body crossed
     by one may have been cut mid-block with its scratch state abandoned;
-    when [inst_deopt_on_fault] is set such bodies are sent back to tier 0
-    permanently rather than trusted again. *)
+    when [inst_deopt_on_fault] is set such bodies are not trusted again:
+    an unprobed one goes back to tier 0 permanently, a probed one is
+    recompiled afresh. *)
 let is_fault_exn = function
   | Error.Governor_limit _ -> true
   | Value.Trap "injected host fault" -> true
@@ -311,7 +327,14 @@ let is_fault_exn = function
 let deopt_total =
   lazy
     (Obs.Metrics.counter "wasabi_deopt_total"
-       ~help:"Compiled bodies deopted back to tier 0 after a governor violation or injected host fault")
+       ~help:"Compiled bodies deopted after a governor violation or injected host fault")
+
+(** A probed body has no tier-0 form: when tier 1 declines one, its
+    probes cannot run, and that is reported rather than silently run
+    without them. *)
+let probe_declined j =
+  Error.hook_error ~code:"probe-unsupported"
+    "tier 1 declined probed function %d (defined index); its probes cannot run" j
 
 let func_type_of = function
   | Wasm_func (idx, inst) -> inst.inst_code.(idx).c_type
@@ -348,27 +371,8 @@ let compute_jumps (body : instr array) : jump_info =
 
 let bt_arity : block_type -> int = function None -> 0 | Some _ -> 1
 
-(** The end target of each [Else]: just past the [End] of its matching
-    [If]. Shared by {!prepare_code} and {!unfused_xbody}. *)
-let compute_else_end (body : instr array) (end_of : int array) : int array =
-  let n = Array.length body in
-  let else_end = Array.make (max n 1) 0 in
-  let open_blocks = ref [] in
-  for pc = 0 to n - 1 do
-    match body.(pc) with
-    | Block _ | Loop _ | If _ -> open_blocks := pc :: !open_blocks
-    | Else ->
-      (match !open_blocks with
-       | open_pc :: _ -> else_end.(pc) <- end_of.(open_pc) + 1
-       | [] -> ())
-    | End -> (match !open_blocks with _ :: rest -> open_blocks := rest | [] -> ())
-    | _ -> ()
-  done;
-  else_end
-
 (** Single-instruction decode: resolve operators and jump targets. Used
-    per-slot by {!prepare_code} (before fusion) and by {!unfused_xbody}
-    (the probed bodies, which skip fusion entirely). *)
+    per-slot by {!prepare_code} (before fusion) and by {!decode_slot}. *)
 let decode_instr ~(end_of : int array) ~(else_of : int array)
     ~(else_end : int array) ~(br_tables : int array array) pc (i : instr) : xinstr =
   match i with
@@ -445,7 +449,9 @@ let prepare_code (types : func_type array) (f : Ast.func) : code =
     | If _ | Else | Br _ | BrIf _ | Return | Unreachable -> ()
     | _ -> if pc < n - 1 then run_len.(pc) <- run_len.(pc + 1) + 1
   done;
-  let else_end = compute_else_end body end_of in
+  (* the end target of each [Else]: just past its [If]'s [End] *)
+  let else_end = Array.make (max n 1) 0 in
+  Array.iteri (fun pc e -> if e >= 0 then else_end.(e) <- end_of.(pc) + 1) else_of;
   (* leaders: every position a jump can target (label targets and else
      branches); a fused group must not contain one except as its head *)
   let leader = Array.make (n + 1) false in
@@ -558,18 +564,15 @@ let prepare_code (types : func_type array) (f : Ast.func) : code =
     c_probe = None;
   }
 
-(** Re-decode one function body without superinstruction fusion: every
-    original instruction index holds its own executable slot, so the
-    probed dispatch loop can fire per-instruction events at exact code
-    locations. Fuel/step accounting is unaffected (it is batched over
-    [c_run_len], which fusion never changes). *)
-let unfused_xbody (code : code) : xinstr array =
-  let body = code.c_body in
-  let end_of = code.c_jumps.end_of and else_of = code.c_jumps.else_of in
-  let else_end = compute_else_end body end_of in
-  Array.mapi
-    (decode_instr ~end_of ~else_of ~else_end ~br_tables:code.c_br_tables)
-    body
+(** Decode the original instruction at [pc] on its own, without
+    fusion: the per-slot form tier 1 compiles in place of a fused group
+    that carries a probe site. Fused groups hold only straight-line
+    instructions and [br_if], never an [Else], so no else-end table is
+    needed. *)
+let decode_slot (code : code) pc : xinstr =
+  let j = code.c_jumps in
+  decode_instr ~end_of:j.end_of ~else_of:j.else_of ~else_end:[||]
+    ~br_tables:code.c_br_tables pc code.c_body.(pc)
 
 (** {1 Execution} *)
 
@@ -676,17 +679,10 @@ and call_wasm (cinst : instance) (idx : int) (from_st : stack) : unit =
   end
 
 (** Tier dispatch: run the compiled body when one is cached, otherwise
-    count the call against the instance's tier policy and compile at the
-    threshold. Tier state lives on [code], so one compilation serves
-    every future call. *)
+    compile a probed body at once, or count the call against the
+    instance's tier policy and compile at the threshold. Tier state
+    lives on [code], so one compilation serves every future call. *)
 and enter_body cinst (idx : int) (code : code) (locals : Value.t array) : unit =
-  match code.c_probe with
-  | Some ph ->
-    (* engine probes force interpretation: the frame runs on the probed
-       dispatch loop regardless of tier state, and tier-up counting is
-       suspended until the probes are detached *)
-    exec_probed cinst idx code ph locals
-  | None ->
   match code.c_tier with
   | T_compiled f when not cinst.inst_deopt_on_fault ->
     (match cinst.inst_prof with
@@ -694,45 +690,57 @@ and enter_body cinst (idx : int) (code : code) (locals : Value.t array) : unit =
      | Some p -> Obs.Profile.time p "tier.execute" (fun () -> f cinst locals))
   | T_compiled f ->
     (* deopt-on-fault: every compiled frame on the unwind path of a
-       governor violation or injected host fault goes back to tier 0 *)
+       governor violation or injected host fault is distrusted. An
+       unprobed body goes back to tier 0 for good; a probed one has no
+       tier-0 form, so it is recompiled with its sites at its next
+       entry *)
     (try
        match cinst.inst_prof with
        | None -> f cinst locals
        | Some p -> Obs.Profile.time p "tier.execute" (fun () -> f cinst locals)
      with e when is_fault_exn e ->
-       code.c_tier <- T_unsupported;
+       code.c_tier <- (match code.c_probe with None -> T_unsupported | Some _ -> T_interp);
        Obs.Metrics.inc (Lazy.force deopt_total);
        (match cinst.inst_prof with None -> () | Some p -> Obs.Profile.count p "tier.deopt");
        raise e)
   | T_unsupported -> exec_body cinst idx code locals
   | T_interp ->
-    (match cinst.inst_tier with
-     | None -> exec_body cinst idx code locals
-     | Some tp ->
-       let hot = code.c_hot + 1 in
-       code.c_hot <- hot;
-       if hot < tp.tp_threshold then exec_body cinst idx code locals
-       else begin
-         let compiled =
-           match cinst.inst_prof with
-           | None -> tp.tp_compile cinst idx
-           | Some p -> Obs.Profile.time p "tier.compile" (fun () -> tp.tp_compile cinst idx)
-         in
-         match compiled with
-         | Some f ->
-           code.c_tier <- T_compiled f;
-           (match cinst.inst_prof with
-            | None -> f cinst locals
-            | Some p ->
-              Obs.Profile.count p "tier.up";
-              Obs.Profile.time p "tier.execute" (fun () -> f cinst locals))
-         | None ->
-           code.c_tier <- T_unsupported;
-           (match cinst.inst_prof with
-            | None -> ()
-            | Some p -> Obs.Profile.count p "tier.unsupported");
-           exec_body cinst idx code locals
-       end)
+    (match code.c_probe with
+     | Some ph ->
+       (* probes imply tier 1, with or without a tier policy *)
+       if not (tier_up cinst idx code locals ph.ph_compile) then probe_declined idx
+     | None ->
+       (match cinst.inst_tier with
+        | None -> exec_body cinst idx code locals
+        | Some tp ->
+          let hot = code.c_hot + 1 in
+          code.c_hot <- hot;
+          if hot < tp.tp_threshold then exec_body cinst idx code locals
+          else if not (tier_up cinst idx code locals tp.tp_compile) then begin
+            code.c_tier <- T_unsupported;
+            (match cinst.inst_prof with
+             | None -> ()
+             | Some p -> Obs.Profile.count p "tier.unsupported");
+            exec_body cinst idx code locals
+          end))
+
+(** Compile [code] and, when the compiler accepts it, cache the result
+    and run this frame on it (through {!enter_body}, so deopt-on-fault
+    covers the first compiled frame too); [false], with nothing run,
+    when it declines. *)
+and tier_up cinst idx code locals compile =
+  let compiled =
+    match cinst.inst_prof with
+    | None -> compile cinst idx
+    | Some p -> Obs.Profile.time p "tier.compile" (fun () -> compile cinst idx)
+  in
+  match compiled with
+  | None -> false
+  | Some f ->
+    code.c_tier <- T_compiled f;
+    (match cinst.inst_prof with None -> () | Some p -> Obs.Profile.count p "tier.up");
+    enter_body cinst idx code locals;
+    true
 
 (* The arguments are handed to the host function in place: the stack is
    shrunk below them first, and [h_fn] reads them straight out of the
@@ -1114,314 +1122,6 @@ and exec_body inst (fid : int) (code : code) (locals : Value.t array) : unit =
     end
   done
 
-(** The probed dispatch loop: a cold copy of {!exec_body} over the
-    unfused [pp_body], with per-slot pre/post event closures and frame
-    enter/exit events. Kept separate so the uninstrumented hot loop pays
-    {e nothing} for the probe machinery (one [c_probe] match per call in
-    {!enter_body} is the entire attach cost when no probes are set).
-    Semantic equality with {!exec_body} — outcome, trap identity, fuel
-    cut-off, final memory/globals — is enforced by the probe-parity
-    differential fuzz oracle.
-
-    Pre events fire before the slot's instruction, post events after it
-    completes without trapping; post closures are only installed on
-    fall-through instructions, so a taken branch never fires one. *)
-and exec_probed inst (fid : int) (code : code) (ph : probe_hooks)
-    (locals : Value.t array) : unit =
-  let xbody = ph.pp_body in
-  let pre = ph.pp_pre and post = ph.pp_post in
-  let run_len = code.c_run_len in
-  let n = Array.length xbody in
-  let arity = code.c_arity in
-  let st = inst.inst_stack in
-  let base = st.size in
-  let lbl = Array.make (4 * code.c_jumps.max_depth) 0 in
-  let nlbl = ref 0 in
-  let pc = ref 0 in
-  let running = ref true in
-  let charged_upto = ref 0 in
-  let mem = inst.inst_memory in
-  let memory () =
-    match mem with Some m -> m | None -> raise (Value.Trap "no memory")
-  in
-  let ret () =
-    if st.size - arity < base then
-      raise (Value.Trap "value stack underflow (engine bug)");
-    Array.blit st.data (st.size - arity) st.data base arity;
-    st.size <- base + arity;
-    running := false
-  in
-  let push_label target height larity is_loop =
-    let o = 4 * !nlbl in
-    lbl.(o) <- target;
-    lbl.(o + 1) <- height;
-    lbl.(o + 2) <- larity;
-    lbl.(o + 3) <- is_loop;
-    incr nlbl
-  in
-  let branch k =
-    if k >= !nlbl then ret ()
-    else begin
-      let o = 4 * (!nlbl - 1 - k) in
-      let height = lbl.(o + 1) and larity = lbl.(o + 2) in
-      Array.blit st.data (st.size - larity) st.data height larity;
-      st.size <- height + larity;
-      nlbl := !nlbl - k - 1 + lbl.(o + 3);
-      pc := lbl.(o);
-      charged_upto := 0
-    end
-  in
-  (match ph.pp_enter with None -> () | Some f -> f locals);
-  while !running do
-    if !pc >= n then begin
-      (* implicit end of the function body: the only place the
-         fall-off function-exit event fires (explicit [return] and
-         branches to the function label fire theirs via [pp_pre]) *)
-      (match ph.pp_exit with None -> () | Some f -> f locals);
-      ret ()
-    end
-    else begin
-      if !pc >= !charged_upto then begin
-        if inst.fuel <= 0 then raise (Exhaustion "out of fuel");
-        (match inst.inst_gov with None -> () | Some g -> Governor.check_batch g);
-        let k = Array.unsafe_get run_len !pc in
-        inst.steps <- inst.steps + k;
-        inst.fuel <- inst.fuel - k;
-        charged_upto := !pc + k;
-        (match inst.inst_prof with
-         | None -> ()
-         | Some p -> Obs.Profile.bump_run p ~fid ~body_len:n ~pc:!pc ~len:k);
-        match inst.inst_triggers with
-        | [] -> ()
-        | _ -> fire_triggers inst
-      end;
-      let at = !pc in
-      (match Array.unsafe_get pre at with None -> () | Some f -> f locals);
-      (match Array.unsafe_get xbody at with
-       | XNop -> incr pc
-       | XUnreachable -> raise (Value.Trap "unreachable executed")
-       | XBlock (target, larity) ->
-         push_label target st.size larity 0;
-         incr pc
-       | XLoop ->
-         push_label (!pc + 1) st.size 0 1;
-         incr pc
-       | XIf (end_target, larity) ->
-         let cond = pop_i32 st in
-         if not (Int32.equal cond 0l) then begin
-           push_label end_target st.size larity 0;
-           incr pc
-         end
-         else begin
-           pc := end_target;
-           charged_upto := 0
-         end
-       | XIfElse (else_target, end_target, larity) ->
-         let cond = pop_i32 st in
-         push_label end_target st.size larity 0;
-         if not (Int32.equal cond 0l) then incr pc
-         else begin
-           pc := else_target;
-           charged_upto := 0
-         end
-       | XElse end_target ->
-         if !nlbl = 0 then raise (Value.Trap "else without label (engine bug)");
-         decr nlbl;
-         pc := end_target;
-         charged_upto := 0
-       | XEnd ->
-         if !nlbl = 0 then raise (Value.Trap "end without label (engine bug)");
-         decr nlbl;
-         incr pc
-       | XBr k -> branch k
-       | XBrIf k ->
-         let cond = pop_i32 st in
-         if Int32.equal cond 0l then incr pc else branch k
-       | XBrTable tbl ->
-         let idx32 = pop_i32 st in
-         let idx = Int64.to_int (Int64.logand (Int64.of_int32 idx32) 0xFFFFFFFFL) in
-         let last = Array.length tbl - 1 in
-         branch (if idx < last then tbl.(idx) else tbl.(last))
-       | XReturn -> ret ()
-       | XCall fidx ->
-         (match inst.inst_funcs.(fidx) with
-          | Wasm_func (j, ci) -> call_wasm ci j st
-          | Host_func h -> call_host inst h st);
-         incr pc
-       | XCallIndirect tidx ->
-         let expected = inst.inst_types.(tidx) in
-         let i = pop_i32 st in
-         let table =
-           match inst.inst_table with
-           | Some t -> t
-           | None -> raise (Value.Trap "no table")
-         in
-         let i = Int64.to_int (Int64.logand (Int64.of_int32 i) 0xFFFFFFFFL) in
-         if i >= Array.length table.t_elems then
-           raise (Value.Trap "undefined element");
-         (match table.t_elems.(i) with
-          | None -> raise (Value.Trap "uninitialized element")
-          | Some callee ->
-            if not (equal_func_type (func_type_of callee) expected) then
-              raise (Value.Trap "indirect call type mismatch");
-            (match callee with
-             | Wasm_func (j, ci) -> call_wasm ci j st
-             | Host_func h -> call_host inst h st));
-         incr pc
-       | XDrop ->
-         ignore (pop st);
-         incr pc
-       | XSelect ->
-         let cond = pop_i32 st in
-         let b = pop st in
-         let a = pop st in
-         push st (if Int32.equal cond 0l then b else a);
-         incr pc
-       | XLocalGet x ->
-         push st locals.(x);
-         incr pc
-       | XLocalSet x ->
-         locals.(x) <- pop st;
-         incr pc
-       | XLocalTee x ->
-         if st.size = 0 then raise (Value.Trap "stack underflow (engine bug)");
-         locals.(x) <- st.data.(st.size - 1);
-         incr pc
-       | XGlobalGet x ->
-         push st inst.inst_globals.(x).g_value;
-         incr pc
-       | XGlobalSet x ->
-         inst.inst_globals.(x).g_value <- pop st;
-         incr pc
-       | XConst v ->
-         push st v;
-         incr pc
-       | XI32Load off ->
-         push st (Value.I32 (Memory.load_i32 (memory ()) (pop_i32 st) off));
-         incr pc
-       | XI64Load off ->
-         push st (Value.I64 (Memory.load_i64 (memory ()) (pop_i32 st) off));
-         incr pc
-       | XF32Load off ->
-         push st (Value.F32 (Memory.load_f32_bits (memory ()) (pop_i32 st) off));
-         incr pc
-       | XF64Load off ->
-         push st (Value.F64 (Memory.load_f64 (memory ()) (pop_i32 st) off));
-         incr pc
-       | XI32Store off ->
-         let v = pop_i32 st in
-         let addr = pop_i32 st in
-         Memory.store_i32 (memory ()) addr off v;
-         incr pc
-       | XI64Store off ->
-         let v = Value.as_i64 (pop st) in
-         let addr = pop_i32 st in
-         Memory.store_i64 (memory ()) addr off v;
-         incr pc
-       | XF32Store off ->
-         let v = Value.as_f32_bits (pop st) in
-         let addr = pop_i32 st in
-         Memory.store_f32_bits (memory ()) addr off v;
-         incr pc
-       | XF64Store off ->
-         let v = Value.as_f64 (pop st) in
-         let addr = pop_i32 st in
-         Memory.store_f64 (memory ()) addr off v;
-         incr pc
-       | XLoadGen op ->
-         let addr = pop_i32 st in
-         push st (Memory.load (memory ()) op addr);
-         incr pc
-       | XStoreGen op ->
-         let v = pop st in
-         let addr = pop_i32 st in
-         Memory.store (memory ()) op addr v;
-         incr pc
-       | XMemorySize ->
-         push st (Value.i32_of_int (Memory.size_pages (memory ())));
-         incr pc
-       | XMemoryGrow ->
-         let delta = Int32.to_int (pop_i32 st) in
-         let old =
-           match inst.inst_gov with
-           | None -> Memory.grow (memory ()) delta
-           | Some g -> Governor.governed_grow g (memory ()) delta
-         in
-         push st (Value.i32_of_int old);
-         incr pc
-       | XI32Eqz ->
-         push st (Value.i32_of_bool (Int32.equal (pop_i32 st) 0l));
-         incr pc
-       | XI32Bin op ->
-         let b = pop_i32 st in
-         let a = pop_i32 st in
-         push st (Value.I32 (Eval_numeric.ibinop_i32 op a b));
-         incr pc
-       | XI32Rel r ->
-         let b = pop_i32 st in
-         let a = pop_i32 st in
-         push st (Value.i32_of_bool (Eval_numeric.irelop_impl_i32 r a b));
-         incr pc
-       | XI64Bin op ->
-         let b = Value.as_i64 (pop st) in
-         let a = Value.as_i64 (pop st) in
-         push st (Value.I64 (Eval_numeric.ibinop_i64 op a b));
-         incr pc
-       | XI64Rel r ->
-         let b = Value.as_i64 (pop st) in
-         let a = Value.as_i64 (pop st) in
-         push st (Value.i32_of_bool (Eval_numeric.irelop_impl_i64 r a b));
-         incr pc
-       | XF64Bin op ->
-         let b = Value.as_f64 (pop st) in
-         let a = Value.as_f64 (pop st) in
-         push st (Value.F64 (Eval_numeric.fbinop_impl op a b));
-         incr pc
-       | XF64Rel r ->
-         let b = Value.as_f64 (pop st) in
-         let a = Value.as_f64 (pop st) in
-         push st (Value.i32_of_bool (Eval_numeric.frelop_impl r a b));
-         incr pc
-       | XF64Un u ->
-         push st (Value.F64 (Eval_numeric.funop_impl u (Value.as_f64 (pop st))));
-         incr pc
-       | XF64ConvertI32S ->
-         push st (Value.F64 (Int32.to_float (pop_i32 st)));
-         incr pc
-       | XI32TruncF64S ->
-         push st (Value.I32 (Value.Cvt.i32_trunc_s (Value.as_f64 (pop st))));
-         incr pc
-       | XTestGen op ->
-         let v = pop st in
-         push st (Eval_numeric.eval_testop op v);
-         incr pc
-       | XCompareGen op ->
-         let b = pop st in
-         let a = pop st in
-         push st (Eval_numeric.eval_relop op a b);
-         incr pc
-       | XUnaryGen op ->
-         let v = pop st in
-         push st (Eval_numeric.eval_unop op v);
-         incr pc
-       | XBinaryGen op ->
-         let b = pop st in
-         let a = pop st in
-         push st (Eval_numeric.eval_binop op a b);
-         incr pc
-       | XConvertGen op ->
-         let v = pop st in
-         push st (Eval_numeric.eval_cvtop op v);
-         incr pc
-       | XI32BinLL _ | XI32BinLC _ | XI32BinSL _ | XI32BinSC _ | XF64BinLL _
-       | XF64BinSL _ | XF64BinSC _ | XIncrL _ | XBrIfRelLL _ | XBrIfRelLC _
-       | XBrIfRel _ | XBrIfEqz _ | XI32LoadScaled _ | XF64LoadScaled _
-       | XI32LoadL _ | XF64LoadL _ | XFusedTail ->
-         raise (Value.Trap "fused instruction in probed body (engine bug)"));
-      match Array.unsafe_get post at with None -> () | Some f -> f locals
-    end
-  done
-
 (** {1 Instantiation} *)
 
 (** Import resolution: maps (module name, item name) to an extern. *)
@@ -1676,29 +1376,43 @@ let set_tier inst policy =
     module function index — the layer that owns the import space
     ([Wasabi.Runtime.Probe]) translates. *)
 
-(** Install a probed body on defined function [j]. The function deopts:
-    any compiled tier-1 closure is discarded and tier-up counting is
-    suspended (the probed dispatch loop runs instead) until
-    {!unprobe_function}. Takes effect at the next entry into the
-    function; frames already on the stack finish on the code they
-    entered with. *)
+(** Mark defined function [j] probed with [ph]. Nothing is compiled
+    here: any compiled closure is dropped, the body is compiled with its
+    sites at its next entry (frames already on the stack finish on the
+    code they entered with), and tier-up counting is suspended until
+    {!unprobe_function}. Only a body tier 1 has already given up on
+    ([T_unsupported]) is compiled on the spot, so that a decline fails
+    here, before any event could be lost. *)
 let probe_function inst j (ph : probe_hooks) =
   let c = inst.inst_code.(j) in
+  let prev = c.c_probe in
   c.c_probe <- Some ph;
-  c.c_tier <- T_interp;
-  c.c_hot <- 0
+  c.c_hot <- 0;
+  c.c_tier <-
+    (match c.c_tier with
+     | T_unsupported ->
+       (match ph.ph_compile inst j with
+        | Some f -> T_compiled f
+        | None ->
+          c.c_probe <- prev;
+          probe_declined j)
+     | T_interp | T_compiled _ -> T_interp)
 
-(** Remove the probed body from defined function [j]. The hotness
-    counter restarts from zero, so the function re-tiers naturally under
-    whatever tier policy is installed. *)
+(** Remove the probes from defined function [j]. Its probed closure is
+    dropped and the hotness counter restarts from zero, so the function
+    re-tiers naturally under whatever tier policy is installed. *)
 let unprobe_function inst j =
   let c = inst.inst_code.(j) in
-  c.c_probe <- None;
-  c.c_hot <- 0
+  match c.c_probe with
+  | None -> ()
+  | Some _ ->
+    c.c_probe <- None;
+    c.c_tier <- T_interp;
+    c.c_hot <- 0
 
 (** Register [f] to run once when [inst.steps] first reaches [at].
     Triggers are checked at batch charge boundaries on every tier
-    (tier 0, probed tier 0 and tier-1 prologues), so they fire within
+    (tier-0 dispatch and tier-1 prologues), so they fire within
     one basic block of the requested step count. *)
 let add_step_trigger inst ~at f =
   let rec ins = function

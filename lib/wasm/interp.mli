@@ -108,26 +108,6 @@ type xinstr =
   | XF64LoadL of int * int  (** [local.get a; f64.load off] (2) *)
   | XFusedTail  (** interior of a fused group; unreachable *)
 
-(** The hooked variant of a function body that the engine-probe backend
-    installs: an {e unfused} re-decode of the body (same indexing as the
-    original instruction stream, no superinstructions — every original
-    instruction is its own slot) plus per-slot event closures. Each
-    closure receives the frame's locals; operands are peeked directly
-    off the instance stack. [pp_pre] closures run before their slot's
-    instruction; [pp_post] closures run after it completes without
-    trapping and are only installed on fall-through instructions (a
-    taken branch never reaches one). [pp_enter] runs on frame entry,
-    [pp_exit] only on the implicit fall-off-the-end function exit
-    (explicit [return]s and branches to the function label report theirs
-    through [pp_pre]). *)
-type probe_hooks = {
-  pp_body : xinstr array;
-  pp_pre : (Value.t array -> unit) option array;
-  pp_post : (Value.t array -> unit) option array;
-  pp_enter : (Value.t array -> unit) option;
-  pp_exit : (Value.t array -> unit) option;
-}
-
 (** The snapshot-facing view of an attached probe controller (see
     {!set_probes}): [ps_capture ()] returns a thunk that re-arms the
     currently attached probe set when run, [ps_detach_all ()] detaches
@@ -202,9 +182,43 @@ and code = {
   mutable c_tier : tier_state;
   mutable c_hot : int;  (** calls observed while still on tier 0 *)
   mutable c_probe : probe_hooks option;
-      (** when set, the function runs on the probed dispatch loop over
-          [pp_body] (engine-probe backend); tier state is ignored until
-          the probe is removed *)
+      (** engine probes installed on this body (see {!probe_function}).
+          A probed body has no tier-0 form: it is compiled with its
+          sites at its first entry after the mark, with or without a
+          tier policy. *)
+}
+
+(** One engine-probe event closure and what it reads of the frame: it
+    receives the frame's locals and peeks its operands off the instance
+    stack, so the caller first materialises the top [pe_operands]
+    operands (with [size] just above them) and local [pe_local] in boxed
+    form. *)
+and probe_event = {
+  pe_fire : Value.t array -> unit;
+  pe_operands : int;  (** top-of-stack operands the closure peeks *)
+  pe_local : int;  (** the local it reads, or [-1] *)
+}
+
+(** The events of one original instruction: [site_pre] fires before it
+    executes, [site_post] after it completes and falls through (never
+    on a taken branch). *)
+and probe_site = {
+  site_pc : int;
+  site_pre : probe_event option;
+  site_post : probe_event option;
+}
+
+(** The engine-probe instrumentation of one function body, as
+    [Wasabi.Runtime.Probe] builds it: a sparse per-site table plus frame
+    events. [ph_enter] fires on frame entry, [ph_exit] only on the
+    implicit fall-off-the-end exit (explicit [return]s and branches to
+    the function label report theirs through their sites). [ph_compile]
+    compiles the body together with these sites ({!Tier1.compile}). *)
+and probe_hooks = {
+  ph_sites : probe_site array;  (** sorted by [site_pc] *)
+  ph_enter : probe_event option;
+  ph_exit : probe_event option;
+  ph_compile : instance -> int -> compiled_body option;
 }
 
 (** A compiled (tier-1) function body: called with the frame's locals,
@@ -216,7 +230,9 @@ and compiled_body = instance -> Value.t array -> unit
 and tier_state =
   | T_interp  (** not (yet) compiled; runs on the tier-0 dispatch loop *)
   | T_compiled of compiled_body
-  | T_unsupported  (** the compiler declined this body; stays on tier 0 *)
+  | T_unsupported
+      (** the compiler declined this body, or deopt-on-fault distrusts
+          it; stays on tier 0 *)
 
 (** Tier-up policy: once a function has been entered [tp_threshold]
     times, [tp_compile] is asked for a compiled body ([None] marks it
@@ -250,7 +266,7 @@ and instance = {
           match per batch boundary / grow / host call *)
   mutable inst_deopt_on_fault : bool;
       (** when set, compiled bodies unwound by a governor violation or
-          injected host fault deopt back to tier 0 permanently *)
+          injected host fault deopt (see {!set_deopt_on_fault}) *)
   mutable inst_triggers : (int * (unit -> unit)) list;
       (** pending step triggers, sorted by step count; each fires once
           when [steps] first reaches its threshold, checked at batch
@@ -316,36 +332,41 @@ val set_governor : instance -> Governor.t option -> unit
 
 val set_deopt_on_fault : instance -> bool -> unit
 (** When enabled, a compiled (tier-1) body unwound by a governor
-    violation or an injected host fault is deopted back to tier 0
-    permanently and [wasabi_deopt_total] is incremented. *)
+    violation or an injected host fault is deopted and
+    [wasabi_deopt_total] is incremented: an unprobed body goes back to
+    tier 0 permanently, a probed one is recompiled with its sites at its
+    next entry. *)
 
 val is_fault_exn : exn -> bool
 (** Environmental unwinds — governor budget violations and injected
     host faults — as opposed to properties of the guest code itself. *)
 
-val unfused_xbody : code -> xinstr array
-(** Re-decode the function body {e without} superinstruction fusion:
-    every original instruction is its own slot, same indexing and
-    [c_run_len] batching as the fused [c_xbody]. This is the execution
-    stream probed bodies run on, so per-slot event closures line up
-    one-to-one with original instructions. *)
+val decode_slot : code -> int -> xinstr
+(** [decode_slot code pc] decodes the original instruction at [pc] on
+    its own, without superinstruction fusion: what tier 1 compiles, slot
+    by slot, in place of a fused group that carries a probe site. Not
+    defined on [else]. *)
 
 val probe_function : instance -> int -> probe_hooks -> unit
-(** Install a probed body on defined function [j] (an [inst_code]
-    index). The function deopts: any compiled tier-1 closure is
-    discarded and tier-up counting is suspended until
-    {!unprobe_function}. Takes effect at the next entry into the
-    function; frames already on the stack finish on the code they
-    entered with. *)
+(** Mark defined function [j] (an [inst_code] index) probed. Nothing is
+    compiled: any compiled closure is dropped and the body is compiled
+    with its sites at its next entry, on any instance, with or without a
+    tier policy; frames already on the stack finish on the code they
+    entered with. Tier-up counting is suspended until
+    {!unprobe_function}. A body tier 1 has already declined
+    ([T_unsupported]) is compiled on the spot instead.
+    @raise Error.Hook_error (code ["probe-unsupported"]) when tier 1
+    declines the body, here or at that first entry: a probed body has no
+    tier-0 form, and its events are never dropped silently. *)
 
 val unprobe_function : instance -> int -> unit
-(** Remove the probed body from defined function [j]; the hotness
-    counter restarts from zero so the function re-tiers naturally under
-    the installed tier policy. *)
+(** Remove the probes from defined function [j]: its probed closure is
+    dropped and the hotness counter restarts from zero, so the function
+    re-tiers naturally under the installed tier policy. *)
 
 val add_step_trigger : instance -> at:int -> (unit -> unit) -> unit
 (** Register a thunk to run once when [steps] first reaches [at],
-    checked at batch charge boundaries on every tier (so it fires
+    checked at batch charge boundaries on both tiers (so it fires
     within one straight-line run of the requested count). If [steps]
     is already past [at] the thunk fires immediately. *)
 

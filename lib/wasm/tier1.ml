@@ -53,7 +53,16 @@
     at the frame base on return, traps/exhaustion raised as the same
     exceptions), so tier-0 and tier-1 frames interleave freely on one
     call stack — a compiled function calling an interpreted one and
-    vice versa. *)
+    vice versa.
+
+    Engine probes ({!Interp.probe_hooks}) compile into the same closures:
+    at a probe site, and only there, the operands and the local its
+    event reads are boxed onto the instance stack / locals array and the
+    event fires. A fused group containing a site is compiled slot by slot
+    ({!Interp.decode_slot}); every other group keeps its
+    superinstruction, and an unprobed body compiles to exactly the
+    closures it would without probe support. Probed bodies have no tier-0
+    form. *)
 
 open Types
 open Interp
@@ -135,9 +144,10 @@ let cvt_types : Ast.cvtop -> value_type * value_type = function
 (** {1 Pass 1: static heights and types}
 
     A validator-style walk over the original instruction stream
-    computing, for every reachable instruction boundary, the operand
-    stack height, the type stack (top first) and the enclosing label
-    environment. Heights are [-1] on unreachable boundaries; blocks
+    computing, for every reachable instruction boundary (the body's end
+    included), the operand stack height and the type stack (top first),
+    and before every instruction the enclosing label environment.
+    Heights are [-1] on unreachable boundaries; blocks
     starting there compile to an engine-bug trap (nothing can jump to
     them). Dead stretches are revived at the [End] of a block/if frame
     exactly as in validation, because branches may still target the
@@ -149,7 +159,7 @@ let analyze (inst : instance) (code : code) :
   let end_of = code.c_jumps.end_of in
   let ltypes = Array.of_list (code.c_type.params @ code.c_func.Ast.locals) in
   let heights = Array.make (n + 1) (-1) in
-  let types_at = Array.make (max n 1) [] in
+  let types_at = Array.make (n + 1) [] in
   let frames_at = Array.make (max n 1) [] in
   let frames = ref [] in
   let h = ref 0 in
@@ -307,6 +317,7 @@ let analyze (inst : instance) (code : code) :
   done;
   if not !dead then begin
     heights.(n) <- !h;
+    types_at.(n) <- !ts;
     if !h > !max_h then max_h := !h
   end;
   (heights, types_at, frames_at, !max_h)
@@ -477,6 +488,65 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
   let cells : (ectx -> unit) ref array =
     Array.init !nblocks (fun _ -> ref engine_bug)
   in
+  (* engine-probe sites: dense per-pc views of the sparse table, and the
+     fused groups that compile slot by slot because a site falls inside
+     them; every other group keeps its superinstruction *)
+  let probed, pre, post, unfused, enter, exit =
+    match code.c_probe with
+    | None -> (false, [||], [||], [||], None, None)
+    | Some ph ->
+      let pre = Array.make n None and post = Array.make n None in
+      let unfused = Array.make n false in
+      Array.iter
+        (fun s ->
+           pre.(s.site_pc) <- s.site_pre;
+           post.(s.site_pc) <- s.site_post;
+           let lo = ref s.site_pc and hi = ref (s.site_pc + 1) in
+           while xbody.(!lo) == XFusedTail do decr lo done;
+           while !hi < n && xbody.(!hi) == XFusedTail do incr hi done;
+           if !hi - !lo > 1 then Array.fill unfused !lo (!hi - !lo) true)
+        ph.ph_sites;
+      (true, pre, post, unfused, ph.ph_enter, ph.ph_exit)
+  in
+  (* fire a probe event at operand height [h] ([tys]: the type stack
+     there, top first): box the operands and the local it reads, expose
+     the height as the stack size, call it *)
+  let fire_at ~h tys (ev : probe_event) : ectx -> unit =
+    let rec boxes i tys =
+      if i >= ev.pe_operands then []
+      else
+        match tys with
+        | [] -> raise Unsupported
+        | ty :: rest ->
+          (match box_slot ty (h - 1 - i) with
+           | Some f -> f :: boxes (i + 1) rest
+           | None -> boxes (i + 1) rest)
+    in
+    let x = ev.pe_local in
+    let local =
+      if x < 0 then []
+      else
+        match local_ty x with
+        | I32T ->
+          [ (fun ctx ->
+              Array.unsafe_set ctx.locals x
+                (Value.I32 (Int32.of_int (Array.unsafe_get ctx.il x)))) ]
+        | F64T ->
+          [ (fun ctx -> Array.unsafe_set ctx.locals x (Value.F64 (Array.unsafe_get ctx.fl x))) ]
+        | I64T | F32T -> []
+    in
+    let fire = ev.pe_fire in
+    match chain (boxes 0 tys @ local) with
+    | None ->
+      fun ctx ->
+        ctx.st.size <- ctx.base + h;
+        fire ctx.locals
+    | Some box ->
+      fun ctx ->
+        box ctx;
+        ctx.st.size <- ctx.base + h;
+        fire ctx.locals
+  in
   (* blocks are compiled in increasing index order, so a back-edge
      (the loop case) can capture the final target closure directly;
      forward and self edges go through the target's cell *)
@@ -552,6 +622,18 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
     | Some f -> label_edge ~cur ~from_h f.f_label
     | None -> ret_edge ~from_h
   in
+  (* the implicit fall-off-the-end exit, the one place the function-exit
+     probe fires *)
+  let end_edge ~from_h : ectx -> unit =
+    let r = ret_edge ~from_h in
+    match exit with
+    | None -> r
+    | Some ev ->
+      let f = fire_at ~h:from_h types_at.(n) ev in
+      fun ctx ->
+        f ctx;
+        r ctx
+  in
   let with_mem (k : Memory.t -> ectx -> unit) : ectx -> unit =
     match inst.inst_memory with
     | Some m -> k m
@@ -560,7 +642,7 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
   let compile_block cur : ectx -> unit =
     let sb = starts.(cur) in
     if sb = n then
-      if heights.(n) >= 0 then ret_edge ~from_h:heights.(n) else engine_bug
+      if heights.(n) >= 0 then end_edge ~from_h:heights.(n) else engine_bug
     else if heights.(sb) < 0 then engine_bug
     else begin
       let eb =
@@ -580,7 +662,12 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
         let p = !pc in
         if heights.(p) >= 0 && heights.(p) <> !h then raise Unsupported;
         let step len = pc := p + len in
-        (match xbody.(p) with
+        let x = if probed && unfused.(p) then decode_slot code p else xbody.(p) in
+        (if probed then
+           match pre.(p) with
+           | Some ev -> emit (fire_at ~h:!h types_at.(p) ev)
+           | None -> ());
+        (match x with
          (* no-ops at run time: all control bookkeeping is static *)
          | XNop | XBlock _ | XLoop | XEnd -> step 1
          | XDrop ->
@@ -1733,7 +1820,11 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
            let next = jump_to ~cur (p + 2) in
            finish (fun ctx ->
              if Array.unsafe_get ctx.id s = 0 then taken ctx else next ctx)
-         | XFusedTail -> raise Unsupported)
+         | XFusedTail -> raise Unsupported);
+        if probed && Option.is_none !term then
+          match post.(p) with
+          | Some ev -> emit (fire_at ~h:!h types_at.(p + 1) ev)
+          | None -> ()
       done;
       let term_closure =
         match !term with
@@ -1741,7 +1832,7 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
         | None ->
           (* fall through to the next block (a label target), keeping
              the charge mark — tier 0 does not recharge here either *)
-          if eb = n then ret_edge ~from_h:!h else jump_to ~cur eb
+          if eb = n then end_edge ~from_h:!h else jump_to ~cur eb
       in
       let body_cl = seq (List.rev !ops) term_closure in
       (* the charge prologue replicates tier 0's batched fuel/step
@@ -1769,7 +1860,15 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
   for b = 0 to !nblocks - 1 do
     cells.(b) := compile_block b
   done;
-  let entry = !(cells.(0)) in
+  let entry =
+    match enter with
+    | None -> !(cells.(0))
+    | Some ev ->
+      let f = fire_at ~h:0 [] ev and body = !(cells.(0)) in
+      fun ctx ->
+        f ctx;
+        body ctx
+  in
   let nparams = code.c_nparams in
   let has_il = Array.exists (fun t -> t = I32T) ltypes in
   let has_fl = Array.exists (fun t -> t = F64T) ltypes in
@@ -1824,16 +1923,14 @@ let compile_all inst =
   let ok = ref 0 in
   Array.iteri
     (fun i c ->
-       (* probed functions stay on the probed dispatch loop; leave their
-          tier state alone so detaching re-tiers them naturally *)
-       match c.c_probe with
-       | Some _ -> ()
-       | None ->
-         match compile inst i with
-         | Some f ->
-           c.c_tier <- T_compiled f;
-           incr ok
-         | None -> c.c_tier <- T_unsupported)
+       (* probed bodies compile with their sites; one the compiler
+          declines stays marked, so its next entry reports the decline
+          instead of running it on tier 0 without its probes *)
+       match compile inst i with
+       | Some f ->
+         c.c_tier <- T_compiled f;
+         incr ok
+       | None -> if Option.is_none c.c_probe then c.c_tier <- T_unsupported)
     inst.inst_code;
   !ok
 

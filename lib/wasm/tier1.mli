@@ -1,5 +1,7 @@
 (** Tier-1 execution: closure compilation of pre-decoded function
-    bodies, with the tier-0 dispatch loop as reference and deopt path.
+    bodies, with the tier-0 dispatch loop as reference and deopt path
+    for unprobed bodies; engine-probe sites compile into the same
+    closures.
 
     A compiled body implements {!Interp.compiled_body} — the exact
     [exec_body] calling convention (locals in, results at the frame
@@ -12,9 +14,10 @@ val default_threshold : int
     explicit threshold is given (and for [WASABI_TIER=on]). *)
 
 val compile : Interp.instance -> int -> Interp.compiled_body option
-(** [compile inst fid] closure-compiles function [fid] of [inst];
-    [None] when the body uses a shape the compiler does not support
-    (the function then stays on tier 0 permanently). *)
+(** [compile inst fid] closure-compiles function [fid] of [inst],
+    together with its engine-probe sites when it is probed
+    ([c_probe]); [None] when the body uses a shape the compiler does not
+    support (an unprobed function then stays on tier 0 permanently). *)
 
 val policy : ?threshold:int -> unit -> Interp.tier_policy
 (** A tier-up policy compiling with {!compile} after [threshold]
@@ -27,9 +30,9 @@ val disable : Interp.instance -> unit
 (** Remove the tier policy and reset every function to tier 0. *)
 
 val compile_all : Interp.instance -> int
-(** Eagerly compile every body, marking unsupported ones so they stay
-    on tier 0; returns the number compiled. Installs a threshold-1
-    policy if none is present. *)
+(** Eagerly compile every body (probed ones with their sites), marking
+    unsupported unprobed ones so they stay on tier 0; returns the number
+    compiled. Installs a threshold-1 policy if none is present. *)
 
 val env_threshold : unit -> int option
 (** The tier-up threshold requested by the [WASABI_TIER] environment

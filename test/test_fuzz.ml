@@ -95,10 +95,11 @@ let test_tier_parity_smoke () =
 
 (* Probe parity at scale: the engine-probe backend must deliver the
    same hook-event stream as the AOT rewriter — byte-identical under
-   full attach (tier 0 and with tier-1 forced on, exercising
-   attach-deopt), an order-preserving subsequence under mid-run
-   attach/detach step triggers — and must not perturb execution
-   (outcome, memory digest, exported globals vs the plain run). The
+   full attach and, restricted to the function, under one-function
+   attach without a tier policy; an order-preserving subsequence under
+   mid-run attach/detach step triggers — must run every probed body
+   compiled, and must not perturb execution (outcome, memory digest,
+   exported globals vs the plain run). The
    variant round-robins over the index, so this covers 500 cases of
    each of the four shapes. *)
 let test_probe_parity_smoke () =

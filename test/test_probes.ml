@@ -2,7 +2,7 @@
     hand-computed expected streams (so the fuzz oracle's stream equality
     is never vacuous), site/count predicates, live attach/detach — from
     the host side, from a step trigger, and from inside a probe callback
-    (re-entrancy) — tier-1 deopt/re-tier around attachment, explicit
+    (re-entrancy) — the tier contract of probed bodies, explicit
     snapshot/restore of the probe set, the probe metric counters, and
     byte-exact exposition goldens for the probe metric families. *)
 
@@ -290,17 +290,69 @@ let test_tier_deopt_and_retier () =
   let buf = Buffer.create 128 in
   let c = P.create ~registry:(Obs.Metrics.create ()) inst (recorder buf) in
   let e = P.attach c all_spec in
-  Alcotest.(check bool) "attach deopts to probed tier-0" true (tier_of inst 0 = `Interp);
-  Alcotest.(check bool) "probe hooks installed" true
+  Alcotest.(check bool) "attach compiles nothing: the body is left uncompiled" true
+    (tier_of inst 0 = `Interp);
+  Alcotest.(check bool) "probe sites installed" true
     (inst.Interp.inst_code.(0).Interp.c_probe <> None);
   ignore (Interp.invoke_export inst "f" []);
-  Alcotest.(check bool) "probed run reports events" true (Buffer.length buf > 0);
+  Alcotest.(check bool) "first entry runs it compiled with its sites" true
+    (tier_of inst 0 = `Compiled);
+  Alcotest.(check string) "compiled sites report the exact stream"
+    ("begin@0:-1 const@0:0=i32:7 const@0:1=i32:35 binary@0:2:i32.add=i32:42 "
+     ^ "local@0:3:local.tee.0 local@0:4:local.get.0 binary@0:5:i32.add=i32:84 end@0:6 ")
+    (Buffer.contents buf);
   P.detach c e;
-  Alcotest.(check bool) "detach removes the probed body" true
+  Alcotest.(check bool) "detach removes the probes" true
     (inst.Interp.inst_code.(0).Interp.c_probe = None);
+  Alcotest.(check bool) "detach drops the probed closure" true (tier_of inst 0 = `Interp);
+  Buffer.clear buf;
   ignore (Interp.invoke_export inst "f" []);
   ignore (Interp.invoke_export inst "f" []);
-  Alcotest.(check bool) "body re-tiers after detach" true (tier_of inst 0 = `Compiled)
+  Alcotest.(check bool) "body re-tiers after detach" true (tier_of inst 0 = `Compiled);
+  Alcotest.(check string) "no events after detach" "" (Buffer.contents buf)
+
+let test_probes_without_tier_policy () =
+  (* no tier policy: probes still imply tier 1 for the probed body, while
+     the unprobed caller stays on tier 0 and calls into it *)
+  let m = two_func_module () in
+  let inst = Interp.instantiate ~imports:[] m in
+  let buf = Buffer.create 128 in
+  let c = P.create ~registry:(Obs.Metrics.create ()) inst (recorder buf) in
+  ignore (P.attach c { all_spec with sp_func = Some 0 });
+  Alcotest.(check bool) "attach compiles nothing" true (tier_of inst 0 = `Interp);
+  let r = Interp.invoke_export inst "f" [] in
+  Alcotest.(check bool) "result" true (r = [ Value.i32_of_int 2 ]);
+  Alcotest.(check bool) "the probed body runs compiled" true (tier_of inst 0 = `Compiled);
+  Alcotest.(check bool) "the unprobed body stays on tier 0" true (tier_of inst 1 = `Interp);
+  Alcotest.(check string) "same event stream as the @func predicate"
+    "begin@0:-1 const@0:0=i32:1 end@0:1 begin@0:-1 const@0:0=i32:1 end@0:1 "
+    (Buffer.contents buf)
+
+let test_declined_probed_body () =
+  (* tier 1 declines bodies only outside validation (an operand-stack
+     underflow here); a probed body has no tier-0 form, so the decline is
+     a structured error, never a run without events *)
+  let b = B.create () in
+  let f = B.add_func b ~params:[] ~results:[] ~locals:[] ~body:[ B.i32_add ] in
+  B.export_func b ~name:"f" f;
+  let m = B.build b in
+  let probe_unsupported what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected a probe-unsupported error" what
+    | exception Error.Hook_error t ->
+      Alcotest.(check string) (what ^ ": error code") "probe-unsupported" t.Error.code
+  in
+  (* a body tier 1 has already declined fails the attach itself *)
+  let inst = Interp.instantiate ~imports:[] m in
+  Alcotest.(check int) "nothing compiles" 0 (Tier1.compile_all inst);
+  let c = P.create ~registry:(Obs.Metrics.create ()) inst (recorder (Buffer.create 16)) in
+  probe_unsupported "attach" (fun () -> P.attach c all_spec);
+  Alcotest.(check int) "the failed attach leaves no active probe" 0 (List.length (P.entries c));
+  (* one never seen by tier 1 fails at its first entry *)
+  let inst = Interp.instantiate ~imports:[] m in
+  let c = P.create ~registry:(Obs.Metrics.create ()) inst (recorder (Buffer.create 16)) in
+  ignore (P.attach c all_spec);
+  probe_unsupported "first entry" (fun () -> Interp.invoke_export inst "f" [])
 
 (* --- snapshot/restore ------------------------------------------------ *)
 
@@ -413,6 +465,8 @@ let suite =
     case "step-trigger attach/detach window" test_step_trigger_attach_detach;
     case "re-entrant attach/detach from a probe callback" test_reentrant_attach_detach;
     case "tier-1 deopt on attach, re-tier on detach" test_tier_deopt_and_retier;
+    case "probes imply tier 1 without a tier policy" test_probes_without_tier_policy;
+    case "a declined probed body is a structured error" test_declined_probed_body;
     case "snapshot re-arms the captured probe set" test_snapshot_rearms_probe_set;
     case "snapshot predating probes detaches on restore" test_snapshot_predating_probes_detaches;
     case "probe counters" test_probe_counters;

@@ -305,6 +305,72 @@ let test_deopt_on_governor_violation () =
    | _ -> Alcotest.fail "governor-killed compiled body did not deopt")
 
 (* ------------------------------------------------------------------ *)
+(* Deopt-on-fault of a probed body: recompiled with its sites          *)
+(* ------------------------------------------------------------------ *)
+
+let probed_tick_src =
+  {|(module
+      (import "env" "tick" (func $tick))
+      (func (export "run") (result i32) (local i32)
+        (call $tick)
+        (local.set 0 (i32.add (i32.const 40) (i32.const 2)))
+        (call $tick)
+        (local.get 0)))|}
+
+(** A deopt-on-fault instance of [probed_tick_src] under [gov], with
+    every hook group probed into [events]. *)
+let probed_tick_instance events gov =
+  let inst = instantiate_wat ~imports:[ tick_import (ref 0) ] probed_tick_src in
+  Interp.set_deopt_on_fault inst true;
+  Interp.set_governor inst (Some gov);
+  let c =
+    Wasabi.Runtime.Probe.create ~registry:(Obs.Metrics.create ()) inst
+      (Wasabi.Analysis.reify (fun e -> events := e :: !events))
+  in
+  ignore
+    (Wasabi.Runtime.Probe.attach c
+       { Obs.Probe.sp_groups = []; sp_func = None; sp_loc = None; sp_nth = 1 });
+  inst
+
+let test_probed_deopt_on_governor_kill () =
+  let run_clean inst events =
+    let gov = Governor.create ~host_call_budget:100 () in
+    Interp.set_governor inst (Some gov);
+    Governor.arm gov;
+    events := [];
+    let r = Interp.invoke_export inst "run" [] in
+    (r, List.rev !events)
+  in
+  let fresh_events = ref [] in
+  let fresh = probed_tick_instance fresh_events (Governor.create ()) in
+  let want = run_clean fresh fresh_events in
+  let events = ref [] in
+  let tight = Governor.create ~host_call_budget:1 () in
+  let inst = probed_tick_instance events tight in
+  let snap = Snapshot.capture inst in
+  let deopts = Obs.Metrics.counter "wasabi_deopt_total" in
+  let before = Obs.Metrics.counter_value deopts in
+  Governor.arm tight;
+  (* the second tick exceeds the budget inside the probed, compiled body *)
+  (match raised (fun () -> Interp.invoke_export inst "run" []) with
+   | Error.Governor_limit t ->
+     Alcotest.(check string) "violation code" "host-call-budget" t.Error.code
+   | e -> Alcotest.failf "expected Governor_limit, got %s" (Printexc.to_string e));
+  Alcotest.(check bool) "wasabi_deopt_total incremented" true
+    (Obs.Metrics.counter_value deopts > before);
+  let code = run_code_of inst in
+  (match code.Interp.c_tier, code.Interp.c_probe with
+   | Interp.T_interp, Some _ -> ()
+   | _ -> Alcotest.fail "faulted probed body is not pending a recompile with its sites");
+  Snapshot.restore snap inst;
+  let got = run_clean inst events in
+  Alcotest.(check bool) "recompiled at its next entry" true
+    (match code.Interp.c_tier with Interp.T_compiled _ -> true | _ -> false);
+  Alcotest.(check bool) "clean run after restore = fresh instance (result and events)" true
+    (got = want);
+  Alcotest.(check bool) "the stream is not trivially empty" true (List.length (snd want) > 8)
+
+(* ------------------------------------------------------------------ *)
 (* Fault plans: determinism and replay                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -361,6 +427,8 @@ let suite =
     case "restore observes its histogram" test_restore_metric;
     case "tier-1 deopt on injected fault" test_deopt_on_injected_fault;
     case "tier-1 deopt on governor violation" test_deopt_on_governor_violation;
+    case "probed body: deopt on governor kill, restore, clean run"
+      test_probed_deopt_on_governor_kill;
     case "fault plan determinism" test_fault_plan_determinism;
     case "faulted replay determinism" test_faulted_replay;
     case "restore-equivalence fault campaign (2000 cases)" test_fault_campaign;
