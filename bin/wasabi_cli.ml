@@ -886,12 +886,14 @@ let profile_cmd =
              W.Runtime.attach_profiler rt (Some prof);
              (inst, Some res.W.Instrument.hook_map)
          in
+         let sites0 = Wasm.Tier1.hook_sites () in
          apply_tier tier inst;
          let t0 = Obs.Clock.now_ns () in
          let results =
            Obs.Span.with_ "run" (fun () -> Wasm.Interp.invoke_export inst invoke [])
          in
          let wall_ns = Int64.sub (Obs.Clock.now_ns ()) t0 in
+         let sites1 = Wasm.Tier1.hook_sites () in
          Printf.printf "%s returned [%s] in %.3f ms (%d instructions)\n\n" invoke
            (String.concat "; " (List.map Wasm.Value.to_string results))
            (Obs.Clock.ns_to_ms wall_ns) inst.Wasm.Interp.steps;
@@ -977,6 +979,15 @@ let profile_cmd =
          match hook_map with
          | None -> ()
          | Some hm ->
+           (* hook call sites tier 1 compiled during this run, bound to
+              site entries or left on the array ABI *)
+           List.iter
+             (fun (binding, n) ->
+                Obs.Metrics.inc ~by:(Float.of_int n)
+                  (Obs.Metrics.counter ~registry ~labels:(("binding", binding) :: labels)
+                     ~help:"Hook call sites compiled by tier 1, by site binding"
+                     "profile_tier1_hook_sites_total"))
+             [ ("bound", fst sites1 - fst sites0); ("generic", snd sites1 - snd sites0) ];
            Obs.Metrics.set
              (Obs.Metrics.gauge ~registry ~labels ~help:"Monomorphic hooks generated"
                 "profile_monomorph_generated") (Float.of_int (W.Hook.Map.count hm));

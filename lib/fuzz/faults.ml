@@ -126,24 +126,38 @@ let burn t =
      | Some g -> Governor.expire g
      | None -> inst.Interp.fuel <- 0)
 
+(* the k-th armed call: [None] runs the real function, [Some rs]
+   returns [rs] in its place; a trap raises *)
+let intercept t (h : Interp.host_func) =
+  if not t.armed then None
+  else begin
+    let k = t.calls in
+    t.calls <- k + 1;
+    match event_at t k with
+    | None -> None
+    | Some Trap ->
+      t.injected <- t.injected + 1;
+      raise (Value.Trap "injected host fault")
+    | Some Corrupt ->
+      t.injected <- t.injected + 1;
+      Some (corrupt_results t ~call:k h.Interp.h_type.Types.results)
+    | Some Burn ->
+      t.injected <- t.injected + 1;
+      burn t;
+      None
+  end
+
+(* both entries are wrapped: the array ABI, and the site entries tier 1
+   binds, so a plan fires at the same call on every tier *)
 let wrap t (h : Interp.host_func) : Interp.host_func =
   let fn args off =
-    if not t.armed then h.Interp.h_fn args off
-    else begin
-      let k = t.calls in
-      t.calls <- k + 1;
-      match event_at t k with
-      | None -> h.Interp.h_fn args off
-      | Some Trap ->
-        t.injected <- t.injected + 1;
-        raise (Value.Trap "injected host fault")
-      | Some Corrupt ->
-        t.injected <- t.injected + 1;
-        corrupt_results t ~call:k h.Interp.h_type.Types.results
-      | Some Burn ->
-        t.injected <- t.injected + 1;
-        burn t;
-        h.Interp.h_fn args off
-    end
+    match intercept t h with None -> h.Interp.h_fn args off | Some rs -> rs
   in
-  { h with Interp.h_fn = fn }
+  let bind (b : Interp.site_binder) =
+    { Interp.bind =
+        (fun site ->
+           Option.map
+             (fun entry e -> match intercept t h with None -> entry e | Some _ -> ())
+             (b.Interp.bind site)) }
+  in
+  { h with Interp.h_fn = fn; h_bind = Option.map bind h.Interp.h_bind }

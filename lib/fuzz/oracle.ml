@@ -707,6 +707,10 @@ let absint_soundness (info : Gen.info) : verdict =
     - every probed body that was entered to be compiled (probed bodies
       have no tier-0 form), except under a mid-run attach.
 
+    Odd indices record the AOT side on tier 1, so hook calls there run
+    through the site entries tier 1 binds them to; even ones on tier 0,
+    through the array ABI.
+
     Both recorded runs drop events emitted during instantiation (the
     start function): probes attach after [instantiate] returns, so the
     comparable window starts at the [run] invocation. *)
@@ -741,13 +745,15 @@ let run_plain_steps (m : Ast.module_) ~fuel : (run_result * int, string) result 
 (** AOT-instrumented run recording the hook-event stream into [buf],
     cleared right after instantiation so start-function events (which
     the probe run cannot observe — it attaches afterwards) are not
-    part of the comparison. *)
-let run_recorded_aot (m : Ast.module_) ~fuel ~buf : (run_result, string) result =
+    part of the comparison. With [tier1], every body compiles at its
+    first entry, so hook calls run through tier 1's bound site entries. *)
+let run_recorded_aot ~tier1 (m : Ast.module_) ~fuel ~buf : (run_result, string) result =
   match
     guarded (fun () ->
       let res = Wasabi.Instrument.instrument m in
       let inst, _rt = Wasabi.Runtime.instantiate ~fuel res (recording_analysis buf) in
       Buffer.clear buf;
+      if tier1 then Tier1.enable ~threshold:1 inst;
       let outcome =
         try Ok (Interp.invoke_export inst "run" [])
         with e ->
@@ -863,7 +869,9 @@ let probe_parity ~index (info : Gen.info) : verdict =
     else if is_out_of_fuel base.outcome then Skip "base-exhausted"
     else begin
       let buf_aot = Buffer.create 1024 in
-      match run_recorded_aot m ~fuel:(base_fuel * hook_fuel_scale) ~buf:buf_aot with
+      (* odd indices record the AOT side on tier 1 (bound hook sites) *)
+      let tier1 = index mod 2 = 1 in
+      match run_recorded_aot ~tier1 m ~fuel:(base_fuel * hook_fuel_scale) ~buf:buf_aot with
       | Error crash -> violation "totality-exec" "AOT recorded run crashed: %s" crash
       | Ok aot ->
         if engine_bug aot.outcome then

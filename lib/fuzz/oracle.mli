@@ -106,8 +106,9 @@ val probe_parity : index:int -> Gen.info -> verdict
     function with no tier policy (its stream must equal the AOT
     stream's events in that function), full attach with the tier-1
     compiler forced on, tiered mid-run attach (step trigger at half the
-    plain run's step count), mid-run detach. A probed body that was
-    entered but is not compiled is a violation (not checked under a
+    plain run's step count), mid-run detach. Odd indices record the AOT
+    side on tier 1, where hook calls run through bound site entries. A
+    probed body that was entered but is not compiled is a violation (not checked under a
     mid-run attach, where frames entered before it legitimately ran
     unprobed). [Skip] when the base or the AOT run exhausts its fuel. *)
 

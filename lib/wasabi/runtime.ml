@@ -11,12 +11,16 @@
     There are two decoder implementations:
 
     - {b compiled} (the default): every monomorphized hook spec is
-      compiled {e once}, at runtime-binding time, into a specialized
-      closure — arity, argument slot offsets, i64 split/join, op-name
-      strings and [br_table] metadata are all pre-resolved, and arguments
-      are read straight out of the interpreter's operand-stack buffer
+      compiled {e once} into a specialized closure over an argument
+      source — arity, argument slot offsets, i64 split/join, op-name
+      strings and [br_table] metadata are all pre-resolved. Compiled at
+      runtime-binding time over the interpreter's operand-stack buffer
       (the array ABI of {!Wasm.Interp.host_func_raw}), with no per-call
-      list allocation or map lookup;
+      list allocation or map lookup; and compiled again for each tier-1
+      call site that binds (see {!Wasm.Interp.site_binder}), over the
+      site's constants and the caller frame's locals, read in place,
+      with the location and every other constant-derived value computed
+      at binding;
     - {b reference}: the original interpretive [take_*]-chain over an
       argument list, kept as the debug path and as the oracle for the
       differential decoder tests. Selected with [~decoder:`Reference] or
@@ -121,10 +125,9 @@ let attach_profiler (rt : t) (p : Obs.Profile.t option) : unit =
   | Some inst -> Interp.set_profiler inst p
   | None -> ()
 
-let join_i64 (lo : int32) (hi : int32) : int64 =
-  Int64.logor
-    (Int64.logand (Int64.of_int32 lo) 0xFFFFFFFFL)
-    (Int64.shift_left (Int64.of_int32 hi) 32)
+(* halves as native ints (sign-extended or not: only the low 32 bits count) *)
+let join_i64 (lo : int) (hi : int) : int64 =
+  Int64.logor (Int64.logand (Int64.of_int lo) 0xFFFFFFFFL) (Int64.shift_left (Int64.of_int hi) 32)
 
 (** {1 Reference decoders}
 
@@ -147,7 +150,8 @@ let take_bool vs =
 
 let take_value ~split ty vs =
   match ty, vs with
-  | I64T, Value.I32 lo :: Value.I32 hi :: rest when split -> (Value.I64 (join_i64 lo hi), rest)
+  | I64T, Value.I32 lo :: Value.I32 hi :: rest when split ->
+    (Value.I64 (join_i64 (Int32.to_int lo) (Int32.to_int hi)), rest)
   | I64T, (Value.I64 _ as v) :: rest when not split -> (v, rest)
   | I32T, (Value.I32 _ as v) :: rest -> (v, rest)
   | F32T, (Value.F32 _ as v) :: rest -> (v, rest)
@@ -348,309 +352,373 @@ let dispatch_reference rt (a : Analysis.t) (spec : Hook.spec) : Value.t list -> 
 
 (** {1 Compiled decoders}
 
-    Slot readers, each specialized at compile time to a fixed slot [k]
-    relative to the argument base. The hook's wasm signature guarantees
-    exactly the declared slots are present ([Interp.call_host] enforces
-    the arity), so reads use [unsafe_get]. Slots 0 and 1 are always the
-    location (function index, instruction index). *)
+    Every monomorphized hook spec is compiled once into a specialized
+    closure over an {e argument source}: readers specialised, at compile
+    time, to a fixed argument slot [k]. Slots 0 and 1 are always the
+    location (function index, instruction index). The same decoder
+    serves both ways a hook is called:
 
-let read_int k args off =
-  match Array.unsafe_get args (off + k) with
-  | Value.I32 x -> Int32.to_int x
-  | _ -> bad "expected i32"
+    - on the array ABI, the source reads the operand-stack slice
+      ([Interp.call_host] enforces the arity, so reads are unchecked);
+    - at a tier-1 call site bound by {!Interp.site_binder}, it reads the
+      site's constants and the caller frame's locals in place. A
+      constant argument is a {!Const} reader, and everything computed
+      from constants only — the location, the [br]/[br_if] target
+      record, the [br_table] metadata — is computed once, at binding. *)
 
-let read_i32 k args off =
-  match Array.unsafe_get args (off + k) with
-  | Value.I32 x -> x
-  | _ -> bad "expected i32"
+(** A reader of one argument out of a two-part environment: the stack
+    buffer and argument offset on the array ABI, the caller's frame (and
+    [()]) at a bound site. Two parts, so the array ABI allocates nothing
+    per call. *)
+type ('a, 'b, 'x) arg = Const of 'x | Read of ('a -> 'b -> 'x)
 
-let read_bool k args off =
-  match Array.unsafe_get args (off + k) with
-  | Value.I32 x -> not (Int32.equal x 0l)
-  | _ -> bad "expected i32"
+type ('a, 'b) source = {
+  int : int -> ('a, 'b, int) arg;  (** the i32 at slot [k], as a native int *)
+  i32 : int -> ('a, 'b, int32) arg;  (** the same, as an [int32] *)
+  value : value_type -> int -> ('a, 'b, Value.t) arg;
+      (** the one-slot value of the given type at slot [k] *)
+  joined : int -> ('a, 'b, Value.t) arg;  (** the i64 split into slots [k], [k + 1] *)
+  loc : ('a, 'b, Location.t) arg;  (** the location, slots 0 and 1 *)
+}
 
-(** Reader for one typed value at slot [k]; returns the reader and the
-    number of slots consumed. The i64 split/join decision is resolved
-    here, once per spec, instead of per call. *)
-let read_value ~split ty k : (Value.t array -> int -> Value.t) * int =
+let get = function Const x -> fun _ _ -> x | Read r -> r
+let map f = function Const x -> Const (f x) | Read r -> Read (fun a b -> f (r a b))
+
+(* reads in argument order, like the reference [take_*] chain *)
+let map2 f x y =
+  match x, y with
+  | Const x, Const y -> Const (f x y)
+  | _ ->
+    let rx = get x and ry = get y in
+    Read (fun a b -> let x = rx a b in let y = ry a b in f x y)
+
+let map3 f x y z =
+  match x, y, z with
+  | Const x, Const y, Const z -> Const (f x y z)
+  | _ ->
+    let rx = get x and ry = get y and rz = get z in
+    Read (fun a b -> let x = rx a b in let y = ry a b in let z = rz a b in f x y z)
+
+let location func instr = Location.make ~func ~instr
+
+let slot_i32 args i = match Array.unsafe_get args i with Value.I32 x -> x | _ -> bad "expected i32"
+let slot_int args i = Int32.to_int (slot_i32 args i)
+
+(** The array ABI: arguments at [args.(off + k)]. *)
+let stack_source : (Value.t array, int) source =
+  { int = (fun k -> Read (fun args off -> slot_int args (off + k)));
+    i32 = (fun k -> Read (fun args off -> slot_i32 args (off + k)));
+    loc = Read (fun args off -> location (slot_int args off) (slot_int args (off + 1)));
+    joined =
+      (fun k ->
+         Read
+           (fun args off ->
+              Value.I64 (join_i64 (slot_int args (off + k)) (slot_int args (off + k + 1)))));
+    value =
+      (fun ty k ->
+         Read
+           (fun args off ->
+              let v = Array.unsafe_get args (off + k) in
+              if Value.type_of v == ty then v else bad "hook argument type mismatch")) }
+
+exception Unbindable
+
+(** A bound tier-1 call site: its constants, and readers of the caller
+    frame's locals. A shape the decoder cannot take raises
+    {!Unbindable}, and the site keeps the array ABI. *)
+let site_source (site : 'e Interp.site_arg array) : ('e, unit) source =
+  let int k =
+    match site.(k) with
+    | Interp.Site_const (Value.I32 x) -> Const (Int32.to_int x)
+    | Site_i32 r -> Read (fun e () -> r e)
+    | _ -> raise Unbindable
+  in
+  { int;
+    i32 = (fun k -> map Int32.of_int (int k));
+    loc = map2 location (int 0) (int 1);
+    joined = (fun k -> map2 (fun lo hi -> Value.I64 (join_i64 lo hi)) (int k) (int (k + 1)));
+    value =
+      (fun ty k ->
+         match ty, site.(k) with
+         | _, Interp.Site_const v when Value.type_of v == ty -> Const v
+         | I32T, Site_i32 r -> Read (fun e () -> Value.I32 (Int32.of_int (r e)))
+         | F64T, Site_f64 r -> Read (fun e () -> Value.F64 (r e))
+         | (I64T | F32T), Site_boxed r -> Read (fun e () -> r e)
+         | _ -> raise Unbindable) }
+
+(** Reader for one typed value at slot [k], and the number of slots it
+    takes: the i64 split/join decision is resolved here, once per spec. *)
+let read_value src ~split ty k =
   match ty with
-  | I64T when split ->
-    ( (fun args off ->
-         match Array.unsafe_get args (off + k), Array.unsafe_get args (off + k + 1) with
-         | Value.I32 lo, Value.I32 hi -> Value.I64 (join_i64 lo hi)
-         | _ -> bad "hook argument type mismatch"),
-      2 )
-  | I64T ->
-    ( (fun args off ->
-         match Array.unsafe_get args (off + k) with
-         | Value.I64 _ as v -> v
-         | _ -> bad "hook argument type mismatch"),
-      1 )
-  | I32T ->
-    ( (fun args off ->
-         match Array.unsafe_get args (off + k) with
-         | Value.I32 _ as v -> v
-         | _ -> bad "hook argument type mismatch"),
-      1 )
-  | F32T ->
-    ( (fun args off ->
-         match Array.unsafe_get args (off + k) with
-         | Value.F32 _ as v -> v
-         | _ -> bad "hook argument type mismatch"),
-      1 )
-  | F64T ->
-    ( (fun args off ->
-         match Array.unsafe_get args (off + k) with
-         | Value.F64 _ as v -> v
-         | _ -> bad "hook argument type mismatch"),
-      1 )
+  | I64T when split -> (src.joined k, 2)
+  | _ -> (src.value ty k, 1)
 
-(** Reader for a typed argument tuple (call/return hooks): every
-    element's slot is pre-resolved; the returned closure builds the
-    [Value.t list] in one left-to-right pass with no reversal. *)
-let read_values ~split tys k0 : Value.t array -> int -> Value.t list =
+(** Reader for a typed argument tuple (call/return hooks), read first to
+    last. *)
+let read_values src ~split tys k0 =
   let readers, _ =
     List.fold_left
       (fun (acc, k) ty ->
-         let r, w = read_value ~split ty k in
+         let r, w = read_value src ~split ty k in
          (r :: acc, k + w))
       ([], k0) tys
   in
-  match List.rev readers with
-  | [] -> fun _ _ -> []
-  | readers ->
-    let rec build rs args off =
-      match rs with
-      | [] -> []
-      | r :: rest ->
-        (* [let]-bound so elements are read first-to-last, exactly like
-           the reference [take_values] chain *)
-        let v = r args off in
-        v :: build rest args off
-    in
-    fun args off -> build readers args off
+  get (List.fold_left (fun tl r -> map2 List.cons r tl) (Const []) readers)
 
-(** Compile one monomorphized hook spec into its specialized decoder.
-    Arity, slot offsets, i64 joins, op-name strings and [br_table]
-    metadata lookups are all resolved here, once, at runtime-binding
-    time; the returned closure does no list traversal and no map walk.
-    Argument reads are [let]-bound in the reference decoder's order (not
-    inlined into the callback application, whose evaluation order OCaml
-    does not define), so the two paths are observationally identical. *)
-let compile rt (a : Analysis.t) (spec : Hook.spec) : Value.t array -> int -> unit =
+let int src k = get (src.int k)
+let i32 src k = get (src.i32 k)
+let bool src k = get (map (fun x -> x <> 0) (src.int k))
+let value src ~split ty k = get (fst (read_value src ~split ty k))
+
+(** The [br]/[br_if] target record: label at slot 2, target instruction
+    at slot 3. *)
+let target src =
+  get
+    (map3
+       (fun func label target -> { Metadata.label; target_loc = location func target })
+       (src.int 0) (src.int 2) (src.int 3))
+
+(** Compile one monomorphized hook spec into its specialized decoder
+    over [src]. Arity, slot offsets, i64 joins, op-name strings and
+    everything the source has as constants are resolved here, once; the
+    returned closure does no list traversal and no map walk. Argument
+    reads are [let]-bound in the reference decoder's order, before any
+    callback runs (not inlined into the callback application, whose
+    evaluation order OCaml does not define), so the two paths are
+    observationally identical. *)
+let compile rt (src : ('a, 'b) source) (spec : Hook.spec) : Analysis.t -> 'a -> 'b -> unit =
   let split = rt.metadata.Metadata.split_i64 in
-  let read_value ty k = read_value ~split ty k in
-  let read_values tys k = read_values ~split tys k in
-  let loc args off = Location.make ~func:(read_int 0 args off) ~instr:(read_int 1 args off) in
+  let loc = get src.loc in
   match spec with
-  | Hook.S_nop -> fun args off -> a.nop (loc args off)
-  | S_unreachable -> fun args off -> a.unreachable (loc args off)
-  | S_start -> fun args off -> a.start (loc args off)
+  | Hook.S_nop -> fun (a : Analysis.t) p q -> a.nop (loc p q)
+  | S_unreachable -> fun (a : Analysis.t) p q -> a.unreachable (loc p q)
+  | S_start -> fun (a : Analysis.t) p q -> a.start (loc p q)
   | S_if_cond ->
-    fun args off ->
-      let l = loc args off in
-      let cond = read_bool 2 args off in
-      a.if_ l cond
+    let cond = bool src 2 in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let c = cond p q in
+      a.if_ l c
   | S_br ->
-    fun args off ->
-      let l = loc args off in
-      let label = read_int 2 args off in
-      let target = read_int 3 args off in
-      a.br l { Metadata.label; target_loc = Location.make ~func:l.Location.func ~instr:target }
+    let target = target src in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let t = target p q in
+      a.br l t
   | S_br_if ->
-    fun args off ->
-      let l = loc args off in
-      let label = read_int 2 args off in
-      let target = read_int 3 args off in
-      let cond = read_bool 4 args off in
-      a.br_if l { Metadata.label; target_loc = Location.make ~func:l.Location.func ~instr:target }
-        cond
+    let target = target src and cond = bool src 4 in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let t = target p q in
+      let c = cond p q in
+      a.br_if l t c
   | S_br_table ->
     let want_end = Hook.Group_set.mem Hook.G_end rt.metadata.Metadata.groups in
-    let br_index = rt.br_index in
-    fun args off ->
-      let fidx = read_int 0 args off in
-      let instr = read_int 1 args off in
-      let l = Location.make ~func:fidx ~instr in
-      let idx = read_int 2 args off in
-      let info =
-        match Metadata.br_table_find br_index ~func:fidx ~instr with
-        | Some info -> info
-        | None -> invalid_arg (Printf.sprintf "no br_table at %s" (Location.to_string l))
-      in
-      let targets = Array.map fst info.Metadata.bt_targets in
-      let default = fst info.Metadata.bt_default in
-      a.br_table l targets default idx;
-      if want_end then begin
-        (* the index is an unsigned i32: negative here means >= 2^31,
-           which is out of range and takes the default *)
-        let _, ended =
-          if idx >= 0 && idx < Array.length info.Metadata.bt_targets then
-            info.Metadata.bt_targets.(idx)
-          else info.Metadata.bt_default
-        in
-        List.iter
-          (fun (eb : Metadata.ended_block) ->
-             a.end_ eb.Metadata.eb_end_loc eb.eb_kind
-               (Location.make ~func:fidx ~instr:eb.eb_begin_instr))
-          ended
-      end
-  | S_begin kind -> fun args off -> a.begin_ (loc args off) kind
+    let table =
+      get
+        (map2
+           (fun func instr ->
+              Option.map
+                (fun (info : Metadata.br_table_info) ->
+                   (info, Array.map fst info.bt_targets, fst info.bt_default))
+                (Metadata.br_table_find rt.br_index ~func ~instr))
+           (src.int 0) (src.int 1))
+    in
+    let idx = int src 2 in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let i = idx p q in
+      (match table p q with
+       | None -> invalid_arg (Printf.sprintf "no br_table at %s" (Location.to_string l))
+       | Some (info, targets, default) ->
+         a.br_table l targets default i;
+         if want_end then begin
+           (* the index is an unsigned i32: negative here means >= 2^31,
+              which is out of range and takes the default *)
+           let _, ended =
+             if i >= 0 && i < Array.length info.Metadata.bt_targets then
+               info.Metadata.bt_targets.(i)
+             else info.Metadata.bt_default
+           in
+           List.iter
+             (fun (eb : Metadata.ended_block) ->
+                a.end_ eb.Metadata.eb_end_loc eb.eb_kind
+                  (location l.Location.func eb.eb_begin_instr))
+             ended
+         end)
+  | S_begin kind -> fun (a : Analysis.t) p q -> a.begin_ (loc p q) kind
   | S_end kind ->
-    fun args off ->
-      let fidx = read_int 0 args off in
-      let instr = read_int 1 args off in
-      let begin_instr = read_int 2 args off in
-      a.end_ (Location.make ~func:fidx ~instr) kind (Location.make ~func:fidx ~instr:begin_instr)
+    let begin_loc = get (map2 location (src.int 0) (src.int 2)) in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let b = begin_loc p q in
+      a.end_ l kind b
   | S_const ty ->
-    let rd, _ = read_value ty 2 in
-    fun args off ->
-      let l = loc args off in
-      let v = rd args off in
-      a.const l v
+    let v = value src ~split ty 2 in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let x = v p q in
+      a.const l x
   | S_drop ty ->
-    let rd, _ = read_value ty 2 in
-    fun args off ->
-      let l = loc args off in
-      let v = rd args off in
-      a.drop l v
+    let v = value src ~split ty 2 in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let x = v p q in
+      a.drop l x
   | S_select ty ->
-    let rd1, w = read_value ty 3 in
-    let rd2, _ = read_value ty (3 + w) in
-    fun args off ->
-      let l = loc args off in
-      let cond = read_bool 2 args off in
-      let v1 = rd1 args off in
-      let v2 = rd2 args off in
-      a.select l cond v1 v2
+    let cond = bool src 2 in
+    let rd1, w = read_value src ~split ty 3 in
+    let v1 = get rd1 and v2 = value src ~split ty (3 + w) in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let c = cond p q in
+      let x = v1 p q in
+      let y = v2 p q in
+      a.select l c x y
   | S_unary (op, ity, rty) ->
-    let rdi, wi = read_value ity 2 in
-    let rdr, _ = read_value rty (2 + wi) in
-    fun args off ->
-      let l = loc args off in
-      let input = rdi args off in
-      let result = rdr args off in
-      a.unary l op input result
+    let rdi, wi = read_value src ~split ity 2 in
+    let input = get rdi and result = value src ~split rty (2 + wi) in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let x = input p q in
+      let r = result p q in
+      a.unary l op x r
   | S_binary (op, aty, bty, rty) ->
-    let rda, wa = read_value aty 2 in
-    let rdb, wb = read_value bty (2 + wa) in
-    let rdr, _ = read_value rty (2 + wa + wb) in
-    fun args off ->
-      let l = loc args off in
-      let x = rda args off in
-      let y = rdb args off in
-      let r = rdr args off in
+    let rda, wa = read_value src ~split aty 2 in
+    let rdb, wb = read_value src ~split bty (2 + wa) in
+    let va = get rda and vb = get rdb and vr = value src ~split rty (2 + wa + wb) in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let x = va p q in
+      let y = vb p q in
+      let r = vr p q in
       a.binary l op x y r
   | S_local (op, ty) ->
     let opn = Hook.local_op_name op in
-    let rd, _ = read_value ty 3 in
-    fun args off ->
-      let l = loc args off in
-      let idx = read_int 2 args off in
-      let v = rd args off in
-      a.local l opn idx v
+    let idx = int src 2 and v = value src ~split ty 3 in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let i = idx p q in
+      let x = v p q in
+      a.local l opn i x
   | S_global (op, ty) ->
     let opn = Hook.global_op_name op in
-    let rd, _ = read_value ty 3 in
-    fun args off ->
-      let l = loc args off in
-      let idx = read_int 2 args off in
-      let v = rd args off in
-      a.global l opn idx v
+    let idx = int src 2 and v = value src ~split ty 3 in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let i = idx p q in
+      let x = v p q in
+      a.global l opn i x
   | S_load (op, ty) ->
-    let rd, _ = read_value ty 4 in
-    fun args off ->
-      let l = loc args off in
-      let addr = read_i32 2 args off in
-      let offset = read_int 3 args off in
-      let v = rd args off in
-      a.load l op { Analysis.addr; offset } v
+    let addr = i32 src 2 and offset = int src 3 and v = value src ~split ty 4 in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let addr = addr p q in
+      let offset = offset p q in
+      let x = v p q in
+      a.load l op { Analysis.addr; offset } x
   | S_store (op, ty) ->
-    let rd, _ = read_value ty 4 in
-    fun args off ->
-      let l = loc args off in
-      let addr = read_i32 2 args off in
-      let offset = read_int 3 args off in
-      let v = rd args off in
-      a.store l op { Analysis.addr; offset } v
+    let addr = i32 src 2 and offset = int src 3 and v = value src ~split ty 4 in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let addr = addr p q in
+      let offset = offset p q in
+      let x = v p q in
+      a.store l op { Analysis.addr; offset } x
   | S_memory_size ->
-    fun args off ->
-      let l = loc args off in
-      let size = read_int 2 args off in
-      a.memory_size l size
+    let size = int src 2 in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let s = size p q in
+      a.memory_size l s
   | S_memory_grow ->
-    fun args off ->
-      let l = loc args off in
-      let delta = read_int 2 args off in
-      let prev = read_int 3 args off in
-      a.memory_grow l delta prev
+    let delta = int src 2 and prev = int src 3 in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let d = delta p q in
+      let p = prev p q in
+      a.memory_grow l d p
   | S_call_pre (tys, indirect) ->
-    let rdv = read_values tys 3 in
+    let callee = i32 src 2 and vs = read_values src ~split tys 3 in
     if indirect then
-      fun args off ->
-        let l = loc args off in
-        let tbl_idx = read_i32 2 args off in
-        let vs = rdv args off in
-        let callee = resolve_indirect rt tbl_idx in
-        a.call_pre l callee vs (Some (Int32.to_int tbl_idx))
+      fun (a : Analysis.t) p q ->
+        let l = loc p q in
+        let tbl_idx = callee p q in
+        let args = vs p q in
+        a.call_pre l (resolve_indirect rt tbl_idx) args (Some (Int32.to_int tbl_idx))
     else
-      fun args off ->
-        let l = loc args off in
-        let callee = read_i32 2 args off in
-        let vs = rdv args off in
-        a.call_pre l (Int32.to_int callee) vs None
+      fun (a : Analysis.t) p q ->
+        let l = loc p q in
+        let f = callee p q in
+        let args = vs p q in
+        a.call_pre l (Int32.to_int f) args None
   | S_call_post tys ->
-    let rdv = read_values tys 2 in
-    fun args off ->
-      let l = loc args off in
-      let vs = rdv args off in
-      a.call_post l vs
+    let vs = read_values src ~split tys 2 in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let rs = vs p q in
+      a.call_post l rs
   | S_return tys ->
-    let rdv = read_values tys 2 in
-    fun args off ->
-      let l = loc args off in
-      let vs = rdv args off in
-      a.return_ l vs
+    let vs = read_values src ~split tys 2 in
+    fun (a : Analysis.t) p q ->
+      let l = loc p q in
+      let rs = vs p q in
+      a.return_ l rs
 
 (** {1 Hook host functions} *)
 
-(** Build the host function implementing one low-level hook: the selected
-    decoder body, plus — only while a profiler is attached — a timing
-    wrapper that splits total dispatch time into marshalling
+(** One hook's dispatch: [decode] applied to the analysis, or — only
+    while a profiler is attached — to the mark-recording analysis inside
+    a timing wrapper that splits total dispatch time into marshalling
     (["dispatch.decode"]) and user analysis code (["dispatch.analysis"])
-    at the first analysis-callback entry. *)
-let make_hook rt (spec : Hook.spec) : Interp.extern =
-  let split_i64 = rt.metadata.Metadata.split_i64 in
-  let ft = Hook.signature ~split_i64 spec in
-  let nparams = List.length ft.params in
-  let body_of a =
-    match rt.decoder with
-    | `Compiled -> compile rt a spec
-    | `Reference ->
-      let d = dispatch_reference rt a spec in
-      fun args off ->
-        let rec build i acc = if i < 0 then acc else build (i - 1) (args.(off + i) :: acc) in
-        d (build (nparams - 1) [])
-  in
-  let fast = body_of rt.analysis in
-  let profiled = lazy (body_of rt.marked_analysis) in
-  let timer_key = "hook." ^ Hook.group_name (Hook.group_of_spec spec) in
+    at the first analysis-callback entry. Returns [ret] (the host
+    function's empty result list on the array ABI). *)
+let timed rt ~timer_key ~ret (decode : Analysis.t -> 'a -> 'b -> unit) : 'a -> 'b -> 'r =
   let mark = rt.mark in
-  let h_fn args off =
+  fun x y ->
     (match rt.prof with
-     | None -> fast args off
+     | None -> decode rt.analysis x y
      | Some p ->
        let t0 = Obs.Clock.now_ns () in
        mark := -1L;
-       Lazy.force profiled args off;
+       decode rt.marked_analysis x y;
        let t2 = Obs.Clock.now_ns () in
        let t1 = if !mark < 0L then t2 else !mark in
        Obs.Profile.add_time p timer_key (Int64.sub t2 t0);
        Obs.Profile.add_time p "dispatch.decode" (Int64.sub t1 t0);
        Obs.Profile.add_time p "dispatch.analysis" (Int64.sub t2 t1));
-    []
+    ret
+
+(** Build the host function implementing one low-level hook: the
+    selected decoder on the array ABI, plus — for the compiled decoder —
+    the binder of tier-1 call sites, which runs the same decoder over
+    the site's arguments. *)
+let make_hook rt (spec : Hook.spec) : Interp.extern =
+  let split_i64 = rt.metadata.Metadata.split_i64 in
+  let ft = Hook.signature ~split_i64 spec in
+  let nparams = List.length ft.params in
+  let timer_key = "hook." ^ Hook.group_name (Hook.group_of_spec spec) in
+  let h_fn, bind =
+    match rt.decoder with
+    | `Compiled ->
+      let bind =
+        { Interp.bind =
+            (fun site ->
+               if Array.length site <> nparams then None
+               else
+                 match timed rt ~timer_key ~ret:() (compile rt (site_source site) spec) with
+                 | entry -> Some (fun e -> entry e ())
+                 | exception Unbindable -> None) }
+      in
+      (timed rt ~timer_key ~ret:[] (compile rt stack_source spec), Some bind)
+    | `Reference ->
+      let decode a args off =
+        let rec build i acc = if i < 0 then acc else build (i - 1) (args.(off + i) :: acc) in
+        dispatch_reference rt a spec (build (nparams - 1) [])
+      in
+      (timed rt ~timer_key ~ret:[] decode, None)
   in
-  Interp.host_func_raw ~name:(Hook.name spec) ~params:ft.params ~results:ft.results h_fn
+  Interp.host_func_raw ?bind ~name:(Hook.name spec) ~params:ft.params ~results:ft.results h_fn
 
 (** The dispatch table: one host function per generated hook, indexed by
     hook ordinal (= import position minus the original import count). *)

@@ -7,10 +7,15 @@
     Each monomorphized hook spec is compiled once, at runtime-binding
     time, into a specialized decoder closure that reads its arguments
     straight off the interpreter's operand stack (zero per-call list
-    allocation, no map lookups); the original interpretive list-based
-    decoder is kept as a debug/reference path, selected with
+    allocation, no map lookups). The same decoder definition is also
+    compiled per tier-1 call site whose arguments are constants and
+    locals ({!Wasm.Interp.site_binder}): that site entry reads the
+    constants and the caller's unboxed locals in place, and computes the
+    location, branch target records and [br_table] metadata once, when
+    the site binds. The original interpretive list-based decoder is kept
+    as a debug/reference path (array ABI only), selected with
     [~decoder:`Reference] or the [WASABI_REFERENCE_DECODER] environment
-    variable. Both paths produce identical high-level hook invocations. *)
+    variable. All paths produce identical high-level hook invocations. *)
 
 type decoder_kind = [ `Compiled | `Reference ]
 

@@ -163,7 +163,28 @@ and host_func = {
           {!call_host} the array is the live operand-stack buffer (zero
           copies), so the function must read every argument before it
           (transitively) pushes onto any interpreter stack. *)
+  h_bind : site_binder option;
+      (** site-specialised entries for tier-1 call sites (see
+          {!site_binder}); [None]: array ABI only *)
 }
+
+(** One argument of a host call site whose arguments are all pushed by
+    constants and [local.get]s just before the call: the constant, or a
+    reader of the local in the caller's tier-1 frame ['e]. Arguments
+    match the callee's parameter types. *)
+and 'e site_arg =
+  | Site_const of Value.t
+  | Site_i32 of ('e -> int)  (** an i32 local, sign-extended native int *)
+  | Site_f64 of ('e -> float)  (** an f64 local *)
+  | Site_boxed of ('e -> Value.t)  (** an i64 or f32 local *)
+
+(** Binds one such call site of a result-less host function: the entry
+    does the function's work with the site's arguments, read in place,
+    or [None] declines the site (it keeps the array ABI). Tier 1 calls
+    the entry after counting the call against the governor and setting
+    the stack size to the height below the (never materialised)
+    argument pushes, exactly as {!call_host} leaves it for [h_fn]. *)
+and site_binder = { bind : 'e. 'e site_arg array -> ('e -> unit) option }
 
 and table_inst = {
   mutable t_elems : func_inst option array;
@@ -1464,13 +1485,16 @@ let host_func ~name ~params ~results fn =
     let rec build i acc = if i < 0 then acc else build (i - 1) (args.(off + i) :: acc) in
     fn (build (n - 1) [])
   in
-  Extern_func (Host_func { h_type = { params; results }; h_name = name; h_nparams = n; h_fn })
+  Extern_func
+    (Host_func { h_type = { params; results }; h_name = name; h_nparams = n; h_fn; h_bind = None })
 
 (** Array-ABI host function: [fn] receives the interpreter's operand-stack
     buffer and the offset of its first argument directly — zero per-call
     allocation. [fn] must read all its arguments before (transitively)
-    pushing onto any interpreter stack; see {!type:host_func}. *)
-let host_func_raw ~name ~params ~results fn =
+    pushing onto any interpreter stack; see {!type:host_func}. [bind]
+    adds site-specialised entries for tier 1 (see {!site_binder}). *)
+let host_func_raw ?bind ~name ~params ~results fn =
   Extern_func
     (Host_func
-       { h_type = { params; results }; h_name = name; h_nparams = List.length params; h_fn = fn })
+       { h_type = { params; results }; h_name = name; h_nparams = List.length params; h_fn = fn;
+         h_bind = bind })

@@ -134,7 +134,33 @@ and host_func = {
           (transitively) pushes onto any interpreter stack. Build
           host functions with {!host_func} (copying, re-entrant list
           ABI) or {!host_func_raw} (zero-copy array ABI). *)
+  h_bind : site_binder option;
+      (** site-specialised entries for tier 1 (see {!site_binder});
+          [None] when the function has the array ABI only *)
 }
+
+(** One argument of a bound host call site (see {!site_binder}): the
+    constant it pushes, or a reader of the local it pushes, taking the
+    caller's tier-1 frame ['e]. Arguments match the callee's parameter
+    types, in order. *)
+and 'e site_arg =
+  | Site_const of Value.t
+  | Site_i32 of ('e -> int)  (** an i32 local, as its sign-extended native int *)
+  | Site_f64 of ('e -> float)  (** an f64 local, unboxed *)
+  | Site_boxed of ('e -> Value.t)  (** an i64 or f32 local *)
+
+(** The site-binding hook of a result-less host function. When tier 1
+    compiles a call to it whose arguments are all pushed by constants
+    and [local.get]s in straight-line code just before the call, it asks
+    [bind] for an entry specialised to those arguments and emits one
+    closure for the whole push-and-call run: the pushes never
+    materialise and nothing is boxed. The entry must behave exactly like
+    [h_fn] on the same argument values. Tier 1 calls it after counting
+    the call against the governor and with the stack size at the height
+    below the arguments, as {!call_host} leaves it for [h_fn], so the
+    entry may re-enter the interpreter. [None] declines the site, which
+    then keeps the array ABI; so do tier 0 and every other call shape. *)
+and site_binder = { bind : 'e. 'e site_arg array -> ('e -> unit) option }
 
 and table_inst = {
   mutable t_elems : func_inst option array;
@@ -415,6 +441,7 @@ val host_func :
     the interpreter freely. *)
 
 val host_func_raw :
+  ?bind:site_binder ->
   name:string ->
   params:Types.value_type list ->
   results:Types.value_type list ->
@@ -423,4 +450,5 @@ val host_func_raw :
 (** Zero-copy array-ABI host function: [fn args off] reads its arguments
     directly out of the interpreter's operand-stack buffer. [fn] must
     read all arguments before (transitively) pushing onto any interpreter
-    stack; see {!type:host_func}. *)
+    stack; see {!type:host_func}. [bind] adds site-specialised tier-1
+    entries (see {!site_binder}). *)

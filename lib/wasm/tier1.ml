@@ -55,6 +55,12 @@
     call stack — a compiled function calling an interpreted one and
     vice versa.
 
+    Host calls whose arguments are all constants and [local.get]s
+    pushed just before the call, to a callee offering an
+    {!Interp.site_binder} (the AOT backend's hooks), compile with their
+    pushes to one closure calling the callee's site-specialised entry:
+    nothing is boxed and the pushes never materialise.
+
     Engine probes ({!Interp.probe_hooks}) compile into the same closures:
     at a probe site, and only there, the operands and the local its
     event reads are boxed onto the instance stack / locals array and the
@@ -433,6 +439,18 @@ let rec seq (ops : (ectx -> unit) list) (k : ectx -> unit) : ectx -> unit =
 let engine_bug : ectx -> unit =
  fun _ -> raise (Value.Trap "tier1 reached an unreachable block (engine bug)")
 
+(* compiled calls to host functions that offer site entries, by whether
+   the site bound one (registration is idempotent, so a counter is
+   looked up at each count instead of shared through a [lazy] that
+   compiling domains could force concurrently) *)
+let hook_sites_counter binding =
+  Obs.Metrics.counter "wasabi_tier1_hook_sites_total" ~labels:[ ("binding", binding) ]
+    ~help:"Tier-1 compiled host call sites with a site binder, bound or left generic"
+
+let hook_sites () =
+  let read b = int_of_float (Obs.Metrics.counter_value (hook_sites_counter b)) in
+  (read "bound", read "generic")
+
 let empty_ints : int array = [||]
 let empty_floats : float array = [||]
 
@@ -508,6 +526,62 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
         ph.ph_sites;
       (true, pre, post, unfused, ph.ph_enter, ph.ph_exit)
   in
+  (* bound host call sites: a call to a result-less host function whose
+     arguments are all pushed by unfused constants and [local.get]s
+     inside the call's block, at no probe site, compiles (pushes
+     included) to the callee's site-specialised entry. One backward walk
+     from each call finds the run; [bound.(p)] holds the entry of the
+     run starting at [p] and the call's pc. *)
+  let bound = ref [||] in
+  let nbound = ref 0 and ngeneric = ref 0 in
+  let quiet p = not (probed && (pre.(p) <> None || post.(p) <> None)) in
+  let site_arg ty p : ectx site_arg option =
+    match xbody.(p) with
+    | XConst v when Value.type_of v = ty -> Some (Site_const v)
+    | XLocalGet x when x < nlocals && ltypes.(x) = ty ->
+      Some
+        (match ty with
+         | I32T -> Site_i32 (fun ctx -> Array.unsafe_get ctx.il x)
+         | F64T -> Site_f64 (fun ctx -> Array.unsafe_get ctx.fl x)
+         | I64T | F32T -> Site_boxed (fun ctx -> Array.unsafe_get ctx.locals x))
+    | _ -> None
+  in
+  (* the arguments of parameter types [rtys] (last first), walking back
+     from the push at [p] *)
+  let rec site_args p rtys acc =
+    match rtys with
+    | [] -> Some acc
+    | ty :: rest ->
+      if is_start.(p + 1) || not (quiet p) then None
+      else
+        match site_arg ty p with
+        | Some a -> site_args (p - 1) rest (a :: acc)
+        | None -> None
+  in
+  for pc = 0 to n - 1 do
+    match xbody.(pc) with
+    | XCall fidx when heights.(pc) >= 0 ->
+      (* (a call in unreachable code compiles to nothing) *)
+      (match inst.inst_funcs.(fidx) with
+       | Host_func { h_bind = Some b; h_type = { params; results }; h_nparams; _ } ->
+         let p0 = pc - h_nparams in
+         let entry =
+           if results <> [] || p0 < 0 || not (quiet pc) then None
+           else
+             match site_args (pc - 1) (List.rev params) [] with
+             | Some args -> b.bind (Array.of_list args)
+             | None -> None
+         in
+         (match entry with
+          | Some e ->
+            if Array.length !bound = 0 then bound := Array.make n None;
+            !bound.(p0) <- Some (e, pc);
+            incr nbound
+          | None -> incr ngeneric)
+       | _ -> ())
+    | _ -> ()
+  done;
+  let bound = !bound in
   (* fire a probe event at operand height [h] ([tys]: the type stack
      there, top first): box the operands and the local it reads, expose
      the height as the stack size, call it *)
@@ -662,6 +736,20 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
         let p = !pc in
         if heights.(p) >= 0 && heights.(p) <> !h then raise Unsupported;
         let step len = pc := p + len in
+        (* a bound run compiles whole; everything else instruction by
+           instruction *)
+        match if Array.length bound = 0 then None else bound.(p) with
+        | Some (entry, call_pc) ->
+          (* the call's side effects as [call_host] has them: governor
+             count, then the stack size at the height below the
+             arguments, so the entry may re-enter the engine *)
+          let hp = !h in
+          emit (fun ctx ->
+            (match inst.inst_gov with None -> () | Some g -> Governor.count_host_call g);
+            ctx.st.size <- ctx.base + hp;
+            entry ctx);
+          step (call_pc + 1 - p)
+        | None ->
         let x = if probed && unfused.(p) then decode_slot code p else xbody.(p) in
         (if probed then
            match pre.(p) with
@@ -1869,6 +1957,10 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
         f ctx;
         body ctx
   in
+  if !nbound + !ngeneric > 0 then begin
+    Obs.Metrics.inc ~by:(Float.of_int !nbound) (hook_sites_counter "bound");
+    Obs.Metrics.inc ~by:(Float.of_int !ngeneric) (hook_sites_counter "generic")
+  end;
   let nparams = code.c_nparams in
   let has_il = Array.exists (fun t -> t = I32T) ltypes in
   let has_fl = Array.exists (fun t -> t = F64T) ltypes in

@@ -17,7 +17,18 @@ val compile : Interp.instance -> int -> Interp.compiled_body option
 (** [compile inst fid] closure-compiles function [fid] of [inst],
     together with its engine-probe sites when it is probed
     ([c_probe]); [None] when the body uses a shape the compiler does not
-    support (an unprobed function then stays on tier 0 permanently). *)
+    support (an unprobed function then stays on tier 0 permanently).
+    Calls whose arguments are constants and [local.get]s pushed just
+    before them, to host functions with an {!Interp.site_binder}, bind to
+    the callee's site-specialised entries. *)
+
+val hook_sites : unit -> int * int
+(** [(bound, generic)]: calls to host functions offering site entries
+    ({!Interp.site_binder}) that tier 1 has compiled in this process, by
+    whether the site bound an entry or kept the array ABI (arguments
+    not all pushed by constants and [local.get]s, e.g. split i64
+    halves). The pair of counters [wasabi_tier1_hook_sites_total]
+    [{binding="bound"|"generic"}] in {!Obs.Metrics.default}. *)
 
 val policy : ?threshold:int -> unit -> Interp.tier_policy
 (** A tier-up policy compiling with {!compile} after [threshold]

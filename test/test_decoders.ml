@@ -3,7 +3,9 @@
     sink covering the long tail — i64 splitting, br_table, indirect
     calls, memory.grow), the compiled per-spec decoder and the retained
     list-based reference decoder must produce byte-identical high-level
-    hook invocations, in the same order, with the same program result. *)
+    hook invocations, in the same order, with the same program result —
+    on tier 0 (array ABI) and on tier 1, where hook calls bind to
+    site-specialised entries, with and without a profiler. *)
 
 open Minic.Mc_ast
 module W = Wasabi
@@ -90,22 +92,33 @@ let recorder () =
   in
   (analysis, final)
 
+(** How the instrumented module runs: on tier 0, or compiled up front
+    on tier 1 (hook calls bound to site entries), with or without a
+    profiler attached (the site entries' profiled path). *)
+type tier = T0 | T1 | T1_profiled
+
 (** Run an instrumented module's [run] export under one decoder; returns
     (program results, transcript digest, event count). *)
-let transcript ~decoder (res : W.Instrument.result) =
+let transcript ?(tier = T0) ~decoder (res : W.Instrument.result) =
   let analysis, final = recorder () in
-  let inst, _rt = W.Runtime.instantiate ~decoder res analysis in
+  let inst, rt = W.Runtime.instantiate ~decoder res analysis in
+  if tier = T1_profiled then W.Runtime.attach_profiler rt (Some (Obs.Profile.create ()));
+  if tier <> T0 then ignore (Wasm.Tier1.compile_all inst : int);
   let results = Wasm.Interp.invoke_export inst "run" [] in
   let digest, count = final () in
   (List.map Wasm.Value.to_string results, digest, count)
 
 let check_identical name (res : W.Instrument.result) =
-  let r_c, d_c, n_c = transcript ~decoder:`Compiled res in
   let r_r, d_r, n_r = transcript ~decoder:`Reference res in
-  Alcotest.(check (list string)) (name ^ ": results") r_r r_c;
-  Alcotest.(check int) (name ^ ": event count") n_r n_c;
-  Alcotest.(check string) (name ^ ": transcript") d_r d_c;
-  Alcotest.(check bool) (name ^ ": observed events") true (n_c > 0)
+  List.iter
+    (fun (tier, tname) ->
+       let name = name ^ tname in
+       let r_c, d_c, n_c = transcript ~tier ~decoder:`Compiled res in
+       Alcotest.(check (list string)) (name ^ ": results") r_r r_c;
+       Alcotest.(check int) (name ^ ": event count") n_r n_c;
+       Alcotest.(check string) (name ^ ": transcript") d_r d_c;
+       Alcotest.(check bool) (name ^ ": observed events") true (n_c > 0))
+    [ (T0, ""); (T1, " (tier 1)"); (T1_profiled, " (tier 1, profiled)") ]
 
 (* --- corpus ----------------------------------------------------------- *)
 
@@ -166,6 +179,24 @@ let test_kitchen_sink_nosplit () =
   check_identical "kitchen-sink (native i64)"
     (W.Instrument.instrument ~split_i64:false (kitchen_sink ()))
 
+(* --- site binding coverage ---------------------------------------- *)
+
+(** Tier 1 binds nearly every hook call site of the instrumented corpus
+    to a site entry; the ones left generic push split i64 halves. *)
+let test_site_binding () =
+  let b0, g0 = Wasm.Tier1.hook_sites () in
+  List.iter
+    (fun (e : Workloads.Corpus.entry) ->
+       let inst, _ = W.Runtime.instantiate (W.Instrument.instrument e.module_) W.Analysis.default in
+       ignore (Wasm.Tier1.compile_all inst : int))
+    (Lazy.force corpus);
+  let b1, g1 = Wasm.Tier1.hook_sites () in
+  let bound = b1 - b0 and generic = g1 - g0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "bound %d of %d hook sites (>= 95%%)" bound (bound + generic))
+    true
+    (bound > 0 && 100 * bound >= 95 * (bound + generic))
+
 (* --- spec coverage sanity --------------------------------------------- *)
 
 (** The differential runs above are only as strong as the specs they
@@ -200,4 +231,5 @@ let suite =
   [ case "corpus: compiled = reference" test_corpus_differential;
     case "kitchen sink, split i64" test_kitchen_sink_split;
     case "kitchen sink, native i64" test_kitchen_sink_nosplit;
-    case "spec coverage across tested modules" test_spec_coverage ]
+    case "spec coverage across tested modules" test_spec_coverage;
+    case "tier 1 binds >= 95% of corpus hook sites" test_site_binding ]
