@@ -7,7 +7,7 @@
     This module deliberately knows nothing about WebAssembly: groups are
     raw strings (validated by the layer that owns the hook vocabulary),
     and sites are (function, instruction) integer pairs. The engine glue
-    in [Wasm.Interp] and the event synthesis in [Wasabi.Runtime.Probe]
+    in [Wasm.Interp] and the plan lowering in [Wasabi.Runtime.Probe]
     build on it.
 
     Every attach/detach is wrapped in a [probe.attach] / [probe.detach]

@@ -316,7 +316,7 @@ let check (r : W.Instrument.result) : finding list =
             | Some ins ->
               let agree =
                 match
-                  W.Instrument.static_fold_args fx ~func:loc.W.Location.func
+                  W.Plan.static_fold_args fx ~func:loc.W.Location.func
                     ~at:loc.W.Location.instr ins
                 with
                 | Some vs' -> List.length vs = List.length vs' && List.for_all2 eq vs vs'

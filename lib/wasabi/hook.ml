@@ -164,33 +164,31 @@ let flatten_type_with ~split = function
 
 let flatten_type = flatten_type_with ~split:true
 
+(** The types of a hook's arguments after the location, one per logical
+    value. *)
+let args (s : spec) : value_type list =
+  match s with
+  | S_nop | S_unreachable | S_start | S_begin _ -> []
+  | S_if_cond -> [ I32T ]  (* condition *)
+  | S_br -> [ I32T; I32T ]  (* label, resolved target *)
+  | S_br_if -> [ I32T; I32T; I32T ]  (* label, resolved target, condition *)
+  | S_br_table -> [ I32T ]  (* runtime table index *)
+  | S_end _ -> [ I32T ]  (* instruction index of the matching begin *)
+  | S_const t | S_drop t -> [ t ]
+  | S_select t -> [ I32T; t; t ]  (* cond, first, second *)
+  | S_unary (_, i, r) -> [ i; r ]
+  | S_binary (_, a, b, r) -> [ a; b; r ]
+  | S_local (_, t) | S_global (_, t) -> [ I32T; t ]  (* index, value *)
+  | S_load (_, t) | S_store (_, t) -> [ I32T; I32T; t ]  (* addr, offset, value *)
+  | S_memory_size -> [ I32T ]  (* current size *)
+  | S_memory_grow -> [ I32T; I32T ]  (* delta, previous size *)
+  | S_call_pre (tys, _indirect) -> I32T :: tys  (* callee / table idx, args *)
+  | S_call_post tys | S_return tys -> tys
+
 (** The Wasm-level signature of the imported hook function. Every hook
     takes the two i32 location parameters first. *)
 let signature ?(split_i64 = true) (s : spec) : func_type =
-  let flatten_type = flatten_type_with ~split:split_i64 in
-  let flatten_types tys = List.concat_map flatten_type tys in
-  let args =
-    match s with
-    | S_nop | S_unreachable | S_start -> []
-    | S_if_cond -> [ I32T ]  (* condition *)
-    | S_br -> [ I32T; I32T ]  (* label, resolved target *)
-    | S_br_if -> [ I32T; I32T; I32T ]  (* label, resolved target, condition *)
-    | S_br_table -> [ I32T ]  (* runtime table index *)
-    | S_begin _ -> []
-    | S_end _ -> [ I32T ]  (* instruction index of the matching begin *)
-    | S_const t | S_drop t -> flatten_type t
-    | S_select t -> (I32T :: flatten_type t) @ flatten_type t  (* cond, first, second *)
-    | S_unary (_, i, r) -> flatten_type i @ flatten_type r
-    | S_binary (_, a, b, r) -> flatten_type a @ flatten_type b @ flatten_type r
-    | S_local (_, t) | S_global (_, t) -> I32T :: flatten_type t  (* index, value *)
-    | S_load (_, t) -> I32T :: I32T :: flatten_type t  (* addr, offset, value *)
-    | S_store (_, t) -> I32T :: I32T :: flatten_type t
-    | S_memory_size -> [ I32T ]  (* current size *)
-    | S_memory_grow -> [ I32T; I32T ]  (* delta, previous size *)
-    | S_call_pre (tys, _indirect) -> I32T :: flatten_types tys  (* callee / table idx, args *)
-    | S_call_post tys | S_return tys -> flatten_types tys
-  in
-  func_type (I32T :: I32T :: args) []
+  func_type (I32T :: I32T :: List.concat_map (flatten_type_with ~split:split_i64) (args s)) []
 
 let type_suffix tys =
   match tys with

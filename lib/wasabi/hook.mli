@@ -92,6 +92,10 @@ val flatten_type_with : split:bool -> Wasm.Types.value_type -> Wasm.Types.value_
 val flatten_type : Wasm.Types.value_type -> Wasm.Types.value_type list
 (** i64 becomes two i32 halves (paper, Section 2.4.6). *)
 
+val args : spec -> Wasm.Types.value_type list
+(** The types of a hook's arguments after the two location parameters,
+    one per logical value (an i64 is one [I64T]). *)
+
 val signature : ?split_i64:bool -> spec -> Wasm.Types.func_type
 (** Wasm-level signature of the imported hook: two i32 location parameters
     followed by the spec's arguments ([split_i64] defaults to [true], the

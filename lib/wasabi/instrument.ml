@@ -3,17 +3,17 @@
     Given a module and a set of hook {e groups} (selective
     instrumentation), produces a new module in which every instruction of
     an enabled group is surrounded by calls to imported low-level hooks.
-    The transformation follows Table 3 of the paper:
+    Which hooks fire where, with which arguments, comes from the event
+    {!Plan}; this module lowers it to wasm following Table 3 of the
+    paper:
 
     - values consumed or produced by an instruction are duplicated through
-      freshly generated locals and passed to the hook;
+      freshly generated locals (the instruction's save/restore shape) and
+      passed to the hook;
     - hooks are imported functions, monomorphized on demand (one per
       instruction mnemonic and concrete type variant);
-    - relative branch labels are resolved to absolute instruction
-      locations with an abstract control stack;
-    - branches and returns additionally invoke the [end] hooks of every
-      block they jump out of ([br_table] entries are extracted statically
-      and selected at runtime via {!Metadata});
+    - the [end] hooks a [br_if] fires only when taken run under a guard
+      on its condition;
     - i64 values are split into two i32 halves before being passed to a
       hook.
 
@@ -26,7 +26,6 @@ open Wasm
 open Wasm.Types
 open Wasm.Ast
 open Hook
-module Tracker = Validate.Stack_tracker
 
 type result = {
   instrumented : module_;
@@ -34,50 +33,21 @@ type result = {
   hook_map : Hook.Map.t;
 }
 
-(** Abstract control stack entry (paper, Figure 6). *)
-type ctrl_entry = {
-  ce_kind : Hook.block_kind;
-  ce_begin : int;  (** instruction index of the block begin; -1 for the function *)
-  ce_end : int;  (** instruction index of the matching [End]; body length for the function *)
-}
-
 type fctx = {
   fidx : int;  (** function-space index of the function being instrumented *)
-  groups : Hook.Group_set.t;
   hooks : Hook.Map.t;
   placeholder_base : int;  (** hook k is called as function [placeholder_base + k] *)
-  tracker : Tracker.t;
-  mutable ctrl : ctrl_entry list;
   temp_tbl : (value_type * int, int) Hashtbl.t;
-  hook_cache : (Hook.spec, int) Hashtbl.t;
-      (** per-function cache over the shared, mutex-guarded map *)
-  req_counts : (Hook.spec, int ref) Hashtbl.t;
-      (** hook requests by this function, flushed to the shared map in one
-          batch when the function is done (monomorphization-cache stats) *)
+  hook_cache : (Hook.spec, int * int ref) Hashtbl.t;
+      (** per-function cache over the shared, mutex-guarded map: each
+          hook's ordinal and its requests by this function, flushed to
+          the map in one batch when the function is done
+          (monomorphization-cache stats) *)
   mutable extra_locals : value_type list;  (** reversed *)
   mutable n_extra : int;
   first_temp : int;
   split_i64 : bool;
-  mutable br_tables : Metadata.br_table_info list;
-  mutable dead_skipped : int list;
-      (** instruction indices where instrumentation was skipped because the
-          stack type is polymorphic (statically-unreachable code) *)
-  facts : Static.Absint.t option;
-      (** whole-module abstract-interpretation facts ([~fold] mode);
-          read-only, so safe to share across instrumentation domains *)
-  mutable folded : (int * Value.t list option) list;
-      (** hook sites discharged statically: [(at, None)] = proven dead,
-          [(at, Some vs)] = hook value arguments proven constant *)
 }
-
-(** A branch/return in statically-unreachable code: its operand types are
-    polymorphic, so no hook arguments can be materialised. The site is
-    recorded so the lint can surface it instead of a silent fallthrough. *)
-let skip_dead c ~at plain =
-  c.dead_skipped <- at :: c.dead_skipped;
-  plain
-
-let enabled c g = Hook.Group_set.mem g c.groups
 
 (** Fresh (or reused) local of type [ty]; [slot] distinguishes temporaries
     that must coexist within one instrumented instruction. Temporaries are
@@ -98,7 +68,7 @@ let iconst k = Const (Value.i32_of_int k)
 (** Push the value held in local [l] (of type [ty]) as hook argument(s):
     i64 values are split into low and high i32 halves (Table 3, row 6)
     unless splitting is disabled (native-host ablation). *)
-let push_local ?(split = true) ty l =
+let push_local ~split ty l =
   match ty with
   | I64T when split ->
     [ LocalGet l; Convert I32WrapI64;
@@ -107,573 +77,193 @@ let push_local ?(split = true) ty l =
 
 (** Push an immediate as hook argument(s); for i64 the paper's row 6
     sequence (duplicate, wrap / shift, wrap) is emitted. *)
-let push_const_split ?(split = true) v =
+let push_const ~split v =
   match v with
   | Value.I64 _ when split ->
     [ Const v; Convert I32WrapI64;
       Const v; Const (Value.I64 32L); Binary (IBin (S64, ShrS)); Convert I32WrapI64 ]
   | _ -> [ Const v ]
 
-(** Hook value arguments provable constant at instruction [at] from
-    whole-module abstract-interpretation facts, in hook-argument order.
-    [None] when the arguments are not all singletons or the instruction's
-    hook takes no foldable value arguments. Facts {e before} [at] describe
-    the operands an instruction consumes; facts before [at + 1] describe
-    the value it pushes (joins at block boundaries only widen, so a
-    singleton there is still exact). Shared with {!Lint}, which recomputes
-    this on the original module to verify [Metadata.F_args] claims. *)
-let static_fold_args fx ~func ~at (ins : instr) : Value.t list option =
-  let v depth = Static.Interval.singleton (Static.Absint.value_at fx ~func ~pc:at ~depth) in
-  let next depth =
-    Static.Interval.singleton (Static.Absint.value_at fx ~func ~pc:(at + 1) ~depth)
-  in
-  match ins with
-  | If _ | BrIf _ | BrTable _ | Drop | LocalSet _ | LocalTee _ | GlobalSet _ | Return ->
-    (* the consumed operand: top of stack before the instruction *)
-    (match v 0 with Some x -> Some [ x ] | None -> None)
-  | LocalGet _ | GlobalGet _ ->
-    (* the produced value: top of stack after the instruction *)
-    (match next 0 with Some x -> Some [ x ] | None -> None)
-  | Test _ | Unary _ | Convert _ ->
-    (match v 0, next 0 with Some a, Some r -> Some [ a; r ] | _ -> None)
-  | Compare _ | Binary _ ->
-    (match v 1, v 0, next 0 with
-     | Some a, Some b, Some r -> Some [ a; b; r ]
-     | _ -> None)
-  | _ -> None
-
-(** Constant hook arguments for this site, when folding is on and the
-    abstract-interpretation facts pin every runtime value argument. *)
-let fold_args c ~at ins =
-  match c.facts with
-  | None -> None
-  | Some fx -> static_fold_args fx ~func:c.fidx ~at ins
-
-let record_fold c ~at vs = c.folded <- (at, Some vs) :: c.folded
+(** Ordinal of hook [spec], generating the hook on its first request. *)
+let hook_ordinal c spec =
+  match Hashtbl.find_opt c.hook_cache spec with
+  | Some (k, requests) ->
+    incr requests;
+    k
+  | None ->
+    let k = Hook.Map.ordinal c.hooks spec in
+    Hashtbl.add c.hook_cache spec (k, ref 1);
+    k
 
 (** Call hook [spec] at source location [at], with [args] already
     flattened (each element pushes the corresponding hook arguments). *)
-let hook_ordinal c spec =
-  (match Hashtbl.find_opt c.req_counts spec with
-   | Some r -> incr r
-   | None -> Hashtbl.add c.req_counts spec (ref 1));
-  match Hashtbl.find_opt c.hook_cache spec with
-  | Some k -> k
-  | None ->
-    let k = Hook.Map.ordinal c.hooks spec in
-    Hashtbl.add c.hook_cache spec k;
-    k
-
 let hook_call c ~at spec args =
   let k = hook_ordinal c spec in
   (iconst c.fidx :: iconst at :: List.concat args) @ [ Call (c.placeholder_base + k) ]
 
-(** Instruction index executed next if a branch to [e] is taken. *)
-let target_instr (e : ctrl_entry) =
-  match e.ce_kind with
-  | Hook.Bloop -> e.ce_begin + 1
-  | Hook.Bfunction -> e.ce_end  (* the implicit end of the function *)
-  | Hook.Bblock | Hook.Bif | Hook.Belse -> e.ce_end + 1
+(** The Table 3 shape of one instruction: the code that saves its
+    operands for the hooks before it and restores them, whether the
+    instruction itself stays (a [drop]'s hook consumes its value), the
+    code that keeps a copy of its result for the hooks after it, and the
+    local each dynamic argument is read from. *)
+type shape = {
+  save : instr list;
+  restore : instr list;
+  keep : bool;
+  tee : instr list;
+  read : Plan.arg -> int;
+}
 
-let ctrl_at c l =
-  match List.nth_opt c.ctrl l with
-  | Some e -> e
-  | None -> invalid_arg (Printf.sprintf "branch label %d exceeds control stack" l)
+let plain =
+  { save = []; restore = []; keep = true; tee = [];
+    read = (function Plan.Local x -> x | _ -> invalid_arg "hook argument has no local") }
 
-let resolve_target c l : Metadata.target =
-  let e = ctrl_at c l in
-  { Metadata.label = l; target_loc = Location.make ~func:c.fidx ~instr:(target_instr e) }
-
-(** Blocks exited by a taken branch with label [l]: control-stack entries
-    0..l, innermost first (paper, Section 2.4.5). *)
-let ended_blocks c l =
-  List.filteri (fun i _ -> i <= l) c.ctrl
-  |> List.map (fun e ->
-    { Metadata.eb_kind = e.ce_kind;
-      eb_end_loc = Location.make ~func:c.fidx ~instr:e.ce_end;
-      eb_begin_instr = e.ce_begin })
-
-(** Explicit calls to the [end] hooks of all blocks a branch jumps out of. *)
-let end_hook_calls c (ended : Metadata.ended_block list) =
-  List.concat_map
-    (fun (eb : Metadata.ended_block) ->
-       hook_call c ~at:eb.Metadata.eb_end_loc.Location.instr (Hook.S_end eb.eb_kind)
-         [ [ iconst eb.eb_begin_instr ] ])
-    ended
-
-let known_peek c n =
-  match Tracker.peek c.tracker n with
-  | Validate.Known t -> Some t
-  | Validate.Unknown -> None
-
-(** The save / call-pre / restore / call / save / call-post / restore
-    sequence for direct and indirect calls (Table 3, row 3). *)
-let instrument_call c ~at ~(ft : func_type) ~callee_arg ~indirect ~original =
-  let n = List.length ft.params in
-  let param_temps = List.mapi (fun j ty -> (ty, temp c ty j)) ft.params in
-  let saves = List.rev_map (fun (_, t) -> LocalSet t) param_temps in
-  let restores = List.map (fun (_, t) -> LocalGet t) param_temps in
-  let arg_pushes = List.map (fun (ty, t) -> push_local ~split:c.split_i64 ty t) param_temps in
-  let idx_save, idx_restore, idx_push =
-    if indirect then
-      let ti = temp c I32T n in
-      ([ LocalSet ti ], [ LocalGet ti ], [ LocalGet ti ])
-    else ([], [], callee_arg)
-  in
-  let pre_hook =
-    hook_call c ~at (Hook.S_call_pre (ft.params, indirect)) (idx_push :: arg_pushes)
-  in
-  let post =
-    match ft.results with
-    | [] -> hook_call c ~at (Hook.S_call_post []) []
-    | [ rt ] ->
-      let tr = temp c rt (n + 1) in
-      LocalTee tr :: hook_call c ~at (Hook.S_call_post [ rt ]) [ push_local ~split:c.split_i64 rt tr ]
-    | _ -> invalid_arg "multiple results not supported"
-  in
-  idx_save @ saves @ pre_hook @ restores @ idx_restore @ [ original ] @ post
-
-(** Instrument one original instruction at index [at], returning the
-    replacement sequence. Must be called before [Tracker.step] for this
-    instruction (it inspects the abstract stack), and takes care of the
-    control-stack bookkeeping itself. *)
-let instrument_instr_live c ~at (ins : instr) (jumps : Interp.jump_info) : instr list =
-  let plain = [ ins ] in
-  match ins with
-  | Nop ->
-    if enabled c G_nop then ins :: hook_call c ~at S_nop [] else plain
-  | Unreachable ->
-    if enabled c G_unreachable then hook_call c ~at S_unreachable [] @ plain else plain
-  | Block _ ->
-    c.ctrl <- { ce_kind = Bblock; ce_begin = at; ce_end = jumps.Interp.end_of.(at) } :: c.ctrl;
-    if enabled c G_begin then ins :: hook_call c ~at (S_begin Bblock) [] else plain
-  | Loop _ ->
-    c.ctrl <- { ce_kind = Bloop; ce_begin = at; ce_end = jumps.Interp.end_of.(at) } :: c.ctrl;
-    (* the hook sits inside the loop: it fires once per iteration *)
-    if enabled c G_begin then ins :: hook_call c ~at (S_begin Bloop) [] else plain
-  | If _ ->
-    let cond_hook =
-      if enabled c G_if then
-        match fold_args c ~at ins with
-        | Some [ k ] ->
-          (* constant condition: pass it as an immediate, no duplication *)
-          record_fold c ~at [ k ];
-          hook_call c ~at S_if_cond [ [ Const k ] ]
-        | _ ->
-          (match known_peek c 0 with
-           | Some _ ->
-             let tc = temp c I32T 0 in
-             LocalTee tc :: hook_call c ~at S_if_cond [ [ LocalGet tc ] ]
-           | None -> [])
-      else []
+(** The shape of [ins] whose events read dynamic arguments. Temporaries
+    are requested in a fixed order per instruction kind. *)
+let shape c (ins : instr) (events : Plan.event list) : shape =
+  let tee_top ty = let t = temp c ty 0 in { plain with save = [ LocalTee t ]; read = (fun _ -> t) } in
+  match ins, events with
+  | (If _ | BrIf _ | BrTable _), _ -> tee_top I32T
+  | GlobalSet _, [ { spec = S_global (_, ty); _ } ] -> tee_top ty
+  | Return, { spec = S_return [ rt ]; _ } :: _ ->
+    let t = temp c rt 0 in
+    { plain with save = [ LocalSet t ]; restore = [ LocalGet t ]; read = (fun _ -> t) }
+  | (Call _ | CallIndirect _),
+    [ { spec = S_call_pre (params, indirect); _ }; { spec = S_call_post results; _ } ] ->
+    let n = List.length params in
+    let ps = List.mapi (fun j ty -> temp c ty j) params in
+    (* operand temps, bottom first: the arguments, then a table index *)
+    let ops = if indirect then ps @ [ temp c I32T n ] else ps in
+    let by_depth = Array.of_list (List.rev ops) in
+    let tee, result =
+      match results with
+      | [ rt ] -> let t = temp c rt (n + 1) in ([ LocalTee t ], t)
+      | _ -> ([], -1)
     in
-    c.ctrl <- { ce_kind = Bif; ce_begin = at; ce_end = jumps.Interp.end_of.(at) } :: c.ctrl;
-    let begin_hook = if enabled c G_begin then hook_call c ~at (S_begin Bif) [] else [] in
-    cond_hook @ [ ins ] @ begin_hook
-  | Else ->
-    let e, rest =
-      match c.ctrl with
-      | e :: rest -> (e, rest)
-      | [] -> invalid_arg "else without open block"
+    { save = List.map (fun t -> LocalSet t) (List.rev ops);
+      restore = List.map (fun t -> LocalGet t) ops;
+      keep = true; tee;
+      read = (function Plan.Operand d -> by_depth.(d) | _ -> result) }
+  | Drop, [ { spec = S_drop ty; _ } ] ->
+    let t = temp c ty 0 in
+    { plain with save = [ LocalSet t ]; keep = false; read = (fun _ -> t) }
+  | Select, [ { spec = S_select ty; _ } ] ->
+    let tc = temp c I32T 0 in
+    let t2 = temp c ty 1 in
+    let t1 = temp c ty 2 in
+    { plain with
+      save = [ LocalSet tc; LocalSet t2; LocalSet t1 ];
+      restore = [ LocalGet t1; LocalGet t2; LocalGet tc ];
+      read = (function Plan.Operand 0 -> tc | Plan.Operand 1 -> t2 | _ -> t1) }
+  | (GlobalGet _ | MemorySize), [ { spec; _ } ] ->
+    let t = temp c (match spec with S_global (_, ty) -> ty | _ -> I32T) 0 in
+    { plain with tee = [ LocalTee t ]; read = (fun _ -> t) }
+  | (Load _ | MemoryGrow | Test _ | Unary _ | Convert _), [ { spec; _ } ] ->
+    let ity, rty =
+      match spec with
+      | S_load (_, ty) -> (I32T, ty)
+      | S_unary (_, it, rt) -> (it, rt)
+      | _ -> (I32T, I32T)
     in
-    (* the then-branch ends here; the else-branch begins *)
-    c.ctrl <- { e with ce_kind = Belse; ce_begin = at } :: rest;
-    let end_hook =
-      if enabled c G_end then hook_call c ~at (S_end Bif) [ [ iconst e.ce_begin ] ] else []
-    in
-    let begin_hook = if enabled c G_begin then hook_call c ~at (S_begin Belse) [] else [] in
-    end_hook @ [ ins ] @ begin_hook
-  | End ->
-    let e, rest =
-      match c.ctrl with
-      | e :: rest -> (e, rest)
-      | [] -> invalid_arg "unbalanced end"
-    in
-    c.ctrl <- rest;
-    let kind = e.ce_kind in
-    if enabled c G_end then
-      hook_call c ~at (S_end kind) [ [ iconst e.ce_begin ] ] @ [ ins ]
-    else plain
-  | Br l ->
-    let br_hook =
-      if enabled c G_br then
-        let t = resolve_target c l in
-        hook_call c ~at S_br [ [ iconst l ]; [ iconst t.Metadata.target_loc.Location.instr ] ]
-      else []
-    in
-    let ends = if enabled c G_end then end_hook_calls c (ended_blocks c l) else [] in
-    br_hook @ ends @ plain
-  | BrIf l ->
-    let need_cond = enabled c G_br_if || enabled c G_end in
-    if not need_cond then plain
-    else begin
-      match fold_args c ~at ins with
-      | Some [ Value.I32 k as kv ] ->
-        (* constant condition: the branch outcome is statically decided,
-           so the end hooks need no runtime guard *)
-        record_fold c ~at [ kv ];
-        let hook =
-          if enabled c G_br_if then
-            let t = resolve_target c l in
-            hook_call c ~at S_br_if
-              [ [ iconst l ];
-                [ iconst t.Metadata.target_loc.Location.instr ];
-                [ Const kv ] ]
-          else []
-        in
-        let ends =
-          if enabled c G_end && k <> 0l then end_hook_calls c (ended_blocks c l)
-          else []
-        in
-        hook @ ends @ plain
-      | _ ->
-      match known_peek c 0 with
-      | None -> skip_dead c ~at plain
-      | Some _ ->
-        let tc = temp c I32T 0 in
-        let hook =
-          if enabled c G_br_if then
-            let t = resolve_target c l in
-            hook_call c ~at S_br_if
-              [ [ iconst l ];
-                [ iconst t.Metadata.target_loc.Location.instr ];
-                [ LocalGet tc ] ]
-          else []
-        in
-        let ends =
-          if enabled c G_end then
-            match end_hook_calls c (ended_blocks c l) with
-            | [] -> []
-            | calls -> (LocalGet tc :: If None :: calls) @ [ End ]
-          else []
-        in
-        (LocalTee tc :: hook) @ ends @ plain
-    end
-  | BrTable (ls, d) ->
-    let entry l = (resolve_target c l, ended_blocks c l) in
-    let info =
-      { Metadata.bt_loc = Location.make ~func:c.fidx ~instr:at;
-        bt_targets = Array.of_list (List.map entry ls);
-        bt_default = entry d }
-    in
-    if enabled c G_br_table || enabled c G_end then begin
-      match known_peek c 0 with
-      | None -> skip_dead c ~at plain
-      | Some _ ->
-        c.br_tables <- info :: c.br_tables;
-        (* end hooks are selected and called at runtime from the metadata *)
-        (match fold_args c ~at ins with
-         | Some [ kv ] ->
-           record_fold c ~at [ kv ];
-           hook_call c ~at S_br_table [ [ Const kv ] ] @ plain
-         | _ ->
-           let ti = temp c I32T 0 in
-           (LocalTee ti :: hook_call c ~at S_br_table [ [ LocalGet ti ] ]) @ plain)
-    end
-    else plain
-  | Return ->
-    let want_ret = enabled c G_return in
-    let want_end = enabled c G_end in
-    if not (want_ret || want_end) then plain
-    else begin
-      let results = (Tracker.results c.tracker : value_type list) in
-      (* the end-hook calls are stack neutral, so the result value only
-         needs saving around the return hook itself *)
-      let save_restore_hook =
-        match results with
-        | [] -> Some ([], [], fun () -> hook_call c ~at (Hook.S_return []) [])
-        | _ when not want_ret -> Some ([], [], fun () -> [])
-        | [ rt ] ->
-          (match fold_args c ~at ins with
-           | Some [ v ] ->
-             (* constant result: no save/restore around the hook *)
-             record_fold c ~at [ v ];
-             Some
-               ( [], [],
-                 fun () ->
-                   hook_call c ~at (Hook.S_return [ rt ])
-                     [ push_const_split ~split:c.split_i64 v ] )
-           | _ ->
-           match known_peek c 0 with
-           | None ->
-             c.dead_skipped <- at :: c.dead_skipped;
-             None
-           | Some _ ->
-             let tr = temp c rt 0 in
-             Some
-               ( [ LocalSet tr ],
-                 [ LocalGet tr ],
-                 fun () ->
-                   hook_call c ~at (Hook.S_return [ rt ])
-                     [ push_local ~split:c.split_i64 rt tr ] ))
-        | _ -> invalid_arg "multiple results not supported"
-      in
-      match save_restore_hook with
-      | None -> plain
-      | Some (save, restore, make_ret_hook) ->
-        let ends =
-          if want_end then end_hook_calls c (ended_blocks c (List.length c.ctrl - 1))
-          else []
-        in
-        let hook = if want_ret then make_ret_hook () else [] in
-        if hook = [] && ends = [] then plain
-        else save @ hook @ ends @ restore @ plain
-    end
-  | Call f ->
-    if enabled c G_call then
-      let ft = Tracker.func_type c.tracker f in
-      instrument_call c ~at ~ft ~callee_arg:[ iconst f ] ~indirect:false ~original:ins
-    else plain
-  | CallIndirect ti ->
-    if enabled c G_call then
-      let ft = Tracker.type_at c.tracker ti in
-      instrument_call c ~at ~ft ~callee_arg:[] ~indirect:true ~original:ins
-    else plain
-  | Drop ->
-    if enabled c G_drop then
-      match known_peek c 0 with
-      | None -> plain
-      | Some ty ->
-        (match fold_args c ~at ins with
-         | Some [ v ] ->
-           record_fold c ~at [ v ];
-           ins :: hook_call c ~at (S_drop ty) [ push_const_split ~split:c.split_i64 v ]
-         | _ ->
-           let t = temp c ty 0 in
-           (* the hook consumes the value in place of the drop (Table 3, row 4) *)
-           LocalSet t :: hook_call c ~at (S_drop ty) [ push_local ~split:c.split_i64 ty t ])
-    else plain
-  | Select ->
-    if enabled c G_select then
-      match known_peek c 1, known_peek c 2 with
-      | Some ty, _ | _, Some ty ->
-        let tc = temp c I32T 0 in
-        let t2 = temp c ty 1 in
-        let t1 = temp c ty 2 in
-        [ LocalSet tc; LocalSet t2; LocalSet t1 ]
-        @ hook_call c ~at (S_select ty)
-            [ [ LocalGet tc ]; push_local ~split:c.split_i64 ty t1; push_local ~split:c.split_i64 ty t2 ]
-        @ [ LocalGet t1; LocalGet t2; LocalGet tc; Select ]
-      | None, None -> plain
-    else plain
-  | LocalGet x | LocalSet x | LocalTee x ->
-    if enabled c G_local then begin
-      let ty = Tracker.local_type c.tracker x in
-      let op =
-        match ins with
-        | LocalGet _ -> Lget
-        | LocalSet _ -> Lset
-        | _ -> Ltee
-      in
-      let value_arg =
-        match fold_args c ~at ins with
-        | Some [ v ] ->
-          record_fold c ~at [ v ];
-          push_const_split ~split:c.split_i64 v
-        | _ -> push_local ~split:c.split_i64 ty x
-      in
-      ins :: hook_call c ~at (S_local (op, ty)) [ [ iconst x ]; value_arg ]
-    end
-    else plain
-  | GlobalGet x ->
-    if enabled c G_global then begin
-      let ty = (Tracker.global_type c.tracker x).content in
-      match fold_args c ~at ins with
-      | Some [ v ] ->
-        record_fold c ~at [ v ];
-        ins
-        :: hook_call c ~at (S_global (Gget, ty))
-             [ [ iconst x ]; push_const_split ~split:c.split_i64 v ]
-      | _ ->
-        let t = temp c ty 0 in
-        [ ins; LocalTee t ]
-        @ hook_call c ~at (S_global (Gget, ty)) [ [ iconst x ]; push_local ~split:c.split_i64 ty t ]
-    end
-    else plain
-  | GlobalSet x ->
-    if enabled c G_global then begin
-      let ty = (Tracker.global_type c.tracker x).content in
-      match fold_args c ~at ins with
-      | Some [ v ] ->
-        record_fold c ~at [ v ];
-        ins
-        :: hook_call c ~at (S_global (Gset, ty))
-             [ [ iconst x ]; push_const_split ~split:c.split_i64 v ]
-      | _ ->
-        let t = temp c ty 0 in
-        [ LocalTee t; ins ]
-        @ hook_call c ~at (S_global (Gset, ty)) [ [ iconst x ]; push_local ~split:c.split_i64 ty t ]
-    end
-    else plain
-  | Load op ->
-    if enabled c G_load then
-      let ta = temp c I32T 0 in
-      let tv = temp c op.lty 1 in
-      [ LocalTee ta; ins; LocalTee tv ]
-      @ hook_call c ~at (S_load (string_of_instr ins, op.lty))
-          [ [ LocalGet ta ]; [ iconst op.loffset ]; push_local ~split:c.split_i64 op.lty tv ]
-    else plain
-  | Store op ->
-    if enabled c G_store then
-      let tv = temp c op.sty 1 in
-      let ta = temp c I32T 0 in
-      [ LocalSet tv; LocalTee ta; LocalGet tv; ins ]
-      @ hook_call c ~at (S_store (string_of_instr ins, op.sty))
-          [ [ LocalGet ta ]; [ iconst op.soffset ]; push_local ~split:c.split_i64 op.sty tv ]
-    else plain
-  | MemorySize ->
-    if enabled c G_memory_size then
-      let t = temp c I32T 0 in
-      [ ins; LocalTee t ] @ hook_call c ~at S_memory_size [ [ LocalGet t ] ]
-    else plain
-  | MemoryGrow ->
-    if enabled c G_memory_grow then
-      let td = temp c I32T 0 in
-      let tp = temp c I32T 1 in
-      [ LocalTee td; ins; LocalTee tp ]
-      @ hook_call c ~at S_memory_grow [ [ LocalGet td ]; [ LocalGet tp ] ]
-    else plain
-  | Const v ->
-    if enabled c G_const then
-      ins :: hook_call c ~at (S_const (Value.type_of v)) [ push_const_split ~split:c.split_i64 v ]
-    else plain
-  | Test _ | Unary _ | Convert _ ->
-    if enabled c G_unary then begin
-      let it, rt =
-        match ins with
-        | Test (IEqz sz) -> (num_type_of_isize sz, I32T)
-        | Unary (IUn (sz, _)) -> (num_type_of_isize sz, num_type_of_isize sz)
-        | Unary (FUn (sz, _)) -> (num_type_of_fsize sz, num_type_of_fsize sz)
-        | Convert op ->
-          let f, t = Tracker.cvt_types op in
-          (f, t)
-        | _ -> assert false
-      in
-      match fold_args c ~at ins with
-      | Some [ vin; vres ] ->
-        record_fold c ~at [ vin; vres ];
-        ins
-        :: hook_call c ~at (S_unary (string_of_instr ins, it, rt))
-             [ push_const_split ~split:c.split_i64 vin;
-               push_const_split ~split:c.split_i64 vres ]
-      | _ ->
-        let t_in = temp c it 0 in
-        let t_res = temp c rt 1 in
-        [ LocalTee t_in; ins; LocalTee t_res ]
-        @ hook_call c ~at (S_unary (string_of_instr ins, it, rt))
-            [ push_local ~split:c.split_i64 it t_in; push_local ~split:c.split_i64 rt t_res ]
-    end
-    else plain
-  | Compare _ | Binary _ ->
-    if enabled c G_binary then begin
-      let ot, rt =
-        match ins with
-        | Compare (IRel (sz, _)) -> (num_type_of_isize sz, I32T)
-        | Compare (FRel (sz, _)) -> (num_type_of_fsize sz, I32T)
-        | Binary (IBin (sz, _)) -> (num_type_of_isize sz, num_type_of_isize sz)
-        | Binary (FBin (sz, _)) -> (num_type_of_fsize sz, num_type_of_fsize sz)
-        | _ -> assert false
-      in
-      match fold_args c ~at ins with
-      | Some [ va; vb; vr ] ->
-        record_fold c ~at [ va; vb; vr ];
-        ins
-        :: hook_call c ~at (S_binary (string_of_instr ins, ot, ot, rt))
-             [ push_const_split ~split:c.split_i64 va;
-               push_const_split ~split:c.split_i64 vb;
-               push_const_split ~split:c.split_i64 vr ]
-      | _ ->
-        let ta = temp c ot 0 in
-        let tb = temp c ot 1 in
-        let tr = temp c rt 2 in
-        [ LocalSet tb; LocalTee ta; LocalGet tb; ins; LocalTee tr ]
-        @ hook_call c ~at (S_binary (string_of_instr ins, ot, ot, rt))
-            [ push_local ~split:c.split_i64 ot ta; push_local ~split:c.split_i64 ot tb; push_local ~split:c.split_i64 rt tr ]
-    end
-    else plain
+    let ti = temp c ity 0 in
+    let tr = temp c rty 1 in
+    { plain with save = [ LocalTee ti ]; tee = [ LocalTee tr ];
+      read = (function Plan.Result -> tr | _ -> ti) }
+  | Store _, [ { spec = S_store (_, ty); _ } ] ->
+    let tv = temp c ty 1 in
+    let ta = temp c I32T 0 in
+    { plain with save = [ LocalSet tv; LocalTee ta; LocalGet tv ];
+      read = (function Plan.Operand 0 -> tv | _ -> ta) }
+  | (Compare _ | Binary _), [ { spec = S_binary (_, ot, _, rt); _ } ] ->
+    let ta = temp c ot 0 in
+    let tb = temp c ot 1 in
+    let tr = temp c rt 2 in
+    { plain with save = [ LocalSet tb; LocalTee ta; LocalGet tb ]; tee = [ LocalTee tr ];
+      read = (function Plan.Operand 0 -> tb | Plan.Operand _ -> ta | _ -> tr) }
+  | _ -> plain
 
-(** Would any enabled group emit hooks at this instruction? Used to
-    decide whether dropping the hooks of a statically-dead site is worth
-    recording. Structured control instructions are excluded: their arms
-    also maintain the control stack, so they are never dead-folded. *)
-let would_hook c = function
-  | Block _ | Loop _ | If _ | Else | End -> false
-  | Nop -> enabled c G_nop
-  | Unreachable -> enabled c G_unreachable
-  | Br _ -> enabled c G_br || enabled c G_end
-  | BrIf _ -> enabled c G_br_if || enabled c G_end
-  | BrTable _ -> enabled c G_br_table || enabled c G_end
-  | Return -> enabled c G_return || enabled c G_end
-  | Call _ | CallIndirect _ -> enabled c G_call
-  | Drop -> enabled c G_drop
-  | Select -> enabled c G_select
-  | LocalGet _ | LocalSet _ | LocalTee _ -> enabled c G_local
-  | GlobalGet _ | GlobalSet _ -> enabled c G_global
-  | Load _ -> enabled c G_load
-  | Store _ -> enabled c G_store
-  | MemorySize -> enabled c G_memory_size
-  | MemoryGrow -> enabled c G_memory_grow
-  | Const _ -> enabled c G_const
-  | Test _ | Unary _ | Convert _ -> enabled c G_unary
-  | Compare _ | Binary _ -> enabled c G_binary
+let dynamic (e : Plan.event) =
+  e.timing = Plan.Taken
+  || List.exists (function Plan.Imm _ | Plan.Local _ -> false | _ -> true) e.args
 
-(** In [~fold] mode a site the abstract interpretation proves unreachable
-    keeps its instruction verbatim: no hook can ever fire there, so none
-    is emitted ([Metadata.F_dead], verified by the lint against the
-    recomputed facts). Everything else goes through the normal per-arm
-    instrumentation (which may still fold constant arguments). *)
-let instrument_instr c ~at (ins : instr) (jumps : Interp.jump_info) : instr list =
-  match c.facts with
-  | Some fx when would_hook c ins && not (Static.Absint.live fx ~func:c.fidx ~pc:at) ->
-    c.folded <- (at, None) :: c.folded;
-    [ ins ]
-  | _ -> instrument_instr_live c ~at ins jumps
+(** The hook call of event [e]. *)
+let call c (sh : shape) (e : Plan.event) =
+  let split = c.split_i64 in
+  hook_call c ~at:e.at e.spec
+    (List.map2
+       (fun a ty ->
+          match a with
+          | Plan.Imm v -> push_const ~split v
+          | a -> push_local ~split ty (sh.read a))
+       e.args (Hook.args e.spec))
+
+(** Lower the planned events of one original instruction, emitting its
+    replacement sequence. The plan lists an instruction's events by when
+    they fire — before it, when its branch is taken, after it — and hook
+    ordinals are assigned in first-request order, so hooks are requested
+    in that order, except that a [return] requests the [end] hooks of the
+    blocks it leaves before its own. *)
+let lower c emit (ins : instr) (events : Plan.event list) =
+  match events with
+  | [] -> emit [ ins ]
+  | _ ->
+    let sh = if List.exists dynamic events then shape c ins events else plain in
+    let rec take phase acc = function
+      | (e : Plan.event) :: rest when e.timing = phase -> take phase (e :: acc) rest
+      | rest -> (List.rev acc, rest)
+    in
+    let before, rest = take Plan.Before [] events in
+    let taken, after = take Plan.Taken [] rest in
+    let calls = List.iter (fun e -> emit (call c sh e)) in
+    emit sh.save;
+    (match ins, before with
+     | Return, ({ spec = S_return _; _ } as ret) :: ends ->
+       let ends = List.map (call c sh) ends in
+       emit (call c sh ret);
+       List.iter emit ends
+     | _ -> calls before);
+    (* the end hooks of a br_if run only when the branch is taken *)
+    if not (List.is_empty taken) then begin
+      emit [ LocalGet (sh.read (Plan.Operand 0)); If None ];
+      calls taken;
+      emit [ End ]
+    end;
+    emit sh.restore;
+    if sh.keep then emit [ ins ];
+    emit sh.tee;
+    calls after
 
 let instrument_func ~groups ~hooks ~placeholder_base ~split_i64 ~vctx ~fidx ~is_start
     ~facts (f : func)
-    : func * Metadata.br_table_info list * int list * (int * Value.t list option) list =
-  let body = Array.of_list f.body in
-  let jumps = Interp.compute_jumps body in
+    : func * Metadata.br_table_info list * Location.t list * Metadata.fold_site list =
   let params = vctx.Validate.Module_ctx.types.(f.ftype).params in
   let c = {
     fidx;
-    groups;
     hooks;
     placeholder_base;
-    tracker = Tracker.create_in vctx f;
-    ctrl = [ { ce_kind = Bfunction; ce_begin = -1; ce_end = Array.length body } ];
     temp_tbl = Hashtbl.create 8;
     hook_cache = Hashtbl.create 32;
-    req_counts = Hashtbl.create 32;
     extra_locals = [];
     n_extra = 0;
     first_temp = List.length params + List.length f.locals;
     split_i64;
-    br_tables = [];
-    dead_skipped = [];
-    facts;
-    folded = [];
   } in
   let out = ref [] in
   let emit is = out := List.rev_append is !out in
-  if is_start && enabled c G_start then emit (hook_call c ~at:(-1) S_start []);
-  if enabled c G_begin then emit (hook_call c ~at:(-1) (S_begin Bfunction) []);
-  Array.iteri
-    (fun at ins ->
-       let replacement = instrument_instr c ~at ins jumps in
-       Tracker.step c.tracker ins;
-       emit replacement)
-    body;
-  if enabled c G_end then
-    emit (hook_call c ~at:(Array.length body) (S_end Bfunction) [ [ iconst (-1) ] ]);
+  let body = Array.of_list f.body in
+  let plan =
+    Plan.func ~groups ~facts ~vctx ~fidx ~is_start f (fun at events _ ->
+      if at < 0 || at >= Array.length body then List.iter (fun e -> emit (call c plain e)) events
+      else lower c emit body.(at) events)
+  in
   let f' = {
     f with
     locals = f.locals @ List.rev c.extra_locals;
     body = List.rev !out;
   } in
   Hook.Map.note_requests hooks
-    (Hashtbl.fold (fun s r acc -> (s, !r) :: acc) c.req_counts []);
-  (f', c.br_tables, List.rev c.dead_skipped, List.rev c.folded)
+    (Hashtbl.fold (fun s (_, r) acc -> (s, !r) :: acc) c.hook_cache []);
+  (f', plan.br_tables, plan.dead_skipped, plan.folded)
 
 (** Remap a function index after hook imports have been inserted.
     [n_imp] original imported functions keep their indices; the [h] hooks
@@ -753,38 +343,13 @@ let instrument ?(groups = Hook.all) ?(split_i64 = true) ?(domains = 1)
     else []
   in
   let instrument_fidx fidx = not (List.mem fidx pruned_funcs) in
-  let br_tables = ref Location.Map.empty in
-  let dead_skipped = ref [] in
-  let folded_sites = ref [] in
   let instrumented_funcs =
     Obs.Span.with_ "instrument.functions" @@ fun () ->
     instrument_functions ~groups ~hooks ~split_i64 ~vctx ~n_imp ~n_orig ~start:m.start ~domains
       ~instrument_fidx ~facts m.funcs
   in
   Obs.Span.with_ "instrument.assemble" @@ fun () ->
-  let funcs' =
-    List.mapi
-      (fun i (f', bts, dead, folded) ->
-         List.iter
-           (fun (bt : Metadata.br_table_info) ->
-              br_tables := Location.Map.add bt.bt_loc bt !br_tables)
-           bts;
-         List.iter
-           (fun at ->
-              dead_skipped := Location.make ~func:(n_imp + i) ~instr:at :: !dead_skipped)
-           dead;
-         List.iter
-           (fun (at, args) ->
-              let loc = Location.make ~func:(n_imp + i) ~instr:at in
-              folded_sites :=
-                (match args with
-                 | None -> Metadata.F_dead loc
-                 | Some vs -> Metadata.F_args (loc, vs))
-                :: !folded_sites)
-           folded;
-         f')
-      instrumented_funcs
-  in
+  let funcs' = List.map (fun (f, _, _, _) -> f) instrumented_funcs in
   let h = Hook.Map.count hooks in
   let specs = Hook.Map.specs hooks in
   (* add hook signatures to the type section (re-using existing entries) *)
@@ -833,13 +398,19 @@ let instrument ?(groups = Hook.all) ?(split_i64 = true) ?(domains = 1)
     Metadata.original = m;
     groups;
     split_i64;
-    br_tables = !br_tables;
+    br_tables =
+      List.fold_left
+        (fun acc (_, bts, _, _) ->
+           List.fold_left
+             (fun acc (bt : Metadata.br_table_info) -> Location.Map.add bt.bt_loc bt acc)
+             acc bts)
+        Location.Map.empty instrumented_funcs;
     num_hooks = h;
     hook_specs = specs;
     num_original_func_imports = n_imp;
     func_names = Metadata.extract_func_names m;
-    dead_skipped = List.rev !dead_skipped;
+    dead_skipped = List.concat_map (fun (_, _, dead, _) -> dead) instrumented_funcs;
     pruned_funcs;
-    folded = List.rev !folded_sites;
+    folded = List.concat_map (fun (_, _, _, folded) -> folded) instrumented_funcs;
   } in
   { instrumented; metadata; hook_map = hooks }

@@ -1,7 +1,8 @@
-(** The Wasabi binary instrumenter (paper, Section 2.4): inserts calls to
-    imported low-level hooks around every instruction of the selected
-    groups, following Table 3 of the paper. The instrumented module
-    faithfully preserves the original behaviour, including its memory. *)
+(** The Wasabi binary instrumenter (paper, Section 2.4): lowers the hook
+    events the {!Plan} gives every instruction of the selected groups to
+    calls of imported low-level hooks, following Table 3 of the paper.
+    The instrumented module faithfully preserves the original behaviour,
+    including its memory. *)
 
 type result = {
   instrumented : Wasm.Ast.module_;
@@ -30,14 +31,6 @@ val instrument :
     prunes against the precise call graph). The input module must be
     valid; the output module validates and imports its hooks from
     [Hook.import_module]. *)
-
-val static_fold_args :
-  Static.Absint.t -> func:int -> at:int -> Wasm.Ast.instr -> Wasm.Value.t list option
-(** Hook value arguments provable constant at [func:at] from
-    abstract-interpretation facts, in hook-argument order; [None] when
-    they are not all singletons (or the instruction's hook takes no
-    foldable value arguments). Exposed so {!Lint} can recompute and check
-    every [Metadata.F_args] claim against the original module. *)
 
 val remap_index : n_imp:int -> n_orig:int -> h:int -> int -> int
 (** The function-index remapping applied after hook imports are inserted

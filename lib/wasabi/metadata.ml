@@ -61,11 +61,6 @@ type t = {
           verified against the recomputed facts by the lint *)
 }
 
-let br_table_at t loc =
-  match Location.Map.find_opt loc t.br_tables with
-  | Some info -> info
-  | None -> invalid_arg (Printf.sprintf "no br_table at %s" (Location.to_string loc))
-
 type br_table_index = br_table_info option array array
 
 (** Build the O(1) lookup structure from the location-keyed map in two

@@ -51,9 +51,6 @@ type t = {
       (** hook sites discharged statically by [~fold] instrumentation *)
 }
 
-val br_table_at : t -> Location.t -> br_table_info
-(** @raise Invalid_argument when no [br_table] was instrumented there. *)
-
 type br_table_index = br_table_info option array array
 (** O(1) per-location view of [br_tables]: indexed by original function
     index, then instruction index. Built once per runtime binding so the

@@ -8,119 +8,84 @@
     targets, [br_table] entries, indirect call targets) and invoke the
     user's {!Analysis.t} callbacks.
 
-    There are two decoder implementations:
-
-    - {b compiled} (the default): every monomorphized hook spec is
-      compiled {e once} into a specialized closure over an argument
-      source — arity, argument slot offsets, i64 split/join, op-name
-      strings and [br_table] metadata are all pre-resolved. Compiled at
-      runtime-binding time over the interpreter's operand-stack buffer
-      (the array ABI of {!Wasm.Interp.host_func_raw}), with no per-call
-      list allocation or map lookup; and compiled again for each tier-1
-      call site that binds (see {!Wasm.Interp.site_binder}), over the
-      site's constants and the caller frame's locals, read in place,
-      with the location and every other constant-derived value computed
-      at binding;
-    - {b reference}: the original interpretive [take_*]-chain over an
-      argument list, kept as the debug path and as the oracle for the
-      differential decoder tests. Selected with [~decoder:`Reference] or
-      by setting the [WASABI_REFERENCE_DECODER] environment variable.
-
-    Both paths must produce identical high-level hook invocations;
-    [test/test_decoders.ml] checks this across the whole corpus. *)
+    {!compile} is the one per-spec decoder: it compiles a monomorphized
+    hook spec {e once} into a specialized closure, with arity, argument
+    slots, i64 split/join, op-name strings and [br_table] metadata
+    pre-resolved, over an {!env} and one of three argument sources: the
+    interpreter's operand-stack buffer (the array ABI of
+    {!Wasm.Interp.host_func_raw}); a tier-1 call site that binds
+    ({!Wasm.Interp.site_binder}), read in place with every
+    constant-derived value computed at binding; or an event of the
+    {!Plan} that the engine-probe backend ({!Probe}) lowers. The
+    original interpretive [take_*]-chain over an argument list is kept
+    as the {b reference} decoder ([~decoder:`Reference]), the oracle of
+    [test/test_decoders.ml], which checks that both produce identical
+    high-level hook invocations across the whole corpus. *)
 
 open Wasm
 open Wasm.Types
 
 type decoder_kind = [ `Compiled | `Reference ]
 
+(** What a backend binds an analysis with: the analysis, the same
+    analysis with every callback wrapped to record [mark], and the
+    profiler slot. While a profiler is attached, every dispatch is timed
+    and goes to [marked], whose first callback entry splits the time
+    into marshalling and user analysis code. *)
+type binding = {
+  analysis : Analysis.t;
+  marked : Analysis.t;
+  mark : int64 ref;
+      (** first analysis-callback entry time of the current profiled
+          dispatch, or [-1L] *)
+  prof : Obs.Profile.t option ref;
+}
+
 type t = {
   metadata : Metadata.t;
-  analysis : Analysis.t;
   decoder : decoder_kind;
   br_index : Metadata.br_table_index;
       (** O(1) per-location [br_table] metadata, built once at creation *)
   mutable instance : Interp.instance option;
       (** the instrumented instance, needed to resolve indirect call
           targets through the table; set right after instantiation *)
-  mutable indirect_cache : int array;
-      (** per-table-slot resolution of {!resolve_indirect}, filled lazily.
-          MVP tables are immutable once element segments have been
-          applied, so entries never need invalidation. *)
-  mutable prof : Obs.Profile.t option;
-      (** when set, every hook dispatch is counted and timed under
-          ["hook.<group>"] plus the ["dispatch.decode"] /
-          ["dispatch.analysis"] split; [None] costs one match per
-          dispatch *)
-  mark : int64 ref;
-      (** timestamp of the first analysis-callback entry of the current
-          profiled dispatch, or [-1L]; separates marshalling time from
-          user analysis time *)
-  marked_analysis : Analysis.t;
-      (** [analysis] with every callback wrapped to record [mark]; only
-          dispatched to while a profiler is attached *)
+  indirect_cache : int array ref;  (** per-table-slot {!resolve_indirect} results *)
+  binding : binding;
 }
 
 exception Bad_hook_args = Error.Hook_error
 
 let bad fmt = Error.hook_error ~code:"bad-hook-args" fmt
 
-let mark_now mark = if !mark < 0L then mark := Obs.Clock.now_ns ()
-
-(** Wrap every callback so the first one entered during a dispatch
-    records its entry time: everything before it is argument decoding,
-    everything after it is the user's analysis code. *)
-let with_mark mark (a : Analysis.t) : Analysis.t =
-  {
-    Analysis.nop = (fun l -> mark_now mark; a.Analysis.nop l);
-    unreachable = (fun l -> mark_now mark; a.Analysis.unreachable l);
-    if_ = (fun l c -> mark_now mark; a.Analysis.if_ l c);
-    br = (fun l t -> mark_now mark; a.Analysis.br l t);
-    br_if = (fun l t c -> mark_now mark; a.Analysis.br_if l t c);
-    br_table = (fun l tbl d i -> mark_now mark; a.Analysis.br_table l tbl d i);
-    begin_ = (fun l k -> mark_now mark; a.Analysis.begin_ l k);
-    end_ = (fun l k b -> mark_now mark; a.Analysis.end_ l k b);
-    const = (fun l v -> mark_now mark; a.Analysis.const l v);
-    drop = (fun l v -> mark_now mark; a.Analysis.drop l v);
-    select = (fun l c x y -> mark_now mark; a.Analysis.select l c x y);
-    unary = (fun l op i r -> mark_now mark; a.Analysis.unary l op i r);
-    binary = (fun l op x y r -> mark_now mark; a.Analysis.binary l op x y r);
-    local = (fun l op i v -> mark_now mark; a.Analysis.local l op i v);
-    global = (fun l op i v -> mark_now mark; a.Analysis.global l op i v);
-    load = (fun l op ma v -> mark_now mark; a.Analysis.load l op ma v);
-    store = (fun l op ma v -> mark_now mark; a.Analysis.store l op ma v);
-    memory_size = (fun l s -> mark_now mark; a.Analysis.memory_size l s);
-    memory_grow = (fun l d p -> mark_now mark; a.Analysis.memory_grow l d p);
-    call_pre = (fun l f args ti -> mark_now mark; a.Analysis.call_pre l f args ti);
-    call_post = (fun l rs -> mark_now mark; a.Analysis.call_post l rs);
-    return_ = (fun l rs -> mark_now mark; a.Analysis.return_ l rs);
-    start = (fun l -> mark_now mark; a.Analysis.start l);
-  }
-
-let default_decoder () : decoder_kind =
-  match Sys.getenv_opt "WASABI_REFERENCE_DECODER" with
-  | Some s when s <> "" && s <> "0" -> `Reference
-  | _ -> `Compiled
-
-let create ?decoder ?sink (res : Instrument.result) (analysis : Analysis.t) : t =
-  let decoder = match decoder with Some d -> d | None -> default_decoder () in
-  (* a sink interposes at the analysis boundary: hooks still decode
-     their arguments as usual, but the decoded invocation is reified as
-     an [Analysis.event] and handed to [sink] instead of running the
-     callbacks inline — the serve layer's async dispatch path *)
-  let analysis =
-    match sink with None -> analysis | Some push -> Analysis.reify push
-  in
+let binding analysis =
   let mark = ref (-1L) in
-  { metadata = res.metadata; analysis; decoder;
+  (* the first callback entered during a dispatch records its entry time:
+     everything before it is argument decoding, everything after it is
+     the user's analysis code *)
+  let marked =
+    Analysis.reify (fun ev ->
+      if !mark < 0L then mark := Obs.Clock.now_ns ();
+      Analysis.apply analysis ev)
+  in
+  { analysis; marked; mark; prof = ref None }
+
+(* a sink interposes at the analysis boundary: hooks still decode their
+   arguments as usual, but the decoded invocation is reified as an
+   [Analysis.event] and handed to [sink] instead of running the
+   callbacks inline — the serve layer's async dispatch path *)
+let sink_or ?sink analysis =
+  match sink with None -> analysis | Some push -> Analysis.reify push
+
+let create ?(decoder = `Compiled) ?sink (res : Instrument.result) (analysis : Analysis.t) : t =
+  { metadata = res.metadata; decoder;
     br_index = Metadata.build_br_table_index res.metadata;
-    instance = None; indirect_cache = [||]; prof = None;
-    mark; marked_analysis = with_mark mark analysis }
+    instance = None; indirect_cache = ref [||];
+    binding = binding (sink_or ?sink analysis) }
 
 (** Attach a profiler to both the runtime (hook-dispatch accounting) and
     the instrumented instance, when one is already present. *)
 let attach_profiler (rt : t) (p : Obs.Profile.t option) : unit =
-  rt.prof <- p;
+  rt.binding.prof := p;
   match rt.instance with
   | Some inst -> Interp.set_profiler inst p
   | None -> ()
@@ -168,63 +133,74 @@ let take_values ~split tys vs =
 
 let done_ = function [] -> () | _ -> bad "superfluous hook arguments"
 
-(** Map a function instance of the *instrumented* module back to its index
-    in the *original* module's function index space. *)
-let original_func_index rt (f : Interp.func_inst) : int option =
-  match rt.instance with
-  | None -> None
-  | Some inst ->
-    let n_imp = rt.metadata.Metadata.num_original_func_imports in
-    let h = rt.metadata.Metadata.num_hooks in
-    (match f with
-     | Interp.Wasm_func (j, owner) when owner == inst -> Some (n_imp + j)
-     | Interp.Wasm_func _ -> None
-     | Interp.Host_func _ ->
-       (* originally imported function: find its import position *)
-       let rec scan i =
-         if i >= n_imp + h then None
-         else if inst.Interp.inst_funcs.(i) == f then Some i
-         else scan (i + 1)
-       in
-       (match scan 0 with
-        | Some i when i < n_imp -> Some i
-        | _ -> None))
-
 (* cache sentinel: a table slot whose resolution has not been computed *)
 let unresolved = min_int
 
-let resolve_indirect rt (table_idx : int32) : int =
-  let missing = -1 in
-  match rt.instance with
-  | None -> missing
-  | Some inst ->
-    (match inst.Interp.inst_table with
-     | None -> missing
-     | Some table ->
-       let elems = table.Interp.t_elems in
-       let i = Int64.to_int (Int64.logand (Int64.of_int32 table_idx) 0xFFFFFFFFL) in
-       if i >= Array.length elems then missing
-       else begin
-         if Array.length rt.indirect_cache <> Array.length elems then
-           rt.indirect_cache <- Array.make (Array.length elems) unresolved;
-         let cached = rt.indirect_cache.(i) in
-         if cached <> unresolved then cached
-         else begin
-           let r =
-             match elems.(i) with
-             | None -> missing
-             | Some f ->
-               (match original_func_index rt f with Some k -> k | None -> missing)
-           in
-           rt.indirect_cache.(i) <- r;
-           r
-         end
-       end)
+(** Original-module index of the callee in table slot [tbl] of [inst],
+    or [-1] when the slot is out of range or null, or holds a function
+    that is neither the module's own nor one of its [n_imp] imports. The
+    instance's own defined function [j] is [n_imp + j] in both backends:
+    hook imports follow the original imports and are never a callee.
+    Cached per slot in [cache] (MVP tables are immutable once element
+    segments have been applied). *)
+let resolve_indirect (inst : Interp.instance) ~n_imp (cache : int array ref) (tbl : int32) : int =
+  match inst.Interp.inst_table with
+  | None -> -1
+  | Some table ->
+    let elems = table.Interp.t_elems in
+    let i = Int64.to_int (Int64.logand (Int64.of_int32 tbl) 0xFFFFFFFFL) in
+    if i >= Array.length elems then -1
+    else begin
+      if Array.length !cache <> Array.length elems then
+        cache := Array.make (Array.length elems) unresolved;
+      let cached = !cache.(i) in
+      if cached <> unresolved then cached
+      else begin
+        let r =
+          match elems.(i) with
+          | None -> -1
+          | Some (Interp.Wasm_func (j, owner)) when owner == inst -> n_imp + j
+          | Some f ->
+            let rec scan k =
+              if k >= n_imp then -1 else if inst.Interp.inst_funcs.(k) == f then k else scan (k + 1)
+            in
+            scan 0
+        in
+        !cache.(i) <- r;
+        r
+      end
+    end
+
+(** What the decoders read of their backend. *)
+type env = {
+  split : bool;  (** i64 arguments arrive as two i32 halves *)
+  want_end : bool;  (** a [br_table] fires the [end] events of the entry it takes *)
+  br_table : func:int -> instr:int -> Metadata.br_table_info option;
+  resolve : int32 -> int;  (** the original callee of an indirect-call table slot *)
+}
+
+(** The AOT backend's env: the instrumentation metadata, and the
+    instrumented instance's table once it is instantiated. *)
+let env (rt : t) : env =
+  let n_imp = rt.metadata.Metadata.num_original_func_imports in
+  { split = rt.metadata.Metadata.split_i64;
+    want_end = Hook.Group_set.mem Hook.G_end rt.metadata.Metadata.groups;
+    br_table = Metadata.br_table_find rt.br_index;
+    resolve =
+      (fun tbl ->
+         match rt.instance with
+         | None -> -1
+         | Some inst -> resolve_indirect inst ~n_imp rt.indirect_cache tbl) }
+
+let br_table_exn env (l : Location.t) =
+  match env.br_table ~func:l.Location.func ~instr:l.Location.instr with
+  | Some info -> info
+  | None -> invalid_arg (Printf.sprintf "no br_table at %s" (Location.to_string l))
 
 (** The reference dispatcher for one low-level hook: interpretive
     [take_*] decoding over an argument list. *)
-let dispatch_reference rt (a : Analysis.t) (spec : Hook.spec) : Value.t list -> unit =
-  let split = rt.metadata.Metadata.split_i64 in
+let dispatch_reference env (a : Analysis.t) (spec : Hook.spec) : Value.t list -> unit =
+  let split = env.split in
   let take_value = take_value ~split in
   let take_values = take_values ~split in
   fun args ->
@@ -253,12 +229,12 @@ let dispatch_reference rt (a : Analysis.t) (spec : Hook.spec) : Value.t list -> 
     | S_br_table ->
       let idx, args = take_int args in
       done_ args;
-      let info = Metadata.br_table_at rt.metadata loc in
+      let info = br_table_exn env loc in
       let targets = Array.map fst info.Metadata.bt_targets in
       let default = fst info.Metadata.bt_default in
       a.br_table loc targets default idx;
       (* the blocks ended by the selected entry, known only at runtime *)
-      if Hook.Group_set.mem Hook.G_end rt.metadata.Metadata.groups then begin
+      if env.want_end then begin
         (* the index is an unsigned i32: negative here means >= 2^31,
            which is out of range and takes the default *)
         let _, ended =
@@ -338,7 +314,7 @@ let dispatch_reference rt (a : Analysis.t) (spec : Hook.spec) : Value.t list -> 
       let vs, args = take_values tys args in
       done_ args;
       if indirect then
-        let callee = resolve_indirect rt callee_or_table in
+        let callee = env.resolve callee_or_table in
         a.call_pre loc callee vs (Some (Int32.to_int callee_or_table))
       else a.call_pre loc (Int32.to_int callee_or_table) vs None
     | S_call_post tys ->
@@ -354,22 +330,21 @@ let dispatch_reference rt (a : Analysis.t) (spec : Hook.spec) : Value.t list -> 
 
     Every monomorphized hook spec is compiled once into a specialized
     closure over an {e argument source}: readers specialised, at compile
-    time, to a fixed argument slot [k]. Slots 0 and 1 are always the
-    location (function index, instruction index). The same decoder
-    serves both ways a hook is called:
-
-    - on the array ABI, the source reads the operand-stack slice
-      ([Interp.call_host] enforces the arity, so reads are unchecked);
-    - at a tier-1 call site bound by {!Interp.site_binder}, it reads the
-      site's constants and the caller frame's locals in place. A
-      constant argument is a {!Const} reader, and everything computed
-      from constants only — the location, the [br]/[br_if] target
-      record, the [br_table] metadata — is computed once, at binding. *)
+    time, to a fixed argument slot [k] (slots 0 and 1 are the location's
+    function and instruction indices; the location itself is handed in
+    by the caller). On the array ABI the source reads the operand-stack
+    slice ([Interp.call_host] enforces the arity, so reads are
+    unchecked); at a tier-1 call site bound by {!Interp.site_binder} it
+    reads the site's constants and the caller frame's locals in place;
+    at a probe site it reads the plan event's arguments. A constant
+    argument is a {!Const} reader, and everything computed from
+    constants only — the [br]/[br_if] target record, the [br_table]
+    metadata — is computed once, when the decoder compiles. *)
 
 (** A reader of one argument out of a two-part environment: the stack
     buffer and argument offset on the array ABI, the caller's frame (and
-    [()]) at a bound site. Two parts, so the array ABI allocates nothing
-    per call. *)
+    [()]) at a bound site, the frame's locals (and [()]) at a probe site.
+    Two parts, so the array ABI allocates nothing per call. *)
 type ('a, 'b, 'x) arg = Const of 'x | Read of ('a -> 'b -> 'x)
 
 type ('a, 'b) source = {
@@ -378,7 +353,6 @@ type ('a, 'b) source = {
   value : value_type -> int -> ('a, 'b, Value.t) arg;
       (** the one-slot value of the given type at slot [k] *)
   joined : int -> ('a, 'b, Value.t) arg;  (** the i64 split into slots [k], [k + 1] *)
-  loc : ('a, 'b, Location.t) arg;  (** the location, slots 0 and 1 *)
 }
 
 let get = function Const x -> fun _ _ -> x | Read r -> r
@@ -404,11 +378,13 @@ let location func instr = Location.make ~func ~instr
 let slot_i32 args i = match Array.unsafe_get args i with Value.I32 x -> x | _ -> bad "expected i32"
 let slot_int args i = Int32.to_int (slot_i32 args i)
 
-(** The array ABI: arguments at [args.(off + k)]. *)
+(** The array ABI: arguments at [args.(off + k)], the location in slots
+    0 and 1. *)
+let stack_loc = Read (fun args off -> location (slot_int args off) (slot_int args (off + 1)))
+
 let stack_source : (Value.t array, int) source =
   { int = (fun k -> Read (fun args off -> slot_int args (off + k)));
     i32 = (fun k -> Read (fun args off -> slot_i32 args (off + k)));
-    loc = Read (fun args off -> location (slot_int args off) (slot_int args (off + 1)));
     joined =
       (fun k ->
          Read
@@ -435,7 +411,6 @@ let site_source (site : 'e Interp.site_arg array) : ('e, unit) source =
   in
   { int;
     i32 = (fun k -> map Int32.of_int (int k));
-    loc = map2 location (int 0) (int 1);
     joined = (fun k -> map2 (fun lo hi -> Value.I64 (join_i64 lo hi)) (int k) (int (k + 1)));
     value =
       (fun ty k ->
@@ -486,34 +461,27 @@ let target src =
     callback runs (not inlined into the callback application, whose
     evaluation order OCaml does not define), so the two paths are
     observationally identical. *)
-let compile rt (src : ('a, 'b) source) (spec : Hook.spec) : Analysis.t -> 'a -> 'b -> unit =
-  let split = rt.metadata.Metadata.split_i64 in
-  let loc = get src.loc in
+let compile env (src : ('a, 'b) source) (spec : Hook.spec)
+    : Analysis.t -> Location.t -> 'a -> 'b -> unit =
+  let split = env.split in
   match spec with
-  | Hook.S_nop -> fun (a : Analysis.t) p q -> a.nop (loc p q)
-  | S_unreachable -> fun (a : Analysis.t) p q -> a.unreachable (loc p q)
-  | S_start -> fun (a : Analysis.t) p q -> a.start (loc p q)
+  | Hook.S_nop -> fun (a : Analysis.t) l _ _ -> a.nop l
+  | S_unreachable -> fun (a : Analysis.t) l _ _ -> a.unreachable l
+  | S_start -> fun (a : Analysis.t) l _ _ -> a.start l
   | S_if_cond ->
     let cond = bool src 2 in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
-      let c = cond p q in
-      a.if_ l c
+    fun (a : Analysis.t) l p q -> a.if_ l (cond p q)
   | S_br ->
     let target = target src in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
-      let t = target p q in
-      a.br l t
+    fun (a : Analysis.t) l p q -> a.br l (target p q)
   | S_br_if ->
     let target = target src and cond = bool src 4 in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
+    fun (a : Analysis.t) l p q ->
       let t = target p q in
       let c = cond p q in
       a.br_if l t c
   | S_br_table ->
-    let want_end = Hook.Group_set.mem Hook.G_end rt.metadata.Metadata.groups in
+    let want_end = env.want_end in
     let table =
       get
         (map2
@@ -521,12 +489,11 @@ let compile rt (src : ('a, 'b) source) (spec : Hook.spec) : Analysis.t -> 'a -> 
               Option.map
                 (fun (info : Metadata.br_table_info) ->
                    (info, Array.map fst info.bt_targets, fst info.bt_default))
-                (Metadata.br_table_find rt.br_index ~func ~instr))
+                (env.br_table ~func ~instr))
            (src.int 0) (src.int 1))
     in
     let idx = int src 2 in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
+    fun (a : Analysis.t) l p q ->
       let i = idx p q in
       (match table p q with
        | None -> invalid_arg (Printf.sprintf "no br_table at %s" (Location.to_string l))
@@ -546,31 +513,25 @@ let compile rt (src : ('a, 'b) source) (spec : Hook.spec) : Analysis.t -> 'a -> 
                   (location l.Location.func eb.eb_begin_instr))
              ended
          end)
-  | S_begin kind -> fun (a : Analysis.t) p q -> a.begin_ (loc p q) kind
+  | S_begin kind -> fun (a : Analysis.t) l _ _ -> a.begin_ l kind
+  (* the hottest specs take a constant argument directly, not through a
+     reader call *)
   | S_end kind ->
-    let begin_loc = get (map2 location (src.int 0) (src.int 2)) in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
-      let b = begin_loc p q in
-      a.end_ l kind b
+    (match map2 location (src.int 0) (src.int 2) with
+     | Const b -> fun (a : Analysis.t) l _ _ -> a.end_ l kind b
+     | Read b -> fun (a : Analysis.t) l p q -> a.end_ l kind (b p q))
   | S_const ty ->
-    let v = value src ~split ty 2 in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
-      let x = v p q in
-      a.const l x
+    (match fst (read_value src ~split ty 2) with
+     | Const x -> fun (a : Analysis.t) l _ _ -> a.const l x
+     | v -> let v = get v in fun (a : Analysis.t) l p q -> a.const l (v p q))
   | S_drop ty ->
     let v = value src ~split ty 2 in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
-      let x = v p q in
-      a.drop l x
+    fun (a : Analysis.t) l p q -> a.drop l (v p q)
   | S_select ty ->
     let cond = bool src 2 in
     let rd1, w = read_value src ~split ty 3 in
     let v1 = get rd1 and v2 = value src ~split ty (3 + w) in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
+    fun (a : Analysis.t) l p q ->
       let c = cond p q in
       let x = v1 p q in
       let y = v2 p q in
@@ -578,8 +539,7 @@ let compile rt (src : ('a, 'b) source) (spec : Hook.spec) : Analysis.t -> 'a -> 
   | S_unary (op, ity, rty) ->
     let rdi, wi = read_value src ~split ity 2 in
     let input = get rdi and result = value src ~split rty (2 + wi) in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
+    fun (a : Analysis.t) l p q ->
       let x = input p q in
       let r = result p q in
       a.unary l op x r
@@ -587,117 +547,104 @@ let compile rt (src : ('a, 'b) source) (spec : Hook.spec) : Analysis.t -> 'a -> 
     let rda, wa = read_value src ~split aty 2 in
     let rdb, wb = read_value src ~split bty (2 + wa) in
     let va = get rda and vb = get rdb and vr = value src ~split rty (2 + wa + wb) in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
+    fun (a : Analysis.t) l p q ->
       let x = va p q in
       let y = vb p q in
       let r = vr p q in
       a.binary l op x y r
   | S_local (op, ty) ->
-    let opn = Hook.local_op_name op in
-    let idx = int src 2 and v = value src ~split ty 3 in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
-      let i = idx p q in
-      let x = v p q in
-      a.local l opn i x
+    let opn = Hook.local_op_name op and v = value src ~split ty 3 in
+    (match src.int 2 with
+     | Const i -> fun (a : Analysis.t) l p q -> a.local l opn i (v p q)
+     | Read idx ->
+       fun (a : Analysis.t) l p q ->
+         let i = idx p q in
+         let x = v p q in
+         a.local l opn i x)
   | S_global (op, ty) ->
     let opn = Hook.global_op_name op in
     let idx = int src 2 and v = value src ~split ty 3 in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
+    fun (a : Analysis.t) l p q ->
       let i = idx p q in
       let x = v p q in
       a.global l opn i x
   | S_load (op, ty) ->
     let addr = i32 src 2 and offset = int src 3 and v = value src ~split ty 4 in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
+    fun (a : Analysis.t) l p q ->
       let addr = addr p q in
       let offset = offset p q in
       let x = v p q in
       a.load l op { Analysis.addr; offset } x
   | S_store (op, ty) ->
     let addr = i32 src 2 and offset = int src 3 and v = value src ~split ty 4 in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
+    fun (a : Analysis.t) l p q ->
       let addr = addr p q in
       let offset = offset p q in
       let x = v p q in
       a.store l op { Analysis.addr; offset } x
   | S_memory_size ->
     let size = int src 2 in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
-      let s = size p q in
-      a.memory_size l s
+    fun (a : Analysis.t) l p q -> a.memory_size l (size p q)
   | S_memory_grow ->
     let delta = int src 2 and prev = int src 3 in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
+    fun (a : Analysis.t) l p q ->
       let d = delta p q in
       let p = prev p q in
       a.memory_grow l d p
   | S_call_pre (tys, indirect) ->
     let callee = i32 src 2 and vs = read_values src ~split tys 3 in
     if indirect then
-      fun (a : Analysis.t) p q ->
-        let l = loc p q in
+      fun (a : Analysis.t) l p q ->
         let tbl_idx = callee p q in
         let args = vs p q in
-        a.call_pre l (resolve_indirect rt tbl_idx) args (Some (Int32.to_int tbl_idx))
+        a.call_pre l (env.resolve tbl_idx) args (Some (Int32.to_int tbl_idx))
     else
-      fun (a : Analysis.t) p q ->
-        let l = loc p q in
+      fun (a : Analysis.t) l p q ->
         let f = callee p q in
         let args = vs p q in
         a.call_pre l (Int32.to_int f) args None
   | S_call_post tys ->
     let vs = read_values src ~split tys 2 in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
-      let rs = vs p q in
-      a.call_post l rs
+    fun (a : Analysis.t) l p q -> a.call_post l (vs p q)
   | S_return tys ->
     let vs = read_values src ~split tys 2 in
-    fun (a : Analysis.t) p q ->
-      let l = loc p q in
-      let rs = vs p q in
-      a.return_ l rs
+    fun (a : Analysis.t) l p q -> a.return_ l (vs p q)
 
 (** {1 Hook host functions} *)
 
 (** One hook's dispatch: [decode] applied to the analysis, or — only
     while a profiler is attached — to the mark-recording analysis inside
-    a timing wrapper that splits total dispatch time into marshalling
-    (["dispatch.decode"]) and user analysis code (["dispatch.analysis"])
-    at the first analysis-callback entry. Returns [ret] (the host
-    function's empty result list on the array ABI). *)
-let timed rt ~timer_key ~ret (decode : Analysis.t -> 'a -> 'b -> unit) : 'a -> 'b -> 'r =
-  let mark = rt.mark in
+    a timing wrapper that splits total dispatch time ([timer_key]) into
+    marshalling ([decode_key]) and user analysis code
+    (["dispatch.analysis"]) at the first analysis-callback entry. Returns
+    [ret] (the host function's empty result list on the array ABI). *)
+let timed (b : binding) ~timer_key ~decode_key ~ret (loc : ('a, 'b, Location.t) arg)
+    (decode : Analysis.t -> Location.t -> 'a -> 'b -> unit) : 'a -> 'b -> 'r =
   fun x y ->
-    (match rt.prof with
-     | None -> decode rt.analysis x y
-     | Some p ->
+    (match !(b.prof), loc with
+     | None, Const l -> decode b.analysis l x y
+     | None, Read r -> decode b.analysis (r x y) x y
+     | Some p, _ ->
        let t0 = Obs.Clock.now_ns () in
-       mark := -1L;
-       decode rt.marked_analysis x y;
+       b.mark := -1L;
+       decode b.marked (match loc with Const l -> l | Read r -> r x y) x y;
        let t2 = Obs.Clock.now_ns () in
-       let t1 = if !mark < 0L then t2 else !mark in
+       let t1 = if !(b.mark) < 0L then t2 else !(b.mark) in
        Obs.Profile.add_time p timer_key (Int64.sub t2 t0);
-       Obs.Profile.add_time p "dispatch.decode" (Int64.sub t1 t0);
+       Obs.Profile.add_time p decode_key (Int64.sub t1 t0);
        Obs.Profile.add_time p "dispatch.analysis" (Int64.sub t2 t1));
     ret
+
+let timer_key spec = "hook." ^ Hook.group_name (Hook.group_of_spec spec)
 
 (** Build the host function implementing one low-level hook: the
     selected decoder on the array ABI, plus — for the compiled decoder —
     the binder of tier-1 call sites, which runs the same decoder over
     the site's arguments. *)
-let make_hook rt (spec : Hook.spec) : Interp.extern =
-  let split_i64 = rt.metadata.Metadata.split_i64 in
-  let ft = Hook.signature ~split_i64 spec in
+let make_hook rt env (spec : Hook.spec) : Interp.extern =
+  let ft = Hook.signature ~split_i64:env.split spec in
   let nparams = List.length ft.params in
-  let timer_key = "hook." ^ Hook.group_name (Hook.group_of_spec spec) in
+  let timed ~ret = timed rt.binding ~timer_key:(timer_key spec) ~decode_key:"dispatch.decode" ~ret in
   let h_fn, bind =
     match rt.decoder with
     | `Compiled ->
@@ -706,24 +653,25 @@ let make_hook rt (spec : Hook.spec) : Interp.extern =
             (fun site ->
                if Array.length site <> nparams then None
                else
-                 match timed rt ~timer_key ~ret:() (compile rt (site_source site) spec) with
+                 let src = site_source site in
+                 match timed ~ret:() (map2 location (src.int 0) (src.int 1)) (compile env src spec) with
                  | entry -> Some (fun e -> entry e ())
                  | exception Unbindable -> None) }
       in
-      (timed rt ~timer_key ~ret:[] (compile rt stack_source spec), Some bind)
+      (timed ~ret:[] stack_loc (compile env stack_source spec), Some bind)
     | `Reference ->
-      let decode a args off =
+      let decode a _ args off =
         let rec build i acc = if i < 0 then acc else build (i - 1) (args.(off + i) :: acc) in
-        dispatch_reference rt a spec (build (nparams - 1) [])
+        dispatch_reference env a spec (build (nparams - 1) [])
       in
-      (timed rt ~timer_key ~ret:[] decode, None)
+      (timed ~ret:[] stack_loc decode, None)
   in
   Interp.host_func_raw ?bind ~name:(Hook.name spec) ~params:ft.params ~results:ft.results h_fn
 
 (** The dispatch table: one host function per generated hook, indexed by
     hook ordinal (= import position minus the original import count). *)
 let hook_externs (rt : t) : Interp.extern array =
-  Array.map (make_hook rt) rt.metadata.Metadata.hook_specs
+  Array.map (make_hook rt (env rt)) rt.metadata.Metadata.hook_specs
 
 let imports_of rt (hooks : Interp.extern array) : Interp.imports =
   Array.to_list
@@ -793,14 +741,9 @@ let fork ?sink (rt : t) (analysis : Analysis.t) : Interp.instance * t =
     | Some i -> i
     | None -> invalid_arg "Runtime.fork: runtime has no instance"
   in
-  let analysis =
-    match sink with None -> analysis | Some push -> Analysis.reify push
-  in
-  let mark = ref (-1L) in
   let rt' =
-    { metadata = rt.metadata; analysis; decoder = rt.decoder;
-      br_index = rt.br_index; instance = None; indirect_cache = [||];
-      prof = None; mark; marked_analysis = with_mark mark analysis }
+    { rt with instance = None; indirect_cache = ref [||];
+      binding = binding (sink_or ?sink analysis) }
   in
   let hooks = hook_externs rt' in
   (* hook ordinal [k] sits at function index [num_original_func_imports + k]
@@ -822,94 +765,62 @@ let fork ?sink (rt : t) (analysis : Analysis.t) : Interp.instance * t =
 
     The second way to run an analysis: instead of rewriting the binary
     ahead of time, probes are compiled into the {e original} module's
-    tier-1 closures inside the engine ([Interp.probe_function]).
-    No re-encode, no i64 splitting, no argument marshalling through wasm
-    locals — event closures peek the few operands their site boxes onto
-    the live operand stack and invoke the same {!Analysis.t} callbacks
-    the AOT hook path dispatches to, so every analysis runs unmodified
-    under either backend.
-
-    Event synthesis mirrors the instrumenter's contract exactly
-    (location values, event order, [end] events of every block a branch
-    exits, [br_table] runtime selection, call argument/result capture);
-    the probe-parity differential fuzz oracle holds the two backends to
+    tier-1 closures inside the engine ([Interp.probe_function]), with no
+    re-encode, no i64 splitting and no argument marshalling through wasm
+    locals. The backend has no event contract of its own: it lowers the
+    same {!Plan} the rewriter lowers, for the groups the attached probes
+    select, and decodes every event with {!compile} over a probe source
+    (no split halves, the [end] events of a [br_table] always selected).
+    The probe-parity differential fuzz oracle holds the two lowerings to
     an identical hook-event stream.
 
-    Probes attach and detach while the instance runs. Attach and detach
-    compile nothing: they rebuild each function's sparse site table and
-    mark the bodies that have one. A probed body is compiled with its
-    sites into tier 1 at its first entry after the mark, on every
-    instance, with or without a tier policy (probes imply tier 1; there
-    is no tier-0 probe path), so unprobed sites and functions run at
-    full tier-1 speed. Frames already on the stack finish on the code
-    they entered with; detach silences their installed closures
-    immediately via the entry's active flag, and detached bodies re-tier
-    naturally. *)
+    Attach and detach compile nothing: they mark the bodies with an
+    event an attached probe matches. A probed body's sparse site table
+    is built, and the body compiled with it into tier 1, at its first
+    entry after the mark, on every instance, with or without a tier
+    policy (probes imply tier 1), so code that never runs costs no
+    sites. Frames already on the stack finish on the code they entered
+    with; detach silences their installed closures immediately via the
+    entry's active flag, and detached bodies re-tier naturally. *)
 module Probe = struct
   open Wasm.Interp
-  open Wasm.Ast
-
-  (** Static control-stack entry of the probe builder's walk, the
-      analogue of the instrumenter's [ctrl_entry]. *)
-  type pctrl = {
-    k : Hook.block_kind;
-    cb : int;  (** begin instruction index; -1 for the function *)
-    ce : int;  (** matching [End] index; body length for the function *)
-  }
 
   type controller = {
     pc_inst : instance;  (** an instance of the {e original} module *)
-    pc_analysis : Analysis.t;
-    pc_marked : Analysis.t;  (** mark-wrapped, dispatched under a profiler *)
-    pc_mark : int64 ref;
+    pc_binding : binding;
     pc_mgr : Obs.Probe.t;
-    mutable pc_prof : Obs.Profile.t option;
-    mutable pc_indirect : int array;  (** per-table-slot callee resolution *)
-    pc_n_imp : int;  (** imported functions: defined j ↔ index n_imp + j *)
-    pc_start : int option;
+    pc_vctx : Validate.Module_ctx.t;
+    pc_n_imp : int;
+    pc_env : env;
+    pc_captured : Value.t array;
+        (** the operands a site reports after its instruction, captured
+            before it: nothing runs in between, so one buffer serves all *)
   }
 
-  let target_instr (e : pctrl) =
-    match e.k with
-    | Hook.Bloop -> e.cb + 1
-    | Hook.Bfunction -> e.ce
-    | Hook.Bblock | Hook.Bif | Hook.Belse -> e.ce + 1
+  (** The argument source of plan event [ev] at location [l]. The
+      location and immediates are constants; an operand is peeked off the
+      live stack when the event fires before its instruction and read
+      from [captured] (filled before it) when it fires after; the result
+      is peeked after the instruction; a local is read from the frame. *)
+  let source (st : stack) (captured : Value.t array) (l : Location.t) (ev : Plan.event)
+      : (Value.t array, unit) source =
+    let value k : (Value.t array, unit, Value.t) arg =
+      if k < 2 then Const (Value.i32_of_int (if k = 0 then l.func else l.instr))
+      else
+        match List.nth ev.args (k - 2) with
+        | Plan.Imm v -> Const v
+        | Operand d when ev.timing = Plan.Before ->
+          Read (fun _ () -> Array.unsafe_get st.data (st.size - 1 - d))
+        | Operand d -> Read (fun _ () -> Array.unsafe_get captured d)
+        | Result -> Read (fun _ () -> Array.unsafe_get st.data (st.size - 1))
+        | Local x -> Read (fun locals () -> Array.unsafe_get locals x)
+    in
+    { int = (fun k -> map (fun v -> Int32.to_int (Value.as_i32 v)) (value k));
+      i32 = (fun k -> map Value.as_i32 (value k));
+      value = (fun _ -> value);
+      joined = (fun _ -> invalid_arg "probe arguments are never split") }
 
-  (** Original-module function index of a table slot's callee, -1 when
-      null / foreign; cached per slot (MVP tables are immutable). *)
-  let resolve_indirect_orig c (tbl : int32) : int =
-    match c.pc_inst.inst_table with
-    | None -> -1
-    | Some table ->
-      let elems = table.t_elems in
-      let i = Int64.to_int (Int64.logand (Int64.of_int32 tbl) 0xFFFFFFFFL) in
-      if i >= Array.length elems then -1
-      else begin
-        if Array.length c.pc_indirect <> Array.length elems then
-          c.pc_indirect <- Array.make (Array.length elems) unresolved;
-        let cached = c.pc_indirect.(i) in
-        if cached <> unresolved then cached
-        else begin
-          let r =
-            match elems.(i) with
-            | None -> -1
-            | Some (Wasm_func (j, owner)) when owner == c.pc_inst -> c.pc_n_imp + j
-            | Some f ->
-              let rec scan i =
-                if i >= c.pc_n_imp then -1
-                else if c.pc_inst.inst_funcs.(i) == f then i
-                else scan (i + 1)
-              in
-              scan 0
-          in
-          c.pc_indirect.(i) <- r;
-          r
-        end
-      end
-
-  (** One event of a site: the closure plus the top-of-stack operands
-      and the local it reads. *)
-  let event ?(operands = 0) ?(local = -1) pe_fire =
+  let probe_event ?(operands = 0) ?(local = -1) pe_fire =
     { pe_fire; pe_operands = operands; pe_local = local }
 
   (** The events of one site, fired in order, as one event reading what
@@ -925,379 +836,228 @@ module Probe = struct
           pe_local = List.fold_left (fun l e -> max l e.pe_local) (-1) es;
         }
 
-  (** Build the probe-site table of defined function [j] from the
-      currently attached probe set: [None] when no active probe matches
-      any event site in the function. Every synthesized event closure is
-      a gate compiled from the statically-matching probe entries
-      ({!Obs.Probe.gate}) around the analysis callback, wrapped — only
-      while a profiler is attached — in the ["hook.<group>"] /
-      ["dispatch.probe"] / ["dispatch.analysis"] timing split. *)
-  let build_hooks c ~(j : int) : probe_hooks option =
-    let inst = c.pc_inst in
-    let code = inst.inst_code.(j) in
-    let fidx = c.pc_n_imp + j in
-    let body = code.c_body in
-    let n = Array.length body in
-    let jumps = code.c_jumps in
-    let st = inst.inst_stack in
-    let peek d = Array.unsafe_get st.data (st.size - 1 - d) in
-    let loc at = Location.make ~func:fidx ~instr:at in
-    let mk_event ?operands ?local ~group ~at
-        (build : Analysis.t -> Location.t -> Value.t array -> unit) : probe_event option =
-      let gname = Hook.group_name group in
-      match
-        List.filter
-          (fun (e : Obs.Probe.entry) ->
-             Obs.Probe.site_matches e.Obs.Probe.e_spec ~group:gname ~func:fidx ~instr:at)
-          (Obs.Probe.entries c.pc_mgr)
-      with
-      | [] -> None
-      | es ->
-        let here = loc at in
-        let gate = Obs.Probe.gate es in
-        Some
-          (event ?operands ?local (fun locals ->
-             if gate () then
-               match c.pc_prof with
-               | None -> build c.pc_analysis here locals
-               | Some p ->
-                 let t0 = Obs.Clock.now_ns () in
-                 c.pc_mark := -1L;
-                 build c.pc_marked here locals;
-                 let t2 = Obs.Clock.now_ns () in
-                 let t1 = if !(c.pc_mark) < 0L then t2 else !(c.pc_mark) in
-                 Obs.Profile.add_time p ("hook." ^ gname) (Int64.sub t2 t0);
-                 Obs.Profile.add_time p "dispatch.probe" (Int64.sub t1 t0);
-                 Obs.Profile.add_time p "dispatch.analysis" (Int64.sub t2 t1)))
+  (** The hook groups the active entries that can match in [fidx]
+      select, and the gate of an event of [fidx] of the given spec,
+      reported at [at]: compiled from the entries matching its group,
+      function and instruction ({!Obs.Probe.gate}), [None] when none
+      does. [None] when no active entry can match in [fidx]. *)
+  let gates c ~fidx =
+    let in_func (e : Obs.Probe.entry) =
+      Option.fold ~none:true ~some:(( = ) fidx) e.e_spec.sp_func
+      && Option.fold ~none:true ~some:(fun (g, _) -> g = fidx) e.e_spec.sp_loc
     in
-    let pre = Array.make n [] and post = Array.make n [] in
-    let any = ref false in
-    let add_pre i f =
-      any := true;
-      pre.(i) <- f :: pre.(i)
-    in
-    let add_post i f =
-      any := true;
-      post.(i) <- f :: post.(i)
-    in
-    let add_pre_event i = function None -> () | Some f -> add_pre i f in
-    let add_post_event i = function None -> () | Some f -> add_post i f in
-    let ctrl = ref [ { k = Hook.Bfunction; cb = -1; ce = n } ] in
-    let resolve_target l : Metadata.target =
-      let e = List.nth !ctrl l in
-      { Metadata.label = l; target_loc = loc (target_instr e) }
-    in
-    let ended_blocks l : Metadata.ended_block list =
-      List.filteri (fun i _ -> i <= l) !ctrl
-      |> List.map (fun e ->
-        { Metadata.eb_kind = e.k; eb_end_loc = loc e.ce; eb_begin_instr = e.cb })
-    in
-    (* gated end-event closures of the blocks a branch exits, innermost
-       first — each gated at its own reported location *)
-    let end_events ended =
-      List.filter_map
-        (fun (eb : Metadata.ended_block) ->
-           let begin_loc = loc eb.Metadata.eb_begin_instr in
-           mk_event ~group:Hook.G_end ~at:eb.Metadata.eb_end_loc.Location.instr
-             (fun a here _ -> a.Analysis.end_ here eb.Metadata.eb_kind begin_loc))
-        ended
-    in
-    let cond_of v = not (Int32.equal (Value.as_i32 v) 0l) in
-    Array.iteri
-      (fun at ins ->
-         match ins with
-         | Nop ->
-           add_post_event at
-             (mk_event ~group:Hook.G_nop ~at (fun a here _ -> a.Analysis.nop here))
-         | Unreachable ->
-           add_pre_event at
-             (mk_event ~group:Hook.G_unreachable ~at (fun a here _ ->
-                a.Analysis.unreachable here))
-         | Block _ ->
-           ctrl := { k = Hook.Bblock; cb = at; ce = jumps.end_of.(at) } :: !ctrl;
-           add_post_event at
-             (mk_event ~group:Hook.G_begin ~at (fun a here _ ->
-                a.Analysis.begin_ here Hook.Bblock))
-         | Loop _ ->
-           ctrl := { k = Hook.Bloop; cb = at; ce = jumps.end_of.(at) } :: !ctrl;
-           (* on the loop-head slot, the back-branch target: fires once
-              per iteration, like the AOT hook inside the loop *)
-           add_pre_event (at + 1)
-             (mk_event ~group:Hook.G_begin ~at (fun a here _ ->
-                a.Analysis.begin_ here Hook.Bloop))
-         | If _ ->
-           add_pre_event at
-             (mk_event ~operands:1 ~group:Hook.G_if ~at (fun a here _ ->
-                a.Analysis.if_ here (cond_of (peek 0))));
-           ctrl := { k = Hook.Bif; cb = at; ce = jumps.end_of.(at) } :: !ctrl;
-           (* first slot of the then-branch: fires only when the
-              condition was true, like the AOT hook inside the branch *)
-           add_pre_event (at + 1)
-             (mk_event ~group:Hook.G_begin ~at (fun a here _ ->
-                a.Analysis.begin_ here Hook.Bif))
-         | Else ->
-           let e, rest =
-             match !ctrl with
-             | e :: rest -> (e, rest)
-             | [] -> invalid_arg "else without open block"
-           in
-           ctrl := { e with k = Hook.Belse; cb = at } :: rest;
-           (* reached only by the then-branch falling through *)
-           let if_loc = loc e.cb in
-           add_pre_event at
-             (mk_event ~group:Hook.G_end ~at (fun a here _ ->
-                a.Analysis.end_ here Hook.Bif if_loc));
-           (* first slot of the else-branch: false-condition path only *)
-           add_pre_event (at + 1)
-             (mk_event ~group:Hook.G_begin ~at (fun a here _ ->
-                a.Analysis.begin_ here Hook.Belse))
-         | End ->
-           let e, rest =
-             match !ctrl with
-             | e :: rest -> (e, rest)
-             | [] -> invalid_arg "unbalanced end"
-           in
-           ctrl := rest;
-           let begin_loc = loc e.cb in
-           add_pre_event at
-             (mk_event ~group:Hook.G_end ~at (fun a here _ ->
-                a.Analysis.end_ here e.k begin_loc))
-         | Br l ->
-           let t = resolve_target l in
-           add_pre_event at
-             (mk_event ~group:Hook.G_br ~at (fun a here _ -> a.Analysis.br here t));
-           List.iter (add_pre at) (end_events (ended_blocks l))
-         | BrIf l ->
-           let t = resolve_target l in
-           add_pre_event at
-             (mk_event ~operands:1 ~group:Hook.G_br_if ~at (fun a here _ ->
-                a.Analysis.br_if here t (cond_of (peek 0))));
-           (match end_events (ended_blocks l) with
-            | [] -> ()
-            | evs ->
-              (* end events fire only when the branch is taken *)
-              add_pre at
-                (event ~operands:1 (fun locals ->
-                   if cond_of (peek 0) then List.iter (fun e -> e.pe_fire locals) evs)))
-         | BrTable (ls, d) ->
-           let entry l = (resolve_target l, ended_blocks l) in
-           let targets_info = Array.of_list (List.map entry ls) in
-           let default_info = entry d in
-           let targets = Array.map fst targets_info in
-           let default_t = fst default_info in
-           let bt_event =
-             mk_event ~group:Hook.G_br_table ~at (fun a here _ ->
-               a.Analysis.br_table here targets default_t
-                 (Int32.to_int (Value.as_i32 (peek 0))))
-           in
-           let entry_ends = Array.map (fun (_, ended) -> end_events ended) targets_info in
-           let default_ends = end_events (snd default_info) in
-           let have_ends =
-             (match default_ends with [] -> false | _ -> true)
-             || Array.exists (function [] -> false | _ -> true) entry_ends
-           in
-           if Option.is_some bt_event || have_ends then
-             add_pre at
-               (event ~operands:1 (fun locals ->
-                  (match bt_event with None -> () | Some e -> e.pe_fire locals);
-                  if have_ends then begin
-                    (* signed read, like the AOT dispatcher: a negative
-                       index is >= 2^31 unsigned, out of range, default *)
-                    let idx = Int32.to_int (Value.as_i32 (peek 0)) in
-                    let ends =
-                      if idx >= 0 && idx < Array.length entry_ends then entry_ends.(idx)
-                      else default_ends
-                    in
-                    List.iter (fun e -> e.pe_fire locals) ends
-                  end))
-         | Return ->
-           let arity = code.c_arity in
-           add_pre_event at
-             (mk_event ~operands:arity ~group:Hook.G_return ~at (fun a here _ ->
-                a.Analysis.return_ here (if arity = 0 then [] else [ peek 0 ])));
-           List.iter (add_pre at) (end_events (ended_blocks (List.length !ctrl - 1)))
-         | Call fi ->
-           let ft = func_type_of inst.inst_funcs.(fi) in
-           let np = List.length ft.Types.params in
-           let nr = List.length ft.Types.results in
-           add_pre_event at
-             (mk_event ~operands:np ~group:Hook.G_call ~at (fun a here _ ->
-                let args = List.init np (fun i -> peek (np - 1 - i)) in
-                a.Analysis.call_pre here fi args None));
-           add_post_event at
-             (mk_event ~operands:nr ~group:Hook.G_call ~at (fun a here _ ->
-                a.Analysis.call_post here (if nr = 0 then [] else [ peek 0 ])))
-         | CallIndirect ti ->
-           let ft = inst.inst_types.(ti) in
-           let np = List.length ft.Types.params in
-           let nr = List.length ft.Types.results in
-           add_pre_event at
-             (mk_event ~operands:(np + 1) ~group:Hook.G_call ~at (fun a here _ ->
-                let tbl = Value.as_i32 (peek 0) in
-                let args = List.init np (fun i -> peek (np - i)) in
-                a.Analysis.call_pre here (resolve_indirect_orig c tbl) args
-                  (Some (Int32.to_int tbl))));
-           add_post_event at
-             (mk_event ~operands:nr ~group:Hook.G_call ~at (fun a here _ ->
-                a.Analysis.call_post here (if nr = 0 then [] else [ peek 0 ])))
-         | Drop ->
-           add_pre_event at
-             (mk_event ~operands:1 ~group:Hook.G_drop ~at (fun a here _ ->
-                a.Analysis.drop here (peek 0)))
-         | Select ->
-           add_pre_event at
-             (mk_event ~operands:3 ~group:Hook.G_select ~at (fun a here _ ->
-                a.Analysis.select here (cond_of (peek 0)) (peek 2) (peek 1)))
-         | LocalGet x | LocalSet x | LocalTee x ->
-           let opn =
-             Hook.local_op_name
-               (match ins with
-                | LocalGet _ -> Hook.Lget
-                | LocalSet _ -> Hook.Lset
-                | _ -> Hook.Ltee)
-           in
-           (* after the instruction the local holds the reported value
-              for all three ops, like the AOT [local.get x] argument *)
-           add_post_event at
-             (mk_event ~local:x ~group:Hook.G_local ~at (fun a here locals ->
-                a.Analysis.local here opn x locals.(x)))
-         | GlobalGet x ->
-           add_post_event at
-             (mk_event ~operands:1 ~group:Hook.G_global ~at (fun a here _ ->
-                a.Analysis.global here (Hook.global_op_name Hook.Gget) x (peek 0)))
-         | GlobalSet x ->
-           add_post_event at
-             (mk_event ~group:Hook.G_global ~at (fun a here _ ->
-                a.Analysis.global here (Hook.global_op_name Hook.Gset) x
-                  inst.inst_globals.(x).g_value))
-         | Load op ->
-           let opn = string_of_instr ins in
-           let addr = ref 0l in
-           (match
-              mk_event ~operands:1 ~group:Hook.G_load ~at (fun a here _ ->
-                a.Analysis.load here opn
-                  { Analysis.addr = !addr; offset = op.loffset }
-                  (peek 0))
-            with
-            | None -> ()
-            | Some ev ->
-              add_pre at (event ~operands:1 (fun _ -> addr := Value.as_i32 (peek 0)));
-              add_post at ev)
-         | Store op ->
-           let opn = string_of_instr ins in
-           let addr = ref 0l in
-           let v = ref (Value.I32 0l) in
-           (match
-              mk_event ~group:Hook.G_store ~at (fun a here _ ->
-                a.Analysis.store here opn
-                  { Analysis.addr = !addr; offset = op.soffset }
-                  !v)
-            with
-            | None -> ()
-            | Some ev ->
-              add_pre at
-                (event ~operands:2 (fun _ ->
-                   v := peek 0;
-                   addr := Value.as_i32 (peek 1)));
-              add_post at ev)
-         | MemorySize ->
-           add_post_event at
-             (mk_event ~operands:1 ~group:Hook.G_memory_size ~at (fun a here _ ->
-                a.Analysis.memory_size here (Int32.to_int (Value.as_i32 (peek 0)))))
-         | MemoryGrow ->
-           let delta = ref 0 in
-           (match
-              mk_event ~operands:1 ~group:Hook.G_memory_grow ~at (fun a here _ ->
-                a.Analysis.memory_grow here !delta
-                  (Int32.to_int (Value.as_i32 (peek 0))))
-            with
-            | None -> ()
-            | Some ev ->
-              add_pre at
-                (event ~operands:1 (fun _ -> delta := Int32.to_int (Value.as_i32 (peek 0))));
-              add_post at ev)
-         | Const v ->
-           add_post_event at
-             (mk_event ~group:Hook.G_const ~at (fun a here _ -> a.Analysis.const here v))
-         | Test _ | Unary _ | Convert _ ->
-           let opn = string_of_instr ins in
-           let input = ref (Value.I32 0l) in
-           (match
-              mk_event ~operands:1 ~group:Hook.G_unary ~at (fun a here _ ->
-                a.Analysis.unary here opn !input (peek 0))
-            with
-            | None -> ()
-            | Some ev ->
-              add_pre at (event ~operands:1 (fun _ -> input := peek 0));
-              add_post at ev)
-         | Compare _ | Binary _ ->
-           let opn = string_of_instr ins in
-           let xa = ref (Value.I32 0l) in
-           let xb = ref (Value.I32 0l) in
-           (match
-              mk_event ~operands:1 ~group:Hook.G_binary ~at (fun a here _ ->
-                a.Analysis.binary here opn !xa !xb (peek 0))
-            with
-            | None -> ()
-            | Some ev ->
-              add_pre at
-                (event ~operands:2 (fun _ ->
-                   xb := peek 0;
-                   xa := peek 1));
-              add_post at ev))
-      body;
-    let enter_evs =
-      (if c.pc_start = Some fidx then
-         match
-           mk_event ~group:Hook.G_start ~at:(-1) (fun a here _ -> a.Analysis.start here)
-         with
-         | None -> []
-         | Some f -> [ f ]
-       else [])
-      @
-      match
-        mk_event ~group:Hook.G_begin ~at:(-1) (fun a here _ ->
-          a.Analysis.begin_ here Hook.Bfunction)
-      with
-      | None -> []
-      | Some f -> [ f ]
-    in
-    let exit_ev =
-      let fn_begin = loc (-1) in
-      mk_event ~group:Hook.G_end ~at:n (fun a here _ ->
-        a.Analysis.end_ here Hook.Bfunction fn_begin)
-    in
-    if not !any && List.is_empty enter_evs && Option.is_none exit_ev then None
-    else begin
-      let sites = ref [] in
-      for at = n - 1 downto 0 do
-        match (pre.(at), post.(at)) with
-        | [], [] -> ()
-        | p, q ->
-          sites :=
-            { site_pc = at; site_pre = compose (List.rev p); site_post = compose (List.rev q) }
-            :: !sites
-      done;
+    match List.filter in_func (Obs.Probe.entries c.pc_mgr) with
+    | [] -> None
+    | entries ->
+      let groups =
+        if List.exists (fun (e : Obs.Probe.entry) -> e.e_spec.sp_groups = []) entries then Hook.all
+        else
+          List.concat_map (fun (e : Obs.Probe.entry) -> e.e_spec.sp_groups) entries
+          |> List.filter_map (fun g -> try Some (Hook.group_of_name g) with Invalid_argument _ -> None)
+          |> Hook.of_list
+      in
       Some
-        {
-          ph_sites = Array.of_list !sites;
-          ph_enter = compose enter_evs;
-          ph_exit = exit_ev;
-          ph_compile = Wasm.Tier1.compile;
-        }
-    end
+        ( groups,
+          fun spec ~at ->
+            let group = Hook.group_name (Hook.group_of_spec spec) in
+            match
+              List.filter
+                (fun (e : Obs.Probe.entry) ->
+                   Obs.Probe.site_matches e.e_spec ~group ~func:fidx ~instr:at)
+                entries
+            with
+            | [] -> None
+            | es -> Some (Obs.Probe.gate es) )
 
-  (** Re-derive every probe-site table from the current probe set.
-      Functions with at least one matching event site are marked probed
-      (compiled with their sites at their next entry); the rest return to
-      normal tiered execution. Nothing is compiled here. *)
+  (** The gates of the [end] events a [br_table] may fire, by location. *)
+  let end_gates gate (info : Metadata.br_table_info) =
+    List.filter_map
+      (fun (eb : Metadata.ended_block) ->
+         let at = eb.eb_end_loc.Location.instr in
+         Option.map (fun g -> (at, g)) (gate (Hook.S_end eb.eb_kind) ~at))
+      (List.concat_map snd (info.bt_default :: Array.to_list info.bt_targets))
+
+  (** Build the probe-site table of defined function [j] by lowering its
+      plan for the groups the active probes select: [None] when no
+      active probe matches any event. Each event is its gate around its
+      decoder, timed under ["dispatch.probe"] while a profiler is
+      attached. *)
+  let build_hooks c ~(j : int) (f : Ast.func) : probe_hooks option =
+    let fidx = c.pc_n_imp + j in
+    match gates c ~fidx with
+    | None -> None
+    | Some (groups, gate) ->
+    let st = c.pc_inst.inst_stack in
+    let peek d = Array.unsafe_get st.data (st.size - 1 - d) in
+    (* the capture of the operands (one or two) an event after its
+       instruction reports *)
+    let captured = c.pc_captured in
+    let capture1 = probe_event ~operands:1 (fun _ -> captured.(0) <- peek 0) in
+    let capture2 =
+      probe_event ~operands:2 (fun _ ->
+        captured.(0) <- peek 0;
+        captured.(1) <- peek 1)
+    in
+    (* the closure of [ev]: its gate around its decoder, timed only while
+       a profiler is attached (attaching one rebuilds the sites) *)
+    let fire env b gate (ev : Plan.event) =
+      let l = location fidx ev.at in
+      let decode = compile env (source st captured l ev) ev.spec in
+      match !(b.prof) with
+      | None -> fun locals -> if gate () then decode b.analysis l locals ()
+      | Some _ ->
+        let timed =
+          timed b ~timer_key:(timer_key ev.spec) ~decode_key:"dispatch.probe" ~ret:() (Const l)
+            decode
+        in
+        fun locals -> if gate () then timed locals ()
+    in
+    (* the probe event of [ev] under [gate] *)
+    let event ?(env = c.pc_env) ?(b = c.pc_binding) gate (ev : Plan.event) =
+      let reads (n, l) = function
+        | Plan.Operand d when ev.timing <> After -> (max n (d + 1), l)
+        | Result -> (max n 1, l)
+        | Local x -> (n, x)
+        | _ -> (n, l)
+      in
+      let pe_operands, pe_local = List.fold_left reads (0, -1) ev.args in
+      { pe_fire = fire env b gate ev; pe_operands; pe_local }
+    in
+    (* a [br_table]'s decoder fires the [br_table] event and the [end]
+       events of the entry it takes, through an analysis that gates each
+       at its own location *)
+    let br_table (info : Metadata.br_table_info) (ev : Plan.event) =
+      let end_gates = end_gates gate info in
+      let bt_gate = gate ev.spec ~at:ev.at in
+      if Option.is_none bt_gate && List.is_empty end_gates then None
+      else begin
+        let gated (a : Analysis.t) =
+          { a with
+            Analysis.br_table =
+              (fun l t d i ->
+                 match bt_gate with Some g when g () -> a.br_table l t d i | _ -> ());
+            end_ =
+              (fun l k b ->
+                 match List.assoc_opt l.Location.instr end_gates with
+                 | Some g when g () -> a.end_ l k b
+                 | _ -> ()) }
+        in
+        let b = c.pc_binding in
+        Some
+          (event
+             ~env:{ c.pc_env with br_table = (fun ~func:_ ~instr:_ -> Some info) }
+             ~b:{ b with analysis = gated b.analysis; marked = gated b.marked }
+             (fun () -> true) ev)
+      end
+    in
+    let n = List.length f.body in
+    (* the instruction's probe events before and after it, the taken-only
+       [end] events of a [br_if], and the body-head events of the next
+       instruction, each reversed *)
+    let pre = ref [] and post = ref [] and taken = ref [] and next = ref [] in
+    let place table (ev : Plan.event) =
+      match ev.spec, ev.timing with
+      | Hook.S_br_table, _ -> Option.iter (fun e -> pre := e :: !pre) (br_table (Option.get table) ev)
+      | _, timing ->
+        match gate ev.spec ~at:ev.at with
+        | None -> ()
+        | Some g ->
+          match timing with
+          | Plan.Before -> pre := event g ev :: !pre
+          | Body_head -> next := event g ev :: !next
+          | Taken -> taken := event g ev :: !taken
+          | After ->
+            if List.mem (Plan.Operand 1) ev.args then pre := capture2 :: !pre
+            else if List.mem (Plan.Operand 0) ev.args then pre := capture1 :: !pre;
+            post := event g ev :: !post
+    in
+    let enter = ref [] and exit = ref [] and sites = ref [] in
+    let site at events table =
+      List.iter (place table) events;
+      (match List.rev !taken with
+       | [] -> ()
+       | evs ->
+         pre :=
+           probe_event ~operands:1 (fun locals ->
+             if not (Int32.equal (Value.as_i32 (peek 0)) 0l) then
+               List.iter (fun e -> e.pe_fire locals) evs)
+           :: !pre);
+      if at < 0 then enter := List.rev !pre
+      else if at >= n then exit := List.rev !pre
+      else if not (List.is_empty !pre && List.is_empty !post) then
+        sites :=
+          { site_pc = at; site_pre = compose (List.rev !pre); site_post = compose (List.rev !post) }
+          :: !sites;
+      pre := !next;
+      post := [];
+      taken := [];
+      next := []
+    in
+    match
+      Plan.func ~groups ~facts:None ~vctx:c.pc_vctx ~fidx
+        ~is_start:(c.pc_inst.inst_module.Ast.start = Some fidx) f site
+    with
+    | exception Validate.Invalid _ ->
+      (* tier 1 declines a body that does not validate: probed with no
+         sites, probing it is the structured probe-unsupported error,
+         never a run without events *)
+      Some { ph_sites = [||]; ph_enter = None; ph_exit = None; ph_compile = Wasm.Tier1.compile }
+    | _ ->
+      if List.is_empty !sites && List.is_empty !enter && List.is_empty !exit then None
+      else
+        Some
+          { ph_sites = Array.of_list (List.rev !sites);
+            ph_enter = compose !enter;
+            ph_exit = compose !exit;
+            ph_compile = Wasm.Tier1.compile }
+
+  (** Does an active probe match an event of defined function [j]? The
+      walk stops at the first one. A body that does not validate counts:
+      tier 1 declines it, so probing it is the structured
+      probe-unsupported error, never a run without events. *)
+  let matched c ~(j : int) (f : Ast.func) =
+    let fidx = c.pc_n_imp + j in
+    match gates c ~fidx with
+    | None -> false
+    | Some (groups, gate) ->
+      let exception Found in
+      let gated table (ev : Plan.event) =
+        Option.is_some (gate ev.spec ~at:ev.at)
+        || (ev.spec = Hook.S_br_table && not (List.is_empty (end_gates gate (Option.get table))))
+      in
+      match
+        Plan.func ~groups ~facts:None ~vctx:c.pc_vctx ~fidx
+          ~is_start:(c.pc_inst.inst_module.Ast.start = Some fidx) f
+          (fun _ events table -> if List.exists (gated table) events then raise Found)
+      with
+      | _ -> false
+      | exception (Found | Validate.Invalid _) -> true
+
+  (** The hooks of a probed body before its first entry: its sites are
+      built when it is compiled, so code that never runs costs none.
+      Until then the hooks decline tier 1 — an entry event that reads an
+      operand the frame does not have — so a body compiled without them,
+      by [Tier1.compile_all], stays marked and compiles here at its next
+      entry instead of running without its events. *)
+  let pending c (f : Ast.func) =
+    { ph_sites = [||];
+      ph_enter = Some (probe_event ~operands:1 ignore);
+      ph_exit = None;
+      ph_compile =
+        (fun inst j ->
+           inst.inst_code.(j).c_probe <- build_hooks c ~j f;
+           Wasm.Tier1.compile inst j) }
+
+  (** Re-derive from the current probe set which functions are probed:
+      one with an event an active probe matches is marked (compiled with
+      its sites at its next entry), the rest return to normal tiered
+      execution. Nothing is compiled or built here. *)
   let rebuild c =
-    Array.iteri
-      (fun j _ ->
-         match build_hooks c ~j with
-         | Some ph -> probe_function c.pc_inst j ph
-         | None -> unprobe_function c.pc_inst j)
-      c.pc_inst.inst_code
+    List.iteri
+      (fun j f ->
+         if matched c ~j f then probe_function c.pc_inst j (pending c f)
+         else unprobe_function c.pc_inst j)
+      c.pc_inst.inst_module.Ast.funcs
 
   let detach_all c =
     Obs.Probe.detach_all c.pc_mgr;
@@ -1308,19 +1068,18 @@ module Probe = struct
       [Snapshot.capture] records the attached spec set, restore re-arms
       exactly that set (fresh hit counters). *)
   let create ?registry (inst : instance) (analysis : Analysis.t) : controller =
-    let mark = ref (-1L) in
+    let m = inst.inst_module in
+    let n_imp = Ast.num_imported_funcs m in
+    let env =
+      { split = false;
+        want_end = true;
+        br_table = (fun ~func:_ ~instr:_ -> None);
+        resolve = resolve_indirect inst ~n_imp (ref [||]) }
+    in
     let c =
-      {
-        pc_inst = inst;
-        pc_analysis = analysis;
-        pc_marked = with_mark mark analysis;
-        pc_mark = mark;
-        pc_mgr = Obs.Probe.create ?registry ();
-        pc_prof = None;
-        pc_indirect = [||];
-        pc_n_imp = num_imported_funcs inst.inst_module;
-        pc_start = inst.inst_module.start;
-      }
+      { pc_inst = inst; pc_binding = binding analysis; pc_mgr = Obs.Probe.create ?registry ();
+        pc_vctx = Validate.Module_ctx.create m; pc_n_imp = n_imp; pc_env = env;
+        pc_captured = Array.make 2 (Value.I32 0l) }
     in
     set_probes inst
       (Some
@@ -1386,11 +1145,12 @@ module Probe = struct
 
   (** Attach (or detach) a profiler to the controller's dispatch timing
       and to the instance (per-function and per-run accounting). Probe
-      dispatch splits into ["dispatch.probe"] (gate + operand capture up
-      to the first analysis-callback entry) and ["dispatch.analysis"]. *)
+      dispatch splits into ["dispatch.probe"] (argument decoding up to
+      the first analysis-callback entry) and ["dispatch.analysis"]. *)
   let attach_profiler c p =
-    c.pc_prof <- p;
-    set_profiler c.pc_inst p
+    c.pc_binding.prof := p;
+    set_profiler c.pc_inst p;
+    rebuild c
 
   let entries c = Obs.Probe.entries c.pc_mgr
   let all_entries c = Obs.Probe.all_entries c.pc_mgr

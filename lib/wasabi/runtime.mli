@@ -4,41 +4,39 @@
     targets, [br_table] entries) and resolving indirect call targets
     through the instance's table.
 
-    Each monomorphized hook spec is compiled once, at runtime-binding
-    time, into a specialized decoder closure that reads its arguments
-    straight off the interpreter's operand stack (zero per-call list
-    allocation, no map lookups). The same decoder definition is also
-    compiled per tier-1 call site whose arguments are constants and
-    locals ({!Wasm.Interp.site_binder}): that site entry reads the
-    constants and the caller's unboxed locals in place, and computes the
-    location, branch target records and [br_table] metadata once, when
-    the site binds. The original interpretive list-based decoder is kept
-    as a debug/reference path (array ABI only), selected with
-    [~decoder:`Reference] or the [WASABI_REFERENCE_DECODER] environment
-    variable. All paths produce identical high-level hook invocations. *)
+    One per-spec decoder serves every way a hook is called. Each
+    monomorphized hook spec is compiled once, at runtime-binding time,
+    into a specialized decoder closure that reads its arguments straight
+    off the interpreter's operand stack (zero per-call list allocation,
+    no map lookups). The same decoder definition is also compiled per
+    tier-1 call site whose arguments are constants and locals
+    ({!Wasm.Interp.site_binder}): that site entry reads the constants
+    and the caller's unboxed locals in place, and computes the location,
+    branch target records and [br_table] metadata once, when the site
+    binds. The engine-probe backend ({!Probe}) compiles it once more per
+    event of the shared {!Plan}, over the operands and local the probe
+    site reads. The original interpretive list-based decoder is kept as
+    the reference path (array ABI only) that the decoder tests check the
+    compiled one against, selected with [~decoder:`Reference]. All paths
+    produce identical high-level hook invocations. *)
 
 type decoder_kind = [ `Compiled | `Reference ]
 
+type binding
+(** An analysis as a backend binds it: the callbacks, their
+    mark-recording twins that split profiled dispatch time into
+    marshalling and analysis code, and the profiler slot. *)
+
 type t = {
   metadata : Metadata.t;
-  analysis : Analysis.t;
   decoder : decoder_kind;
   br_index : Metadata.br_table_index;
       (** O(1) per-location [br_table] metadata, built once at creation *)
   mutable instance : Wasm.Interp.instance option;
-  mutable indirect_cache : int array;
+  indirect_cache : int array ref;
       (** per-table-slot resolution of indirect call targets, filled
           lazily (MVP tables are immutable after instantiation) *)
-  mutable prof : Obs.Profile.t option;
-      (** when set, every hook dispatch is counted and timed under
-          ["hook.<group>"], plus the ["dispatch.decode"] /
-          ["dispatch.analysis"] marshalling-vs-analysis split *)
-  mark : int64 ref;
-      (** first analysis-callback entry time of the current profiled
-          dispatch, or [-1L] *)
-  marked_analysis : Analysis.t;
-      (** the analysis with mark-recording callback wrappers, dispatched
-          to only while a profiler is attached *)
+  binding : binding;
 }
 
 exception Bad_hook_args of Wasm.Error.t
@@ -51,9 +49,7 @@ val create :
   ?decoder:decoder_kind ->
   ?sink:(Analysis.event -> unit) ->
   Instrument.result -> Analysis.t -> t
-(** [decoder] defaults to [`Compiled], or [`Reference] when the
-    [WASABI_REFERENCE_DECODER] environment variable is set non-empty.
-    When [sink] is given, hooks decode as usual but the decoded
+(** [decoder] defaults to [`Compiled]. When [sink] is given, hooks decode as usual but the decoded
     invocation is reified as an {!Analysis.event} and handed to [sink]
     instead of running the analysis callbacks inline — the async
     dispatch seam used by the serve layer; the [analysis] argument is
@@ -98,12 +94,15 @@ val fork :
     @raise Invalid_argument if [t] was never instantiated. *)
 
 (** The engine-probe observability backend: run an analysis on an
-    {e uninstrumented} module by patching event closures directly into
-    the engine's pre-decoded instruction streams. No binary rewrite, no
-    i64 splitting, no argument marshalling — closures peek operands off
-    the live operand stack and call the same {!Analysis.t} callbacks
-    the AOT path dispatches to, with the exact same event placement and
-    payloads (held to the AOT stream by the probe-parity fuzz oracle).
+    {e uninstrumented} module by compiling event closures into the
+    engine's tier-1 bodies. No binary rewrite, no i64 splitting, no
+    argument marshalling — closures read operands off the live operand
+    stack and call the same {!Analysis.t} callbacks the AOT path
+    dispatches to. The events are the AOT backend's: the controller
+    lowers the same {!Plan} and decodes each event with the same per-spec
+    decoder; the probe-parity fuzz oracle checks that the two lowerings
+    deliver the same stream. A probed body's sites are built when it is
+    compiled, at its first entry, so code that never runs costs none.
 
     Probes attach and detach while the instance runs: attach takes
     effect at the next entry of each affected function (and deopts its
@@ -126,8 +125,9 @@ module Probe : sig
       explicitly. No probes are attached yet. *)
 
   val attach : controller -> Obs.Probe.spec -> Obs.Probe.entry
-  (** Attach a probe and rebuild the probed bodies it matches. Counted
-      by [wasabi_probe_attached_total]; spans a [probe.attach] phase. *)
+  (** Attach a probe and mark the bodies with an event it matches, to be
+      compiled with their sites at their next entry. Counted by
+      [wasabi_probe_attached_total]; spans a [probe.attach] phase. *)
 
   val attach_spec : controller -> string -> (Obs.Probe.entry, string) result
   (** [attach] from concrete spec syntax, validating hook-group names. *)
@@ -151,8 +151,9 @@ module Probe : sig
   val attach_profiler : controller -> Obs.Profile.t option -> unit
   (** Attach (or detach) a profiler to probe dispatch and the instance.
       Probe dispatch time splits into ["hook.<group>"],
-      ["dispatch.probe"] (gate + operand capture before the analysis
-      callback) and ["dispatch.analysis"]. *)
+      ["dispatch.probe"] (argument decoding before the analysis
+      callback) and ["dispatch.analysis"]. Probed bodies are rebuilt:
+      their sites are timed only while a profiler is attached. *)
 
   val entries : controller -> Obs.Probe.entry list
   (** Currently attached (active) probes. *)

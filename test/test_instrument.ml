@@ -81,6 +81,32 @@ let run_instrumented ?analysis res name args =
   let inst, _rt = W.Runtime.instantiate res analysis in
   Interp.invoke_export inst name args
 
+(* The hand-written event expectations hold for both backends: the
+   rewriter ([Aot]) and engine probes of the same groups attached to the
+   original module ([Probe]). They pin the event plan both lower. *)
+type backend = Aot | Probe
+
+let on backend label = (match backend with Aot -> "aot: " | Probe -> "probe: ") ^ label
+
+let run backend ~groups ?(imports = []) ?(analysis = W.Analysis.default) m name args =
+  match backend with
+  | Aot ->
+    let res = instrument ~groups m in
+    let inst, _ = W.Runtime.instantiate ~extra_imports:imports res analysis in
+    Interp.invoke_export inst name args
+  | Probe ->
+    Validate.validate_module m;
+    let inst = Interp.instantiate ~imports m in
+    let c = W.Runtime.Probe.create ~registry:(Obs.Metrics.create ()) inst analysis in
+    let sp_groups = List.map W.Hook.group_name (W.Hook.Group_set.elements groups) in
+    ignore
+      (W.Runtime.Probe.attach c { Obs.Probe.sp_groups; sp_func = None; sp_loc = None; sp_nth = 1 });
+    Interp.invoke_export inst name args
+
+let both test () =
+  test Aot;
+  test Probe
+
 (* --- validation of instrumented output ------------------------------- *)
 
 let test_instrumented_validates () =
@@ -155,36 +181,36 @@ let record fmt = Printf.ksprintf (fun s -> events := s :: !events) fmt
 let reset () = events := []
 let got () = List.rev !events
 
-let test_const_hook () =
+let test_const_hook backend =
   reset ();
   let m =
     single_func ~params:[] ~results:[ Types.I32T ] ~locals:[]
       [ B.i32 7; B.i64 0x1_0000_0002L; Convert I32WrapI64; B.i32_add ]
   in
-  let res = instrument ~groups:(W.Hook.of_list [ W.Hook.G_const ]) m in
+  let groups = W.Hook.of_list [ W.Hook.G_const ] in
   let analysis =
     { W.Analysis.default with const = (fun _ v -> record "const %s" (Value.to_string v)) }
   in
-  ignore (run_instrumented ~analysis res "f" []);
-  Alcotest.(check (list string)) "const events"
+  ignore (run backend ~groups ~analysis m "f" []);
+  Alcotest.(check (list string)) (on backend "const events")
     [ "const i32:7"; "const i64:4294967298" ] (got ())
 
-let test_binary_hook () =
+let test_binary_hook backend =
   reset ();
   let m =
     single_func ~params:[] ~results:[ Types.I32T ] ~locals:[]
       [ B.i32 6; B.i32 7; B.i32_mul ]
   in
-  let res = instrument ~groups:(W.Hook.of_list [ W.Hook.G_binary ]) m in
+  let groups = W.Hook.of_list [ W.Hook.G_binary ] in
   let analysis =
     { W.Analysis.default with
       binary = (fun _ op a b r ->
         record "%s %s %s -> %s" op (Value.to_string a) (Value.to_string b) (Value.to_string r)) }
   in
-  ignore (run_instrumented ~analysis res "f" []);
-  Alcotest.(check (list string)) "binary events" [ "i32.mul i32:6 i32:7 -> i32:42" ] (got ())
+  ignore (run backend ~groups ~analysis m "f" []);
+  Alcotest.(check (list string)) (on backend "binary events") [ "i32.mul i32:6 i32:7 -> i32:42" ] (got ())
 
-let test_call_hooks () =
+let test_call_hooks backend =
   reset ();
   let bld = B.create () in
   let g = B.add_func bld ~params:[ Types.I32T ] ~results:[ Types.I32T ] ~locals:[]
@@ -195,7 +221,7 @@ let test_call_hooks () =
   in
   B.export_func bld ~name:"f" f;
   let m = B.build bld in
-  let res = instrument ~groups:(W.Hook.of_list [ W.Hook.G_call ]) m in
+  let groups = W.Hook.of_list [ W.Hook.G_call ] in
   let analysis =
     { W.Analysis.default with
       call_pre = (fun loc callee args ti ->
@@ -205,57 +231,67 @@ let test_call_hooks () =
       call_post = (fun _ results ->
         record "post [%s]" (String.concat ";" (List.map Value.to_string results))) }
   in
-  let r = run_instrumented ~analysis res "f" [] in
-  check_values "result" [ i32 42 ] r;
-  Alcotest.(check (list string)) "call events"
+  let r = run backend ~groups ~analysis m "f" [] in
+  check_values (on backend "result") [ i32 42 ] r;
+  Alcotest.(check (list string)) (on backend "call events")
     [ "pre 1:1 -> func 0 args [i32:41] indirect=false"; "post [i32:42]" ] (got ())
 
-let test_indirect_call_resolution () =
+let test_indirect_call_resolution backend =
   reset ();
   let bld = B.create () in
+  let host = B.import_func bld ~module_name:"env" ~name:"host"
+      ~params:[ Types.I32T ] ~results:[ Types.I32T ]
+  in
   let double = B.add_func bld ~params:[ Types.I32T ] ~results:[ Types.I32T ] ~locals:[]
       ~body:[ B.local_get 0; B.i32 2; B.i32_mul ]
   in
   let square = B.add_func bld ~params:[ Types.I32T ] ~results:[ Types.I32T ] ~locals:[]
       ~body:[ B.local_get 0; B.local_get 0; B.i32_mul ]
   in
-  B.add_table bld ~min_size:2 ~max_size:None;
-  B.add_elem bld ~offset:0 ~funcs:[ double; square ];
+  B.add_table bld ~min_size:3 ~max_size:None;
+  B.add_elem bld ~offset:0 ~funcs:[ double; square; host ];
   let ti = B.add_type bld (Types.func_type [ Types.I32T ] [ Types.I32T ]) in
   let f = B.add_func bld ~params:[ Types.I32T; Types.I32T ] ~results:[ Types.I32T ] ~locals:[]
       ~body:[ B.local_get 1; B.local_get 0; CallIndirect ti ]
   in
   B.export_func bld ~name:"f" f;
   let m = B.build bld in
-  let res = instrument ~groups:(W.Hook.of_list [ W.Hook.G_call ]) m in
+  let groups = W.Hook.of_list [ W.Hook.G_call ] in
   let analysis =
     { W.Analysis.default with
       call_pre = (fun _ callee _ ti ->
         record "pre func=%d table=%s" callee
           (match ti with Some i -> string_of_int i | None -> "-")) }
   in
-  let r = run_instrumented ~analysis res "f" [ i32 1; i32 5 ] in
-  check_values "square(5)" [ i32 25 ] r;
-  (* table index 1 resolves to the original index of [square] *)
-  Alcotest.(check (list string)) "resolution"
-    [ Printf.sprintf "pre func=%d table=1" square ] (got ())
+  let imports =
+    [ ( "env", "host",
+        Interp.host_func ~name:"host" ~params:[ Types.I32T ] ~results:[ Types.I32T ]
+          (function [ Value.I32 x ] -> [ Value.I32 (Int32.add x 1000l) ] | _ -> assert false) ) ]
+  in
+  let call slot = run backend ~groups ~imports ~analysis m "f" [ i32 slot; i32 5 ] in
+  check_values (on backend "square(5)") [ i32 25 ] (call 1);
+  check_values (on backend "host(5)") [ i32 1005 ] (call 2);
+  (* table slots resolve to original indices: [square], and the import *)
+  Alcotest.(check (list string)) (on backend "resolution")
+    [ Printf.sprintf "pre func=%d table=1" square; Printf.sprintf "pre func=%d table=2" host ]
+    (got ())
 
-let test_begin_end_balanced () =
+let test_begin_end_balanced backend =
   reset ();
   let m = rich_module () in
-  let res = instrument ~groups:(W.Hook.of_list [ W.Hook.G_begin; W.Hook.G_end ]) m in
+  let groups = W.Hook.of_list [ W.Hook.G_begin; W.Hook.G_end ] in
   let depth = ref 0 and max_depth = ref 0 and unbalanced = ref false in
   let analysis =
     { W.Analysis.default with
       begin_ = (fun _ _ -> incr depth; if !depth > !max_depth then max_depth := !depth);
       end_ = (fun _ _ _ -> decr depth; if !depth < 0 then unbalanced := true) }
   in
-  ignore (run_instrumented ~analysis res "f" [ i32 4 ]);
-  Alcotest.(check bool) "never negative" false !unbalanced;
-  Alcotest.(check int) "balanced at exit" 0 !depth;
-  Alcotest.(check bool) "saw nesting" true (!max_depth >= 3)
+  ignore (run backend ~groups ~analysis m "f" [ i32 4 ]);
+  Alcotest.(check bool) (on backend "never negative") false !unbalanced;
+  Alcotest.(check int) (on backend "balanced at exit") 0 !depth;
+  Alcotest.(check bool) (on backend "saw nesting") true (!max_depth >= 3)
 
-let test_branch_resolution () =
+let test_branch_resolution backend =
   reset ();
   (* block; loop; br_if 1 -> resolved target is the instruction after the
      block's end *)
@@ -263,14 +299,14 @@ let test_branch_resolution () =
     [ Block None;  (* 0 *)
       Loop None;  (* 1 *)
       B.local_get 0;  (* 2 *)
-      BrIf 1;  (* 3 -> resolved to 6 *)
+      BrIf 1;  (* 3 -> resolved to 7 *)
       Br 0;  (* 4 -> resolved to 2 (loop header body) *)
       End;  (* 5 *)
       End;  (* 6 *)
       B.i32 1 ]
   in
   let m = single_func ~params:[ Types.I32T ] ~results:[ Types.I32T ] ~locals:[] body in
-  let res = instrument ~groups:(W.Hook.of_list [ W.Hook.G_br; W.Hook.G_br_if ]) m in
+  let groups = W.Hook.of_list [ W.Hook.G_br; W.Hook.G_br_if ] in
   let analysis =
     { W.Analysis.default with
       br = (fun loc t ->
@@ -280,21 +316,31 @@ let test_branch_resolution () =
         record "br_if at %s label %d -> %s taken=%b" (W.Location.to_string loc)
           t.W.Metadata.label (W.Location.to_string t.W.Metadata.target_loc) cond) }
   in
-  ignore (run_instrumented ~analysis res "f" [ i32 1 ]);
-  Alcotest.(check (list string)) "resolved targets"
+  ignore (run backend ~groups ~analysis m "f" [ i32 1 ]);
+  Alcotest.(check (list string)) (on backend "resolved targets")
     [ "br_if at 0:3 label 1 -> 0:7 taken=true" ] (got ());
   reset ();
-  (* not taken once, loops back once, then exits *)
-  let inst, _ = W.Runtime.instantiate res
-      { W.Analysis.default with
-        br = (fun _ t -> record "br->%s" (W.Location.to_string t.W.Metadata.target_loc));
-        br_if = (fun _ _ c -> record "br_if taken=%b" c) }
+  (* a counted loop: not taken once, loops back once, then exits *)
+  let body =
+    [ Block None;  (* 0 *)
+      Loop None;  (* 1 *)
+      B.local_get 0; Test (IEqz S32);
+      BrIf 1;  (* 4 -> resolved to 12 *)
+      B.local_get 0; B.i32 1; B.i32_sub; B.local_set 0;
+      Br 0;  (* 9 -> resolved to 2 *)
+      End;  (* 10 *)
+      End;  (* 11 *)
+      B.i32 1 ]
   in
-  (* local 0 = 0 would loop forever; instead run with 1 again *)
-  ignore (Interp.invoke_export inst "f" [ i32 1 ]);
-  Alcotest.(check (list string)) "events" [ "br_if taken=true" ] (got ())
+  let m = single_func ~params:[ Types.I32T ] ~results:[ Types.I32T ] ~locals:[] body in
+  ignore (run backend ~groups ~analysis m "f" [ i32 1 ]);
+  Alcotest.(check (list string)) (on backend "loop events")
+    [ "br_if at 0:4 label 1 -> 0:12 taken=false";
+      "br at 0:9 label 0 -> 0:2";
+      "br_if at 0:4 label 1 -> 0:12 taken=true" ]
+    (got ())
 
-let test_end_hooks_on_branch () =
+let test_end_hooks_on_branch backend =
   reset ();
   (* br 1 out of a loop nested in a block: end hooks for loop and block
      must fire (Table 3, row 5) *)
@@ -307,7 +353,7 @@ let test_end_hooks_on_branch () =
       B.i32 9 ]
   in
   let m = single_func ~params:[] ~results:[ Types.I32T ] ~locals:[] body in
-  let res = instrument ~groups:(W.Hook.of_list [ W.Hook.G_begin; W.Hook.G_end ]) m in
+  let groups = W.Hook.of_list [ W.Hook.G_begin; W.Hook.G_end ] in
   let analysis =
     { W.Analysis.default with
       begin_ = (fun loc k -> record "begin %s %s" (W.Hook.block_kind_name k) (W.Location.to_string loc));
@@ -315,8 +361,8 @@ let test_end_hooks_on_branch () =
         record "end %s %s (begin %s)" (W.Hook.block_kind_name k) (W.Location.to_string loc)
           (W.Location.to_string b)) }
   in
-  ignore (run_instrumented ~analysis res "f" []);
-  Alcotest.(check (list string)) "begin/end sequence"
+  ignore (run backend ~groups ~analysis m "f" []);
+  Alcotest.(check (list string)) (on backend "begin/end sequence")
     [ "begin function 0:-1";
       "begin block 0:0";
       "begin loop 0:1";
@@ -325,10 +371,10 @@ let test_end_hooks_on_branch () =
       "end function 0:6 (begin 0:-1)" ]
     (got ())
 
-let test_br_table_end_hooks () =
+let test_br_table_end_hooks backend =
   reset ();
   let m = br_table_module () in
-  let res = instrument ~groups:(W.Hook.of_list [ W.Hook.G_br_table; W.Hook.G_end ]) m in
+  let groups = W.Hook.of_list [ W.Hook.G_br_table; W.Hook.G_end ] in
   let analysis =
     { W.Analysis.default with
       br_table = (fun _ targets default idx ->
@@ -336,39 +382,39 @@ let test_br_table_end_hooks () =
           (W.Location.to_string default.W.Metadata.target_loc));
       end_ = (fun _ k _ -> record "end %s" (W.Hook.block_kind_name k)) }
   in
-  ignore (run_instrumented ~analysis res "f" [ i32 1 ]);
+  ignore (run backend ~groups ~analysis m "f" [ i32 1 ]);
   (* idx 1 jumps out of the two innermost blocks; execution then reaches
      "i32 200; br 1", which ends the remaining two blocks *)
   let evs = got () in
-  Alcotest.(check bool) "br_table event first" true
+  Alcotest.(check bool) (on backend "br_table event first") true
     (match evs with e :: _ -> Helpers.contains e "br_table idx=1" | [] -> false);
   let ends = List.filter (fun e -> Helpers.contains e "end block") evs in
-  Alcotest.(check int) "2 blocks ended by br_table + 2 by the br" 4 (List.length ends)
+  Alcotest.(check int) (on backend "2 blocks ended by br_table + 2 by the br") 4 (List.length ends)
 
-let test_i64_join () =
+let test_i64_join backend =
   reset ();
   let m =
     single_func ~params:[] ~results:[ Types.I64T ] ~locals:[]
       [ B.i64 (-2L); B.i64 3L; B.i64_mul ]
   in
-  let res = instrument ~groups:(W.Hook.of_list [ W.Hook.G_binary ]) m in
+  let groups = W.Hook.of_list [ W.Hook.G_binary ] in
   let analysis =
     { W.Analysis.default with
       binary = (fun _ op a b r ->
         record "%s %s %s -> %s" op (Value.to_string a) (Value.to_string b) (Value.to_string r)) }
   in
-  let r = run_instrumented ~analysis res "f" [] in
-  check_values "result intact" [ Value.I64 (-6L) ] r;
-  Alcotest.(check (list string)) "negative i64 joined correctly"
+  let r = run backend ~groups ~analysis m "f" [] in
+  check_values (on backend "result intact") [ Value.I64 (-6L) ] r;
+  Alcotest.(check (list string)) (on backend "negative i64 joined correctly")
     [ "i64.mul i64:-2 i64:3 -> i64:-6" ] (got ())
 
-let test_load_store_hooks () =
+let test_load_store_hooks backend =
   reset ();
   let m =
     single_func ~memory:1 ~params:[] ~results:[ Types.I32T ] ~locals:[]
       [ B.i32 4; B.i32 99; B.i32_store ~offset:12 (); B.i32 4; B.i32_load ~offset:12 () ]
   in
-  let res = instrument ~groups:(W.Hook.of_list [ W.Hook.G_load; W.Hook.G_store ]) m in
+  let groups = W.Hook.of_list [ W.Hook.G_load; W.Hook.G_store ] in
   let analysis =
     { W.Analysis.default with
       load = (fun _ op (ma : W.Analysis.memarg) v ->
@@ -376,30 +422,30 @@ let test_load_store_hooks () =
       store = (fun _ op (ma : W.Analysis.memarg) v ->
         record "store %s addr=%ld+%d %s" op ma.addr ma.offset (Value.to_string v)) }
   in
-  ignore (run_instrumented ~analysis res "f" []);
-  Alcotest.(check (list string)) "memory events"
+  ignore (run backend ~groups ~analysis m "f" []);
+  Alcotest.(check (list string)) (on backend "memory events")
     [ "store i32.store addr=4+12 i32:99"; "load i32.load addr=4+12 i32:99" ] (got ())
 
-let test_drop_select_hooks () =
+let test_drop_select_hooks backend =
   reset ();
   let m =
     single_func ~params:[] ~results:[ Types.F64T ] ~locals:[]
       [ B.i32 1; Drop;
         B.f64 1.5; B.f64 2.5; B.i32 0; Select ]
   in
-  let res = instrument ~groups:(W.Hook.of_list [ W.Hook.G_drop; W.Hook.G_select ]) m in
+  let groups = W.Hook.of_list [ W.Hook.G_drop; W.Hook.G_select ] in
   let analysis =
     { W.Analysis.default with
       drop = (fun _ v -> record "drop %s" (Value.to_string v));
       select = (fun _ c a b ->
         record "select %b %s %s" c (Value.to_string a) (Value.to_string b)) }
   in
-  let r = run_instrumented ~analysis res "f" [] in
-  check_values "select false -> second" [ f64 2.5 ] r;
-  Alcotest.(check (list string)) "events"
+  let r = run backend ~groups ~analysis m "f" [] in
+  check_values (on backend "select false -> second") [ f64 2.5 ] r;
+  Alcotest.(check (list string)) (on backend "events")
     [ "drop i32:1"; "select false f64:0x1.8p+0 f64:0x1.4p+1" ] (got ())
 
-let test_local_global_hooks () =
+let test_local_global_hooks backend =
   reset ();
   let bld = B.create () in
   let g = B.add_global bld ~ty:Types.I64T ~mutable_:true ~init:(Value.I64 7L) in
@@ -408,31 +454,31 @@ let test_local_global_hooks () =
   in
   B.export_func bld ~name:"f" f;
   let m = B.build bld in
-  let res = instrument ~groups:(W.Hook.of_list [ W.Hook.G_local; W.Hook.G_global ]) m in
+  let groups = W.Hook.of_list [ W.Hook.G_local; W.Hook.G_global ] in
   let analysis =
     { W.Analysis.default with
       local = (fun _ op i v -> record "%s %d %s" op i (Value.to_string v));
       global = (fun _ op i v -> record "%s %d %s" op i (Value.to_string v)) }
   in
-  ignore (run_instrumented ~analysis res "f" [ i32 3 ]);
-  Alcotest.(check (list string)) "events"
+  ignore (run backend ~groups ~analysis m "f" [ i32 3 ]);
+  Alcotest.(check (list string)) (on backend "events")
     [ "local.get 0 i32:3"; "global.get 0 i64:7" ] (got ())
 
-let test_return_hook () =
+let test_return_hook backend =
   reset ();
   let m =
     single_func ~params:[] ~results:[ Types.I32T ] ~locals:[]
       [ Block None; B.i32 5; Return; End; B.i32 1 ]
   in
-  let res = instrument ~groups:(W.Hook.of_list [ W.Hook.G_return; W.Hook.G_end ]) m in
+  let groups = W.Hook.of_list [ W.Hook.G_return; W.Hook.G_end ] in
   let analysis =
     { W.Analysis.default with
       return_ = (fun _ rs -> record "return [%s]" (String.concat ";" (List.map Value.to_string rs)));
       end_ = (fun _ k _ -> record "end %s" (W.Hook.block_kind_name k)) }
   in
-  let r = run_instrumented ~analysis res "f" [] in
-  check_values "returned 5" [ i32 5 ] r;
-  Alcotest.(check (list string)) "return + all ends"
+  let r = run backend ~groups ~analysis m "f" [] in
+  check_values (on backend "returned 5") [ i32 5 ] r;
+  Alcotest.(check (list string)) (on backend "return + all ends")
     [ "return [i32:5]"; "end block"; "end function" ] (got ())
 
 let test_monomorphization_on_demand () =
@@ -461,17 +507,17 @@ let test_unreachable_code_skipped () =
   Validate.validate_module res.W.Instrument.instrumented;
   check_values "still works" [ i32 3 ] (run_instrumented res "f" [])
 
-let test_if_hook () =
+let test_if_hook backend =
   reset ();
   let m =
     single_func ~params:[ Types.I32T ] ~results:[ Types.I32T ] ~locals:[]
       ([ B.local_get 0 ] @ B.if_ ~result:Types.I32T ~then_:[ B.i32 1 ] ~else_:[ B.i32 2 ] ())
   in
-  let res = instrument ~groups:(W.Hook.of_list [ W.Hook.G_if ]) m in
+  let groups = W.Hook.of_list [ W.Hook.G_if ] in
   let analysis = { W.Analysis.default with if_ = (fun _ c -> record "if %b" c) } in
-  let r = run_instrumented ~analysis res "f" [ i32 0 ] in
-  check_values "else branch" [ i32 2 ] r;
-  Alcotest.(check (list string)) "events" [ "if false" ] (got ())
+  let r = run backend ~groups ~analysis m "f" [ i32 0 ] in
+  check_values (on backend "else branch") [ i32 2 ] r;
+  Alcotest.(check (list string)) (on backend "events") [ "if false" ] (got ())
 
 let test_instrument_module_with_imports () =
   (* original imports keep their indices; hook imports slot in between;
@@ -547,22 +593,22 @@ let suite =
     case "faithful: br_table" test_faithful_br_table;
     case "faithful: per group" test_faithful_selective;
     case "faithful: memory contents" test_faithful_memory;
-    case "const hook" test_const_hook;
-    case "binary hook" test_binary_hook;
-    case "call hooks" test_call_hooks;
-    case "indirect call resolution" test_indirect_call_resolution;
-    case "begin/end balanced" test_begin_end_balanced;
-    case "branch target resolution" test_branch_resolution;
-    case "end hooks on branch" test_end_hooks_on_branch;
-    case "br_table end hooks" test_br_table_end_hooks;
-    case "i64 split and join" test_i64_join;
-    case "load/store hooks" test_load_store_hooks;
-    case "drop/select hooks" test_drop_select_hooks;
-    case "local/global hooks" test_local_global_hooks;
-    case "return hook" test_return_hook;
+    case "const hook" (both test_const_hook);
+    case "binary hook" (both test_binary_hook);
+    case "call hooks" (both test_call_hooks);
+    case "indirect call resolution" (both test_indirect_call_resolution);
+    case "begin/end balanced" (both test_begin_end_balanced);
+    case "branch target resolution" (both test_branch_resolution);
+    case "end hooks on branch" (both test_end_hooks_on_branch);
+    case "br_table end hooks" (both test_br_table_end_hooks);
+    case "i64 split and join" (both test_i64_join);
+    case "load/store hooks" (both test_load_store_hooks);
+    case "drop/select hooks" (both test_drop_select_hooks);
+    case "local/global hooks" (both test_local_global_hooks);
+    case "return hook" (both test_return_hook);
     case "on-demand monomorphization" test_monomorphization_on_demand;
     case "dead code handled" test_unreachable_code_skipped;
-    case "if hook" test_if_hook;
+    case "if hook" (both test_if_hook);
     case "module with imports" test_instrument_module_with_imports;
     case "parallel instrumentation" test_parallel_instrumentation;
     case "exports preserved" test_export_names_preserved;

@@ -311,6 +311,22 @@ let test_tier_deopt_and_retier () =
   Alcotest.(check bool) "body re-tiers after detach" true (tier_of inst 0 = `Compiled);
   Alcotest.(check string) "no events after detach" "" (Buffer.contents buf)
 
+let test_compile_all_after_attach () =
+  (* a probed body's sites are built at its compilation: compiling every
+     body right after an attach must still deliver the events *)
+  let m = arith_module () in
+  let inst = Interp.instantiate ~imports:[] m in
+  let buf = Buffer.create 128 in
+  let c = P.create ~registry:(Obs.Metrics.create ()) inst (recorder buf) in
+  ignore (P.attach c all_spec);
+  ignore (Tier1.compile_all inst);
+  ignore (Interp.invoke_export inst "f" []);
+  Alcotest.(check bool) "the probed body runs compiled" true (tier_of inst 0 = `Compiled);
+  Alcotest.(check string) "the exact stream"
+    ("begin@0:-1 const@0:0=i32:7 const@0:1=i32:35 binary@0:2:i32.add=i32:42 "
+     ^ "local@0:3:local.tee.0 local@0:4:local.get.0 binary@0:5:i32.add=i32:84 end@0:6 ")
+    (Buffer.contents buf)
+
 let test_probes_without_tier_policy () =
   (* no tier policy: probes still imply tier 1 for the probed body, while
      the unprobed caller stays on tier 0 and calls into it *)
@@ -465,6 +481,7 @@ let suite =
     case "step-trigger attach/detach window" test_step_trigger_attach_detach;
     case "re-entrant attach/detach from a probe callback" test_reentrant_attach_detach;
     case "tier-1 deopt on attach, re-tier on detach" test_tier_deopt_and_retier;
+    case "compile_all after attach keeps the events" test_compile_all_after_attach;
     case "probes imply tier 1 without a tier policy" test_probes_without_tier_policy;
     case "a declined probed body is a structured error" test_declined_probed_body;
     case "snapshot re-arms the captured probe set" test_snapshot_rearms_probe_set;
