@@ -481,7 +481,6 @@ let suite =
     case "step-trigger attach/detach window" test_step_trigger_attach_detach;
     case "re-entrant attach/detach from a probe callback" test_reentrant_attach_detach;
     case "tier-1 deopt on attach, re-tier on detach" test_tier_deopt_and_retier;
-    case "compile_all after attach keeps the events" test_compile_all_after_attach;
     case "probes imply tier 1 without a tier policy" test_probes_without_tier_policy;
     case "a declined probed body is a structured error" test_declined_probed_body;
     case "snapshot re-arms the captured probe set" test_snapshot_rearms_probe_set;
@@ -490,4 +489,5 @@ let suite =
     case "probe metrics: Prometheus golden" test_probe_metrics_prometheus_golden;
     case "probe metrics: JSON golden" test_probe_metrics_json_golden;
     case "profile splits out dispatch.probe" test_profile_distinguishes_probe_dispatch;
+    case "compile_all after attach keeps the events" test_compile_all_after_attach;
   ]
