@@ -279,9 +279,8 @@ let fig9 () =
   let zen = (Workloads.Corpus.find entries "zen_garden").module_ in
   (* calibrate iteration counts so every baseline measurement is well
      above timer noise; WASABI_BENCH_FAST=1 trades accuracy for speed *)
-  let fast = Sys.getenv_opt "WASABI_BENCH_FAST" <> None in
-  let target = if fast then 0.002 else 0.006 in
-  let reps = if fast then 3 else 5 in
+  let target = if Support.fast then 0.002 else 0.006 in
+  let reps = if Support.fast then 3 else 5 in
   let prepare m =
     let iters = Support.calibrated_iters m ~target in
     let inst = Interp.instantiate ~imports:[] m in
@@ -325,9 +324,8 @@ let fig9 () =
     to stderr so stdout stays a clean JSON document (or use
     [overhead FILE]). *)
 let overhead_matrix () =
-  let fast = Sys.getenv_opt "WASABI_BENCH_FAST" <> None in
-  let target = if fast then 0.002 else 0.006 in
-  let reps = if fast then 3 else 5 in
+  let target = if Support.fast then 0.002 else 0.006 in
+  let reps = if Support.fast then 3 else 5 in
   let entries = Lazy.force corpus_fig9 in
   let columns =
     List.map (fun g -> (H.group_name g, H.Group_set.singleton g)) group_columns
@@ -378,10 +376,10 @@ let overhead_matrix () =
   let probe_geomeans = geomean_of snd in
   Printf.eprintf "  %-16s %17s aot %6.2fx  probe %6.2fx\n%!" "geomean" ""
     (List.assoc "all" geomeans) (List.assoc "all" probe_geomeans);
-  (fast, reps, target, columns, results, geomeans, probe_geomeans)
+  (reps, target, columns, results, geomeans, probe_geomeans)
 
 let overhead_bench out_path =
-  let fast, reps, target, columns, results, geomeans, probe_geomeans = overhead_matrix () in
+  let reps, target, columns, results, geomeans, probe_geomeans = overhead_matrix () in
   let b = Buffer.create 4096 in
   let num v = if Float.is_finite v then Printf.sprintf "%.4f" v else "null" in
   let obj cells = String.concat ", " (List.map (fun (n, v) -> Printf.sprintf "\"%s\": %s" n (num v)) cells) in
@@ -390,7 +388,7 @@ let overhead_bench out_path =
   Buffer.add_string b "  \"matrix\": \"three-way\",\n";
   Buffer.add_string b
     (Printf.sprintf "  \"config\": {\"fast\": %b, \"reps\": %d, \"target_seconds\": %g},\n"
-       fast reps target);
+       Support.fast reps target);
   Buffer.add_string b
     (Printf.sprintf "  \"hook_groups\": [%s],\n"
        (String.concat ", " (List.map (fun (n, _) -> "\"" ^ n ^ "\"") columns)));
@@ -473,7 +471,7 @@ let overhead_check baseline_path =
         "overhead-check: warning — baseline has no probe_geomean; gating the AOT column only\n";
       None
   in
-  let _, _, _, _, _, geomeans, probe_geomeans = overhead_matrix () in
+  let _, _, _, _, geomeans, probe_geomeans = overhead_matrix () in
   let failed = ref false in
   let gate label baseline fresh =
     let ratio = fresh /. baseline in
@@ -500,8 +498,7 @@ let overhead_check baseline_path =
     size hints and the allocation-free local-run emission. *)
 let encode_bench () =
   Support.hr "bench encode: encoder throughput (MB/s)";
-  let fast = Sys.getenv_opt "WASABI_BENCH_FAST" <> None in
-  let budget = if fast then 2e6 else 20e6 in
+  let budget = if Support.fast then 2e6 else 20e6 in
   let entries = Lazy.force corpus_fig9 in
   let tot_bytes = ref 0.0 and tot_time = ref 0.0 in
   let measure name (m : Ast.module_) =
@@ -581,8 +578,7 @@ let ablation () =
     geomean tier-1 speedup for the [tier-check] gate. *)
 let interp_bench () =
   Support.hr "bench interp: interpreter throughput on PolyBench (Minstr/s)";
-  let fast = Sys.getenv_opt "WASABI_BENCH_FAST" <> None in
-  let target = if fast then 0.004 else 0.05 in
+  let target = if Support.fast then 0.004 else 0.05 in
   let entries = Workloads.Corpus.polybench (Lazy.force corpus_fig9) in
   Printf.printf "%-16s %10s %10s %8s %10s %9s\n" "Program" "tier0" "tier1" "speedup"
     "instr-all" "slowdown";
@@ -657,9 +653,8 @@ let tier_check min_speedup =
     model of reusing a pooled instance instead of re-instantiating. *)
 let restore_bench () =
   Support.hr "bench restore: instance snapshot/restore throughput (pages/s)";
-  let fast = Sys.getenv_opt "WASABI_BENCH_FAST" <> None in
-  let sizes = if fast then [ 1; 16; 64 ] else [ 1; 16; 64; 256; 1024 ] in
-  let iters pages = max 8 (if fast then 2048 / pages else 16384 / pages) in
+  let sizes = if Support.fast then [ 1; 16; 64 ] else [ 1; 16; 64; 256; 1024 ] in
+  let iters pages = max 8 (if Support.fast then 2048 / pages else 16384 / pages) in
   Printf.printf "%-10s %8s %14s %14s %12s\n" "memory" "iters" "capture" "restore" "restore-ms";
   List.iter
     (fun pages ->
@@ -731,7 +726,7 @@ type serve_row = {
   r_stats : Serve.Farm.stats;
 }
 
-let serve_runs fast = if fast then 48 else 240
+let serve_runs = if Support.fast then 48 else 240
 
 let serve_row ~res ~runs ~domains ~label ~mode ~make_analysis () =
   let st = Serve.Farm.run ~mode ~domains ~runs ~entry:"run" ~make_analysis res in
@@ -769,15 +764,14 @@ let serve_json path ~cores ~equal rows =
     throughput numbers for a wrong stream would be meaningless. *)
 let serve_bench json_path =
   Support.hr "bench serve: domain-parallel instance farm (gemm, instruction-mix groups)";
-  let fast = Sys.getenv_opt "WASABI_BENCH_FAST" <> None in
   let res = serve_workload () in
   let cores = Domain.recommended_domain_count () in
   let equal = Serve.Farm.verify_stream_equality ~runs:2 ~entry:"run" res in
   Printf.printf "  cores available: %d\n" cores;
   Printf.printf "  async-vs-sync event stream: %s\n" (if equal then "EQUAL" else "DIVERGED");
   if not equal then exit 1;
-  let runs = serve_runs fast in
-  let domain_counts = if fast then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
+  let runs = serve_runs in
+  let domain_counts = if Support.fast then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
   Printf.printf "  %7s %-18s %6s %10s %9s %9s\n" "domains" "dispatch" "runs" "inst/s"
     "p50(us)" "p99(us)";
   let sync_rows =
@@ -787,7 +781,7 @@ let serve_bench json_path =
            ~make_analysis:(fun _ -> light_analysis ()) ())
       domain_counts
   in
-  let heavy_pairs = if fast then [ 1 ] else [ 1; 2; 4 ] in
+  let heavy_pairs = if Support.fast then [ 1 ] else [ 1; 2; 4 ] in
   let heavy_rows =
     List.concat_map
       (fun d ->
@@ -842,8 +836,7 @@ let serve_check min_scaling =
     exit 1
   end;
   Printf.printf "  async-vs-sync event stream: EQUAL\n";
-  let fast = Sys.getenv_opt "WASABI_BENCH_FAST" <> None in
-  let runs = serve_runs fast in
+  let runs = serve_runs in
   let run_at d =
     (Serve.Farm.run ~mode:Serve.Farm.Sync ~domains:d ~runs ~entry:"run"
        ~make_analysis:(fun _ -> light_analysis ()) res)

@@ -6,6 +6,10 @@ open Wasm
 
 let now () = Unix.gettimeofday ()
 
+(** Fast mode ([WASABI_BENCH_FAST] set): fewer, shorter reps and smaller
+    sweeps, trading accuracy for speed. *)
+let fast = Sys.getenv_opt "WASABI_BENCH_FAST" <> None
+
 (** Wall-clock seconds of [f ()], best of [reps]. *)
 let time_best ?(reps = 3) f =
   let rec go best k =

@@ -5,29 +5,36 @@
 open Wasabi
 
 type t = {
-  counts : (Location.t * Hook.block_kind, int) Hashtbl.t;
+  counts : (Location.t * Hook.block_kind, int ref) Hashtbl.t;
 }
 
 let create () = { counts = Hashtbl.create 64 }
 
 let groups = Hook.of_list [ Hook.G_begin ]
 
+(* created at zero: a [begin] site resolves its cell when it binds *)
+let cell t key =
+  try Hashtbl.find t.counts key
+  with Not_found -> let c = ref 0 in Hashtbl.add t.counts key c; c
+
 let analysis (t : t) : Analysis.t =
   {
     Analysis.default with
-    begin_ =
-      (fun loc kind ->
-         let key = (loc, kind) in
-         Hashtbl.replace t.counts key
-           (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts key)));
+    begin_ = (fun loc kind -> incr (cell t (loc, kind)));
+    site =
+      (fun spec loc ->
+         match spec with
+         | Hook.S_begin kind -> let c = cell t (loc, kind) in Some (fun () -> incr c)
+         | _ -> Some ignore);
   }
 
-let count t loc kind = Option.value ~default:0 (Hashtbl.find_opt t.counts (loc, kind))
+let count t loc kind = Option.fold ~none:0 ~some:( ! ) (Hashtbl.find_opt t.counts (loc, kind))
 
-(** Blocks sorted by execution count, hottest first. *)
+(** Blocks sorted by execution count, hottest first, ties by location;
+    blocks that never ran are left out. *)
 let hottest t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counts []
-  |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
+  Hashtbl.fold (fun k v acc -> if !v > 0 then (k, !v) :: acc else acc) t.counts []
+  |> List.sort (fun (ka, a) (kb, b) -> if a <> b then Int.compare b a else compare ka kb)
 
 let report ?(limit = 10) t =
   let buf = Buffer.create 256 in

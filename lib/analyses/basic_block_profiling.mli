@@ -9,6 +9,7 @@ val analysis : t -> Wasabi.Analysis.t
 
 val count : t -> Wasabi.Location.t -> Wasabi.Hook.block_kind -> int
 val hottest : t -> ((Wasabi.Location.t * Wasabi.Hook.block_kind) * int) list
-(** Blocks sorted by execution count, hottest first. *)
+(** Blocks sorted by execution count, hottest first, ties by location.
+    Blocks that never ran are not listed. *)
 
 val report : ?limit:int -> t -> string

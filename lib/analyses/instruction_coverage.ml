@@ -44,6 +44,7 @@ let analysis (t : t) : Analysis.t =
     call_post = m2;
     return_ = m2;
     start = m1;
+    site = Analysis.default.site;
   }
 
 let executed_count t = Hashtbl.length t.executed

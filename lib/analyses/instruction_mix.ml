@@ -13,17 +13,18 @@ let create () = { counts = Hashtbl.create 64; total = 0 }
 
 let groups = Hook.all
 
-(* The hook-dispatch fast path makes the analysis callback itself the
-   dominant cost for this analysis, so the counters avoid per-event
-   allocation: one hash lookup per bump (int ref cells instead of
-   find + replace) and statically allocated keys for the block/const
-   shapes that would otherwise concatenate a fresh string per event. *)
+(* The counter cell of a key, created at zero: a hook site resolves its
+   cell once, when it binds, possibly in code that never runs. *)
+let cell t key =
+  try Hashtbl.find t.counts key
+  with Not_found -> let c = ref 0 in Hashtbl.add t.counts key c; c
+
 let bump t key =
   t.total <- t.total + 1;
-  match Hashtbl.find_opt t.counts key with
-  | Some cell -> incr cell
-  | None -> Hashtbl.add t.counts key (ref 1)
+  incr (cell t key)
 
+(* statically allocated keys for the block/const shapes, which would
+   otherwise concatenate a fresh string per event *)
 let begin_key = function
   | Hook.Bfunction -> "begin_function"
   | Bblock -> "begin_block"
@@ -44,6 +45,20 @@ let const_key v =
   | I64T -> "i64.const"
   | F32T -> "f32.const"
   | F64T -> "f64.const"
+
+(* the key every event of a spec counts under: its hook name without the
+   type suffix, [None] for [call_post], which counts nothing (a
+   [br_table] site, which also fires [end] events, is never asked). The
+   callbacks below take the key from their arguments instead. *)
+let key : Hook.spec -> string option = function
+  | S_drop _ -> Some "drop"
+  | S_select _ -> Some "select"
+  | S_local (op, _) -> Some (Hook.local_op_name op)
+  | S_global (op, _) -> Some (Hook.global_op_name op)
+  | S_call_pre (_, indirect) -> Some (if indirect then "call_indirect" else "call")
+  | S_call_post _ -> None
+  | S_return _ -> Some "return"
+  | spec -> Some (Hook.name spec)
 
 let analysis (t : t) : Analysis.t =
   {
@@ -72,6 +87,13 @@ let analysis (t : t) : Analysis.t =
          bump t (match ti with None -> "call" | Some _ -> "call_indirect"));
     return_ = (fun _ _ -> bump t "return");
     start = (fun _ -> bump t "start");
+    site =
+      (fun spec _ ->
+         match key spec with
+         | None -> Some ignore
+         | Some k ->
+           let c = cell t k in
+           Some (fun () -> t.total <- t.total + 1; incr c));
   }
 
 (** Absorb [src] into [into]: per-key counts and the total are summed.
@@ -79,12 +101,7 @@ let analysis (t : t) : Analysis.t =
     (serve workers, fuzz jobs) each count into their own [t] and merge
     at report time. [src] is left unchanged. *)
 let merge ~into src =
-  Hashtbl.iter
-    (fun key cell ->
-       match Hashtbl.find_opt into.counts key with
-       | Some dst -> dst := !dst + !cell
-       | None -> Hashtbl.add into.counts key (ref !cell))
-    src.counts;
+  Hashtbl.iter (fun key c -> let dst = cell into key in dst := !dst + !c) src.counts;
   into.total <- into.total + src.total
 
 let count t key =
@@ -92,10 +109,11 @@ let count t key =
 
 let total t = t.total
 
-(** Counts sorted by frequency, most frequent first. *)
+(** Counts sorted by frequency, most frequent first, ties by key; the
+    cells of sites that never ran are left out. *)
 let sorted t =
-  Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.counts []
-  |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
+  Hashtbl.fold (fun k v acc -> if !v > 0 then (k, !v) :: acc else acc) t.counts []
+  |> List.sort (fun (ka, a) (kb, b) -> if a <> b then Int.compare b a else String.compare ka kb)
 
 let report t =
   let buf = Buffer.create 256 in

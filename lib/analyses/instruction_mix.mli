@@ -17,6 +17,7 @@ val merge : into:t -> t -> unit
 
 val total : t -> int
 val sorted : t -> (string * int) list
-(** Counts sorted by frequency, most frequent first. *)
+(** Counts sorted by frequency, most frequent first, ties by key.
+    Kinds that never ran are not listed. *)
 
 val report : t -> string

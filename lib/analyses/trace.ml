@@ -8,30 +8,7 @@
 
 open Wasabi
 
-type event =
-  | E_nop of Location.t
-  | E_unreachable of Location.t
-  | E_if of Location.t * bool
-  | E_br of Location.t * Metadata.target
-  | E_br_if of Location.t * Metadata.target * bool
-  | E_br_table of Location.t * Metadata.target array * Metadata.target * int
-  | E_begin of Location.t * Hook.block_kind
-  | E_end of Location.t * Hook.block_kind * Location.t
-  | E_const of Location.t * Wasm.Value.t
-  | E_drop of Location.t * Wasm.Value.t
-  | E_select of Location.t * bool * Wasm.Value.t * Wasm.Value.t
-  | E_unary of Location.t * string * Wasm.Value.t * Wasm.Value.t
-  | E_binary of Location.t * string * Wasm.Value.t * Wasm.Value.t * Wasm.Value.t
-  | E_local of Location.t * string * int * Wasm.Value.t
-  | E_global of Location.t * string * int * Wasm.Value.t
-  | E_load of Location.t * string * Analysis.memarg * Wasm.Value.t
-  | E_store of Location.t * string * Analysis.memarg * Wasm.Value.t
-  | E_memory_size of Location.t * int
-  | E_memory_grow of Location.t * int * int
-  | E_call_pre of Location.t * int * Wasm.Value.t list * int option
-  | E_call_post of Location.t * Wasm.Value.t list
-  | E_return of Location.t * Wasm.Value.t list
-  | E_start of Location.t
+type event = Analysis.event
 
 type t = {
   mutable events : event list;  (** reversed *)
@@ -46,32 +23,7 @@ let push t e =
   t.events <- e :: t.events;
   t.count <- t.count + 1
 
-let analysis (t : t) : Analysis.t =
-  {
-    Analysis.nop = (fun l -> push t (E_nop l));
-    unreachable = (fun l -> push t (E_unreachable l));
-    if_ = (fun l c -> push t (E_if (l, c)));
-    br = (fun l tg -> push t (E_br (l, tg)));
-    br_if = (fun l tg c -> push t (E_br_if (l, tg, c)));
-    br_table = (fun l tbl d idx -> push t (E_br_table (l, tbl, d, idx)));
-    begin_ = (fun l k -> push t (E_begin (l, k)));
-    end_ = (fun l k b -> push t (E_end (l, k, b)));
-    const = (fun l v -> push t (E_const (l, v)));
-    drop = (fun l v -> push t (E_drop (l, v)));
-    select = (fun l c a b -> push t (E_select (l, c, a, b)));
-    unary = (fun l op i r -> push t (E_unary (l, op, i, r)));
-    binary = (fun l op a b r -> push t (E_binary (l, op, a, b, r)));
-    local = (fun l op i v -> push t (E_local (l, op, i, v)));
-    global = (fun l op i v -> push t (E_global (l, op, i, v)));
-    load = (fun l op ma v -> push t (E_load (l, op, ma, v)));
-    store = (fun l op ma v -> push t (E_store (l, op, ma, v)));
-    memory_size = (fun l s -> push t (E_memory_size (l, s)));
-    memory_grow = (fun l d p -> push t (E_memory_grow (l, d, p)));
-    call_pre = (fun l f args ti -> push t (E_call_pre (l, f, args, ti)));
-    call_post = (fun l rs -> push t (E_call_post (l, rs)));
-    return_ = (fun l rs -> push t (E_return (l, rs)));
-    start = (fun l -> push t (E_start l));
-  }
+let analysis (t : t) : Analysis.t = Analysis.reify (push t)
 
 (** Events in execution order. *)
 let events t = List.rev t.events
@@ -79,41 +31,14 @@ let events t = List.rev t.events
 let length t = t.count
 
 (** Re-dispatch a recorded trace into another analysis, off-line. *)
-let replay t (a : Analysis.t) =
-  List.iter
-    (fun e ->
-       match e with
-       | E_nop l -> a.Analysis.nop l
-       | E_unreachable l -> a.Analysis.unreachable l
-       | E_if (l, c) -> a.Analysis.if_ l c
-       | E_br (l, tg) -> a.Analysis.br l tg
-       | E_br_if (l, tg, c) -> a.Analysis.br_if l tg c
-       | E_br_table (l, tbl, d, idx) -> a.Analysis.br_table l tbl d idx
-       | E_begin (l, k) -> a.Analysis.begin_ l k
-       | E_end (l, k, b) -> a.Analysis.end_ l k b
-       | E_const (l, v) -> a.Analysis.const l v
-       | E_drop (l, v) -> a.Analysis.drop l v
-       | E_select (l, c, x, y) -> a.Analysis.select l c x y
-       | E_unary (l, op, i, r) -> a.Analysis.unary l op i r
-       | E_binary (l, op, x, y, r) -> a.Analysis.binary l op x y r
-       | E_local (l, op, i, v) -> a.Analysis.local l op i v
-       | E_global (l, op, i, v) -> a.Analysis.global l op i v
-       | E_load (l, op, ma, v) -> a.Analysis.load l op ma v
-       | E_store (l, op, ma, v) -> a.Analysis.store l op ma v
-       | E_memory_size (l, s) -> a.Analysis.memory_size l s
-       | E_memory_grow (l, d, p) -> a.Analysis.memory_grow l d p
-       | E_call_pre (l, f, args, ti) -> a.Analysis.call_pre l f args ti
-       | E_call_post (l, rs) -> a.Analysis.call_post l rs
-       | E_return (l, rs) -> a.Analysis.return_ l rs
-       | E_start l -> a.Analysis.start l)
-    (events t)
+let replay t (a : Analysis.t) = List.iter (Analysis.apply a) (events t)
 
 let vs values = String.concat "," (List.map Wasm.Value.to_string values)
 let ls l = Location.to_string l
 let tg (t : Metadata.target) = Printf.sprintf "%d->%s" t.Metadata.label (ls t.Metadata.target_loc)
 
 (** One-line rendering of an event, for text logs. *)
-let event_to_string = function
+let event_to_string : event -> string = function
   | E_nop l -> Printf.sprintf "%s nop" (ls l)
   | E_unreachable l -> Printf.sprintf "%s unreachable" (ls l)
   | E_if (l, c) -> Printf.sprintf "%s if %b" (ls l) c

@@ -510,6 +510,7 @@ let recording_analysis buf : Wasabi.Analysis.t =
     call_post = (fun loc rs -> p "call_post %s [%s]" (l loc) (vs rs));
     return_ = (fun loc rs -> p "return %s [%s]" (l loc) (vs rs));
     start = (fun loc -> p "start %s" (l loc));
+    site = Wasabi.Analysis.default.site;
   }
 
 (** Run the module instrumented (optionally [~fold]ed) under [analysis],

@@ -54,6 +54,9 @@ type t = {
   call_post : Location.t -> Value.t list -> unit;
   return_ : Location.t -> Value.t list -> unit;
   start : Location.t -> unit;
+  site : Hook.spec -> Location.t -> (unit -> unit) option;
+      (** the counter of one hook site, resolved once when the site
+          binds; [None] keeps the per-event callbacks (see the .mli) *)
 }
 
 let nop1 _ = ()
@@ -88,6 +91,7 @@ let default = {
   call_post = nop2;
   return_ = nop2;
   start = nop1;
+  site = (fun _ _ -> None);
 }
 
 (** {1 Reified hook events}
@@ -152,6 +156,7 @@ let reify push : t = {
   call_post = (fun l rs -> push (E_call_post (l, rs)));
   return_ = (fun l rs -> push (E_return (l, rs)));
   start = (fun l -> push (E_start l));
+  site = default.site;
 }
 
 (** Replay one reified event into an analysis — the consumer side of
@@ -182,7 +187,8 @@ let apply (a : t) = function
   | E_return (l, rs) -> a.return_ l rs
   | E_start l -> a.start l
 
-(** Sequential composition: both analyses observe every event, [a] first. *)
+(** Sequential composition: both analyses observe every event, [a] first.
+    A site is bound only when both bind it. *)
 let combine (a : t) (b : t) : t = {
   nop = (fun l -> a.nop l; b.nop l);
   unreachable = (fun l -> a.unreachable l; b.unreachable l);
@@ -207,4 +213,9 @@ let combine (a : t) (b : t) : t = {
   call_post = (fun l rs -> a.call_post l rs; b.call_post l rs);
   return_ = (fun l rs -> a.return_ l rs; b.return_ l rs);
   start = (fun l -> a.start l; b.start l);
+  site =
+    (fun spec l ->
+       match a.site spec l, b.site spec l with
+       | Some f, Some g -> Some (fun () -> f (); g ())
+       | _ -> None);
 }

@@ -43,7 +43,36 @@ type t = {
   call_post : Location.t -> Value.t list -> unit;
   return_ : Location.t -> Value.t list -> unit;
   start : Location.t -> unit;
+  site : Hook.spec -> Location.t -> (unit -> unit) option;
+      (** The counter of one hook site, resolved once when the site
+          binds; see {!section-site}. *)
 }
+
+(** {1:site Site-bound counters}
+
+    [site spec l] is asked once per hook site: when tier 1 binds an AOT
+    hook call whose location is a constant, and when the probe backend
+    builds a probed body's site table. Both happen at compile time, so
+    it is also asked for sites in code that never runs; state it creates
+    there (a zero counter cell) must not show in any report. It is never
+    asked for [S_br_table], whose events include the [end] events of the
+    entry taken, at other locations.
+
+    [Some f] says that at this site the analysis only needs to know that
+    the event fired: [f ()] then runs in place of the callback, once per
+    event, and no argument is decoded. It must do exactly what the
+    callback of [spec] would do for every event of that spec at [l],
+    whatever its arguments; a spec whose callback is a no-op may return
+    [Some ignore]. [None] keeps the per-event callback. The callbacks
+    stay the contract: tier 0, unbound (array-ABI) sites, profiled runs
+    (a bound counter takes the full decode while a profiler is attached,
+    so the profile keeps its decode/analysis split) and {!reify} all use
+    them.
+
+    A record built as [{ a with ... }] over an analysis [a] that sets
+    [site] inherits [a]'s counters, which then bypass the replaced
+    callbacks: reset [site] (to [default.site]) whenever a callback a
+    counter stands for is replaced. *)
 
 
 val default : t
@@ -51,7 +80,9 @@ val default : t
     [{ default with binary = ...; ... }]. *)
 
 val combine : t -> t -> t
-(** Sequential composition: both analyses observe every event. *)
+(** Sequential composition: both analyses observe every event, the first
+    one first. A site is bound only when both analyses bind it, and its
+    counter then runs both counters in order. *)
 
 (** {1 Reified hook events}
 
@@ -88,7 +119,7 @@ type event =
 val reify : (event -> unit) -> t
 (** An analysis whose every callback packages its arguments as an
     {!event} and hands it to the given function — the producer side of
-    async dispatch. *)
+    async dispatch. It binds no site. *)
 
 val apply : t -> event -> unit
 (** Replay a reified event into an analysis (the consumer side);

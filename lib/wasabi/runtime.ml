@@ -637,10 +637,18 @@ let timed (b : binding) ~timer_key ~decode_key ~ret (loc : ('a, 'b, Location.t) 
 
 let timer_key spec = "hook." ^ Hook.group_name (Hook.group_of_spec spec)
 
+(** The analysis's counter of the site of [spec] at [l] ({!Analysis.site}).
+    A [br_table] is never counted: its decoder also fires the [end]
+    events of the entry it takes, at their own locations. *)
+let counter (a : Analysis.t) (spec : Hook.spec) l =
+  match spec with Hook.S_br_table -> None | _ -> a.site spec l
+
 (** Build the host function implementing one low-level hook: the
     selected decoder on the array ABI, plus — for the compiled decoder —
     the binder of tier-1 call sites, which runs the same decoder over
-    the site's arguments. *)
+    the site's arguments. A site at a constant location that the
+    analysis counts ({!counter}) binds to its counter instead, and
+    decodes only while a profiler is attached. *)
 let make_hook rt env (spec : Hook.spec) : Interp.extern =
   let ft = Hook.signature ~split_i64:env.split spec in
   let nparams = List.length ft.params in
@@ -654,9 +662,15 @@ let make_hook rt env (spec : Hook.spec) : Interp.extern =
                if Array.length site <> nparams then None
                else
                  let src = site_source site in
-                 match timed ~ret:() (map2 location (src.int 0) (src.int 1)) (compile env src spec) with
-                 | entry -> Some (fun e -> entry e ())
-                 | exception Unbindable -> None) }
+                 let loc = map2 location (src.int 0) (src.int 1) in
+                 match timed ~ret:() loc (compile env src spec) with
+                 | exception Unbindable -> None
+                 | entry ->
+                   let b = rt.binding in
+                   match (match loc with Const l -> counter b.analysis spec l | Read _ -> None) with
+                   | Some count ->
+                     Some (fun e -> match !(b.prof) with None -> count () | Some _ -> entry e ())
+                   | None -> Some (fun e -> entry e ())) }
       in
       (timed ~ret:[] stack_loc (compile env stack_source spec), Some bind)
     | `Reference ->
@@ -923,6 +937,15 @@ module Probe = struct
       let pe_operands, pe_local = List.fold_left reads (0, -1) ev.args in
       { pe_fire = fire env b gate ev; pe_operands; pe_local }
     in
+    (* the analysis's counter of [ev]'s site, while no profiler is
+       attached (attaching one rebuilds the sites): a counted event reads
+       no operand and no local, so tier 1 boxes nothing for it *)
+    let counted (ev : Plan.event) =
+      let b = c.pc_binding in
+      match !(b.prof) with
+      | None -> counter b.analysis ev.spec (location fidx ev.at)
+      | Some _ -> None
+    in
     (* a [br_table]'s decoder fires the [br_table] event and the [end]
        events of the entry it takes, through an analysis that gates each
        at its own location *)
@@ -940,7 +963,8 @@ module Probe = struct
               (fun l k b ->
                  match List.assoc_opt l.Location.instr end_gates with
                  | Some g when g () -> a.end_ l k b
-                 | _ -> ()) }
+                 | _ -> ());
+            site = Analysis.default.site }
         in
         let b = c.pc_binding in
         Some
@@ -962,14 +986,21 @@ module Probe = struct
         match gate ev.spec ~at:ev.at with
         | None -> ()
         | Some g ->
+          let e =
+            match counted ev with
+            | Some count -> probe_event (fun _ -> if g () then count ())
+            | None ->
+              if timing = After then begin
+                if List.mem (Plan.Operand 1) ev.args then pre := capture2 :: !pre
+                else if List.mem (Plan.Operand 0) ev.args then pre := capture1 :: !pre
+              end;
+              event g ev
+          in
           match timing with
-          | Plan.Before -> pre := event g ev :: !pre
-          | Body_head -> next := event g ev :: !next
-          | Taken -> taken := event g ev :: !taken
-          | After ->
-            if List.mem (Plan.Operand 1) ev.args then pre := capture2 :: !pre
-            else if List.mem (Plan.Operand 0) ev.args then pre := capture1 :: !pre;
-            post := event g ev :: !post
+          | Plan.Before -> pre := e :: !pre
+          | Body_head -> next := e :: !next
+          | Taken -> taken := e :: !taken
+          | After -> post := e :: !post
     in
     let enter = ref [] and exit = ref [] and sites = ref [] in
     let site at events table =

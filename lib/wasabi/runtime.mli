@@ -18,7 +18,12 @@
     site reads. The original interpretive list-based decoder is kept as
     the reference path (array ABI only) that the decoder tests check the
     compiled one against, selected with [~decoder:`Reference]. All paths
-    produce identical high-level hook invocations. *)
+    produce identical high-level hook invocations.
+
+    A bound tier-1 site at a constant location, and a probe event, ask
+    the analysis for the site's counter ({!Analysis.site}) when they are
+    built. A counted site runs the counter in place of decoding, except
+    while a profiler is attached. *)
 
 type decoder_kind = [ `Compiled | `Reference ]
 

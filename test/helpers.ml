@@ -55,3 +55,51 @@ let check_traps msg substring f =
   | exception Value.Trap m ->
     if not (contains m substring) then
       Alcotest.failf "%s: trap %S does not mention %S" msg m substring
+
+(** Where an analysis runs (see {!run_analysis}). *)
+type backend =
+  | T0  (** the instrumented module on tier 0: every event decoded *)
+  | T1
+      (** the instrumented module compiled up front on tier 1: hook calls
+          bound to site entries, which an analysis may count *)
+  | T1_profiled  (** as [T1], with a profiler attached: bound sites decode *)
+  | Probes  (** the original module under engine probes on every group *)
+  | Async
+      (** one served run on tier 1 whose events are reified and applied
+          by a consumer domain *)
+
+let backend_name = function
+  | T0 -> "tier 0"
+  | T1 -> "tier 1"
+  | T1_profiled -> "tier 1, profiled"
+  | Probes -> "probes"
+  | Async -> "async"
+
+(** Run the [entry] export (default ["run"]) of the instrumented module
+    [res] with [analysis] attached on [backend]; returns the program
+    results ([[]] for [Async], where the farm checks its runs). *)
+let run_analysis ?(decoder = `Compiled) ?(entry = "run") backend
+    (res : Wasabi.Instrument.result) (analysis : Wasabi.Analysis.t) : Value.t list =
+  match backend with
+  | T0 | T1 | T1_profiled ->
+    let inst, rt = Wasabi.Runtime.instantiate ~decoder res analysis in
+    if backend = T1_profiled then
+      Wasabi.Runtime.attach_profiler rt (Some (Obs.Profile.create ()));
+    if backend <> T0 then ignore (Tier1.compile_all inst : int);
+    Interp.invoke_export inst entry []
+  | Probes ->
+    let inst =
+      Interp.instantiate ~imports:[] res.Wasabi.Instrument.metadata.Wasabi.Metadata.original
+    in
+    ignore (Tier1.compile_all inst : int);
+    let c = Wasabi.Runtime.Probe.create inst analysis in
+    ignore (Result.get_ok (Wasabi.Runtime.Probe.attach_spec c "all"));
+    Interp.invoke_export inst entry []
+  | Async ->
+    let stats =
+      Serve.Farm.run ~tier1:true
+        ~mode:(Serve.Farm.Async { consumers = 1; capacity = 1024 })
+        ~domains:1 ~runs:1 ~entry ~make_analysis:(fun _ -> analysis) res
+    in
+    if stats.Serve.Farm.st_faults <> 0 then Alcotest.fail "served run faulted";
+    []

@@ -8,10 +8,10 @@ module W = Wasabi
 
 let case name fn = Alcotest.test_case name `Quick fn
 
-let run_with_analysis ?entry:(fname = "run") m groups analysis =
+(* [backend] defaults to tier 0; probes attach every group *)
+let run_with_analysis ?entry ?(backend = Helpers.T0) m groups analysis =
   let res = W.Instrument.instrument ~groups m in
-  let inst, _ = W.Runtime.instantiate res analysis in
-  ignore (Wasm.Interp.invoke_export inst fname []);
+  ignore (Helpers.run_analysis ?entry backend res analysis : Wasm.Value.t list);
   res
 
 (* a tiny program with known instruction counts: 10-iteration loop *)
@@ -326,6 +326,142 @@ let test_analysis_combine () =
   Alcotest.(check bool) "mix sees instructions" true (Stdlib.( > ) (Analyses.Instruction_mix.total mix) 0);
   Alcotest.(check int) "call graph sees the call" 1 (Analyses.Call_graph.num_edges cg)
 
+(* a site-bound analysis (instruction mix, basic blocks) and a per-event
+   one (trace) in every order, and two site-bound ones: on the backends
+   that count sites, each side reports what the same composition
+   reports on tier 0, where every event is decoded *)
+let test_combine_counted () =
+  let p =
+    Mc_compile.compile_checked
+      (program
+         [ func "helper" ~params:[ ("x", TInt) ] ~result:TInt ~export:false
+             [ Return (Some (v "x" * i 3)) ];
+           func "run" ~params:[] ~result:TInt ~locals:[ ("k", TInt); ("acc", TInt) ]
+             [ For ("k", i 0, i 5, [ "acc" := v "acc" + Call ("helper", [ v "k" ]) ]);
+               Return (Some (v "acc")) ] ])
+  in
+  let reports pick backend =
+    let mix = Analyses.Instruction_mix.create () in
+    let bb = Analyses.Basic_block_profiling.create () in
+    let tr = Analyses.Trace.create () in
+    let a, b =
+      pick
+        ( Analyses.Instruction_mix.analysis mix,
+          Analyses.Basic_block_profiling.analysis bb,
+          Analyses.Trace.analysis tr )
+    in
+    ignore (run_with_analysis ~backend p W.Hook.all (W.Analysis.combine a b));
+    String.concat "\n"
+      [ Analyses.Instruction_mix.report mix;
+        Analyses.Basic_block_profiling.report ~limit:max_int bb;
+        Analyses.Trace.to_log tr ]
+  in
+  List.iter
+    (fun (name, pick) ->
+       let expected = reports pick Helpers.T0 in
+       List.iter
+         (fun backend ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s (%s)" name (Helpers.backend_name backend))
+              expected (reports pick backend))
+         [ Helpers.T1; T1_profiled; Probes ])
+    [ ("mix, trace", fun (m, _, t) -> (m, t));
+      ("trace, mix", fun (m, _, t) -> (t, m));
+      ("mix, blocks", fun (m, b, _) -> (m, b)) ]
+
+(* tier 1 binds, and probes build, the sites of code that never runs (an
+   exported function nobody calls, a branch never taken): their counter
+   cells stay out of the reports *)
+let test_unrun_sites_unreported () =
+  let p =
+    Mc_compile.compile_checked
+      (program
+         [ func "cold" ~params:[] ~result:TInt ~locals:[ ("k", TInt) ]
+             [ For ("k", i 0, i 3, []); Return (Some (v "k" * i 7)) ];
+           func "run" ~params:[] ~result:TInt ~locals:[ ("r", TInt) ]
+             [ If (v "r" > i 100, [ "r" := v "r" * i 3 ], []);
+               Return (Some (v "r")) ] ])
+  in
+  let bound0, _ = Wasm.Tier1.hook_sites () in
+  List.iter
+    (fun backend ->
+       let name = Helpers.backend_name backend in
+       let mix = Analyses.Instruction_mix.create () in
+       let bb = Analyses.Basic_block_profiling.create () in
+       ignore
+         (run_with_analysis ~backend p W.Hook.all
+            (W.Analysis.combine (Analyses.Instruction_mix.analysis mix)
+               (Analyses.Basic_block_profiling.analysis bb)));
+       Alcotest.(check int) (name ^ ": i32.mul never ran") 0
+         (Analyses.Instruction_mix.count mix "i32.mul");
+       Alcotest.(check (list string)) (name ^ ": no unrun kinds listed") []
+         (List.filter_map
+            (fun (k, n) -> if Stdlib.(n <= 0 || k = "i32.mul") then Some k else None)
+            (Analyses.Instruction_mix.sorted mix));
+       Alcotest.(check bool) (name ^ ": no loop listed") false
+         (List.exists
+            (fun ((_, kind), _) -> Stdlib.(kind = W.Hook.Bloop))
+            (Analyses.Basic_block_profiling.hottest bb));
+       Alcotest.(check bool) (name ^ ": no unrun block listed") true
+         (List.for_all (fun (_, n) -> Stdlib.(n > 0)) (Analyses.Basic_block_profiling.hottest bb)))
+    [ Helpers.T0; T1; Probes ];
+  let bound1, _ = Wasm.Tier1.hook_sites () in
+  Alcotest.(check bool) "tier 1 bound the unrun sites" true Stdlib.(bound1 > bound0)
+
+(* equal counts are listed by key, whatever else the table holds: here
+   200 zero cells of bound sites that never ran *)
+let test_tie_order () =
+  let l = W.Location.make ~func:0 ~instr:0 in
+  let x = Wasm.Value.I32 0l in
+  let ops = [ "local.get"; "i32.add"; "f64.add"; "i32.mul"; "br_if"; "i32.sub" ] in
+  let mix ~unrun =
+    let t = Analyses.Instruction_mix.create () in
+    let a = Analyses.Instruction_mix.analysis t in
+    for k = 1 to unrun do
+      let op = Printf.sprintf "op%d" k in
+      ignore (a.W.Analysis.site (W.Hook.S_unary (op, I32T, I32T)) l)
+    done;
+    List.iter (fun op -> a.W.Analysis.unary l op x x) ops;
+    Analyses.Instruction_mix.sorted t
+  in
+  let by_key = List.map (fun op -> (op, 1)) (List.sort String.compare ops) in
+  Alcotest.(check (list (pair string int))) "ties by key" by_key (mix ~unrun:0);
+  Alcotest.(check (list (pair string int))) "ties by key, with unrun cells" by_key
+    (mix ~unrun:200);
+  let bb = Analyses.Basic_block_profiling.create () in
+  let a = Analyses.Basic_block_profiling.analysis bb in
+  let locs = List.map (fun i -> W.Location.make ~func:(i mod 3) ~instr:Stdlib.(7 - i)) [ 0; 1; 2; 3; 4 ] in
+  List.iter (fun l -> a.W.Analysis.begin_ l W.Hook.Bblock) locs;
+  Alcotest.(check (list string)) "blocks tied by location"
+    (List.map W.Location.to_string (List.sort W.Location.compare locs))
+    (List.map (fun ((l, _), _) -> W.Location.to_string l)
+       (Analyses.Basic_block_profiling.hottest bb))
+
+(* with a profiler attached, a site the instruction mix counts takes the
+   full decode again, so the profile keeps its per-group timers and its
+   decode/analysis split *)
+let test_profiled_counted_sites () =
+  let res = W.Instrument.instrument counting_program in
+  let mix = Analyses.Instruction_mix.create () in
+  let inst, rt = W.Runtime.instantiate res (Analyses.Instruction_mix.analysis mix) in
+  let prof = Obs.Profile.create () in
+  W.Runtime.attach_profiler rt (Some prof);
+  ignore (Wasm.Tier1.compile_all inst : int);
+  ignore (Wasm.Interp.invoke_export inst "run" []);
+  let events key =
+    List.fold_left
+      (fun n (k, e, _) -> if String.equal k key then e else n)
+      0 (Obs.Profile.timer_list prof)
+  in
+  Alcotest.(check int) "every event timed" (Analyses.Instruction_mix.total mix)
+    (events "dispatch.analysis");
+  Alcotest.(check int) "decode split kept" (Analyses.Instruction_mix.total mix)
+    (events "dispatch.decode");
+  Alcotest.(check int) "binary group timed"
+    Stdlib.(Analyses.Instruction_mix.count mix "i32.add"
+            + Analyses.Instruction_mix.count mix "i32.ge_s")
+    (events "hook.binary")
+
 let suite =
   [
     case "instruction mix counts" test_instruction_mix;
@@ -346,4 +482,8 @@ let suite =
     case "provenance: constant origins" test_provenance_const_origin;
     case "provenance: through memory" test_provenance_through_memory;
     case "analysis composition" test_analysis_combine;
+    case "composition: counters with per-event callbacks" test_combine_counted;
+    case "never-run sites stay out of reports" test_unrun_sites_unreported;
+    case "report order: ties by key" test_tie_order;
+    case "profiled tier 1 decodes counted sites" test_profiled_counted_sites;
   ]

@@ -5,7 +5,9 @@
     list-based reference decoder must produce byte-identical high-level
     hook invocations, in the same order, with the same program result —
     on tier 0 (array ABI) and on tier 1, where hook calls bind to
-    site-specialised entries, with and without a profiler. *)
+    site-specialised entries, with and without a profiler. The analyses
+    that count sites instead of decoding them must report the same bytes
+    on every backend. *)
 
 open Minic.Mc_ast
 module W = Wasabi
@@ -88,37 +90,34 @@ let recorder () =
       call_post = (fun l rs -> emit "call_post %s [%s]" (loc l) (values rs));
       return_ = (fun l rs -> emit "return %s [%s]" (loc l) (values rs));
       start = (fun l -> emit "start %s" (loc l));
+      site = W.Analysis.default.site;
     }
   in
   (analysis, final)
 
-(** How the instrumented module runs: on tier 0, or compiled up front
-    on tier 1 (hook calls bound to site entries), with or without a
-    profiler attached (the site entries' profiled path). *)
-type tier = T0 | T1 | T1_profiled
-
-(** Run an instrumented module's [run] export under one decoder; returns
-    (program results, transcript digest, event count). *)
-let transcript ?(tier = T0) ~decoder (res : W.Instrument.result) =
+(** Run an instrumented module's [run] export under one decoder on one
+    AOT backend ({!Helpers.backend}); returns (program results,
+    transcript digest, event count). *)
+let transcript ?(backend = Helpers.T0) ~decoder (res : W.Instrument.result) =
   let analysis, final = recorder () in
-  let inst, rt = W.Runtime.instantiate ~decoder res analysis in
-  if tier = T1_profiled then W.Runtime.attach_profiler rt (Some (Obs.Profile.create ()));
-  if tier <> T0 then ignore (Wasm.Tier1.compile_all inst : int);
-  let results = Wasm.Interp.invoke_export inst "run" [] in
+  let results = Helpers.run_analysis ~decoder backend res analysis in
   let digest, count = final () in
   (List.map Wasm.Value.to_string results, digest, count)
 
 let check_identical name (res : W.Instrument.result) =
   let r_r, d_r, n_r = transcript ~decoder:`Reference res in
   List.iter
-    (fun (tier, tname) ->
-       let name = name ^ tname in
-       let r_c, d_c, n_c = transcript ~tier ~decoder:`Compiled res in
+    (fun backend ->
+       let name =
+         if backend = Helpers.T0 then name
+         else Printf.sprintf "%s (%s)" name (Helpers.backend_name backend)
+       in
+       let r_c, d_c, n_c = transcript ~backend ~decoder:`Compiled res in
        Alcotest.(check (list string)) (name ^ ": results") r_r r_c;
        Alcotest.(check int) (name ^ ": event count") n_r n_c;
        Alcotest.(check string) (name ^ ": transcript") d_r d_c;
        Alcotest.(check bool) (name ^ ": observed events") true (n_c > 0))
-    [ (T0, ""); (T1, " (tier 1)"); (T1_profiled, " (tier 1, profiled)") ]
+    [ Helpers.T0; T1; T1_profiled ]
 
 (* --- corpus ----------------------------------------------------------- *)
 
@@ -227,9 +226,51 @@ let test_spec_coverage () =
          true (Hashtbl.mem groups g))
     expect
 
+(* --- counted sites: reports across backends ---------------------- *)
+
+(** The instruction-mix and basic-block reports of the corpus and the
+    kitchen sink, which count hook sites ({!W.Analysis.site}), are the
+    same bytes on every backend: tier 0 and the async consumer run the
+    per-event callbacks, tier 1 and the probes the site counters, the
+    profiled run the full decode. *)
+let test_counted_reports () =
+  let mix () =
+    let t = Analyses.Instruction_mix.create () in
+    (Analyses.Instruction_mix.analysis t, fun () -> Analyses.Instruction_mix.report t)
+  in
+  let blocks () =
+    let t = Analyses.Basic_block_profiling.create () in
+    ( Analyses.Basic_block_profiling.analysis t,
+      fun () -> Analyses.Basic_block_profiling.report ~limit:max_int t )
+  in
+  let modules =
+    ("kitchen-sink", kitchen_sink ())
+    :: List.map (fun (e : Workloads.Corpus.entry) -> (e.name, e.module_)) (Lazy.force corpus)
+  in
+  List.iter
+    (fun (name, m) ->
+       let res = W.Instrument.instrument m in
+       List.iter
+         (fun (aname, make) ->
+            let report backend =
+              let analysis, report = make () in
+              ignore (Helpers.run_analysis backend res analysis : Wasm.Value.t list);
+              report ()
+            in
+            let expected = report Helpers.T0 in
+            List.iter
+              (fun backend ->
+                 Alcotest.(check string)
+                   (Printf.sprintf "%s: %s (%s)" name aname (Helpers.backend_name backend))
+                   expected (report backend))
+              [ Helpers.T1; T1_profiled; Probes; Async ])
+         [ ("instruction-mix", mix); ("basic-blocks", blocks) ])
+    modules
+
 let suite =
   [ case "corpus: compiled = reference" test_corpus_differential;
     case "kitchen sink, split i64" test_kitchen_sink_split;
     case "kitchen sink, native i64" test_kitchen_sink_nosplit;
     case "spec coverage across tested modules" test_spec_coverage;
-    case "tier 1 binds >= 95% of corpus hook sites" test_site_binding ]
+    case "tier 1 binds >= 95% of corpus hook sites" test_site_binding;
+    case "counted reports: same bytes on every backend" test_counted_reports ]

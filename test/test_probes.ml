@@ -26,12 +26,15 @@ let check_golden golden actual =
     Alcotest.failf "golden mismatch for %s (actual dumped to %s)" golden dump
   end
 
-(** A compact event recorder over the callbacks these tests assert on. *)
-let recorder buf : Wasabi.Analysis.t =
+(** A compact event recorder over the callbacks these tests assert on.
+    [counted] also records [begin]/[end] through site counters
+    ({!Wasabi.Analysis.site}), which must print what the callbacks do. *)
+let recorder ?(counted = false) buf : Wasabi.Analysis.t =
   let l (loc : Wasabi.Location.t) =
     Printf.sprintf "%d:%d" loc.Wasabi.Location.func loc.Wasabi.Location.instr
   in
   let p fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf ' ') fmt in
+  let count name loc = Some (fun () -> p "%s@%s" name (l loc)) in
   {
     Wasabi.Analysis.default with
     const = (fun loc v -> p "const@%s=%s" (l loc) (Value.to_string v));
@@ -42,6 +45,12 @@ let recorder buf : Wasabi.Analysis.t =
     end_ = (fun loc _ _ -> p "end@%s" (l loc));
     call_pre = (fun loc callee _ _ -> p "call@%s->%d" (l loc) callee);
     call_post = (fun loc _ -> p "ret@%s" (l loc));
+    site =
+      (fun spec loc ->
+         match spec with
+         | Wasabi.Hook.S_begin _ when counted -> count "begin" loc
+         | S_end _ when counted -> count "end" loc
+         | _ -> None);
   }
 
 let all_spec = { Obs.Probe.sp_groups = []; sp_func = None; sp_loc = None; sp_nth = 1 }
@@ -126,36 +135,46 @@ let two_func_module () =
   B.export_func b ~name:"f" f;
   B.build b
 
-let run_two_funcs spec =
-  let m = two_func_module () in
-  Validate.validate_module m;
-  let inst = Interp.instantiate ~imports:[] m in
-  let buf = Buffer.create 128 in
-  let c = P.create ~registry:(Obs.Metrics.create ()) inst (recorder buf) in
-  ignore (P.attach c spec);
-  ignore (Interp.invoke_export inst "f" []);
-  Buffer.contents buf
+(* the recorded stream of [f] under [spec], with and without counted
+   [begin]/[end] sites: the predicates gate counted events too *)
+let check_two_funcs msg expected spec =
+  List.iter
+    (fun counted ->
+       let m = two_func_module () in
+       Validate.validate_module m;
+       let inst = Interp.instantiate ~imports:[] m in
+       let buf = Buffer.create 128 in
+       let c = P.create ~registry:(Obs.Metrics.create ()) inst (recorder ~counted buf) in
+       ignore (P.attach c spec);
+       ignore (Interp.invoke_export inst "f" []);
+       Alcotest.(check string) (if counted then msg ^ " (counted)" else msg) expected
+         (Buffer.contents buf))
+    [ false; true ]
 
 let test_group_predicate () =
-  Alcotest.(check string) "only const events"
+  check_two_funcs "only const events"
     "const@0:0=i32:1 const@0:0=i32:1 "
-    (run_two_funcs { all_spec with sp_groups = [ "const" ] })
+    { all_spec with sp_groups = [ "const" ] }
 
 let test_func_predicate () =
-  Alcotest.(check string) "only func 0's events"
+  check_two_funcs "only func 0's events"
     "begin@0:-1 const@0:0=i32:1 end@0:1 begin@0:-1 const@0:0=i32:1 end@0:1 "
-    (run_two_funcs { all_spec with sp_func = Some 0 })
+    { all_spec with sp_func = Some 0 }
 
 let test_loc_predicate () =
-  Alcotest.(check string) "only the second call site"
+  check_two_funcs "only the second call site"
     "call@1:1->0 ret@1:1 "
-    (run_two_funcs { all_spec with sp_loc = Some (1, 1) })
+    { all_spec with sp_loc = Some (1, 1) }
 
 let test_nth_predicate () =
   (* const at 0:0 executes twice; @nth=2 skips the first occurrence *)
-  Alcotest.(check string) "fires from the 2nd match on"
+  check_two_funcs "fires from the 2nd match on"
     "const@0:0=i32:1 "
-    (run_two_funcs { all_spec with sp_groups = [ "const" ]; sp_nth = 2 })
+    { all_spec with sp_groups = [ "const" ]; sp_nth = 2 };
+  (* [begin] of f, then of g twice: @nth=2 skips f's *)
+  check_two_funcs "counted events from the 2nd match on"
+    "begin@0:-1 begin@0:-1 "
+    { all_spec with sp_groups = [ "begin" ]; sp_nth = 2 }
 
 (* --- live attach / detach ------------------------------------------- *)
 
