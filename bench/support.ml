@@ -4,7 +4,8 @@
 
 open Wasm
 
-let now () = Unix.gettimeofday ()
+(** Seconds on the monotonic clock: differences only, never a date. *)
+let now () = Obs.Clock.ns_to_s (Obs.Clock.now_ns ())
 
 (** Fast mode ([WASABI_BENCH_FAST] set): fewer, shorter reps and smaller
     sweeps, trading accuracy for speed. *)
@@ -158,12 +159,14 @@ let interp_rate inst ~iters =
   let steps = inst.Interp.steps - s0 in
   (steps, t, float_of_int steps /. Float.max 1e-9 t)
 
+(** The middle element, or the mean of the two middle elements of an
+    even-length list. *)
 let median xs =
-  match List.sort Float.compare xs with
-  | [] -> nan
-  | sorted ->
-    let n = List.length sorted in
-    List.nth sorted (n / 2)
+  let sorted = Array.of_list (List.sort Float.compare xs) in
+  match Array.length sorted with
+  | 0 -> nan
+  | n when n mod 2 = 1 -> sorted.(n / 2)
+  | n -> (sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.0
 
 (** Relative runtime of [instrumented] vs [baseline]: measurements are
     interleaved (base, instr, base, instr, ...) and the median of the

@@ -65,9 +65,9 @@ type t = {
     whatever its arguments; a spec whose callback is a no-op may return
     [Some ignore]. [None] keeps the per-event callback. The callbacks
     stay the contract: tier 0, unbound (array-ABI) sites, profiled runs
-    (a bound counter takes the full decode while a profiler is attached,
-    so the profile keeps its decode/analysis split) and {!reify} all use
-    them.
+    and {!reify} all use them. A site is not asked while a profiler is
+    attached, so the profile keeps its decode/analysis split; attaching
+    or detaching one rebinds the sites.
 
     A record built as [{ a with ... }] over an analysis [a] that sets
     [site] inherits [a]'s counters, which then bypass the replaced

@@ -83,11 +83,15 @@ let create ?(decoder = `Compiled) ?sink (res : Instrument.result) (analysis : An
     binding = binding (sink_or ?sink analysis) }
 
 (** Attach a profiler to both the runtime (hook-dispatch accounting) and
-    the instrumented instance, when one is already present. *)
+    the instrumented instance, when one is already present. The instance
+    is re-tiered, so compiled bodies rebind their hook sites ({!make_hook}
+    reads the profiler state at binding). *)
 let attach_profiler (rt : t) (p : Obs.Profile.t option) : unit =
   rt.binding.prof := p;
   match rt.instance with
-  | Some inst -> Interp.set_profiler inst p
+  | Some inst ->
+    Interp.set_profiler inst p;
+    Interp.set_tier inst inst.inst_tier
   | None -> ()
 
 (* halves as native ints (sign-extended or not: only the low 32 bits count) *)
@@ -645,10 +649,12 @@ let counter (a : Analysis.t) (spec : Hook.spec) l =
 
 (** Build the host function implementing one low-level hook: the
     selected decoder on the array ABI, plus — for the compiled decoder —
-    the binder of tier-1 call sites, which runs the same decoder over
-    the site's arguments. A site at a constant location that the
-    analysis counts ({!counter}) binds to its counter instead, and
-    decodes only while a profiler is attached. *)
+    the binder of tier-1 call sites. The profiler state at binding
+    decides what a site runs ({!attach_profiler} re-tiers, so sites
+    rebind): with no profiler, a site at a constant location that the
+    analysis counts ({!counter}) runs its counter and builds no decoder,
+    any other site its bare decoder over the site's arguments; with a
+    profiler, the {!timed} decoder. *)
 let make_hook rt env (spec : Hook.spec) : Interp.extern =
   let ft = Hook.signature ~split_i64:env.split spec in
   let nparams = List.length ft.params in
@@ -661,16 +667,22 @@ let make_hook rt env (spec : Hook.spec) : Interp.extern =
             (fun site ->
                if Array.length site <> nparams then None
                else
+                 let b = rt.binding in
                  let src = site_source site in
                  let loc = map2 location (src.int 0) (src.int 1) in
-                 match timed ~ret:() loc (compile env src spec) with
-                 | exception Unbindable -> None
-                 | entry ->
-                   let b = rt.binding in
-                   match (match loc with Const l -> counter b.analysis spec l | Read _ -> None) with
-                   | Some count ->
-                     Some (fun e -> match !(b.prof) with None -> count () | Some _ -> entry e ())
-                   | None -> Some (fun e -> entry e ())) }
+                 let prof = !(b.prof) in
+                 match (match prof, loc with None, Const l -> counter b.analysis spec l | _ -> None) with
+                 | Some count -> Some (fun _ -> count ())
+                 | None ->
+                   match compile env src spec with
+                   | exception Unbindable -> None
+                   | decode ->
+                     match prof, loc with
+                     | None, Const l -> Some (fun e -> decode b.analysis l e ())
+                     | None, Read r -> Some (fun e -> decode b.analysis (r e ()) e ())
+                     | Some _, _ ->
+                       let entry = timed ~ret:() loc decode in
+                       Some (fun e -> entry e ())) }
       in
       (timed ~ret:[] stack_loc (compile env stack_source spec), Some bind)
     | `Reference ->

@@ -62,7 +62,11 @@ val create :
 
 val attach_profiler : t -> Obs.Profile.t option -> unit
 (** Attach (or detach) a profiler to both the runtime (hook-dispatch
-    timing) and the instrumented instance, when one is present. *)
+    timing) and the instrumented instance, when one is present. The
+    instance is re-tiered ({!Wasm.Interp.set_tier} with its own policy),
+    so compiled bodies rebind their hook sites at their next entry:
+    timed while a profiler is attached, counted or bare otherwise.
+    Frames already on the stack finish on the code they entered with. *)
 
 val imports : t -> Wasm.Interp.imports
 (** Host functions implementing every generated low-level hook. *)

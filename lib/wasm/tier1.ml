@@ -153,6 +153,10 @@ let cvt_types : Ast.cvtop -> value_type * value_type = function
     computing, for every reachable instruction boundary (the body's end
     included), the operand stack height and the type stack (top first),
     and before every instruction the enclosing label environment.
+    The type stack and the label environment are kept only where
+    codegen reads them: the type stack at [select] and after the body,
+    the labels at branches, and both at every pc of a probed body,
+    whose unfused groups and probe sites read them anywhere.
     Heights are [-1] on unreachable boundaries; blocks
     starting there compile to an engine-bug trap (nothing can jump to
     them). Dead stretches are revived at the [End] of a block/if frame
@@ -163,6 +167,7 @@ let analyze (inst : instance) (code : code) :
   let body = code.c_body in
   let n = Array.length body in
   let end_of = code.c_jumps.end_of in
+  let dense = Option.is_some code.c_probe in
   let ltypes = Array.of_list (code.c_type.params @ code.c_func.Ast.locals) in
   let heights = Array.make (n + 1) (-1) in
   let types_at = Array.make (n + 1) [] in
@@ -181,8 +186,14 @@ let analyze (inst : instance) (code : code) :
   for pc = 0 to n - 1 do
     if not !dead then begin
       heights.(pc) <- !h;
-      types_at.(pc) <- !ts;
-      frames_at.(pc) <- !frames;
+      (match code.c_xbody.(pc) with
+       | _ when dense ->
+         types_at.(pc) <- !ts;
+         frames_at.(pc) <- !frames
+       | XSelect -> types_at.(pc) <- !ts
+       | XBr _ | XBrIf _ | XBrTable _ | XBrIfRelLL _ | XBrIfRelLC _ | XBrIfRel _ | XBrIfEqz _ ->
+         frames_at.(pc) <- !frames
+       | _ -> ());
       if !h > !max_h then max_h := !h
     end;
     (match body.(pc) with

@@ -437,30 +437,47 @@ let test_tie_order () =
     (List.map (fun ((l, _), _) -> W.Location.to_string l)
        (Analyses.Basic_block_profiling.hottest bb))
 
-(* with a profiler attached, a site the instruction mix counts takes the
-   full decode again, so the profile keeps its per-group timers and its
-   decode/analysis split *)
-let test_profiled_counted_sites () =
+(* with a profiler attached, a site the instruction mix counts binds the
+   full timed decode, so the profile keeps its per-group timers and its
+   decode/analysis split. Attaching re-tiers the instance, so the order
+   does not matter: before [compile_all], after it (the serve worker's
+   order), or attached for one run and detached for the next, when the
+   sites rebind to their counters and the profile stops growing. *)
+type attach_order = Before_compile | After_compile | Detach_after_run
+
+let test_profiled_counted_sites order () =
   let res = W.Instrument.instrument counting_program in
   let mix = Analyses.Instruction_mix.create () in
   let inst, rt = W.Runtime.instantiate res (Analyses.Instruction_mix.analysis mix) in
   let prof = Obs.Profile.create () in
-  W.Runtime.attach_profiler rt (Some prof);
-  ignore (Wasm.Tier1.compile_all inst : int);
-  ignore (Wasm.Interp.invoke_export inst "run" []);
+  let attach () = W.Runtime.attach_profiler rt (Some prof) in
+  let compile () = ignore (Wasm.Tier1.compile_all inst : int) in
+  let run () = ignore (Wasm.Interp.invoke_export inst "run" []) in
+  (match order with
+   | Before_compile | Detach_after_run -> attach (); compile ()
+   | After_compile -> compile (); attach ());
+  run ();
   let events key =
     List.fold_left
       (fun n (k, e, _) -> if String.equal k key then e else n)
       0 (Obs.Profile.timer_list prof)
   in
-  Alcotest.(check int) "every event timed" (Analyses.Instruction_mix.total mix)
-    (events "dispatch.analysis");
-  Alcotest.(check int) "decode split kept" (Analyses.Instruction_mix.total mix)
-    (events "dispatch.decode");
+  let total = Analyses.Instruction_mix.total mix in
+  Alcotest.(check int) "every event timed" total (events "dispatch.analysis");
+  Alcotest.(check int) "decode split kept" total (events "dispatch.decode");
   Alcotest.(check int) "binary group timed"
     Stdlib.(Analyses.Instruction_mix.count mix "i32.add"
             + Analyses.Instruction_mix.count mix "i32.ge_s")
-    (events "hook.binary")
+    (events "hook.binary");
+  match order with
+  | Before_compile | After_compile -> ()
+  | Detach_after_run ->
+    W.Runtime.attach_profiler rt None;
+    run ();
+    Alcotest.(check int) "detached: no event timed" total (events "dispatch.analysis");
+    Alcotest.(check int) "detached: no event decoded" total (events "dispatch.decode");
+    Alcotest.(check int) "detached: the mix keeps counting" Stdlib.(2 * total)
+      (Analyses.Instruction_mix.total mix)
 
 let suite =
   [
@@ -485,5 +502,7 @@ let suite =
     case "composition: counters with per-event callbacks" test_combine_counted;
     case "never-run sites stay out of reports" test_unrun_sites_unreported;
     case "report order: ties by key" test_tie_order;
-    case "profiled tier 1 decodes counted sites" test_profiled_counted_sites;
+    case "profiled tier 1 decodes counted sites" (test_profiled_counted_sites Before_compile);
+    case "profiled tier 1: attach after compile_all" (test_profiled_counted_sites After_compile);
+    case "profiled tier 1: detach stops the profile" (test_profiled_counted_sites Detach_after_run);
   ]

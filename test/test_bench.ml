@@ -37,10 +37,18 @@ let test_edge_cases () =
   Alcotest.(check int) "unterminated comment swallows the rest" 1
     (loc "let x = 1\n(* never closed\nlet y = 2\n")
 
+let test_median () =
+  let median = Bench_support.Support.median in
+  Alcotest.(check (float 0.0)) "odd length: the middle" 2.0 (median [ 3.0; 1.0; 2.0 ]);
+  Alcotest.(check (float 0.0)) "even length: mean of the middle two" 2.5
+    (median [ 4.0; 1.0; 3.0; 2.0 ]);
+  Alcotest.(check bool) "empty: nan" true (Float.is_nan (median []))
+
 let suite =
   [
     case "LoC counter basics" test_basic;
     case "LoC counter block comments" test_block_comments;
     case "LoC counter nested comments" test_nested_comments;
     case "LoC counter edge cases" test_edge_cases;
+    case "median" test_median;
   ]

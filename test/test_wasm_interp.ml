@@ -485,6 +485,24 @@ let test_deep_operand_stack () =
   check_values "sum of 3000 ones" [ i32 n ]
     (run_f ~params:[] ~results:[ Types.I32T ] ~locals:[] body [])
 
+let test_tier1_select () =
+  (* tier 1 types each select's operands from its first pass: a select
+     of every value type compiles (no fallback to tier 0) and picks the
+     same operand as tier 0 *)
+  List.iter
+    (fun (name, ty, a, b) ->
+       let m = single_func ~params:[ Types.I32T ] ~results:[ ty ] ~locals:[] [ a; b; LocalGet 0; Select ] in
+       Validate.validate_module m;
+       let t0 = Interp.instantiate ~imports:[] m and t1 = Interp.instantiate ~imports:[] m in
+       Alcotest.(check int) (name ^ " select compiles") 1 (Tier1.compile_all t1);
+       List.iter
+         (fun c ->
+            check_values (Printf.sprintf "%s select %d" name c)
+              (Interp.invoke_export t0 "f" [ i32 c ]) (Interp.invoke_export t1 "f" [ i32 c ]))
+         [ 0; 1 ])
+    [ ("i32", Types.I32T, B.i32 7, B.i32 9); ("i64", Types.I64T, B.i64 7L, B.i64 9L);
+      ("f32", Types.F32T, B.f32 7.0, B.f32 9.0); ("f64", Types.F64T, B.f64 7.0, B.f64 9.0) ]
+
 let suite =
   [
     case "consts" test_consts;
@@ -520,4 +538,5 @@ let suite =
     case "tier-1 traps" test_tier1_traps;
     case "tier-1 out-of-fuel parity" test_tier1_fuel_parity;
     case "deep operand stack" test_deep_operand_stack;
+    case "tier-1 select of every type" test_tier1_select;
   ]
