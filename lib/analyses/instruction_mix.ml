@@ -4,12 +4,9 @@
 
 open Wasabi
 
-type t = {
-  counts : (string, int ref) Hashtbl.t;
-  mutable total : int;
-}
+type t = { counts : (string, int ref) Hashtbl.t }
 
-let create () = { counts = Hashtbl.create 64; total = 0 }
+let create () = { counts = Hashtbl.create 64 }
 
 let groups = Hook.all
 
@@ -19,9 +16,7 @@ let cell t key =
   try Hashtbl.find t.counts key
   with Not_found -> let c = ref 0 in Hashtbl.add t.counts key c; c
 
-let bump t key =
-  t.total <- t.total + 1;
-  incr (cell t key)
+let bump t key = incr (cell t key)
 
 (* statically allocated keys for the block/const shapes, which would
    otherwise concatenate a fresh string per event *)
@@ -91,23 +86,21 @@ let analysis (t : t) : Analysis.t =
       (fun spec _ ->
          match key spec with
          | None -> Some ignore
-         | Some k ->
-           let c = cell t k in
-           Some (fun () -> t.total <- t.total + 1; incr c));
+         | Some k -> let c = cell t k in Some (fun () -> incr c));
   }
 
-(** Absorb [src] into [into]: per-key counts and the total are summed.
-    The ref-cell counters are single-domain state, so parallel runs
-    (serve workers, fuzz jobs) each count into their own [t] and merge
-    at report time. [src] is left unchanged. *)
+(** Absorb [src] into [into]: per-key counts are summed. The ref-cell
+    counters are single-domain state, so parallel runs (serve workers,
+    fuzz jobs) each count into their own [t] and merge at report time.
+    [src] is left unchanged. *)
 let merge ~into src =
-  Hashtbl.iter (fun key c -> let dst = cell into key in dst := !dst + !c) src.counts;
-  into.total <- into.total + src.total
+  Hashtbl.iter (fun key c -> let dst = cell into key in dst := !dst + !c) src.counts
 
 let count t key =
   match Hashtbl.find_opt t.counts key with Some c -> !c | None -> 0
 
-let total t = t.total
+(* every event bumps exactly one cell *)
+let total t = Hashtbl.fold (fun _ c n -> n + !c) t.counts 0
 
 (** Counts sorted by frequency, most frequent first, ties by key; the
     cells of sites that never ran are left out. *)
@@ -117,7 +110,7 @@ let sorted t =
 
 let report t =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "instruction mix: %d instructions executed\n" t.total);
+  Buffer.add_string buf (Printf.sprintf "instruction mix: %d instructions executed\n" (total t));
   List.iter
     (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-20s %8d\n" k v))
     (sorted t);

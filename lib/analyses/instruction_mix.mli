@@ -11,11 +11,13 @@ val count : t -> string -> int
 (** Executions of one mnemonic, e.g. ["i32.add"]. *)
 
 val merge : into:t -> t -> unit
-(** Sum [src]'s counts into [into] (per-key and total). Parallel runs
+(** Sum [src]'s counts into [into], per key. Parallel runs
     count into per-domain values and merge at report time; the source
     is left unchanged. *)
 
 val total : t -> int
+(** Instructions executed: the sum of the per-mnemonic counts. *)
+
 val sorted : t -> (string * int) list
 (** Counts sorted by frequency, most frequent first, ties by key.
     Kinds that never ran are not listed. *)

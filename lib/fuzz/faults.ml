@@ -147,8 +147,10 @@ let intercept t (h : Interp.host_func) =
       None
   end
 
-(* both entries are wrapped: the array ABI, and the site entries tier 1
-   binds, so a plan fires at the same call on every tier *)
+(* both entries are wrapped: the array ABI, and the sites tier 1 binds,
+   so a plan fires at the same call on every tier; a counted site becomes
+   an intercepting entry, which tier 1 does not merge with its
+   neighbours *)
 let wrap t (h : Interp.host_func) : Interp.host_func =
   let fn args off =
     match intercept t h with None -> h.Interp.h_fn args off | Some rs -> rs
@@ -157,7 +159,13 @@ let wrap t (h : Interp.host_func) : Interp.host_func =
     { Interp.bind =
         (fun site ->
            Option.map
-             (fun entry e -> match intercept t h with None -> entry e | Some _ -> ())
+             (fun entry ->
+                let run =
+                  match entry with
+                  | Interp.Site_entry f -> f
+                  | Site_count count -> fun _ -> count ()
+                in
+                Interp.Site_entry (fun e -> match intercept t h with None -> run e | Some _ -> ()))
              (b.Interp.bind site)) }
   in
   { h with Interp.h_fn = fn; h_bind = Option.map bind h.Interp.h_bind }

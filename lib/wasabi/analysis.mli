@@ -63,7 +63,17 @@ type t = {
     event, and no argument is decoded. It must do exactly what the
     callback of [spec] would do for every event of that spec at [l],
     whatever its arguments; a spec whose callback is a no-op may return
-    [Some ignore]. [None] keeps the per-event callback. The callbacks
+    [Some ignore]. [None] keeps the per-event callback.
+
+    [f ()] need not run where its event happens. On tier 1 a counter may
+    run at the end of its trap-free straight-line stretch, together with
+    the counters of the other sites there: after instructions that touch
+    only the frame's locals and operand slots, but before any
+    instruction that can trap, call out or write memory, a global or the
+    table, and before any callback. The counters of a stretch run in
+    site order, and each sees the same memory and globals it would see
+    at its own site. So a counter must not read the frame, trap or
+    re-enter the engine. The callbacks
     stay the contract: tier 0, unbound (array-ABI) sites, profiled runs
     and {!reify} all use them. A site is not asked while a profiler is
     attached, so the profile keeps its decode/analysis split; attaching

@@ -652,9 +652,10 @@ let counter (a : Analysis.t) (spec : Hook.spec) l =
     the binder of tier-1 call sites. The profiler state at binding
     decides what a site runs ({!attach_profiler} re-tiers, so sites
     rebind): with no profiler, a site at a constant location that the
-    analysis counts ({!counter}) runs its counter and builds no decoder,
-    any other site its bare decoder over the site's arguments; with a
-    profiler, the {!timed} decoder. *)
+    analysis counts ({!counter}) binds its counter as a count, which tier
+    1 merges with the counted sites around it, and builds no decoder;
+    any other site runs its bare decoder over the site's arguments; with
+    a profiler, the {!timed} decoder. *)
 let make_hook rt env (spec : Hook.spec) : Interp.extern =
   let ft = Hook.signature ~split_i64:env.split spec in
   let nparams = List.length ft.params in
@@ -672,17 +673,17 @@ let make_hook rt env (spec : Hook.spec) : Interp.extern =
                  let loc = map2 location (src.int 0) (src.int 1) in
                  let prof = !(b.prof) in
                  match (match prof, loc with None, Const l -> counter b.analysis spec l | _ -> None) with
-                 | Some count -> Some (fun _ -> count ())
+                 | Some count -> Some (Interp.Site_count count)
                  | None ->
                    match compile env src spec with
                    | exception Unbindable -> None
                    | decode ->
                      match prof, loc with
-                     | None, Const l -> Some (fun e -> decode b.analysis l e ())
-                     | None, Read r -> Some (fun e -> decode b.analysis (r e ()) e ())
+                     | None, Const l -> Some (Interp.Site_entry (fun e -> decode b.analysis l e ()))
+                     | None, Read r -> Some (Site_entry (fun e -> decode b.analysis (r e ()) e ()))
                      | Some _, _ ->
                        let entry = timed ~ret:() loc decode in
-                       Some (fun e -> entry e ())) }
+                       Some (Site_entry (fun e -> entry e ()))) }
       in
       (timed ~ret:[] stack_loc (compile env stack_source spec), Some bind)
     | `Reference ->
@@ -847,26 +848,13 @@ module Probe = struct
       joined = (fun _ -> invalid_arg "probe arguments are never split") }
 
   let probe_event ?(operands = 0) ?(local = -1) pe_fire =
-    { pe_fire; pe_operands = operands; pe_local = local }
-
-  (** The events of one site, fired in order, as one event reading what
-      any of them reads. *)
-  let compose = function
-    | [] -> None
-    | [ e ] -> Some e
-    | es ->
-      Some
-        {
-          pe_fire = (fun locals -> List.iter (fun e -> e.pe_fire locals) es);
-          pe_operands = List.fold_left (fun m e -> max m e.pe_operands) 0 es;
-          pe_local = List.fold_left (fun l e -> max l e.pe_local) (-1) es;
-        }
+    Probe_fire { pe_fire; pe_operands = operands; pe_local = local }
 
   (** The hook groups the active entries that can match in [fidx]
-      select, and the gate of an event of [fidx] of the given spec,
-      reported at [at]: compiled from the entries matching its group,
-      function and instruction ({!Obs.Probe.gate}), [None] when none
-      does. [None] when no active entry can match in [fidx]. *)
+      select, and the entries gating an event of [fidx] of the given
+      spec, reported at [at]: those matching its group, function and
+      instruction, [None] when none does. [None] when no active entry
+      can match in [fidx]. *)
   let gates c ~fidx =
     let in_func (e : Obs.Probe.entry) =
       Option.fold ~none:true ~some:(( = ) fidx) e.e_spec.sp_func
@@ -893,21 +881,24 @@ module Probe = struct
                 entries
             with
             | [] -> None
-            | es -> Some (Obs.Probe.gate es) )
+            | es -> Some es )
 
   (** The gates of the [end] events a [br_table] may fire, by location. *)
   let end_gates gate (info : Metadata.br_table_info) =
     List.filter_map
       (fun (eb : Metadata.ended_block) ->
          let at = eb.eb_end_loc.Location.instr in
-         Option.map (fun g -> (at, g)) (gate (Hook.S_end eb.eb_kind) ~at))
+         Option.map (fun es -> (at, Obs.Probe.gate es)) (gate (Hook.S_end eb.eb_kind) ~at))
       (List.concat_map snd (info.bt_default :: Array.to_list info.bt_targets))
 
   (** Build the probe-site table of defined function [j] by lowering its
       plan for the groups the active probes select: [None] when no
-      active probe matches any event. Each event is its gate around its
-      decoder, timed under ["dispatch.probe"] while a profiler is
-      attached. *)
+      active probe matches any event. An event the analysis counts
+      ({!counter}), gated by one unconditional entry and fired before or
+      after its instruction, is that entry and its counter
+      ({!Interp.Probe_count}); any other event is its gate
+      ({!Obs.Probe.gate}) around its decoder, timed under
+      ["dispatch.probe"] while a profiler is attached. *)
   let build_hooks c ~(j : int) (f : Ast.func) : probe_hooks option =
     let fidx = c.pc_n_imp + j in
     match gates c ~fidx with
@@ -938,7 +929,7 @@ module Probe = struct
         in
         fun locals -> if gate () then timed locals ()
     in
-    (* the probe event of [ev] under [gate] *)
+    (* the event closure of [ev] under [gate] *)
     let event ?(env = c.pc_env) ?(b = c.pc_binding) gate (ev : Plan.event) =
       let reads (n, l) = function
         | Plan.Operand d when ev.timing <> After -> (max n (d + 1), l)
@@ -951,7 +942,8 @@ module Probe = struct
     in
     (* the analysis's counter of [ev]'s site, while no profiler is
        attached (attaching one rebuilds the sites): a counted event reads
-       no operand and no local, so tier 1 boxes nothing for it *)
+       no operand and no local, so tier 1 boxes nothing for it and merges
+       it with the counted events around it *)
     let counted (ev : Plan.event) =
       let b = c.pc_binding in
       match !(b.prof) with
@@ -963,7 +955,7 @@ module Probe = struct
        at its own location *)
     let br_table (info : Metadata.br_table_info) (ev : Plan.event) =
       let end_gates = end_gates gate info in
-      let bt_gate = gate ev.spec ~at:ev.at in
+      let bt_gate = Option.map Obs.Probe.gate (gate ev.spec ~at:ev.at) in
       if Option.is_none bt_gate && List.is_empty end_gates then None
       else begin
         let gated (a : Analysis.t) =
@@ -980,16 +972,17 @@ module Probe = struct
         in
         let b = c.pc_binding in
         Some
-          (event
-             ~env:{ c.pc_env with br_table = (fun ~func:_ ~instr:_ -> Some info) }
-             ~b:{ b with analysis = gated b.analysis; marked = gated b.marked }
-             (fun () -> true) ev)
+          (Probe_fire
+             (event
+                ~env:{ c.pc_env with br_table = (fun ~func:_ ~instr:_ -> Some info) }
+                ~b:{ b with analysis = gated b.analysis; marked = gated b.marked }
+                (fun () -> true) ev))
       end
     in
     let n = List.length f.body in
     (* the instruction's probe events before and after it, the taken-only
-       [end] events of a [br_if], and the body-head events of the next
-       instruction, each reversed *)
+       [end] events of a [br_if] (as closures), and the body-head events
+       of the next instruction, each reversed *)
     let pre = ref [] and post = ref [] and taken = ref [] and next = ref [] in
     let place table (ev : Plan.event) =
       match ev.spec, ev.timing with
@@ -997,21 +990,24 @@ module Probe = struct
       | _, timing ->
         match gate ev.spec ~at:ev.at with
         | None -> ()
-        | Some g ->
+        | Some es ->
           let e =
-            match counted ev with
-            | Some count -> probe_event (fun _ -> if g () then count ())
-            | None ->
+            match es, counted ev with
+            | [ entry ], Some count when entry.e_spec.sp_nth = 1 && timing <> Taken ->
+              Probe_count (entry, count)
+            | _ ->
               if timing = After then begin
                 if List.mem (Plan.Operand 1) ev.args then pre := capture2 :: !pre
                 else if List.mem (Plan.Operand 0) ev.args then pre := capture1 :: !pre
               end;
-              event g ev
+              let f = event (Obs.Probe.gate es) ev in
+              if timing = Taken then taken := f.pe_fire :: !taken;
+              Probe_fire f
           in
           match timing with
           | Plan.Before -> pre := e :: !pre
           | Body_head -> next := e :: !next
-          | Taken -> taken := e :: !taken
+          | Taken -> ()
           | After -> post := e :: !post
     in
     let enter = ref [] and exit = ref [] and sites = ref [] in
@@ -1022,14 +1018,13 @@ module Probe = struct
        | evs ->
          pre :=
            probe_event ~operands:1 (fun locals ->
-             if not (Int32.equal (Value.as_i32 (peek 0)) 0l) then
-               List.iter (fun e -> e.pe_fire locals) evs)
+             if not (Int32.equal (Value.as_i32 (peek 0)) 0l) then List.iter (fun f -> f locals) evs)
            :: !pre);
       if at < 0 then enter := List.rev !pre
       else if at >= n then exit := List.rev !pre
       else if not (List.is_empty !pre && List.is_empty !post) then
         sites :=
-          { site_pc = at; site_pre = compose (List.rev !pre); site_post = compose (List.rev !post) }
+          { site_pc = at; site_pre = List.rev !pre; site_post = List.rev !post }
           :: !sites;
       pre := !next;
       post := [];
@@ -1044,14 +1039,14 @@ module Probe = struct
       (* tier 1 declines a body that does not validate: probed with no
          sites, probing it is the structured probe-unsupported error,
          never a run without events *)
-      Some { ph_sites = [||]; ph_enter = None; ph_exit = None; ph_compile = Wasm.Tier1.compile }
+      Some { ph_sites = [||]; ph_enter = []; ph_exit = []; ph_compile = Wasm.Tier1.compile }
     | _ ->
       if List.is_empty !sites && List.is_empty !enter && List.is_empty !exit then None
       else
         Some
           { ph_sites = Array.of_list (List.rev !sites);
-            ph_enter = compose !enter;
-            ph_exit = compose !exit;
+            ph_enter = !enter;
+            ph_exit = !exit;
             ph_compile = Wasm.Tier1.compile }
 
   (** Does an active probe match an event of defined function [j]? The
@@ -1084,8 +1079,8 @@ module Probe = struct
       entry instead of running without its events. *)
   let pending c (f : Ast.func) =
     { ph_sites = [||];
-      ph_enter = Some (probe_event ~operands:1 ignore);
-      ph_exit = None;
+      ph_enter = [ probe_event ~operands:1 ignore ];
+      ph_exit = [];
       ph_compile =
         (fun inst j ->
            inst.inst_code.(j).c_probe <- build_hooks c ~j f;

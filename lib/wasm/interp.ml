@@ -178,13 +178,20 @@ and 'e site_arg =
   | Site_f64 of ('e -> float)  (** an f64 local *)
   | Site_boxed of ('e -> Value.t)  (** an i64 or f32 local *)
 
-(** Binds one such call site of a result-less host function: the entry
-    does the function's work with the site's arguments, read in place,
-    or [None] declines the site (it keeps the array ABI). Tier 1 calls
-    the entry after counting the call against the governor and setting
-    the stack size to the height below the (never materialised)
-    argument pushes, exactly as {!call_host} leaves it for [h_fn]. *)
-and site_binder = { bind : 'e. 'e site_arg array -> ('e -> unit) option }
+(** Binds one such call site of a result-less host function, or [None]
+    declines the site (it keeps the array ABI). Tier 1 calls an entry
+    after counting the call against the governor and setting the stack
+    size to the height below the (never materialised) argument pushes,
+    exactly as {!call_host} leaves it for [h_fn]; a counter at the end of
+    its trap-free stretch, after its own governor count. *)
+and site_binder = { bind : 'e. 'e site_arg array -> 'e site_entry option }
+
+(** What one bound call site runs: an entry doing the function's work
+    with the site's arguments, read in place, or a counter that reads
+    nothing, which tier 1 merges with the counted sites around it. *)
+and 'e site_entry =
+  | Site_entry of ('e -> unit)
+  | Site_count of (unit -> unit)
 
 and table_inst = {
   mutable t_elems : func_inst option array;
@@ -237,24 +244,32 @@ and code = {
           [T_interp], so a compiled body pays nothing for it. *)
 }
 
-(** One engine-probe event closure and what it reads of the frame. The
-    closure receives the frame's locals and peeks its operands off the
-    instance stack ([data.(size - 1)] is the top), so whoever fires it
-    first materialises the top [pe_operands] operands and local
-    [pe_local] in boxed form. *)
-and probe_event = {
+(** One engine-probe event: a closure reading the frame, or a counter
+    behind the one unconditional probe entry that gates it, which reads
+    nothing (tier 1 merges it with the counted events around it). *)
+and probe_event =
+  | Probe_fire of probe_fire
+  | Probe_count of Obs.Probe.entry * (unit -> unit)
+
+(** An event closure and what it reads of the frame. The closure
+    receives the frame's locals and peeks its operands off the instance
+    stack ([data.(size - 1)] is the top), so whoever fires it first
+    materialises the top [pe_operands] operands and local [pe_local] in
+    boxed form. *)
+and probe_fire = {
   pe_fire : Value.t array -> unit;
   pe_operands : int;  (** top-of-stack operands the closure peeks *)
   pe_local : int;  (** the local it reads, or [-1] *)
 }
 
-(** The events of one instruction: [site_pre] fires before it executes,
-    [site_post] after it completes and falls through (only installed on
-    fall-through instructions, so a taken branch never reaches one). *)
+(** The events of one instruction, in firing order: [site_pre] fire
+    before it executes, [site_post] after it completes and falls through
+    (only installed on fall-through instructions, so a taken branch
+    never reaches one). *)
 and probe_site = {
   site_pc : int;
-  site_pre : probe_event option;
-  site_post : probe_event option;
+  site_pre : probe_event list;
+  site_post : probe_event list;
 }
 
 (** Engine-probe instrumentation of one function body: a sparse site
@@ -266,8 +281,8 @@ and probe_site = {
     module cannot name). *)
 and probe_hooks = {
   ph_sites : probe_site array;  (** sorted by [site_pc] *)
-  ph_enter : probe_event option;
-  ph_exit : probe_event option;
+  ph_enter : probe_event list;
+  ph_exit : probe_event list;
   ph_compile : instance -> int -> compiled_body option;
 }
 

@@ -152,15 +152,32 @@ and 'e site_arg =
 (** The site-binding hook of a result-less host function. When tier 1
     compiles a call to it whose arguments are all pushed by constants
     and [local.get]s in straight-line code just before the call, it asks
-    [bind] for an entry specialised to those arguments and emits one
-    closure for the whole push-and-call run: the pushes never
+    [bind] for an entry specialised to those arguments ([Site_entry])
+    and emits one closure for the whole push-and-call run: the pushes never
     materialise and nothing is boxed. The entry must behave exactly like
     [h_fn] on the same argument values. Tier 1 calls it after counting
     the call against the governor and with the stack size at the height
     below the arguments, as {!call_host} leaves it for [h_fn], so the
     entry may re-enter the interpreter. [None] declines the site, which
-    then keeps the array ABI; so do tier 0 and every other call shape. *)
-and site_binder = { bind : 'e. 'e site_arg array -> ('e -> unit) option }
+    then keeps the array ABI; so do tier 0 and every other call shape.
+
+    A site whose work is only to count binds [Site_count f]: [f ()] reads
+    no argument and must not trap, re-enter the engine or write memory,
+    globals or the table. Tier 1 then runs it at the end of its
+    trap-free stretch, merged with the counted sites before it in the
+    same basic block: at the first instruction that can trap, call out
+    or write memory, a global or the table, at the first site that is
+    not a counter, or at the block's end, whichever comes first. The
+    instructions it is moved across touch only the frame's locals and
+    operand slots, which a trap or a governor kill discards, so no
+    observer can tell. The counted sites of one stretch run in site
+    order, each after its own governor count. *)
+and site_binder = { bind : 'e. 'e site_arg array -> 'e site_entry option }
+
+(** What a bound site runs (see {!site_binder}). *)
+and 'e site_entry =
+  | Site_entry of ('e -> unit)  (** the function's work over the site's arguments *)
+  | Site_count of (unit -> unit)  (** a counter, merged with the counted sites around it *)
 
 and table_inst = {
   mutable t_elems : func_inst option array;
@@ -214,24 +231,34 @@ and code = {
           tier policy. *)
 }
 
-(** One engine-probe event closure and what it reads of the frame: it
-    receives the frame's locals and peeks its operands off the instance
-    stack, so the caller first materialises the top [pe_operands]
-    operands (with [size] just above them) and local [pe_local] in boxed
-    form. *)
-and probe_event = {
+(** One engine-probe event. [Probe_fire] is a closure reading the
+    frame. [Probe_count (e, f)] is an event whose analysis only counts
+    it, gated by the one active [@nth=1] probe entry [e] that matches
+    it: it fires as [if e.e_active then (count one hit and one delivery
+    in e; f ())], and tier 1 merges it with the counted events around it
+    exactly as it merges counted hook sites ({!site_binder}): at the end
+    of its trap-free stretch, in event order. *)
+and probe_event =
+  | Probe_fire of probe_fire
+  | Probe_count of Obs.Probe.entry * (unit -> unit)
+
+(** An event closure and what it reads of the frame: it receives the
+    frame's locals and peeks its operands off the instance stack, so the
+    caller first materialises the top [pe_operands] operands (with
+    [size] just above them) and local [pe_local] in boxed form. *)
+and probe_fire = {
   pe_fire : Value.t array -> unit;
   pe_operands : int;  (** top-of-stack operands the closure peeks *)
   pe_local : int;  (** the local it reads, or [-1] *)
 }
 
-(** The events of one original instruction: [site_pre] fires before it
-    executes, [site_post] after it completes and falls through (never
-    on a taken branch). *)
+(** The events of one original instruction, in firing order: [site_pre]
+    fire before it executes, [site_post] after it completes and falls
+    through (never on a taken branch). *)
 and probe_site = {
   site_pc : int;
-  site_pre : probe_event option;
-  site_post : probe_event option;
+  site_pre : probe_event list;
+  site_post : probe_event list;
 }
 
 (** The engine-probe instrumentation of one function body, as
@@ -242,8 +269,8 @@ and probe_site = {
     compiles the body together with these sites ({!Tier1.compile}). *)
 and probe_hooks = {
   ph_sites : probe_site array;  (** sorted by [site_pc] *)
-  ph_enter : probe_event option;
-  ph_exit : probe_event option;
+  ph_enter : probe_event list;
+  ph_exit : probe_event list;
   ph_compile : instance -> int -> compiled_body option;
 }
 

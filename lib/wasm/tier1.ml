@@ -68,7 +68,18 @@
     ({!Interp.decode_slot}); every other group keeps its
     superinstruction, and an unprobed body compiles to exactly the
     closures it would without probe support. Probed bodies have no tier-0
-    form. *)
+    form.
+
+    Counted sites ({!Interp.Site_count}, {!Interp.Probe_count}) read
+    nothing of the frame, so they need not run where they stand: the
+    counted sites of a trap-free straight-line stretch run together as
+    one count group, in site order, at the stretch's end. A stretch ends
+    at the first instruction that is not [frame_local], at the first
+    event or bound site that is not counted, and at the block's
+    terminator or end. The instructions a group is moved across touch
+    only the frame's locals and operand slots, which a trap or a
+    governor kill discards, and fuel, steps, triggers and the deadline
+    are charged at block prologues, which a group never spans. *)
 
 open Types
 open Interp
@@ -445,6 +456,77 @@ let rec seq (ops : (ectx -> unit) list) (k : ectx -> unit) : ectx -> unit =
       f4 ctx;
       k' ctx
 
+(** {1 Count groups} *)
+
+(** Can a count group be moved across [x]? It can when [x] touches only
+    the frame's locals and operand slots, reads at most globals and the
+    memory size, and cannot trap: everything but loads, stores,
+    [memory.grow], [global.set], calls, branches, [unreachable],
+    trapping conversions and integer division and remainder. *)
+let frame_local (x : xinstr) : bool =
+  let traps : Ast.ibinop -> bool = function
+    | Ast.DivS | DivU | RemS | RemU -> true
+    | _ -> false
+  in
+  match x with
+  | XNop | XBlock _ | XLoop | XEnd | XDrop | XSelect | XLocalGet _ | XLocalSet _ | XLocalTee _
+  | XGlobalGet _ | XConst _ | XMemorySize | XI32Eqz | XI32Rel _ | XI64Rel _ | XF64Bin _
+  | XF64Rel _ | XF64Un _ | XF64ConvertI32S | XTestGen _ | XCompareGen _ | XUnaryGen _
+  | XBinaryGen (Ast.FBin _) | XF64BinLL _ | XF64BinSL _ | XF64BinSC _ | XIncrL _ ->
+    true
+  | XI32Bin op | XI64Bin op | XBinaryGen (Ast.IBin (_, op)) | XI32BinLL (op, _, _)
+  | XI32BinLC (op, _, _) | XI32BinSL (op, _) | XI32BinSC (op, _) ->
+    not (traps op)
+  | _ -> false
+
+(** One site of a count group. *)
+type counted =
+  | Count_hook of (unit -> unit)  (** a bound hook call: its governor count, then its counter *)
+  | Count_probe of Obs.Probe.entry * (unit -> unit)
+      (** a probe event: its entry's active test and delivery, then its counter *)
+
+(** The closure running the count group [sites] (in order) at operand
+    height [h]. A group of hook calls alone, the AOT backend's, runs its
+    counters back to back when no governor is attached. *)
+let count_group (inst : instance) ~h (sites : counted list) : ectx -> unit =
+  let hooks = List.filter_map (function Count_hook c -> Some c | Count_probe _ -> None) sites in
+  if List.compare_lengths hooks sites = 0 then begin
+    let cs = Array.of_list hooks in
+    let n = Array.length cs in
+    fun ctx ->
+      ctx.st.size <- ctx.base + h;
+      match inst.inst_gov with
+      | None ->
+        for i = 0 to n - 1 do
+          (Array.unsafe_get cs i) ()
+        done
+      | Some g ->
+        for i = 0 to n - 1 do
+          Governor.count_host_call g;
+          (Array.unsafe_get cs i) ()
+        done
+  end
+  else begin
+    let sites = Array.of_list sites in
+    let n = Array.length sites in
+    fun ctx ->
+      ctx.st.size <- ctx.base + h;
+      let gov = inst.inst_gov in
+      for i = 0 to n - 1 do
+        match Array.unsafe_get sites i with
+        | Count_hook c ->
+          (match gov with None -> () | Some g -> Governor.count_host_call g);
+          c ()
+        | Count_probe (e, c) ->
+          (* {!Obs.Probe.gate} of one [@nth=1] entry *)
+          if e.Obs.Probe.e_active then begin
+            e.e_hits <- e.e_hits + 1;
+            e.e_fired <- e.e_fired + 1;
+            c ()
+          end
+      done
+  end
+
 (** {1 Pass 2: code generation} *)
 
 let engine_bug : ectx -> unit =
@@ -461,6 +543,26 @@ let hook_sites_counter binding =
 let hook_sites () =
   let read b = int_of_float (Obs.Metrics.counter_value (hook_sites_counter b)) in
   (read "bound", read "generic")
+
+let count_groups_counter () =
+  Obs.Metrics.counter "wasabi_tier1_count_groups_total"
+    ~help:"Tier-1 count groups compiled: merged runs of counted hook sites and probe events"
+
+let counted_sites_counter () =
+  Obs.Metrics.counter "wasabi_tier1_counted_sites_total"
+    ~help:"Counted hook sites and probe events that tier 1 compiled into count groups"
+
+let count_groups () =
+  let read c = int_of_float (Obs.Metrics.counter_value (c ())) in
+  (read counted_sites_counter, read count_groups_counter)
+
+(** Straight-line code under construction: the closures emitted so far
+    (reversed) and the counted sites of the open count group
+    (reversed). *)
+type stretch = {
+  mutable ops : (ectx -> unit) list;
+  mutable pending : counted list;
+}
 
 let empty_ints : int array = [||]
 let empty_floats : float array = [||]
@@ -522,9 +624,9 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
      them; every other group keeps its superinstruction *)
   let probed, pre, post, unfused, enter, exit =
     match code.c_probe with
-    | None -> (false, [||], [||], [||], None, None)
+    | None -> (false, [||], [||], [||], [], [])
     | Some ph ->
-      let pre = Array.make n None and post = Array.make n None in
+      let pre = Array.make n [] and post = Array.make n [] in
       let unfused = Array.make n false in
       Array.iter
         (fun s ->
@@ -545,7 +647,7 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
      run starting at [p] and the call's pc. *)
   let bound = ref [||] in
   let nbound = ref 0 and ngeneric = ref 0 in
-  let quiet p = not (probed && (pre.(p) <> None || post.(p) <> None)) in
+  let quiet p = not probed || (match pre.(p), post.(p) with [], [] -> true | _ -> false) in
   let site_arg ty p : ectx site_arg option =
     match xbody.(p) with
     | XConst v when Value.type_of v = ty -> Some (Site_const v)
@@ -596,7 +698,7 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
   (* fire a probe event at operand height [h] ([tys]: the type stack
      there, top first): box the operands and the local it reads, expose
      the height as the stack size, call it *)
-  let fire_at ~h tys (ev : probe_event) : ectx -> unit =
+  let fire_at ~h tys (ev : probe_fire) : ectx -> unit =
     let rec boxes i tys =
       if i >= ev.pe_operands then []
       else
@@ -631,6 +733,39 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
         box ctx;
         ctx.st.size <- ctx.base + h;
         fire ctx.locals
+  in
+  (* the count groups compiled and the sites in them *)
+  let ngroups = ref 0 and ncounted = ref 0 in
+  (* close the open count group, if any, at operand height [h] *)
+  let flush sc ~h =
+    match sc.pending with
+    | [] -> ()
+    | sites ->
+      sc.ops <- count_group inst ~h (List.rev sites) :: sc.ops;
+      incr ngroups;
+      ncounted := !ncounted + List.length sites;
+      sc.pending <- []
+  in
+  (* probe events [evs] at height [h], in order: a counted one joins the
+     open group, any other closes it and fires *)
+  let events sc ~h tys evs =
+    List.iter
+      (function
+        | Probe_count (e, c) -> sc.pending <- Count_probe (e, c) :: sc.pending
+        | Probe_fire f ->
+          flush sc ~h;
+          sc.ops <- fire_at ~h tys f :: sc.ops)
+      evs
+  in
+  (* the closure running probe events [evs] at height [h], then [k] *)
+  let events_then ~h tys evs (k : ectx -> unit) : ectx -> unit =
+    match evs with
+    | [] -> k
+    | _ ->
+      let sc = { ops = []; pending = [] } in
+      events sc ~h tys evs;
+      flush sc ~h;
+      seq (List.rev sc.ops) k
   in
   (* blocks are compiled in increasing index order, so a back-edge
      (the loop case) can capture the final target closure directly;
@@ -709,16 +844,7 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
   in
   (* the implicit fall-off-the-end exit, the one place the function-exit
      probe fires *)
-  let end_edge ~from_h : ectx -> unit =
-    let r = ret_edge ~from_h in
-    match exit with
-    | None -> r
-    | Some ev ->
-      let f = fire_at ~h:from_h types_at.(n) ev in
-      fun ctx ->
-        f ctx;
-        r ctx
-  in
+  let end_edge ~from_h : ectx -> unit = events_then ~h:from_h types_at.(n) exit (ret_edge ~from_h) in
   let with_mem (k : Memory.t -> ectx -> unit) : ectx -> unit =
     match inst.inst_memory with
     | Some m -> k m
@@ -738,9 +864,9 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
         !i
       in
       let h = ref heights.(sb) in
-      let ops : (ectx -> unit) list ref = ref [] in
+      let sc = { ops = []; pending = [] } in
       let term : (ectx -> unit) option ref = ref None in
-      let emit f = ops := f :: !ops in
+      let emit f = sc.ops <- f :: sc.ops in
       let finish t = term := Some t in
       let pc = ref sb in
       while Option.is_none !term && !pc < eb do
@@ -750,10 +876,14 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
         (* a bound run compiles whole; everything else instruction by
            instruction *)
         match if Array.length bound = 0 then None else bound.(p) with
-        | Some (entry, call_pc) ->
+        | Some (Site_count c, call_pc) ->
+          sc.pending <- Count_hook c :: sc.pending;
+          step (call_pc + 1 - p)
+        | Some (Site_entry entry, call_pc) ->
           (* the call's side effects as [call_host] has them: governor
              count, then the stack size at the height below the
              arguments, so the entry may re-enter the engine *)
+          flush sc ~h:!h;
           let hp = !h in
           emit (fun ctx ->
             (match inst.inst_gov with None -> () | Some g -> Governor.count_host_call g);
@@ -762,10 +892,8 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
           step (call_pc + 1 - p)
         | None ->
         let x = if probed && unfused.(p) then decode_slot code p else xbody.(p) in
-        (if probed then
-           match pre.(p) with
-           | Some ev -> emit (fire_at ~h:!h types_at.(p) ev)
-           | None -> ());
+        if probed then events sc ~h:!h types_at.(p) pre.(p);
+        if not (frame_local x) then flush sc ~h:!h;
         (match x with
          (* no-ops at run time: all control bookkeeping is static *)
          | XNop | XBlock _ | XLoop | XEnd -> step 1
@@ -1920,11 +2048,9 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
            finish (fun ctx ->
              if Array.unsafe_get ctx.id s = 0 then taken ctx else next ctx)
          | XFusedTail -> raise Unsupported);
-        if probed && Option.is_none !term then
-          match post.(p) with
-          | Some ev -> emit (fire_at ~h:!h types_at.(p + 1) ev)
-          | None -> ()
+        if probed && Option.is_none !term then events sc ~h:!h types_at.(p + 1) post.(p)
       done;
+      flush sc ~h:!h;
       let term_closure =
         match !term with
         | Some t -> t
@@ -1933,7 +2059,7 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
              the charge mark — tier 0 does not recharge here either *)
           if eb = n then end_edge ~from_h:!h else jump_to ~cur eb
       in
-      let body_cl = seq (List.rev !ops) term_closure in
+      let body_cl = seq (List.rev sc.ops) term_closure in
       (* the charge prologue replicates tier 0's batched fuel/step
          accounting bit for bit: same condition, same amounts, same
          profiler run credit *)
@@ -1959,18 +2085,14 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
   for b = 0 to !nblocks - 1 do
     cells.(b) := compile_block b
   done;
-  let entry =
-    match enter with
-    | None -> !(cells.(0))
-    | Some ev ->
-      let f = fire_at ~h:0 [] ev and body = !(cells.(0)) in
-      fun ctx ->
-        f ctx;
-        body ctx
-  in
+  let entry = events_then ~h:0 [] enter !(cells.(0)) in
   if !nbound + !ngeneric > 0 then begin
     Obs.Metrics.inc ~by:(Float.of_int !nbound) (hook_sites_counter "bound");
     Obs.Metrics.inc ~by:(Float.of_int !ngeneric) (hook_sites_counter "generic")
+  end;
+  if !ngroups > 0 then begin
+    Obs.Metrics.inc ~by:(Float.of_int !ngroups) (count_groups_counter ());
+    Obs.Metrics.inc ~by:(Float.of_int !ncounted) (counted_sites_counter ())
   end;
   let nparams = code.c_nparams in
   let has_il = Array.exists (fun t -> t = I32T) ltypes in

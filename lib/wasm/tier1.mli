@@ -20,7 +20,9 @@ val compile : Interp.instance -> int -> Interp.compiled_body option
     support (an unprobed function then stays on tier 0 permanently).
     Calls whose arguments are constants and [local.get]s pushed just
     before them, to host functions with an {!Interp.site_binder}, bind to
-    the callee's site-specialised entries. *)
+    the callee's site-specialised entries. The counted sites of a
+    trap-free straight-line stretch run as one count group at its end
+    (see {!Interp.site_binder}). *)
 
 val hook_sites : unit -> int * int
 (** [(bound, generic)]: calls to host functions offering site entries
@@ -29,6 +31,14 @@ val hook_sites : unit -> int * int
     not all pushed by constants and [local.get]s, e.g. split i64
     halves). The pair of counters [wasabi_tier1_hook_sites_total]
     [{binding="bound"|"generic"}] in {!Obs.Metrics.default}. *)
+
+val count_groups : unit -> int * int
+(** [(sites, groups)]: the counted hook sites and probe events
+    ({!Interp.Site_count}, {!Interp.Probe_count}) that tier 1 has
+    compiled in this process, and the count groups they were merged
+    into, one per trap-free straight-line stretch holding any. The
+    counters [wasabi_tier1_counted_sites_total] and
+    [wasabi_tier1_count_groups_total] in {!Obs.Metrics.default}. *)
 
 val policy : ?threshold:int -> unit -> Interp.tier_policy
 (** A tier-up policy compiling with {!compile} after [threshold]

@@ -233,7 +233,7 @@ let test_spec_coverage () =
     same bytes on every backend: tier 0 and the async consumer run the
     per-event callbacks, tier 1 and the probes the site counters, the
     profiled run the full decode. *)
-let test_counted_reports () =
+let counted_analyses =
   let mix () =
     let t = Analyses.Instruction_mix.create () in
     (Analyses.Instruction_mix.analysis t, fun () -> Analyses.Instruction_mix.report t)
@@ -243,6 +243,9 @@ let test_counted_reports () =
     ( Analyses.Basic_block_profiling.analysis t,
       fun () -> Analyses.Basic_block_profiling.report ~limit:max_int t )
   in
+  [ ("instruction-mix", mix); ("basic-blocks", blocks) ]
+
+let test_counted_reports () =
   let modules =
     ("kitchen-sink", kitchen_sink ())
     :: List.map (fun (e : Workloads.Corpus.entry) -> (e.name, e.module_)) (Lazy.force corpus)
@@ -264,8 +267,90 @@ let test_counted_reports () =
                    (Printf.sprintf "%s: %s (%s)" name aname (Helpers.backend_name backend))
                    expected (report backend))
               [ Helpers.T1; T1_profiled; Probes; Async ])
-         [ ("instruction-mix", mix); ("basic-blocks", blocks) ])
+         counted_analyses)
     modules
+
+(* --- counted reports on trapping runs --------------------------------- *)
+
+(** A [run] export whose one straight-line stretch traps in [trap]
+    (which leaves an i32) between counted events before it and after
+    it. *)
+let trapping_module ?(memory = false) trap =
+  let module B = Wasm.Builder in
+  let b = B.create () in
+  if memory then B.add_memory b ~min_pages:1 ~max_pages:(Some 1);
+  let f =
+    B.add_func b ~params:[] ~results:[ Wasm.Types.I32T ] ~locals:[ Wasm.Types.I32T; I32T ]
+      ~body:
+        ([ B.i32 5; B.local_set 0; B.local_get 0; B.i32 2; B.i32_mul; B.local_set 1 ]
+         @ trap
+         @ [ B.local_get 1; B.i32_add; B.local_tee 0; B.i32 3; B.i32_xor ])
+  in
+  B.export_func b ~name:"run" f;
+  B.build b
+
+(** Tier 1 runs a stretch's counted sites at its end, so an instruction
+    that traps must end the stretch: the events counted before the trap
+    show in the reports of every backend, those after it in none. (The
+    async backend reifies every event and counts no site.) *)
+let test_counted_trapping () =
+  let module B = Wasm.Builder in
+  let programs =
+    [ ("i32.div_s by zero", trapping_module [ B.local_get 1; B.i32 0; B.i32_div_s ]);
+      ( "out-of-bounds i32.load",
+        trapping_module ~memory:true [ B.i32 70000; B.i32_load () ] ) ]
+  in
+  List.iter
+    (fun (name, m) ->
+       let res = W.Instrument.instrument m in
+       List.iter
+         (fun (aname, make) ->
+            let report backend =
+              let analysis, report = make () in
+              (match Helpers.run_analysis backend res analysis with
+               | _ -> Alcotest.failf "%s: no trap on %s" name (Helpers.backend_name backend)
+               | exception Wasm.Value.Trap _ -> ());
+              report ()
+            in
+            let expected = report Helpers.T0 in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s counts events before the trap" name aname)
+              false
+              (String.equal expected (snd (make ()) ()));
+            List.iter
+              (fun backend ->
+                 Alcotest.(check string)
+                   (Printf.sprintf "%s: %s (%s)" name aname (Helpers.backend_name backend))
+                   expected (report backend))
+              [ Helpers.T1; T1_profiled; Probes ])
+         counted_analyses)
+    programs
+
+(* --- count groups ------------------------------------------------------ *)
+
+(** Tier 1 merges the counted sites of the instruction mix on the
+    PolyBench corpus into groups of at least 4 on average, on both
+    backends: a frame-local set that ends stretches too early would undo
+    the merge without failing any report. *)
+let test_count_group_size () =
+  let polybench = Workloads.Corpus.polybench (Lazy.force corpus) in
+  let measure name run =
+    let s0, g0 = Wasm.Tier1.count_groups () in
+    List.iter run polybench;
+    let s1, g1 = Wasm.Tier1.count_groups () in
+    let sites = s1 - s0 and groups = g1 - g0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d counted sites in %d groups (>= 4 per group)" name sites groups)
+      true
+      (groups > 0 && sites >= 4 * groups)
+  in
+  let mix () = Analyses.Instruction_mix.(analysis (create ())) in
+  measure "AOT" (fun (e : Workloads.Corpus.entry) ->
+    let inst, _ = W.Runtime.instantiate (W.Instrument.instrument e.module_) (mix ()) in
+    ignore (Wasm.Tier1.compile_all inst : int));
+  measure "probes" (fun (e : Workloads.Corpus.entry) ->
+    ignore (Helpers.run_analysis Helpers.Probes (W.Instrument.instrument e.module_) (mix ())
+            : Wasm.Value.t list))
 
 let suite =
   [ case "corpus: compiled = reference" test_corpus_differential;
@@ -273,4 +358,6 @@ let suite =
     case "kitchen sink, native i64" test_kitchen_sink_nosplit;
     case "spec coverage across tested modules" test_spec_coverage;
     case "tier 1 binds >= 95% of corpus hook sites" test_site_binding;
-    case "counted reports: same bytes on every backend" test_counted_reports ]
+    case "counted reports: same bytes on every backend" test_counted_reports;
+    case "counted reports on trapping runs" test_counted_trapping;
+    case "count groups: >= 4 instruction-mix sites per group on PolyBench" test_count_group_size ]

@@ -406,18 +406,14 @@ let test_faulted_replay () =
 (* ------------------------------------------------------------------ *)
 
 (* an instrumented corpus program whose hook calls tier 1 binds to site
-   entries; [hooked_run ~tier1 setup] runs it (tier 1 compiling every
-   body at its first entry) and reports how the run ended and how many
-   analysis events it delivered *)
+   entries; [hooked_run ~tier1 observer setup] runs it with the analysis
+   of [observer ()] attached (tier 1 compiling every body at its first
+   entry) and reports how the run ended and what the analysis observed *)
 let hooked = lazy (Wasabi.Instrument.instrument (List.hd (Workloads.Corpus.make ~n:1 ())).module_)
 
-let hooked_run ~tier1 ?wrap_host setup =
-  let events = ref 0 in
-  let counting =
-    Wasabi.Analysis.reify (fun (_ : Wasabi.Analysis.event) -> incr events)
-  in
-  let inst, _ = Wasabi.Runtime.instantiate ?wrap_host (Lazy.force hooked) counting in
-  events := 0;
+let hooked_run ~tier1 ?wrap_host observer setup =
+  let analysis, observed = observer () in
+  let inst, _ = Wasabi.Runtime.instantiate ?wrap_host (Lazy.force hooked) analysis in
   setup inst;
   if tier1 then Tier1.enable ~threshold:1 inst;
   let outcome =
@@ -425,17 +421,28 @@ let hooked_run ~tier1 ?wrap_host setup =
     | rs -> Ok (String.concat ";" (List.map Value.to_string rs))
     | exception e -> Error (classify_exn e)
   in
-  (outcome, !events)
+  (outcome, observed ())
+
+(* the number of analysis events delivered, every one decoded *)
+let events () =
+  let events = ref 0 in
+  (Wasabi.Analysis.reify (fun (_ : Wasabi.Analysis.event) -> incr events),
+   fun () -> string_of_int !events)
+
+(* the instruction mix, whose tier-1 hook sites are counted in groups *)
+let mix () =
+  let t = Analyses.Instruction_mix.create () in
+  (Analyses.Instruction_mix.analysis t, fun () -> Analyses.Instruction_mix.report t)
 
 let outcome_string = function Ok rs -> rs | Error e -> Error.to_string e
 
-let test_faults_fire_on_tier1_sites () =
+let test_faults_fire_on_tier1_sites observer () =
   let fired = ref 0 in
   for index = 0 to 11 do
     let run ~tier1 =
       let plan = Fuzz.Faults.plan ~seed:3 ~index in
       let o, n =
-        hooked_run ~tier1 ~wrap_host:(Fuzz.Faults.wrap plan) (fun inst ->
+        hooked_run ~tier1 ~wrap_host:(Fuzz.Faults.wrap plan) observer (fun inst ->
           Fuzz.Faults.attach plan inst;
           Fuzz.Faults.arm plan)
       in
@@ -444,17 +451,17 @@ let test_faults_fire_on_tier1_sites () =
     let o0, n0, f0, plan = run ~tier1:false in
     let o1, n1, f1, _ = run ~tier1:true in
     Alcotest.(check string) (plan ^ ": outcome on both tiers") o0 o1;
-    Alcotest.(check int) (plan ^ ": events delivered") n0 n1;
+    Alcotest.(check string) (plan ^ ": events observed") n0 n1;
     Alcotest.(check int) (plan ^ ": faults fired") f0 f1;
     fired := !fired + f1
   done;
   Alcotest.(check bool) "faults fired at tier-1 hook sites" true (!fired > 0)
 
-let test_host_call_budget_tiers () =
+let test_host_call_budget_tiers observer () =
   List.iter
     (fun budget ->
        let run ~tier1 =
-         hooked_run ~tier1 (fun inst ->
+         hooked_run ~tier1 observer (fun inst ->
            let gov = Governor.create ~host_call_budget:budget () in
            Interp.set_governor inst (Some gov);
            Governor.arm gov)
@@ -464,7 +471,7 @@ let test_host_call_budget_tiers () =
        let o1, n1 = run ~tier1:true in
        Alcotest.(check string) (name ^ ": outcome on both tiers") (outcome_string o0)
          (outcome_string o1);
-       Alcotest.(check int) (name ^ ": events delivered") n0 n1;
+       Alcotest.(check string) (name ^ ": events observed") n0 n1;
        match o1 with
        | Error e ->
          Alcotest.(check string) (name ^ ": code") "host-call-budget" e.Error.code;
@@ -500,10 +507,15 @@ let suite =
     case "tier-1 deopt on governor violation" test_deopt_on_governor_violation;
     case "probed body: deopt on governor kill, restore, clean run"
       test_probed_deopt_on_governor_kill;
-    case "fault plan fires at the same hook call on both tiers" test_faults_fire_on_tier1_sites;
+    case "fault plan fires at the same hook call on both tiers"
+      (test_faults_fire_on_tier1_sites events);
     case "host-call budget kills at the same hook call on both tiers (exit 12)"
-      test_host_call_budget_tiers;
+      (test_host_call_budget_tiers events);
     case "fault plan determinism" test_fault_plan_determinism;
     case "faulted replay determinism" test_faulted_replay;
     case "restore-equivalence fault campaign (2000 cases)" test_fault_campaign;
+    case "fault plan fires at the same hook call on both tiers: instruction mix"
+      (test_faults_fire_on_tier1_sites mix);
+    case "host-call budget kills at the same hook call on both tiers: instruction mix"
+      (test_host_call_budget_tiers mix);
   ]
