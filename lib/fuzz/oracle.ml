@@ -186,21 +186,35 @@ let run_tiered (m : Ast.module_) ~fuel : (run_result, string) result =
      | Ok (Ok inst) -> Ok (snapshot m inst (Error err))
      | _ -> Ok { outcome = Error err; mem_digest = None; globals = [] })
 
-let run_instrumented (m : Ast.module_) ~fuel : (run_result, string) result =
+(** The instrumented module's run under {!Wasabi.Analysis.default}, or,
+    with [counted], on tier 1 (threshold 1) under an analysis that
+    counts every hook site: tier 1 then binds each site it can to a
+    counter, and compiles away the save/restore code only those
+    counted sites read. *)
+let run_instrumented ?(counted = false) (m : Ast.module_) ~fuel : (run_result, string) result =
+  let start () =
+    let res = Wasabi.Instrument.instrument m in
+    let analysis =
+      if not counted then Wasabi.Analysis.default
+      else
+        let n = ref 0 in
+        { Wasabi.Analysis.default with site = (fun _ _ -> Some (fun () -> incr n)) }
+    in
+    let inst, _rt = Wasabi.Runtime.instantiate ~fuel res analysis in
+    if counted then Tier1.enable ~threshold:1 inst;
+    inst
+  in
   match
     guarded (fun () ->
-      let res = Wasabi.Instrument.instrument m in
-      let inst, _rt = Wasabi.Runtime.instantiate ~fuel res Wasabi.Analysis.default in
-      let vs = Interp.invoke_export inst "run" [] in
-      (inst, vs))
+      let inst = start () in
+      (inst, Interp.invoke_export inst "run" []))
   with
   | Error crash -> Error crash
   | Ok (Ok (inst, vs)) -> Ok (snapshot m inst (Ok vs))
   | Ok (Error err) ->
     (match
        guarded (fun () ->
-         let res = Wasabi.Instrument.instrument m in
-         let inst, _rt = Wasabi.Runtime.instantiate ~fuel res Wasabi.Analysis.default in
+         let inst = start () in
          (try ignore (Interp.invoke_export inst "run" []) with _ -> ());
          inst)
      with
@@ -227,99 +241,8 @@ let engine_bug = function
   | Error (e : Error.t) when Error.is_engine_bug e -> true
   | _ -> false
 
-(** The differential oracle for a generated module. *)
-let differential (info : Gen.info) : verdict =
-  let m = info.Gen.module_ in
-  match run_plain m ~fuel:base_fuel with
-  | Error crash -> violation "totality-exec" "uninstrumented run crashed: %s" crash
-  | Ok base ->
-    if engine_bug base.outcome then
-      violation "engine-bug" "uninstrumented run: %s" (string_of_outcome base.outcome)
-    else if is_out_of_fuel base.outcome then Skip "base-exhausted"
-    else (
-      match run_instrumented m ~fuel:(base_fuel * hook_fuel_scale) with
-      | Error crash -> violation "totality-exec" "instrumented run crashed: %s" crash
-      | Ok instr ->
-        if engine_bug instr.outcome then
-          violation "engine-bug" "instrumented run: %s" (string_of_outcome instr.outcome)
-        else if not (outcomes_agree base.outcome instr.outcome) then
-          violation "differential" "outcome diverged: base %s vs instrumented %s"
-            (string_of_outcome base.outcome) (string_of_outcome instr.outcome)
-        else if base.mem_digest <> instr.mem_digest then
-          violation "differential" "final memory diverged"
-        else (
-          let diverged =
-            List.filter
-              (fun (n, v) ->
-                 match List.assoc_opt n instr.globals with
-                 | Some v' -> not (Value.equal v v')
-                 | None -> true)
-              base.globals
-          in
-          match diverged with
-          | [] -> Pass
-          | (n, v) :: _ ->
-            let v' =
-              match List.assoc_opt n instr.globals with
-              | Some v' -> Value.to_string v'
-              | None -> "<missing>"
-            in
-            violation "differential" "global %s diverged: base %s vs instrumented %s" n
-              (Value.to_string v) v'))
-
-(** The tier-parity oracle for a generated module: tier 0 and tier 1
-    must agree outcome-for-outcome at identical fuel — including on
-    out-of-fuel exhaustion, which the charging-parity contract makes
-    comparable (both tiers cut off at the same instruction). *)
-let tier_differential (info : Gen.info) : verdict =
-  let m = info.Gen.module_ in
-  match run_plain m ~fuel:base_fuel with
-  | Error crash -> violation "totality-exec" "tier-0 run crashed: %s" crash
-  | Ok t0 ->
-    if engine_bug t0.outcome then
-      violation "engine-bug" "tier-0 run: %s" (string_of_outcome t0.outcome)
-    else (
-      match run_tiered m ~fuel:base_fuel with
-      | Error crash -> violation "totality-exec" "tier-1 run crashed: %s" crash
-      | Ok t1 ->
-        if engine_bug t1.outcome then
-          violation "engine-bug" "tier-1 run: %s" (string_of_outcome t1.outcome)
-        else if not (outcomes_agree t0.outcome t1.outcome) then
-          violation "tier-parity" "outcome diverged: tier0 %s vs tier1 %s"
-            (string_of_outcome t0.outcome) (string_of_outcome t1.outcome)
-        else if t0.mem_digest <> t1.mem_digest then
-          violation "tier-parity" "final memory diverged"
-        else (
-          let diverged =
-            List.filter
-              (fun (n, v) ->
-                 match List.assoc_opt n t1.globals with
-                 | Some v' -> not (Value.equal v v')
-                 | None -> true)
-              t0.globals
-          in
-          match diverged with
-          | [] -> Pass
-          | (n, v) :: _ ->
-            let v' =
-              match List.assoc_opt n t1.globals with
-              | Some v' -> Value.to_string v'
-              | None -> "<missing>"
-            in
-            violation "tier-parity" "global %s diverged: tier0 %s vs tier1 %s" n
-              (Value.to_string v) v'))
-
-(** {1 Restore equivalence}
-
-    The fault-containment property, as an executable oracle: take an
-    instrumented instance, snapshot it pristine, batter it with a
-    seeded host-fault plan (hook trap / corrupt return / budget burn),
-    restore, run clean — the restored run must be indistinguishable
-    (outcome, memory digest, exported globals) from a run on a fresh
-    instance. Half the cases run with the tier-1 compiler forced on and
-    deopt-on-fault enabled, so compiled-body unwinding and permanent
-    deopt are exercised under the same equivalence. *)
-
+(** Two runs agree on outcome, final memory and exported globals;
+    [left] and [right] name them in the violation. *)
 let compare_runs ~kind ~left ~right (a : run_result) (b : run_result) : verdict =
   if not (outcomes_agree a.outcome b.outcome) then
     violation kind "outcome diverged: %s %s vs %s %s" left (string_of_outcome a.outcome) right
@@ -343,6 +266,60 @@ let compare_runs ~kind ~left ~right (a : run_result) (b : run_result) : verdict 
         | None -> "<missing>"
       in
       violation kind "global %s diverged: %s %s vs %s %s" n left (Value.to_string v) right v')
+
+(** The differential oracle for a generated module: the instrumented
+    module must behave as the original, on tier 0 and, with every hook
+    site counted, on tier 1. *)
+let differential (info : Gen.info) : verdict =
+  let m = info.Gen.module_ in
+  match run_plain m ~fuel:base_fuel with
+  | Error crash -> violation "totality-exec" "uninstrumented run crashed: %s" crash
+  | Ok base ->
+    if engine_bug base.outcome then
+      violation "engine-bug" "uninstrumented run: %s" (string_of_outcome base.outcome)
+    else if is_out_of_fuel base.outcome then Skip "base-exhausted"
+    else
+      let instrumented ~counted ~right =
+        match run_instrumented ~counted m ~fuel:(base_fuel * hook_fuel_scale) with
+        | Error crash -> violation "totality-exec" "%s run crashed: %s" right crash
+        | Ok instr ->
+          if engine_bug instr.outcome then
+            violation "engine-bug" "%s run: %s" right (string_of_outcome instr.outcome)
+          else compare_runs ~kind:"differential" ~left:"base" ~right base instr
+      in
+      match instrumented ~counted:false ~right:"instrumented" with
+      | Pass -> instrumented ~counted:true ~right:"counted tier-1"
+      | v -> v
+
+(** The tier-parity oracle for a generated module: tier 0 and tier 1
+    must agree outcome-for-outcome at identical fuel — including on
+    out-of-fuel exhaustion, which the charging-parity contract makes
+    comparable (both tiers cut off at the same instruction). *)
+let tier_differential (info : Gen.info) : verdict =
+  let m = info.Gen.module_ in
+  match run_plain m ~fuel:base_fuel with
+  | Error crash -> violation "totality-exec" "tier-0 run crashed: %s" crash
+  | Ok t0 ->
+    if engine_bug t0.outcome then
+      violation "engine-bug" "tier-0 run: %s" (string_of_outcome t0.outcome)
+    else (
+      match run_tiered m ~fuel:base_fuel with
+      | Error crash -> violation "totality-exec" "tier-1 run crashed: %s" crash
+      | Ok t1 ->
+        if engine_bug t1.outcome then
+          violation "engine-bug" "tier-1 run: %s" (string_of_outcome t1.outcome)
+        else compare_runs ~kind:"tier-parity" ~left:"tier0" ~right:"tier1" t0 t1)
+
+(** {1 Restore equivalence}
+
+    The fault-containment property, as an executable oracle: take an
+    instrumented instance, snapshot it pristine, batter it with a
+    seeded host-fault plan (hook trap / corrupt return / budget burn),
+    restore, run clean — the restored run must be indistinguishable
+    (outcome, memory digest, exported globals) from a run on a fresh
+    instance. Half the cases run with the tier-1 compiler forced on and
+    deopt-on-fault enabled, so compiled-body unwinding and permanent
+    deopt are exercised under the same equivalence. *)
 
 let restore_equivalence ~seed ~index (info : Gen.info) : verdict =
   let m = info.Gen.module_ in

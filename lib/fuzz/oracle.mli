@@ -56,10 +56,14 @@ type run_result = {
 }
 
 val differential : Gen.info -> verdict
-(** Execute the module uninstrumented and instrumented (all hook groups,
-    the no-op analysis): result values, trap identity, final memory and
-    exported globals must agree. [Skip] when the base run exhausts its
-    fuel (the two executions are then cut off at incomparable points). *)
+(** Execute the module uninstrumented and instrumented (all hook groups),
+    the instrumented module twice: on tier 0 under the no-op analysis,
+    and on tier 1 (threshold 1) under an analysis that counts every hook
+    site, so tier 1 binds its sites to counters and drops the
+    save/restore code only they read. Result values, trap identity,
+    final memory and exported globals must agree. [Skip] when the base
+    run exhausts its fuel (the executions are then cut off at
+    incomparable points). *)
 
 val tier_differential : Gen.info -> verdict
 (** Execute the module on tier 0 and with the tier-1 compiler forced on

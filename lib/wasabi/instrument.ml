@@ -9,7 +9,10 @@
 
     - values consumed or produced by an instruction are duplicated through
       freshly generated locals (the instruction's save/restore shape) and
-      passed to the hook;
+      passed to the hook. Where only counted hook sites read them, tier 1
+      compiles that shape away ({!Wasm.Tier1.compile}: the restoring
+      loads are elided and the stores no surviving read needs are dead),
+      so the bytes keep Table 3's shape at no run-time cost there;
     - hooks are imported functions, monomorphized on demand (one per
       instruction mnemonic and concrete type variant);
     - the [end] hooks a [br_if] fires only when taken run under a guard

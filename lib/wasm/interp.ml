@@ -7,7 +7,9 @@
     counter over a preallocated, growable, array-backed operand stack
     (one per instance, shared by all frames). The dispatch loop performs
     no list traversals, and fuel is accounted once per basic block rather
-    than per instruction.
+    than per instruction. It runs one instruction per dispatch: this is
+    the reference tier, and fusion and the other peephole work belong
+    to the closure compiler ({!Tier1}).
 
     Host functions (the mechanism by which Wasabi's low-level hooks are
     provided) are plain OCaml closures over value lists; values only take
@@ -39,14 +41,8 @@ let link_error fmt = Printf.ksprintf (fun s -> raise (Link_error s)) fmt
     memory access shapes (width-specific opcodes carrying their static
     offset).
 
-    Short straight-line idioms are additionally fused into
-    superinstructions ([XIncrL], [XBrIfRelLL], [XF64LoadScaled], ...);
-    each covers [k] original instructions and advances the program counter
-    by [k], so instruction indices — the paper's code locations — are
-    unchanged. Interior positions of a fused group hold {!XFusedTail} and
-    are unreachable: fusion never spans a branch target. Fuel and step
-    accounting are unaffected because both are batched per straight-line
-    run of the *original* instruction stream. *)
+    Tier 1 fuses superinstructions over this stream where it knows the
+    bound hook sites. *)
 type xinstr =
   | XUnreachable
   | XNop
@@ -100,34 +96,6 @@ type xinstr =
   | XUnaryGen of Ast.unop
   | XBinaryGen of Ast.binop
   | XConvertGen of Ast.cvtop
-  (* fused superinstructions; the trailing comment gives the original
-     sequence and its length *)
-  | XI32BinLL of Ast.ibinop * int * int
-      (** [local.get a; local.get b; i32.binop] (3) *)
-  | XI32BinLC of Ast.ibinop * int * int32
-      (** [local.get a; i32.const c; i32.binop] (3) *)
-  | XI32BinSL of Ast.ibinop * int  (** [local.get b; i32.binop] (2) *)
-  | XI32BinSC of Ast.ibinop * int32  (** [i32.const c; i32.binop] (2) *)
-  | XF64BinLL of Ast.fbinop * int * int
-      (** [local.get a; local.get b; f64.binop] (3) *)
-  | XF64BinSL of Ast.fbinop * int  (** [local.get b; f64.binop] (2) *)
-  | XF64BinSC of Ast.fbinop * float  (** [f64.const c; f64.binop] (2) *)
-  | XIncrL of int * int32
-      (** [local.get x; i32.const c; i32.add; local.set x] (4) *)
-  | XBrIfRelLL of Ast.irelop * int * int * int
-      (** [local.get a; local.get b; i32.relop; br_if k] (4) *)
-  | XBrIfRelLC of Ast.irelop * int * int32 * int
-      (** [local.get a; i32.const c; i32.relop; br_if k] (4) *)
-  | XBrIfRel of Ast.irelop * int  (** [i32.relop; br_if k] (2) *)
-  | XBrIfEqz of int  (** [i32.eqz; br_if k] (2) *)
-  | XI32LoadScaled of int32 * int
-      (** [i32.const c; i32.mul; i32.add; i32.load off] (4): address
-          [base + idx*c] with both operands popped *)
-  | XF64LoadScaled of int32 * int  (** same for [f64.load] *)
-  | XI32LoadL of int * int  (** [local.get a; i32.load off] (2) *)
-  | XF64LoadL of int * int  (** [local.get a; f64.load off] (2) *)
-  | XFusedTail
-      (** interior of a fused group; unreachable (traps as an engine bug) *)
 
 (** The operand stack: a growable array with the top at [size - 1].
     Popped slots are not cleared; values they keep alive are bounded by
@@ -407,8 +375,7 @@ let compute_jumps (body : instr array) : jump_info =
 
 let bt_arity : block_type -> int = function None -> 0 | Some _ -> 1
 
-(** Single-instruction decode: resolve operators and jump targets. Used
-    per-slot by {!prepare_code} (before fusion) and by {!decode_slot}. *)
+(** Single-instruction decode: resolve operators and jump targets. *)
 let decode_instr ~(end_of : int array) ~(else_of : int array)
     ~(else_end : int array) ~(br_tables : int array array) pc (i : instr) : xinstr =
   match i with
@@ -464,8 +431,8 @@ let decode_instr ~(end_of : int array) ~(else_of : int array)
   | Convert op -> XConvertGen op
 
 (** Pre-compute everything the dispatch loop needs about one function:
-    side tables, and the pre-decoded (operator-resolved, partially fused)
-    instruction array that execution actually runs over. *)
+    side tables, and the pre-decoded (operator-resolved) instruction
+    array that execution actually runs over. *)
 let prepare_code (types : func_type array) (f : Ast.func) : code =
   let body = Array.of_list f.body in
   let jumps = compute_jumps body in
@@ -488,101 +455,7 @@ let prepare_code (types : func_type array) (f : Ast.func) : code =
   (* the end target of each [Else]: just past its [If]'s [End] *)
   let else_end = Array.make (max n 1) 0 in
   Array.iteri (fun pc e -> if e >= 0 then else_end.(e) <- end_of.(pc) + 1) else_of;
-  (* leaders: every position a jump can target (label targets and else
-     branches); a fused group must not contain one except as its head *)
-  let leader = Array.make (n + 1) false in
-  if n > 0 then leader.(0) <- true;
-  for pc = 0 to n - 1 do
-    match body.(pc) with
-    | Block _ | If _ ->
-      leader.(end_of.(pc) + 1) <- true;
-      if else_of.(pc) >= 0 then leader.(else_of.(pc) + 1) <- true
-    | Loop _ ->
-      leader.(pc + 1) <- true;
-      leader.(end_of.(pc) + 1) <- true
-    | _ -> ()
-  done;
-  let decode1 pc i = decode_instr ~end_of ~else_of ~else_end ~br_tables pc i in
-  (* fusion: longest window first; interior positions must not be leaders *)
-  let xbody = Array.make n XNop in
-  let fusible p len =
-    p + len <= n
-    &&
-    let ok = ref true in
-    for q = p + 1 to p + len - 1 do
-      if leader.(q) then ok := false
-    done;
-    !ok
-  in
-  let pc = ref 0 in
-  while !pc < n do
-    let p = !pc in
-    let fuse4 =
-      if not (fusible p 4) then None
-      else
-        match body.(p), body.(p + 1), body.(p + 2), body.(p + 3) with
-        | LocalGet x, Const (Value.I32 c), Binary (IBin (S32, Add)), LocalSet y
-          when x = y ->
-          Some (XIncrL (x, c))
-        | LocalGet a, LocalGet b, Compare (IRel (S32, r)), BrIf k ->
-          Some (XBrIfRelLL (r, a, b, k))
-        | LocalGet a, Const (Value.I32 c), Compare (IRel (S32, r)), BrIf k ->
-          Some (XBrIfRelLC (r, a, c, k))
-        | ( Const (Value.I32 c),
-            Binary (IBin (S32, Mul)),
-            Binary (IBin (S32, Add)),
-            Load { lty = I32T; loffset; lpack = None; _ } ) ->
-          Some (XI32LoadScaled (c, loffset))
-        | ( Const (Value.I32 c),
-            Binary (IBin (S32, Mul)),
-            Binary (IBin (S32, Add)),
-            Load { lty = F64T; loffset; lpack = None; _ } ) ->
-          Some (XF64LoadScaled (c, loffset))
-        | _ -> None
-    in
-    let fuse3 () =
-      if not (fusible p 3) then None
-      else
-        match body.(p), body.(p + 1), body.(p + 2) with
-        | LocalGet a, LocalGet b, Binary (IBin (S32, op)) -> Some (XI32BinLL (op, a, b))
-        | LocalGet a, Const (Value.I32 c), Binary (IBin (S32, op)) ->
-          Some (XI32BinLC (op, a, c))
-        | LocalGet a, LocalGet b, Binary (FBin (SF64, op)) -> Some (XF64BinLL (op, a, b))
-        | _ -> None
-    in
-    let fuse2 () =
-      if not (fusible p 2) then None
-      else
-        match body.(p), body.(p + 1) with
-        | LocalGet b, Binary (IBin (S32, op)) -> Some (XI32BinSL (op, b))
-        | Const (Value.I32 c), Binary (IBin (S32, op)) -> Some (XI32BinSC (op, c))
-        | LocalGet b, Binary (FBin (SF64, op)) -> Some (XF64BinSL (op, b))
-        | Const (Value.F64 c), Binary (FBin (SF64, op)) -> Some (XF64BinSC (op, c))
-        | Compare (IRel (S32, r)), BrIf k -> Some (XBrIfRel (r, k))
-        | Test (IEqz S32), BrIf k -> Some (XBrIfEqz k)
-        | LocalGet a, Load { lty = I32T; loffset; lpack = None; _ } ->
-          Some (XI32LoadL (a, loffset))
-        | LocalGet a, Load { lty = F64T; loffset; lpack = None; _ } ->
-          Some (XF64LoadL (a, loffset))
-        | _ -> None
-    in
-    let fused, len =
-      match fuse4 with
-      | Some x -> Some x, 4
-      | None ->
-        (match fuse3 () with
-         | Some x -> Some x, 3
-         | None -> (match fuse2 () with Some x -> Some x, 2 | None -> None, 1))
-    in
-    (match fused with
-     | Some x ->
-       xbody.(p) <- x;
-       for q = p + 1 to p + len - 1 do
-         xbody.(q) <- XFusedTail
-       done
-     | None -> xbody.(p) <- decode1 p body.(p));
-    pc := p + len
-  done;
+  let xbody = Array.mapi (decode_instr ~end_of ~else_of ~else_end ~br_tables) body in
   {
     c_func = f;
     c_type = ftype;
@@ -599,16 +472,6 @@ let prepare_code (types : func_type array) (f : Ast.func) : code =
     c_hot = 0;
     c_probe = None;
   }
-
-(** Decode the original instruction at [pc] on its own, without
-    fusion: the per-slot form tier 1 compiles in place of a fused group
-    that carries a probe site. Fused groups hold only straight-line
-    instructions and [br_if], never an [Else], so no else-end table is
-    needed. *)
-let decode_slot (code : code) pc : xinstr =
-  let j = code.c_jumps in
-  decode_instr ~end_of:j.end_of ~else_of:j.else_of ~else_end:[||]
-    ~br_tables:code.c_br_tables pc code.c_body.(pc)
 
 (** {1 Execution} *)
 
@@ -1082,79 +945,6 @@ and exec_body inst (fid : int) (code : code) (locals : Value.t array) : unit =
         let v = pop st in
         push st (Eval_numeric.eval_cvtop op v);
         incr pc
-      (* fused superinstructions: pc advances by the original length *)
-      | XI32BinLL (op, a, b) ->
-        push st
-          (Value.I32
-             (Eval_numeric.ibinop_i32 op
-                (Value.as_i32 locals.(a))
-                (Value.as_i32 locals.(b))));
-        pc := !pc + 3
-      | XI32BinLC (op, a, c) ->
-        push st (Value.I32 (Eval_numeric.ibinop_i32 op (Value.as_i32 locals.(a)) c));
-        pc := !pc + 3
-      | XI32BinSL (op, b) ->
-        let a = pop_i32 st in
-        push st (Value.I32 (Eval_numeric.ibinop_i32 op a (Value.as_i32 locals.(b))));
-        pc := !pc + 2
-      | XI32BinSC (op, c) ->
-        let a = pop_i32 st in
-        push st (Value.I32 (Eval_numeric.ibinop_i32 op a c));
-        pc := !pc + 2
-      | XF64BinLL (op, a, b) ->
-        push st
-          (Value.F64
-             (Eval_numeric.fbinop_impl op
-                (Value.as_f64 locals.(a))
-                (Value.as_f64 locals.(b))));
-        pc := !pc + 3
-      | XF64BinSL (op, b) ->
-        let a = Value.as_f64 (pop st) in
-        push st (Value.F64 (Eval_numeric.fbinop_impl op a (Value.as_f64 locals.(b))));
-        pc := !pc + 2
-      | XF64BinSC (op, c) ->
-        let a = Value.as_f64 (pop st) in
-        push st (Value.F64 (Eval_numeric.fbinop_impl op a c));
-        pc := !pc + 2
-      | XIncrL (x, c) ->
-        locals.(x) <- Value.I32 (Int32.add (Value.as_i32 locals.(x)) c);
-        pc := !pc + 4
-      | XBrIfRelLL (r, a, b, k) ->
-        if
-          Eval_numeric.irelop_impl_i32 r
-            (Value.as_i32 locals.(a))
-            (Value.as_i32 locals.(b))
-        then branch k
-        else pc := !pc + 4
-      | XBrIfRelLC (r, a, c, k) ->
-        if Eval_numeric.irelop_impl_i32 r (Value.as_i32 locals.(a)) c then branch k
-        else pc := !pc + 4
-      | XBrIfRel (r, k) ->
-        let b = pop_i32 st in
-        let a = pop_i32 st in
-        if Eval_numeric.irelop_impl_i32 r a b then branch k else pc := !pc + 2
-      | XBrIfEqz k ->
-        if Int32.equal (pop_i32 st) 0l then branch k else pc := !pc + 2
-      | XI32LoadScaled (c, off) ->
-        let idx = pop_i32 st in
-        let base = pop_i32 st in
-        let addr = Int32.add base (Int32.mul idx c) in
-        push st (Value.I32 (Memory.load_i32 (memory ()) addr off));
-        pc := !pc + 4
-      | XF64LoadScaled (c, off) ->
-        let idx = pop_i32 st in
-        let base = pop_i32 st in
-        let addr = Int32.add base (Int32.mul idx c) in
-        push st (Value.F64 (Memory.load_f64 (memory ()) addr off));
-        pc := !pc + 4
-      | XI32LoadL (a, off) ->
-        push st (Value.I32 (Memory.load_i32 (memory ()) (Value.as_i32 locals.(a)) off));
-        pc := !pc + 2
-      | XF64LoadL (a, off) ->
-        push st (Value.F64 (Memory.load_f64 (memory ()) (Value.as_i32 locals.(a)) off));
-        pc := !pc + 2
-      | XFusedTail ->
-        raise (Value.Trap "fused instruction interior reached (engine bug)")
     end
   done
 

@@ -26,12 +26,9 @@ type stack = {
     (once per function, at instantiation) resolves operator tags into
     dedicated opcodes, jump targets into absolute instruction indices,
     [br_table] targets into [int array]s, and memory accesses into
-    width-specific opcodes; short straight-line idioms are fused into
-    superinstructions covering 2–4 original instructions. Instruction
-    indexing is preserved: a fused opcode sits at the index of its first
-    original instruction and advances the program counter by the group
-    length, and the interior slots hold [XFusedTail] (unreachable —
-    fusion never spans a branch target). *)
+    width-specific opcodes. One [xinstr] per original instruction, same
+    indexing; tier 0 runs them one per dispatch, and superinstruction
+    fusion is left to tier 1 ({!Tier1.compile}). *)
 type xinstr =
   | XUnreachable
   | XNop
@@ -82,31 +79,6 @@ type xinstr =
   | XUnaryGen of Ast.unop
   | XBinaryGen of Ast.binop
   | XConvertGen of Ast.cvtop
-  | XI32BinLL of Ast.ibinop * int * int
-      (** [local.get a; local.get b; i32.binop] (3 instructions) *)
-  | XI32BinLC of Ast.ibinop * int * int32
-      (** [local.get a; i32.const c; i32.binop] (3) *)
-  | XI32BinSL of Ast.ibinop * int  (** [local.get b; i32.binop] (2) *)
-  | XI32BinSC of Ast.ibinop * int32  (** [i32.const c; i32.binop] (2) *)
-  | XF64BinLL of Ast.fbinop * int * int
-      (** [local.get a; local.get b; f64.binop] (3) *)
-  | XF64BinSL of Ast.fbinop * int  (** [local.get b; f64.binop] (2) *)
-  | XF64BinSC of Ast.fbinop * float  (** [f64.const c; f64.binop] (2) *)
-  | XIncrL of int * int32
-      (** [local.get x; i32.const c; i32.add; local.set x] (4) *)
-  | XBrIfRelLL of Ast.irelop * int * int * int
-      (** [local.get a; local.get b; i32.relop; br_if k] (4) *)
-  | XBrIfRelLC of Ast.irelop * int * int32 * int
-      (** [local.get a; i32.const c; i32.relop; br_if k] (4) *)
-  | XBrIfRel of Ast.irelop * int  (** [i32.relop; br_if k] (2) *)
-  | XBrIfEqz of int  (** [i32.eqz; br_if k] (2) *)
-  | XI32LoadScaled of int32 * int
-      (** [i32.const c; i32.mul; i32.add; i32.load off] (4): address
-          [base + idx*c] *)
-  | XF64LoadScaled of int32 * int  (** same for [f64.load] *)
-  | XI32LoadL of int * int  (** [local.get a; i32.load off] (2) *)
-  | XF64LoadL of int * int  (** [local.get a; f64.load off] (2) *)
-  | XFusedTail  (** interior of a fused group; unreachable *)
 
 (** The snapshot-facing view of an attached probe controller (see
     {!set_probes}): [ps_capture ()] returns a thunk that re-arms the
@@ -393,12 +365,6 @@ val set_deopt_on_fault : instance -> bool -> unit
 val is_fault_exn : exn -> bool
 (** Environmental unwinds — governor budget violations and injected
     host faults — as opposed to properties of the guest code itself. *)
-
-val decode_slot : code -> int -> xinstr
-(** [decode_slot code pc] decodes the original instruction at [pc] on
-    its own, without superinstruction fusion: what tier 1 compiles, slot
-    by slot, in place of a fused group that carries a probe site. Not
-    defined on [else]. *)
 
 val probe_function : instance -> int -> probe_hooks -> unit
 (** Mark defined function [j] (an [inst_code] index) probed. Nothing is

@@ -6,8 +6,8 @@
     anonymous function ids and body positions. This module joins those
     numbers back to the module: ids become export names (or [func[i]] in
     the function index space), and per-site execution counts become an
-    opcode mix via the original [c_body] (so superinstruction fusion in
-    the pre-decoded form does not distort the mix). *)
+    opcode mix via the original [c_body] (so tier 1's superinstructions
+    do not distort the mix). *)
 
 open Interp
 
@@ -70,7 +70,7 @@ let opcode_of_instr (i : Ast.instr) : string =
   | Some sp -> String.sub s 0 sp
   | None -> s
 
-(** Executed opcode mix over the original (pre-fusion) instruction
+(** Executed opcode mix over the original (unfused) instruction
     bodies, from the per-site execution counts; sorted by count
     descending, opcode name tiebreak. *)
 let opcode_mix (inst : instance) (prof : Obs.Profile.t) : (string * int) list =

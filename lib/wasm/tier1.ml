@@ -64,11 +64,19 @@
     Engine probes ({!Interp.probe_hooks}) compile into the same closures:
     at a probe site, and only there, the operands and the local its
     event reads are boxed onto the instance stack / locals array and the
-    event fires. A fused group containing a site is compiled slot by slot
-    ({!Interp.decode_slot}); every other group keeps its
-    superinstruction, and an unprobed body compiles to exactly the
-    closures it would without probe support. Probed bodies have no tier-0
-    form.
+    event fires. An unprobed body compiles to exactly the closures it
+    would without probe support. Probed bodies have no tier-0 form.
+
+    Superinstructions ({!fused}) are tier 1's alone. They match over
+    the stream as compiled, so a bound counted run, an elided load or a
+    dead store between their instructions does not stop them.
+
+    Save/restore elision: a [local.get x] whose operand slot still holds
+    [x] compiles to nothing, and in a body with counted runs a store no
+    surviving read needs is dead (see [compile_exn]). This drops the
+    AOT backend's Table 3 temporaries where only counted sites read
+    them; a bound entry or a firing probe event reads its locals, so
+    uncounted, faulted and profiled sites keep theirs.
 
     Counted sites ({!Interp.Site_count}, {!Interp.Probe_count}) read
     nothing of the frame, so they need not run where they stand: the
@@ -165,9 +173,9 @@ let cvt_types : Ast.cvtop -> value_type * value_type = function
     included), the operand stack height and the type stack (top first),
     and before every instruction the enclosing label environment.
     The type stack and the label environment are kept only where
-    codegen reads them: the type stack at [select] and after the body,
-    the labels at branches, and both at every pc of a probed body,
-    whose unfused groups and probe sites read them anywhere.
+    codegen reads them: the type stack at [select], after the body and,
+    in a probed body, at every pc (its probe sites box operands by
+    type); the labels at branches.
     Heights are [-1] on unreachable boundaries; blocks
     starting there compile to an engine-bug trap (nothing can jump to
     them). Dead stretches are revived at the [End] of a block/if frame
@@ -197,13 +205,10 @@ let analyze (inst : instance) (code : code) :
   for pc = 0 to n - 1 do
     if not !dead then begin
       heights.(pc) <- !h;
+      if dense then types_at.(pc) <- !ts;
       (match code.c_xbody.(pc) with
-       | _ when dense ->
-         types_at.(pc) <- !ts;
-         frames_at.(pc) <- !frames
+       | XBr _ | XBrIf _ | XBrTable _ -> frames_at.(pc) <- !frames
        | XSelect -> types_at.(pc) <- !ts
-       | XBr _ | XBrIf _ | XBrTable _ | XBrIfRelLL _ | XBrIfRelLC _ | XBrIfRel _ | XBrIfEqz _ ->
-         frames_at.(pc) <- !frames
        | _ -> ());
       if !h > !max_h then max_h := !h
     end;
@@ -426,6 +431,29 @@ let rec chain (fs : (ectx -> unit) list) : (ectx -> unit) option =
             f ctx;
             g ctx))
 
+(** [invoke] with the unboxed arguments of types [ft.params] from slot
+    [abase] on boxed before it and its unboxed results unpacked after
+    it. *)
+let staged_call ~abase (ft : func_type) (invoke : ectx -> unit) : ectx -> unit =
+  let stage slot tys =
+    chain (List.concat (List.mapi (fun j ty -> Option.to_list (slot ty (abase + j))) tys))
+  in
+  match stage box_slot ft.params, stage unbox_slot ft.results with
+  | None, None -> invoke
+  | Some f, None ->
+    fun ctx ->
+      f ctx;
+      invoke ctx
+  | None, Some g ->
+    fun ctx ->
+      invoke ctx;
+      g ctx
+  | Some f, Some g ->
+    fun ctx ->
+      f ctx;
+      invoke ctx;
+      g ctx
+
 (** Compose straight-line operations in execution order in front of the
     terminator, unrolled four per closure. The terminator call stays in
     tail position. *)
@@ -458,26 +486,125 @@ let rec seq (ops : (ectx -> unit) list) (k : ectx -> unit) : ectx -> unit =
 
 (** {1 Count groups} *)
 
+let traps : Ast.ibinop -> bool = function
+  | Ast.DivS | DivU | RemS | RemU -> true
+  | _ -> false
+
 (** Can a count group be moved across [x]? It can when [x] touches only
     the frame's locals and operand slots, reads at most globals and the
     memory size, and cannot trap: everything but loads, stores,
     [memory.grow], [global.set], calls, branches, [unreachable],
     trapping conversions and integer division and remainder. *)
 let frame_local (x : xinstr) : bool =
-  let traps : Ast.ibinop -> bool = function
-    | Ast.DivS | DivU | RemS | RemU -> true
-    | _ -> false
-  in
   match x with
   | XNop | XBlock _ | XLoop | XEnd | XDrop | XSelect | XLocalGet _ | XLocalSet _ | XLocalTee _
   | XGlobalGet _ | XConst _ | XMemorySize | XI32Eqz | XI32Rel _ | XI64Rel _ | XF64Bin _
   | XF64Rel _ | XF64Un _ | XF64ConvertI32S | XTestGen _ | XCompareGen _ | XUnaryGen _
-  | XBinaryGen (Ast.FBin _) | XF64BinLL _ | XF64BinSL _ | XF64BinSC _ | XIncrL _ ->
+  | XBinaryGen (Ast.FBin _) ->
     true
-  | XI32Bin op | XI64Bin op | XBinaryGen (Ast.IBin (_, op)) | XI32BinLL (op, _, _)
-  | XI32BinLC (op, _, _) | XI32BinSL (op, _) | XI32BinSC (op, _) ->
-    not (traps op)
+  | XI32Bin op | XI64Bin op | XBinaryGen (Ast.IBin (_, op)) -> not (traps op)
   | _ -> false
+
+(** {1 Superinstructions}
+
+    Short straight-line idioms that tier 1 compiles to one closure each;
+    the comment gives the instructions a form covers. *)
+type fused =
+  | I32BinLL of Ast.ibinop * int * int  (** [local.get a; local.get b; i32.binop] *)
+  | I32BinLC of Ast.ibinop * int * int32  (** [local.get a; i32.const c; i32.binop] *)
+  | I32BinSL of Ast.ibinop * int  (** [local.get b; i32.binop] *)
+  | I32BinSC of Ast.ibinop * int32  (** [i32.const c; i32.binop] *)
+  | F64BinLL of Ast.fbinop * int * int  (** [local.get a; local.get b; f64.binop] *)
+  | F64BinSL of Ast.fbinop * int  (** [local.get b; f64.binop] *)
+  | F64BinSC of Ast.fbinop * float  (** [f64.const c; f64.binop] *)
+  | IncrL of int * int32  (** [local.get x; i32.const c; i32.add; local.set x] *)
+  | BrIfRelLL of Ast.irelop * int * int * int
+      (** [local.get a; local.get b; i32.relop; br_if k] *)
+  | BrIfRelLC of Ast.irelop * int * int32 * int
+      (** [local.get a; i32.const c; i32.relop; br_if k] *)
+  | BrIfRel of Ast.irelop * int  (** [i32.relop; br_if k] *)
+  | BrIfEqz of int  (** [i32.eqz; br_if k] *)
+  | I32LoadScaled of int32 * int
+      (** [i32.const c; i32.mul; i32.add; i32.load off]: address
+          [base + idx*c] with both operands popped *)
+  | F64LoadScaled of int32 * int  (** same for [f64.load] *)
+  | I32LoadL of int * int  (** [local.get a; i32.load off] *)
+  | F64LoadL of int * int  (** [local.get a; f64.load off] *)
+
+(** Can a superinstruction start with [x0; x1]? A cheap test that spares
+    most instructions the full match. *)
+let fusible_pair (x0 : xinstr) (x1 : xinstr) =
+  match x0, x1 with
+  | XLocalGet _, (XLocalGet _ | XConst (Value.I32 _) | XI32Bin _ | XF64Bin _ | XI32Load _ | XF64Load _)
+  | XConst (Value.I32 _), XI32Bin _
+  | XConst (Value.F64 _), XF64Bin _
+  | (XI32Rel _ | XI32Eqz), XBrIf _ ->
+    true
+  | _ -> false
+
+(** The form the [len] instructions at [pcs], consecutive as compiled,
+    fuse to, longest form first ([fused_len] instructions). Each form
+    fixes the heights of its instructions relative to the first, so the
+    instructions compiled away between them must leave the stack as
+    they found it. *)
+let fuse (xbody : xinstr array) (heights : int array) (pcs : int array) len : fused option =
+  let h0 = heights.(pcs.(0)) in
+  let h1 = if len > 1 then heights.(pcs.(1)) - h0 else 0 in
+  let h2 = if len > 2 then heights.(pcs.(2)) - h0 else 0 in
+  let h3 = if len > 3 then heights.(pcs.(3)) - h0 else 0 in
+  let four =
+    if len < 4 || h1 <> 1 then None
+    else
+      match xbody.(pcs.(0)), xbody.(pcs.(1)), xbody.(pcs.(2)), xbody.(pcs.(3)) with
+      | XLocalGet x, XConst (Value.I32 c), XI32Bin Ast.Add, XLocalSet y
+        when x = y && h2 = 2 && h3 = 1 ->
+        Some (IncrL (x, c))
+      | XLocalGet a, XLocalGet b, XI32Rel r, XBrIf k when h2 = 2 && h3 = 1 ->
+        Some (BrIfRelLL (r, a, b, k))
+      | XLocalGet a, XConst (Value.I32 c), XI32Rel r, XBrIf k when h2 = 2 && h3 = 1 ->
+        Some (BrIfRelLC (r, a, c, k))
+      | XConst (Value.I32 c), XI32Bin Ast.Mul, XI32Bin Ast.Add, XI32Load off
+        when h2 = 0 && h3 = -1 ->
+        Some (I32LoadScaled (c, off))
+      | XConst (Value.I32 c), XI32Bin Ast.Mul, XI32Bin Ast.Add, XF64Load off
+        when h2 = 0 && h3 = -1 ->
+        Some (F64LoadScaled (c, off))
+      | _ -> None
+  in
+  match four with
+  | Some _ -> four
+  | None ->
+    let three =
+      if len < 3 || h1 <> 1 || h2 <> 2 then None
+      else
+        match xbody.(pcs.(0)), xbody.(pcs.(1)), xbody.(pcs.(2)) with
+        | XLocalGet a, XLocalGet b, XI32Bin op -> Some (I32BinLL (op, a, b))
+        | XLocalGet a, XConst (Value.I32 c), XI32Bin op -> Some (I32BinLC (op, a, c))
+        | XLocalGet a, XLocalGet b, XF64Bin op -> Some (F64BinLL (op, a, b))
+        | _ -> None
+    in
+    match three with
+    | Some _ -> three
+    | None ->
+      if len < 2 then None
+      else
+        match xbody.(pcs.(0)), xbody.(pcs.(1)) with
+        | XLocalGet b, XI32Bin op when h1 = 1 -> Some (I32BinSL (op, b))
+        | XConst (Value.I32 c), XI32Bin op when h1 = 1 -> Some (I32BinSC (op, c))
+        | XLocalGet b, XF64Bin op when h1 = 1 -> Some (F64BinSL (op, b))
+        | XConst (Value.F64 c), XF64Bin op when h1 = 1 -> Some (F64BinSC (op, c))
+        | XI32Rel r, XBrIf k when h1 = -1 -> Some (BrIfRel (r, k))
+        | XI32Eqz, XBrIf k when h1 = 0 -> Some (BrIfEqz k)
+        | XLocalGet a, XI32Load off when h1 = 1 -> Some (I32LoadL (a, off))
+        | XLocalGet a, XF64Load off when h1 = 1 -> Some (F64LoadL (a, off))
+        | _ -> None
+
+let fused_len = function
+  | IncrL _ | BrIfRelLL _ | BrIfRelLC _ | I32LoadScaled _ | F64LoadScaled _ -> 4
+  | I32BinLL _ | I32BinLC _ | F64BinLL _ -> 3
+  | I32BinSL _ | I32BinSC _ | F64BinSL _ | F64BinSC _ | BrIfRel _ | BrIfEqz _ | I32LoadL _
+  | F64LoadL _ ->
+    2
 
 (** One site of a count group. *)
 type counted =
@@ -529,6 +656,13 @@ let count_group (inst : instance) ~h (sites : counted list) : ectx -> unit =
 
 (** {1 Pass 2: code generation} *)
 
+(* per-pc roles of the elision pass (see [compile_exn]) *)
+let r_plain = '\000'
+let r_elided = '\001'
+let r_dead = '\002'
+let r_counted = '\003'
+let r_entry = '\004'
+
 let engine_bug : ectx -> unit =
  fun _ -> raise (Value.Trap "tier1 reached an unreachable block (engine bug)")
 
@@ -552,9 +686,18 @@ let counted_sites_counter () =
   Obs.Metrics.counter "wasabi_tier1_counted_sites_total"
     ~help:"Counted hook sites and probe events that tier 1 compiled into count groups"
 
-let count_groups () =
-  let read c = int_of_float (Obs.Metrics.counter_value (c ())) in
-  (read counted_sites_counter, read count_groups_counter)
+let fused_counter () =
+  Obs.Metrics.counter "wasabi_tier1_fused_total" ~help:"Tier-1 superinstructions compiled"
+
+let elided_counter () =
+  Obs.Metrics.counter "wasabi_tier1_elided_total"
+    ~help:"local.get/set/tee instructions tier 1 compiled away: elided loads and dead stores"
+
+let read_counter c = int_of_float (Obs.Metrics.counter_value (c ()))
+
+let count_groups () = (read_counter counted_sites_counter, read_counter count_groups_counter)
+
+let peephole () = (read_counter fused_counter, read_counter elided_counter)
 
 (** Straight-line code under construction: the closures emitted so far
     (reversed) and the counted sites of the open count group
@@ -599,11 +742,6 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
       is_start.(end_of.(pc) + 1) <- true
     | _ -> ()
   done;
-  (* fusion never spans a leader, so no block may start on a fused
-     interior; bail to tier 0 if one somehow does *)
-  for pc = 0 to n - 1 do
-    if is_start.(pc) && xbody.(pc) = XFusedTail then raise Unsupported
-  done;
   let block_of = Array.make (n + 1) (-1) in
   let nblocks = ref 0 in
   for pc = 0 to n do
@@ -619,30 +757,23 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
   let cells : (ectx -> unit) ref array =
     Array.init !nblocks (fun _ -> ref engine_bug)
   in
-  (* engine-probe sites: dense per-pc views of the sparse table, and the
-     fused groups that compile slot by slot because a site falls inside
-     them; every other group keeps its superinstruction *)
-  let probed, pre, post, unfused, enter, exit =
+  (* engine-probe sites: dense per-pc views of the sparse table *)
+  let probed, pre, post, enter, exit =
     match code.c_probe with
-    | None -> (false, [||], [||], [||], [], [])
+    | None -> (false, [||], [||], [], [])
     | Some ph ->
       let pre = Array.make n [] and post = Array.make n [] in
-      let unfused = Array.make n false in
       Array.iter
         (fun s ->
            pre.(s.site_pc) <- s.site_pre;
-           post.(s.site_pc) <- s.site_post;
-           let lo = ref s.site_pc and hi = ref (s.site_pc + 1) in
-           while xbody.(!lo) == XFusedTail do decr lo done;
-           while !hi < n && xbody.(!hi) == XFusedTail do incr hi done;
-           if !hi - !lo > 1 then Array.fill unfused !lo (!hi - !lo) true)
+           post.(s.site_pc) <- s.site_post)
         ph.ph_sites;
-      (true, pre, post, unfused, ph.ph_enter, ph.ph_exit)
+      (true, pre, post, ph.ph_enter, ph.ph_exit)
   in
   (* bound host call sites: a call to a result-less host function whose
-     arguments are all pushed by unfused constants and [local.get]s
-     inside the call's block, at no probe site, compiles (pushes
-     included) to the callee's site-specialised entry. One backward walk
+     arguments are all pushed by constants and [local.get]s inside the
+     call's block, at no probe site, compiles (pushes included) to the
+     callee's site-specialised entry. One backward walk
      from each call finds the run; [bound.(p)] holds the entry of the
      run starting at [p] and the call's pc. *)
   let bound = ref [||] in
@@ -695,6 +826,229 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
     | _ -> ()
   done;
   let bound = !bound in
+  let bound_at p = if Array.length bound = 0 then None else bound.(p) in
+  (* Save/restore elision. A [local.get x] whose operand slot still
+     holds the value of [x] compiles to nothing. Per block, [facts.(s)]
+     is the local slot [s] holds: a [local.get], [local.set] or
+     [local.tee] of [x] records it, and it is dropped by any
+     instruction that pops or writes slot [s], any write to [x], any
+     call, bound entry or firing probe event. [role] marks these elided
+     loads and the instructions of bound runs. *)
+  let role = Bytes.make n r_plain in
+  let nb = !nblocks in
+  let facts = Array.make (max_h + 1) (-1) in
+  let ftop = ref 0 in
+  let forget_from s =
+    let s = if s < 0 then 0 else s in
+    for i = s to !ftop - 1 do
+      facts.(i) <- -1
+    done;
+    if s < !ftop then ftop := s
+  in
+  let fires evs = List.exists (function Probe_fire _ -> true | Probe_count _ -> false) evs in
+  let counted_runs = ref 0 in
+  for b = 0 to nb - 1 do
+    let sb = starts.(b) in
+    if sb < n && heights.(sb) >= 0 then begin
+      forget_from 0;
+      let p = ref sb in
+      while !p < starts.(b + 1) do
+        let q = !p in
+        match bound_at q with
+        | Some (Site_count _, cp) ->
+          Bytes.fill role q (cp + 1 - q) r_counted;
+          incr counted_runs;
+          p := cp + 1
+        | Some (Site_entry _, cp) ->
+          Bytes.fill role q (cp + 1 - q) r_entry;
+          forget_from 0;
+          p := cp + 1
+        | None ->
+          let h = heights.(q) in
+          if probed && fires pre.(q) then forget_from 0;
+          (match xbody.(q) with
+           | XLocalGet x ->
+             if facts.(h) = x then Bytes.set role q r_elided
+             else begin
+               facts.(h) <- x;
+               if h >= !ftop then ftop := h + 1
+             end
+           | XLocalSet x | XLocalTee x ->
+             for i = 0 to !ftop - 1 do
+               if facts.(i) = x then facts.(i) <- -1
+             done;
+             facts.(h - 1) <- x;
+             if h > !ftop then ftop := h
+           | XCall _ | XCallIndirect _ -> forget_from 0
+           | _ ->
+             let h' = heights.(q + 1) in
+             let s = (if h' < h then h' else h) - 1 in
+             if s < !ftop then forget_from s);
+          if probed && fires post.(q) then forget_from 0;
+          p := q + 1
+      done
+    end
+  done;
+  (* Dead stores. In an unprobed body with counted runs, one backward
+     liveness pass over the blocks counts only the reads that survive
+     compilation (not an elided load, not the argument pushes of a
+     counted run), and a store to a local no surviving read needs
+     compiles to a pop ([mark_dead]). Liveness is kept per block only:
+     [gen] (read before any write in the block), [kill] (written) and
+     [live] (live on entry), 32 locals a word. Other bodies skip the
+     pass: without counted runs a store can lose only reads that an
+     elided load replaced, which leaves few stores dead, and compiling
+     uninstrumented code stays cheap. *)
+  let dead_stores = !counted_runs > 0 && not probed in
+  let w = (nlocals + 31) lsr 5 in
+  let live = Array.make (if dead_stores then nb * w else 0) 0 in
+  let out = Array.make w 0 in
+  let succs = Array.make nb [] in
+  if dead_stores then begin
+    let gen = Array.make (nb * w) 0 and kill = Array.make (nb * w) 0 in
+    for b = 0 to nb - 1 do
+      let sb = starts.(b) and o = b * w in
+      if sb < n && heights.(sb) >= 0 then begin
+        let eb = starts.(b + 1) in
+        for q = sb to eb - 1 do
+          match xbody.(q) with
+          | XLocalGet x when Bytes.get role q <> r_elided && Bytes.get role q <> r_counted ->
+            if x >= nlocals then raise Unsupported;
+            let i = o + (x lsr 5) and m = 1 lsl (x land 31) in
+            if kill.(i) land m = 0 then gen.(i) <- gen.(i) lor m
+          | (XLocalSet x | XLocalTee x) when Bytes.get role q = r_plain ->
+            if x >= nlocals then raise Unsupported;
+            let i = o + (x lsr 5) in
+            kill.(i) <- kill.(i) lor (1 lsl (x land 31))
+          | _ -> ()
+        done;
+        let last = eb - 1 in
+        let label k =
+          match List.nth_opt frames_at.(last) k with
+          | Some f -> block_of.(f.f_label.l_target)
+          | None -> -1
+        in
+        succs.(b) <-
+          List.filter (fun t -> t >= 0)
+            (match xbody.(last) with
+             | XBr k -> [ label k ]
+             | XBrIf k -> [ label k; b + 1 ]
+             | XBrTable tbl -> Array.to_list (Array.map label tbl)
+             | XIf (e, _) | XIfElse (e, _, _) -> [ b + 1; block_of.(e) ]
+             | XElse e -> [ block_of.(e) ]
+             | XReturn | XUnreachable -> []
+             | _ -> [ b + 1 ])
+      end
+    done;
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for b = nb - 1 downto 0 do
+        for i = 0 to w - 1 do
+          let o = (b * w) + i in
+          let out = List.fold_left (fun acc t -> acc lor live.((t * w) + i)) 0 succs.(b) in
+          let v = gen.(o) lor (out land lnot kill.(o)) in
+          if v <> live.(o) then begin
+            live.(o) <- v;
+            changed := true
+          end
+        done
+      done
+    done
+  end;
+  (* mark the dead stores of block [b] ([sb] to [eb]), walking back from
+     its live-out set *)
+  let mark_dead b sb eb =
+    for i = 0 to w - 1 do
+      out.(i) <- List.fold_left (fun acc t -> acc lor live.((t * w) + i)) 0 succs.(b)
+    done;
+    for q = eb - 1 downto sb do
+      match Bytes.get role q, xbody.(q) with
+      | r, XLocalGet x when r = r_plain || r = r_entry ->
+        out.(x lsr 5) <- out.(x lsr 5) lor (1 lsl (x land 31))
+      | r, (XLocalSet x | XLocalTee x) when r = r_plain ->
+        let m = 1 lsl (x land 31) in
+        if out.(x lsr 5) land m = 0 then Bytes.set role q r_dead;
+        out.(x lsr 5) <- out.(x lsr 5) land lnot m
+      | _ -> ()
+    done
+  in
+  (* Superinstruction fusion over the stream as compiled: from [p], the
+     next (up to four) instructions of its block that compile to code,
+     skipping elided loads, dead stores and bound counted runs; the
+     counted sites met on the way join the open count group, in order.
+     A firing probe event or a bound entry ends the window, which is not
+     walked when the next instruction cannot continue any form.
+     [win_pc.(i)]: instruction [i]; [win_acc.(i)], [win_skip.(i)]: the
+     counted sites (in [acc], newest first) and the instructions
+     compiled away before it. With a form, [win_last] is its last
+     instruction, [acc] its counted sites, [win_skipped] what it skips. *)
+  let win_pc = Array.make 4 0 and win_acc = Array.make 4 0 and win_skip = Array.make 4 0 in
+  let acc = ref [] and nacc = ref 0 and win_last = ref 0 and win_skipped = ref 0 in
+  (* the counted probe events [evs.(q)] onto [acc]; [false] at a firing
+     one *)
+  let counted_at evs q =
+    List.for_all
+      (function
+        | Probe_count (e, c) ->
+          acc := Count_probe (e, c) :: !acc;
+          incr nacc;
+          true
+        | Probe_fire _ -> false)
+      evs.(q)
+  in
+  let window eb p =
+    let next = p + 1 in
+    match xbody.(p) with
+    | (XLocalGet _ | XConst _ | XI32Rel _ | XI32Eqz) as x0
+      when probed || next >= eb || Option.is_some (bound_at next)
+           || Bytes.get role next <> r_plain || fusible_pair x0 xbody.(next) ->
+      if !nacc > 0 then begin
+        acc := [];
+        nacc := 0
+      end;
+      let skip = ref 0 and len = ref 0 and q = ref p and open_ = ref true in
+      (* instruction [!len] is sought from [!q] *)
+      while !open_ && !len < 4 && !q < eb do
+        match bound_at !q with
+        | Some (Site_count c, cp) ->
+          acc := Count_hook c :: !acc;
+          incr nacc;
+          q := cp + 1
+        | Some (Site_entry _, _) -> open_ := false
+        | None ->
+          (* the events of [p] before it have run *)
+          if probed && !q > p && not (counted_at pre !q) then open_ := false
+          else begin
+            if Bytes.get role !q <> r_plain then incr skip
+            else if !len = 1 && not (fusible_pair x0 xbody.(!q)) then open_ := false
+            else begin
+              win_pc.(!len) <- !q;
+              win_acc.(!len) <- !nacc;
+              win_skip.(!len) <- !skip;
+              incr len
+            end;
+            if probed && !open_ && not (counted_at post !q) then open_ := false;
+            incr q
+          end
+      done;
+      if !len < 2 then None
+      else begin
+        let f = fuse xbody heights win_pc !len in
+        (match f with
+         | None -> ()
+         | Some f ->
+           let last = fused_len f - 1 in
+           win_last := win_pc.(last);
+           win_skipped := win_skip.(last);
+           (* the counted sites met before the form's last instruction *)
+           for _ = win_acc.(last) + 1 to !nacc do
+             acc := List.tl !acc
+           done);
+        f
+      end
+    | _ -> None
+  in
   (* fire a probe event at operand height [h] ([tys]: the type stack
      there, top first): box the operands and the local it reads, expose
      the height as the stack size, call it *)
@@ -734,8 +1088,10 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
         ctx.st.size <- ctx.base + h;
         fire ctx.locals
   in
-  (* the count groups compiled and the sites in them *)
+  (* the count groups compiled and the sites in them, the
+     superinstructions and the instructions compiled away *)
   let ngroups = ref 0 and ncounted = ref 0 in
+  let nfused = ref 0 and nelided = ref 0 in
   (* close the open count group, if any, at operand height [h] *)
   let flush sc ~h =
     match sc.pending with
@@ -850,19 +1206,346 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
     | Some m -> k m
     | None -> fun _ -> raise (Value.Trap "no memory")
   in
+  let emit sc f = sc.ops <- f :: sc.ops in
+  let finish term t = term := Some t in
+  (* superinstruction [f] ending at [q], at operand height [!h] (that
+     of its first instruction) *)
+  let compile_fused sc term h ~cur f q =
+    match f with
+    | I32BinLL (op, a, b) ->
+      want_local I32T a;
+      want_local I32T b;
+      let s = !h in
+      (match op with
+       | Ast.Add ->
+         emit sc (fun ctx ->
+           let il = ctx.il in
+           Array.unsafe_set ctx.id s
+             (Eval_numeric.norm32
+                (Array.unsafe_get il a + Array.unsafe_get il b)))
+       | _ ->
+         let f = Eval_numeric.ibinop_i32_int op in
+         emit sc (fun ctx ->
+           let il = ctx.il in
+           Array.unsafe_set ctx.id s
+             (f (Array.unsafe_get il a) (Array.unsafe_get il b))));
+      h := !h + 1
+    | I32BinLC (op, a, c) ->
+      want_local I32T a;
+      let ci = Int32.to_int c in
+      let s = !h in
+      (match op with
+       | Ast.Add ->
+         emit sc (fun ctx ->
+           Array.unsafe_set ctx.id s
+             (Eval_numeric.norm32 (Array.unsafe_get ctx.il a + ci)))
+       | _ ->
+         let f = Eval_numeric.ibinop_i32_int op in
+         emit sc (fun ctx ->
+           Array.unsafe_set ctx.id s (f (Array.unsafe_get ctx.il a) ci)));
+      h := !h + 1
+    | I32BinSL (op, b) ->
+      want_local I32T b;
+      let s = !h - 1 in
+      (match op with
+       | Ast.Add ->
+         emit sc (fun ctx ->
+           let id = ctx.id in
+           Array.unsafe_set id s
+             (Eval_numeric.norm32
+                (Array.unsafe_get id s + Array.unsafe_get ctx.il b)))
+       | _ ->
+         let f = Eval_numeric.ibinop_i32_int op in
+         emit sc (fun ctx ->
+           let id = ctx.id in
+           Array.unsafe_set id s
+             (f (Array.unsafe_get id s) (Array.unsafe_get ctx.il b))))
+    | I32BinSC (op, c) ->
+      let ci = Int32.to_int c in
+      let s = !h - 1 in
+      (match op with
+       | Ast.Add ->
+         emit sc (fun ctx ->
+           let id = ctx.id in
+           Array.unsafe_set id s
+             (Eval_numeric.norm32 (Array.unsafe_get id s + ci)))
+       | _ ->
+         let f = Eval_numeric.ibinop_i32_int op in
+         emit sc (fun ctx ->
+           let id = ctx.id in
+           Array.unsafe_set id s (f (Array.unsafe_get id s) ci)))
+    | F64BinLL (op, a, b) ->
+      want_local F64T a;
+      want_local F64T b;
+      let s = !h in
+      (match op with
+       | Ast.FAdd ->
+         emit sc (fun ctx ->
+           let fl = ctx.fl in
+           Array.unsafe_set ctx.fd s
+             (Array.unsafe_get fl a +. Array.unsafe_get fl b))
+       | Ast.FSub ->
+         emit sc (fun ctx ->
+           let fl = ctx.fl in
+           Array.unsafe_set ctx.fd s
+             (Array.unsafe_get fl a -. Array.unsafe_get fl b))
+       | Ast.FMul ->
+         emit sc (fun ctx ->
+           let fl = ctx.fl in
+           Array.unsafe_set ctx.fd s
+             (Array.unsafe_get fl a *. Array.unsafe_get fl b))
+       | Ast.FDiv ->
+         emit sc (fun ctx ->
+           let fl = ctx.fl in
+           Array.unsafe_set ctx.fd s
+             (Array.unsafe_get fl a /. Array.unsafe_get fl b))
+       | Ast.Min | Ast.Max | Ast.CopySign ->
+         let f = Eval_numeric.fbinop_fn op in
+         emit sc (fun ctx ->
+           let fl = ctx.fl in
+           Array.unsafe_set ctx.fd s
+             (f (Array.unsafe_get fl a) (Array.unsafe_get fl b))));
+      h := !h + 1
+    | F64BinSL (op, b) ->
+      want_local F64T b;
+      let s = !h - 1 in
+      (match op with
+       | Ast.FAdd ->
+         emit sc (fun ctx ->
+           let fd = ctx.fd in
+           Array.unsafe_set fd s
+             (Array.unsafe_get fd s +. Array.unsafe_get ctx.fl b))
+       | Ast.FSub ->
+         emit sc (fun ctx ->
+           let fd = ctx.fd in
+           Array.unsafe_set fd s
+             (Array.unsafe_get fd s -. Array.unsafe_get ctx.fl b))
+       | Ast.FMul ->
+         emit sc (fun ctx ->
+           let fd = ctx.fd in
+           Array.unsafe_set fd s
+             (Array.unsafe_get fd s *. Array.unsafe_get ctx.fl b))
+       | Ast.FDiv ->
+         emit sc (fun ctx ->
+           let fd = ctx.fd in
+           Array.unsafe_set fd s
+             (Array.unsafe_get fd s /. Array.unsafe_get ctx.fl b))
+       | Ast.Min | Ast.Max | Ast.CopySign ->
+         let f = Eval_numeric.fbinop_fn op in
+         emit sc (fun ctx ->
+           let fd = ctx.fd in
+           Array.unsafe_set fd s
+             (f (Array.unsafe_get fd s) (Array.unsafe_get ctx.fl b))))
+    | F64BinSC (op, c) ->
+      let s = !h - 1 in
+      (match op with
+       | Ast.FAdd ->
+         emit sc (fun ctx ->
+           let fd = ctx.fd in
+           Array.unsafe_set fd s (Array.unsafe_get fd s +. c))
+       | Ast.FSub ->
+         emit sc (fun ctx ->
+           let fd = ctx.fd in
+           Array.unsafe_set fd s (Array.unsafe_get fd s -. c))
+       | Ast.FMul ->
+         emit sc (fun ctx ->
+           let fd = ctx.fd in
+           Array.unsafe_set fd s (Array.unsafe_get fd s *. c))
+       | Ast.FDiv ->
+         emit sc (fun ctx ->
+           let fd = ctx.fd in
+           Array.unsafe_set fd s (Array.unsafe_get fd s /. c))
+       | Ast.Min | Ast.Max | Ast.CopySign ->
+         let f = Eval_numeric.fbinop_fn op in
+         emit sc (fun ctx ->
+           let fd = ctx.fd in
+           Array.unsafe_set fd s (f (Array.unsafe_get fd s) c)))
+    | IncrL (x, c) ->
+      (* the sum also lands in its operand slot, which the elision
+         pass takes to hold [x] *)
+      want_local I32T x;
+      let ci = Int32.to_int c in
+      let s = !h in
+      emit sc (fun ctx ->
+        let v = Eval_numeric.norm32 (Array.unsafe_get ctx.il x + ci) in
+        Array.unsafe_set ctx.il x v;
+        Array.unsafe_set ctx.id s v)
+    | I32LoadScaled (c, off) ->
+      let ci = Int32.to_int c in
+      let s = !h - 2 in
+      emit sc
+        (with_mem (fun m ctx ->
+           let id = ctx.id in
+           let addr =
+             (Array.unsafe_get id s + (Array.unsafe_get id (s + 1) * ci))
+             land 0xFFFFFFFF
+           in
+           Array.unsafe_set id s (Memory.load_i32_u m addr off)));
+      h := !h - 1
+    | F64LoadScaled (c, off) ->
+      let ci = Int32.to_int c in
+      let s = !h - 2 in
+      emit sc
+        (with_mem (fun m ctx ->
+           let id = ctx.id in
+           let addr =
+             (Array.unsafe_get id s + (Array.unsafe_get id (s + 1) * ci))
+             land 0xFFFFFFFF
+           in
+           Array.unsafe_set ctx.fd s (Memory.load_f64_u m addr off)));
+      h := !h - 1
+    | I32LoadL (a, off) ->
+      want_local I32T a;
+      let s = !h in
+      emit sc
+        (with_mem (fun m ctx ->
+           Array.unsafe_set ctx.id s
+             (Memory.load_i32_u m
+                (Array.unsafe_get ctx.il a land 0xFFFFFFFF)
+                off)));
+      h := !h + 1
+    | F64LoadL (a, off) ->
+      want_local I32T a;
+      let s = !h in
+      emit sc
+        (with_mem (fun m ctx ->
+           Array.unsafe_set ctx.fd s
+             (Memory.load_f64_u m
+                (Array.unsafe_get ctx.il a land 0xFFFFFFFF)
+                off)));
+      h := !h + 1
+    | BrIfRelLL (r, a, b, k) ->
+      want_local I32T a;
+      want_local I32T b;
+      let taken = branch_edge ~cur ~from_h:!h frames_at.(q) k in
+      let next = jump_to ~cur (q + 1) in
+      (* the loop-controlling comparison: every relop inlined so
+         the back-edge test costs no closure call *)
+      (match r with
+       | Ast.Eq ->
+         finish term (fun ctx ->
+           if Array.unsafe_get ctx.il a = Array.unsafe_get ctx.il b then
+             taken ctx
+           else next ctx)
+       | Ast.Ne ->
+         finish term (fun ctx ->
+           if Array.unsafe_get ctx.il a <> Array.unsafe_get ctx.il b then
+             taken ctx
+           else next ctx)
+       | Ast.LtS ->
+         finish term (fun ctx ->
+           if Array.unsafe_get ctx.il a < Array.unsafe_get ctx.il b then
+             taken ctx
+           else next ctx)
+       | Ast.LtU ->
+         finish term (fun ctx ->
+           if
+             Array.unsafe_get ctx.il a land 0xFFFFFFFF
+             < Array.unsafe_get ctx.il b land 0xFFFFFFFF
+           then taken ctx
+           else next ctx)
+       | Ast.GtS ->
+         finish term (fun ctx ->
+           if Array.unsafe_get ctx.il a > Array.unsafe_get ctx.il b then
+             taken ctx
+           else next ctx)
+       | Ast.GtU ->
+         finish term (fun ctx ->
+           if
+             Array.unsafe_get ctx.il a land 0xFFFFFFFF
+             > Array.unsafe_get ctx.il b land 0xFFFFFFFF
+           then taken ctx
+           else next ctx)
+       | Ast.LeS ->
+         finish term (fun ctx ->
+           if Array.unsafe_get ctx.il a <= Array.unsafe_get ctx.il b then
+             taken ctx
+           else next ctx)
+       | Ast.LeU ->
+         finish term (fun ctx ->
+           if
+             Array.unsafe_get ctx.il a land 0xFFFFFFFF
+             <= Array.unsafe_get ctx.il b land 0xFFFFFFFF
+           then taken ctx
+           else next ctx)
+       | Ast.GeS ->
+         finish term (fun ctx ->
+           if Array.unsafe_get ctx.il a >= Array.unsafe_get ctx.il b then
+             taken ctx
+           else next ctx)
+       | Ast.GeU ->
+         finish term (fun ctx ->
+           if
+             Array.unsafe_get ctx.il a land 0xFFFFFFFF
+             >= Array.unsafe_get ctx.il b land 0xFFFFFFFF
+           then taken ctx
+           else next ctx))
+    | BrIfRelLC (r, a, c, k) ->
+      want_local I32T a;
+      let ci = Int32.to_int c in
+      let cu = ci land 0xFFFFFFFF in
+      let taken = branch_edge ~cur ~from_h:!h frames_at.(q) k in
+      let next = jump_to ~cur (q + 1) in
+      (match r with
+       | Ast.Eq ->
+         finish term (fun ctx ->
+           if Array.unsafe_get ctx.il a = ci then taken ctx else next ctx)
+       | Ast.Ne ->
+         finish term (fun ctx ->
+           if Array.unsafe_get ctx.il a <> ci then taken ctx else next ctx)
+       | Ast.LtS ->
+         finish term (fun ctx ->
+           if Array.unsafe_get ctx.il a < ci then taken ctx else next ctx)
+       | Ast.LtU ->
+         finish term (fun ctx ->
+           if Array.unsafe_get ctx.il a land 0xFFFFFFFF < cu then taken ctx
+           else next ctx)
+       | Ast.GtS ->
+         finish term (fun ctx ->
+           if Array.unsafe_get ctx.il a > ci then taken ctx else next ctx)
+       | Ast.GtU ->
+         finish term (fun ctx ->
+           if Array.unsafe_get ctx.il a land 0xFFFFFFFF > cu then taken ctx
+           else next ctx)
+       | Ast.LeS ->
+         finish term (fun ctx ->
+           if Array.unsafe_get ctx.il a <= ci then taken ctx else next ctx)
+       | Ast.LeU ->
+         finish term (fun ctx ->
+           if Array.unsafe_get ctx.il a land 0xFFFFFFFF <= cu then taken ctx
+           else next ctx)
+       | Ast.GeS ->
+         finish term (fun ctx ->
+           if Array.unsafe_get ctx.il a >= ci then taken ctx else next ctx)
+       | Ast.GeU ->
+         finish term (fun ctx ->
+           if Array.unsafe_get ctx.il a land 0xFFFFFFFF >= cu then taken ctx
+           else next ctx))
+    | BrIfRel (r, k) ->
+      let f = Eval_numeric.irelop_i32_int r in
+      let s = !h - 2 in
+      let taken = branch_edge ~cur ~from_h:(!h - 2) frames_at.(q) k in
+      let next = jump_to ~cur (q + 1) in
+      finish term (fun ctx ->
+        let id = ctx.id in
+        if f (Array.unsafe_get id s) (Array.unsafe_get id (s + 1)) then
+          taken ctx
+        else next ctx)
+    | BrIfEqz k ->
+      let s = !h - 1 in
+      let taken = branch_edge ~cur ~from_h:(!h - 1) frames_at.(q) k in
+      let next = jump_to ~cur (q + 1) in
+      finish term (fun ctx ->
+        if Array.unsafe_get ctx.id s = 0 then taken ctx else next ctx)
+  in
   let compile_block cur : ectx -> unit =
     let sb = starts.(cur) in
     if sb = n then
       if heights.(n) >= 0 then end_edge ~from_h:heights.(n) else engine_bug
     else if heights.(sb) < 0 then engine_bug
     else begin
-      let eb =
-        let i = ref (sb + 1) in
-        while not is_start.(!i) do
-          incr i
-        done;
-        !i
-      in
+      let eb = starts.(cur + 1) in
+      if dead_stores then mark_dead cur sb eb;
       let h = ref heights.(sb) in
       let sc = { ops = []; pending = [] } in
       let term : (ectx -> unit) option ref = ref None in
@@ -872,10 +1555,11 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
       while Option.is_none !term && !pc < eb do
         let p = !pc in
         if heights.(p) >= 0 && heights.(p) <> !h then raise Unsupported;
+        let last = ref p in
         let step len = pc := p + len in
         (* a bound run compiles whole; everything else instruction by
-           instruction *)
-        match if Array.length bound = 0 then None else bound.(p) with
+           instruction or as a superinstruction *)
+        match bound_at p with
         | Some (Site_count c, call_pc) ->
           sc.pending <- Count_hook c :: sc.pending;
           step (call_pc + 1 - p)
@@ -891,8 +1575,27 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
             entry ctx);
           step (call_pc + 1 - p)
         | None ->
-        let x = if probed && unfused.(p) then decode_slot code p else xbody.(p) in
         if probed then events sc ~h:!h types_at.(p) pre.(p);
+        (if Bytes.get role p <> r_plain then begin
+           (* compiled away: an elided load pushes, a dead store pops *)
+           incr nelided;
+           (match xbody.(p) with XLocalGet _ -> incr h | XLocalSet _ -> decr h | _ -> ());
+           step 1
+         end
+         else
+           match window eb p with
+           | Some f ->
+             let q = !win_last in
+             sc.pending <- !acc @ sc.pending;
+             nelided := !nelided + !win_skipped;
+             incr nfused;
+             (* only a form's last instruction may trap or leave the frame *)
+             if not (frame_local xbody.(q)) then flush sc ~h:!h;
+             compile_fused sc term h ~cur f q;
+             last := q;
+             pc := q + 1
+           | None ->
+        let x = xbody.(p) in
         if not (frame_local x) then flush sc ~h:!h;
         (match x with
          (* no-ops at run time: all control bookkeeping is static *)
@@ -941,7 +1644,7 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
                   (Array.unsafe_get ctx.locals x)));
            h := !h + 1;
            step 1
-         | XLocalSet x ->
+         | XLocalSet x | XLocalTee x ->
            let s = !h - 1 in
            (match local_ty x with
             | I32T ->
@@ -954,21 +1657,7 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
               emit (fun ctx ->
                 Array.unsafe_set ctx.locals x
                   (Array.unsafe_get ctx.st.data (ctx.base + s))));
-           h := !h - 1;
-           step 1
-         | XLocalTee x ->
-           let s = !h - 1 in
-           (match local_ty x with
-            | I32T ->
-              emit (fun ctx ->
-                Array.unsafe_set ctx.il x (Array.unsafe_get ctx.id s))
-            | F64T ->
-              emit (fun ctx ->
-                Array.unsafe_set ctx.fl x (Array.unsafe_get ctx.fd s))
-            | I64T | F32T ->
-              emit (fun ctx ->
-                Array.unsafe_set ctx.locals x
-                  (Array.unsafe_get ctx.st.data (ctx.base + s))));
+           (match xbody.(p) with XLocalSet _ -> h := s | _ -> ());
            step 1
          | XGlobalGet x ->
            let g = inst.inst_globals.(x) in
@@ -1421,63 +2110,28 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
              Array.unsafe_set ctx.id s
                (Int32.to_int (Value.Cvt.i32_trunc_s (Array.unsafe_get ctx.fd s))));
            step 1
-         | XTestGen op ->
+         (* the generic forms: [Interp.decode_instr] leaves only the
+            i64 test, f32 comparisons and arithmetic, and the unary
+            operators other than f64's here; any other operator makes
+            tier 1 decline the body *)
+         | XTestGen (Ast.IEqz S64) ->
            let s = !h - 1 in
-           (match op with
-            | Ast.IEqz S32 ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s (if Array.unsafe_get id s = 0 then 1 else 0))
-            | Ast.IEqz S64 ->
-              emit (fun ctx ->
-                Array.unsafe_set ctx.id s
-                  (if
-                     Int64.equal
-                       (Value.as_i64 (Array.unsafe_get ctx.st.data (ctx.base + s)))
-                       0L
-                   then 1
-                   else 0)));
+           emit (fun ctx ->
+             Array.unsafe_set ctx.id s
+               (if Int64.equal (Value.as_i64 (Array.unsafe_get ctx.st.data (ctx.base + s))) 0L
+                then 1
+                else 0));
            step 1
-         | XCompareGen op ->
+         | XCompareGen (Ast.FRel (SF32, _) as op) ->
            let s = !h - 2 in
-           (match op with
-            | Ast.IRel (S32, r) ->
-              let f = Eval_numeric.irelop_i32_int r in
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (if f (Array.unsafe_get id s) (Array.unsafe_get id (s + 1))
-                   then 1
-                   else 0))
-            | Ast.IRel (S64, r) ->
-              let f = Eval_numeric.irelop_i64_fn r in
-              emit (fun ctx ->
-                let d = ctx.st.data in
-                let b = ctx.base + s in
-                Array.unsafe_set ctx.id s
-                  (if
-                     f
-                       (Value.as_i64 (Array.unsafe_get d b))
-                       (Value.as_i64 (Array.unsafe_get d (b + 1)))
-                   then 1
-                   else 0))
-            | Ast.FRel (SF64, r) ->
-              let f = Eval_numeric.frelop_fn r in
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set ctx.id s
-                  (if f (Array.unsafe_get fd s) (Array.unsafe_get fd (s + 1))
-                   then 1
-                   else 0))
-            | Ast.FRel (SF32, _) ->
-              emit (fun ctx ->
-                let d = ctx.st.data in
-                let b = ctx.base + s in
-                Array.unsafe_set ctx.id s
-                  (Int32.to_int
-                     (Value.as_i32
-                        (Eval_numeric.eval_relop op (Array.unsafe_get d b)
-                           (Array.unsafe_get d (b + 1)))))));
+           emit (fun ctx ->
+             let d = ctx.st.data in
+             let b = ctx.base + s in
+             Array.unsafe_set ctx.id s
+               (Int32.to_int
+                  (Value.as_i32
+                     (Eval_numeric.eval_relop op (Array.unsafe_get d b)
+                        (Array.unsafe_get d (b + 1))))));
            h := !h - 1;
            step 1
          | XUnaryGen op ->
@@ -1490,51 +2144,24 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
                     (Value.I32 (Int32.of_int (Array.unsafe_get ctx.id s)))
                 in
                 Array.unsafe_set ctx.id s (Int32.to_int (Value.as_i32 v)))
-            | Ast.FUn (SF64, u) ->
-              let f = Eval_numeric.funop_impl u in
-              emit (fun ctx ->
-                Array.unsafe_set ctx.fd s (f (Array.unsafe_get ctx.fd s)))
             | Ast.IUn (S64, _) | Ast.FUn (SF32, _) ->
               emit (fun ctx ->
                 let d = ctx.st.data in
                 let b = ctx.base + s in
                 Array.unsafe_set d b
-                  (Eval_numeric.eval_unop op (Array.unsafe_get d b))));
+                  (Eval_numeric.eval_unop op (Array.unsafe_get d b)))
+            | Ast.FUn (SF64, _) -> raise Unsupported);
            step 1
-         | XBinaryGen op ->
+         | XBinaryGen (Ast.FBin (SF32, _) as op) ->
            let s = !h - 2 in
-           (match op with
-            | Ast.IBin (S32, bop) ->
-              let f = Eval_numeric.ibinop_i32_int bop in
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (f (Array.unsafe_get id s) (Array.unsafe_get id (s + 1))))
-            | Ast.IBin (S64, bop) ->
-              let f = Eval_numeric.ibinop_i64_fn bop in
-              emit (fun ctx ->
-                let d = ctx.st.data in
-                let b = ctx.base + s in
-                Array.unsafe_set d b
-                  (Value.I64
-                     (f
-                        (Value.as_i64 (Array.unsafe_get d b))
-                        (Value.as_i64 (Array.unsafe_get d (b + 1))))))
-            | Ast.FBin (SF64, bop) ->
-              let f = Eval_numeric.fbinop_fn bop in
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set fd s
-                  (f (Array.unsafe_get fd s) (Array.unsafe_get fd (s + 1))))
-            | Ast.FBin (SF32, _) ->
-              emit (fun ctx ->
-                let d = ctx.st.data in
-                let b = ctx.base + s in
-                Array.unsafe_set d b
-                  (Eval_numeric.eval_binop op (Array.unsafe_get d b)
-                     (Array.unsafe_get d (b + 1)))));
+           emit (fun ctx ->
+             let d = ctx.st.data in
+             let b = ctx.base + s in
+             Array.unsafe_set d b
+               (Eval_numeric.eval_binop op (Array.unsafe_get d b) (Array.unsafe_get d (b + 1))));
            h := !h - 1;
            step 1
+         | XTestGen _ | XCompareGen _ | XBinaryGen _ -> raise Unsupported
          | XConvertGen op ->
            let s = !h - 1 in
            let src, dst = cvt_types op in
@@ -1553,25 +2180,6 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
            let hh = !h in
            let abase = hh - np in
            if abase < 0 then raise Unsupported;
-           let pre =
-             chain
-               (List.concat
-                  (List.mapi
-                     (fun j ty ->
-                        match box_slot ty (abase + j) with
-                        | Some f -> [ f ]
-                        | None -> [])
-                     ft.params))
-           and post =
-             chain
-               (List.concat
-                  (List.mapi
-                     (fun r ty ->
-                        match unbox_slot ty (abase + r) with
-                        | Some f -> [ f ]
-                        | None -> [])
-                     ft.results))
-           in
            let invoke : ectx -> unit =
              match callee with
              | Wasm_func (j, ci) ->
@@ -1583,21 +2191,7 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
                  ctx.st.size <- ctx.base + hh;
                  call_host inst hf ctx.st
            in
-           (match (pre, post) with
-            | None, None -> emit invoke
-            | Some f, None ->
-              emit (fun ctx ->
-                f ctx;
-                invoke ctx)
-            | None, Some g ->
-              emit (fun ctx ->
-                invoke ctx;
-                g ctx)
-            | Some f, Some g ->
-              emit (fun ctx ->
-                f ctx;
-                invoke ctx;
-                g ctx));
+           emit (staged_call ~abase ft invoke);
            h := hh - np + nr;
            step 1
          | XCallIndirect tidx ->
@@ -1611,25 +2205,6 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
            (match inst.inst_table with
             | None -> emit (fun _ -> raise (Value.Trap "no table"))
             | Some table ->
-              let pre =
-                chain
-                  (List.concat
-                     (List.mapi
-                        (fun j ty ->
-                           match box_slot ty (abase + j) with
-                           | Some f -> [ f ]
-                           | None -> [])
-                        expected.params))
-              and post =
-                chain
-                  (List.concat
-                     (List.mapi
-                        (fun r ty ->
-                           match unbox_slot ty (abase + r) with
-                           | Some f -> [ f ]
-                           | None -> [])
-                        expected.results))
-              in
               let invoke ctx =
                 let st = ctx.st in
                 let i = Array.unsafe_get ctx.id si land 0xFFFFFFFF in
@@ -1646,250 +2221,15 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
                    | Wasm_func (j, ci) -> call_wasm ci j st
                    | Host_func hf -> call_host inst hf st)
               in
-              (match (pre, post) with
-               | None, None -> emit invoke
-               | Some f, None ->
-                 emit (fun ctx ->
-                   f ctx;
-                   invoke ctx)
-               | None, Some g ->
-                 emit (fun ctx ->
-                   invoke ctx;
-                   g ctx)
-               | Some f, Some g ->
-                 emit (fun ctx ->
-                   f ctx;
-                   invoke ctx;
-                   g ctx)));
+              emit (staged_call ~abase expected invoke));
            h := hh - 1 - np + nr;
            step 1
-         (* fused superinstructions (straight-line forms) *)
-         | XI32BinLL (op, a, b) ->
-           want_local I32T a;
-           want_local I32T b;
-           let s = !h in
-           (match op with
-            | Ast.Add ->
-              emit (fun ctx ->
-                let il = ctx.il in
-                Array.unsafe_set ctx.id s
-                  (Eval_numeric.norm32
-                     (Array.unsafe_get il a + Array.unsafe_get il b)))
-            | _ ->
-              let f = Eval_numeric.ibinop_i32_int op in
-              emit (fun ctx ->
-                let il = ctx.il in
-                Array.unsafe_set ctx.id s
-                  (f (Array.unsafe_get il a) (Array.unsafe_get il b))));
-           h := !h + 1;
-           step 3
-         | XI32BinLC (op, a, c) ->
-           want_local I32T a;
-           let ci = Int32.to_int c in
-           let s = !h in
-           (match op with
-            | Ast.Add ->
-              emit (fun ctx ->
-                Array.unsafe_set ctx.id s
-                  (Eval_numeric.norm32 (Array.unsafe_get ctx.il a + ci)))
-            | _ ->
-              let f = Eval_numeric.ibinop_i32_int op in
-              emit (fun ctx ->
-                Array.unsafe_set ctx.id s (f (Array.unsafe_get ctx.il a) ci)));
-           h := !h + 1;
-           step 3
-         | XI32BinSL (op, b) ->
-           want_local I32T b;
-           let s = !h - 1 in
-           (match op with
-            | Ast.Add ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (Eval_numeric.norm32
-                     (Array.unsafe_get id s + Array.unsafe_get ctx.il b)))
-            | _ ->
-              let f = Eval_numeric.ibinop_i32_int op in
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (f (Array.unsafe_get id s) (Array.unsafe_get ctx.il b))));
-           step 2
-         | XI32BinSC (op, c) ->
-           let ci = Int32.to_int c in
-           let s = !h - 1 in
-           (match op with
-            | Ast.Add ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (Eval_numeric.norm32 (Array.unsafe_get id s + ci)))
-            | _ ->
-              let f = Eval_numeric.ibinop_i32_int op in
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s (f (Array.unsafe_get id s) ci)));
-           step 2
-         | XF64BinLL (op, a, b) ->
-           want_local F64T a;
-           want_local F64T b;
-           let s = !h in
-           (match op with
-            | Ast.FAdd ->
-              emit (fun ctx ->
-                let fl = ctx.fl in
-                Array.unsafe_set ctx.fd s
-                  (Array.unsafe_get fl a +. Array.unsafe_get fl b))
-            | Ast.FSub ->
-              emit (fun ctx ->
-                let fl = ctx.fl in
-                Array.unsafe_set ctx.fd s
-                  (Array.unsafe_get fl a -. Array.unsafe_get fl b))
-            | Ast.FMul ->
-              emit (fun ctx ->
-                let fl = ctx.fl in
-                Array.unsafe_set ctx.fd s
-                  (Array.unsafe_get fl a *. Array.unsafe_get fl b))
-            | Ast.FDiv ->
-              emit (fun ctx ->
-                let fl = ctx.fl in
-                Array.unsafe_set ctx.fd s
-                  (Array.unsafe_get fl a /. Array.unsafe_get fl b))
-            | Ast.Min | Ast.Max | Ast.CopySign ->
-              let f = Eval_numeric.fbinop_fn op in
-              emit (fun ctx ->
-                let fl = ctx.fl in
-                Array.unsafe_set ctx.fd s
-                  (f (Array.unsafe_get fl a) (Array.unsafe_get fl b))));
-           h := !h + 1;
-           step 3
-         | XF64BinSL (op, b) ->
-           want_local F64T b;
-           let s = !h - 1 in
-           (match op with
-            | Ast.FAdd ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set fd s
-                  (Array.unsafe_get fd s +. Array.unsafe_get ctx.fl b))
-            | Ast.FSub ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set fd s
-                  (Array.unsafe_get fd s -. Array.unsafe_get ctx.fl b))
-            | Ast.FMul ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set fd s
-                  (Array.unsafe_get fd s *. Array.unsafe_get ctx.fl b))
-            | Ast.FDiv ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set fd s
-                  (Array.unsafe_get fd s /. Array.unsafe_get ctx.fl b))
-            | Ast.Min | Ast.Max | Ast.CopySign ->
-              let f = Eval_numeric.fbinop_fn op in
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set fd s
-                  (f (Array.unsafe_get fd s) (Array.unsafe_get ctx.fl b))));
-           step 2
-         | XF64BinSC (op, c) ->
-           let s = !h - 1 in
-           (match op with
-            | Ast.FAdd ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set fd s (Array.unsafe_get fd s +. c))
-            | Ast.FSub ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set fd s (Array.unsafe_get fd s -. c))
-            | Ast.FMul ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set fd s (Array.unsafe_get fd s *. c))
-            | Ast.FDiv ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set fd s (Array.unsafe_get fd s /. c))
-            | Ast.Min | Ast.Max | Ast.CopySign ->
-              let f = Eval_numeric.fbinop_fn op in
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set fd s (f (Array.unsafe_get fd s) c)));
-           step 2
-         | XIncrL (x, c) ->
-           want_local I32T x;
-           let ci = Int32.to_int c in
-           emit (fun ctx ->
-             let il = ctx.il in
-             Array.unsafe_set il x
-               (Eval_numeric.norm32 (Array.unsafe_get il x + ci)));
-           step 4
-         | XI32LoadScaled (c, off) ->
-           let ci = Int32.to_int c in
-           let s = !h - 2 in
-           emit
-             (with_mem (fun m ctx ->
-                let id = ctx.id in
-                let addr =
-                  (Array.unsafe_get id s + (Array.unsafe_get id (s + 1) * ci))
-                  land 0xFFFFFFFF
-                in
-                Array.unsafe_set id s (Memory.load_i32_u m addr off)));
-           h := !h - 1;
-           step 4
-         | XF64LoadScaled (c, off) ->
-           let ci = Int32.to_int c in
-           let s = !h - 2 in
-           emit
-             (with_mem (fun m ctx ->
-                let id = ctx.id in
-                let addr =
-                  (Array.unsafe_get id s + (Array.unsafe_get id (s + 1) * ci))
-                  land 0xFFFFFFFF
-                in
-                Array.unsafe_set ctx.fd s (Memory.load_f64_u m addr off)));
-           h := !h - 1;
-           step 4
-         | XI32LoadL (a, off) ->
-           want_local I32T a;
-           let s = !h in
-           emit
-             (with_mem (fun m ctx ->
-                Array.unsafe_set ctx.id s
-                  (Memory.load_i32_u m
-                     (Array.unsafe_get ctx.il a land 0xFFFFFFFF)
-                     off)));
-           h := !h + 1;
-           step 2
-         | XF64LoadL (a, off) ->
-           want_local I32T a;
-           let s = !h in
-           emit
-             (with_mem (fun m ctx ->
-                Array.unsafe_set ctx.fd s
-                  (Memory.load_f64_u m
-                     (Array.unsafe_get ctx.il a land 0xFFFFFFFF)
-                     off)));
-           h := !h + 1;
-           step 2
          (* terminators: every control transfer ends the block *)
          | XUnreachable ->
            finish (fun _ -> raise (Value.Trap "unreachable executed"))
-         | XIf (end_target, larity) ->
-           if larity <> 0 then raise Unsupported;
-           let s = !h - 1 in
-           let then_edge = jump_to ~cur (p + 1)
-           and else_edge = jump_to ~cur end_target in
-           finish (fun ctx ->
-             if Array.unsafe_get ctx.id s = 0 then begin
-               ctx.charged <- 0;
-               else_edge ctx
-             end
-             else then_edge ctx)
-         | XIfElse (else_target, _, _) ->
+         | XIf (else_target, _) | XIfElse (else_target, _, _) ->
+           (* a valid [if] without [else] has no results: a false
+              condition skips to its end *)
            let s = !h - 1 in
            let then_edge = jump_to ~cur (p + 1)
            and else_edge = jump_to ~cur else_target in
@@ -1923,132 +2263,8 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
              (if i < last then Array.unsafe_get edges i
               else Array.unsafe_get edges last)
                ctx)
-         | XReturn -> finish (ret_edge ~from_h:!h)
-         | XBrIfRelLL (r, a, b, k) ->
-           want_local I32T a;
-           want_local I32T b;
-           let taken = branch_edge ~cur ~from_h:!h frames_at.(p) k in
-           let next = jump_to ~cur (p + 4) in
-           (* the loop-controlling comparison: every relop inlined so
-              the back-edge test costs no closure call *)
-           (match r with
-            | Ast.Eq ->
-              finish (fun ctx ->
-                if Array.unsafe_get ctx.il a = Array.unsafe_get ctx.il b then
-                  taken ctx
-                else next ctx)
-            | Ast.Ne ->
-              finish (fun ctx ->
-                if Array.unsafe_get ctx.il a <> Array.unsafe_get ctx.il b then
-                  taken ctx
-                else next ctx)
-            | Ast.LtS ->
-              finish (fun ctx ->
-                if Array.unsafe_get ctx.il a < Array.unsafe_get ctx.il b then
-                  taken ctx
-                else next ctx)
-            | Ast.LtU ->
-              finish (fun ctx ->
-                if
-                  Array.unsafe_get ctx.il a land 0xFFFFFFFF
-                  < Array.unsafe_get ctx.il b land 0xFFFFFFFF
-                then taken ctx
-                else next ctx)
-            | Ast.GtS ->
-              finish (fun ctx ->
-                if Array.unsafe_get ctx.il a > Array.unsafe_get ctx.il b then
-                  taken ctx
-                else next ctx)
-            | Ast.GtU ->
-              finish (fun ctx ->
-                if
-                  Array.unsafe_get ctx.il a land 0xFFFFFFFF
-                  > Array.unsafe_get ctx.il b land 0xFFFFFFFF
-                then taken ctx
-                else next ctx)
-            | Ast.LeS ->
-              finish (fun ctx ->
-                if Array.unsafe_get ctx.il a <= Array.unsafe_get ctx.il b then
-                  taken ctx
-                else next ctx)
-            | Ast.LeU ->
-              finish (fun ctx ->
-                if
-                  Array.unsafe_get ctx.il a land 0xFFFFFFFF
-                  <= Array.unsafe_get ctx.il b land 0xFFFFFFFF
-                then taken ctx
-                else next ctx)
-            | Ast.GeS ->
-              finish (fun ctx ->
-                if Array.unsafe_get ctx.il a >= Array.unsafe_get ctx.il b then
-                  taken ctx
-                else next ctx)
-            | Ast.GeU ->
-              finish (fun ctx ->
-                if
-                  Array.unsafe_get ctx.il a land 0xFFFFFFFF
-                  >= Array.unsafe_get ctx.il b land 0xFFFFFFFF
-                then taken ctx
-                else next ctx))
-         | XBrIfRelLC (r, a, c, k) ->
-           want_local I32T a;
-           let ci = Int32.to_int c in
-           let cu = ci land 0xFFFFFFFF in
-           let taken = branch_edge ~cur ~from_h:!h frames_at.(p) k in
-           let next = jump_to ~cur (p + 4) in
-           (match r with
-            | Ast.Eq ->
-              finish (fun ctx ->
-                if Array.unsafe_get ctx.il a = ci then taken ctx else next ctx)
-            | Ast.Ne ->
-              finish (fun ctx ->
-                if Array.unsafe_get ctx.il a <> ci then taken ctx else next ctx)
-            | Ast.LtS ->
-              finish (fun ctx ->
-                if Array.unsafe_get ctx.il a < ci then taken ctx else next ctx)
-            | Ast.LtU ->
-              finish (fun ctx ->
-                if Array.unsafe_get ctx.il a land 0xFFFFFFFF < cu then taken ctx
-                else next ctx)
-            | Ast.GtS ->
-              finish (fun ctx ->
-                if Array.unsafe_get ctx.il a > ci then taken ctx else next ctx)
-            | Ast.GtU ->
-              finish (fun ctx ->
-                if Array.unsafe_get ctx.il a land 0xFFFFFFFF > cu then taken ctx
-                else next ctx)
-            | Ast.LeS ->
-              finish (fun ctx ->
-                if Array.unsafe_get ctx.il a <= ci then taken ctx else next ctx)
-            | Ast.LeU ->
-              finish (fun ctx ->
-                if Array.unsafe_get ctx.il a land 0xFFFFFFFF <= cu then taken ctx
-                else next ctx)
-            | Ast.GeS ->
-              finish (fun ctx ->
-                if Array.unsafe_get ctx.il a >= ci then taken ctx else next ctx)
-            | Ast.GeU ->
-              finish (fun ctx ->
-                if Array.unsafe_get ctx.il a land 0xFFFFFFFF >= cu then taken ctx
-                else next ctx))
-         | XBrIfRel (r, k) ->
-           let f = Eval_numeric.irelop_i32_int r in
-           let s = !h - 2 in
-           let taken = branch_edge ~cur ~from_h:(!h - 2) frames_at.(p) k in
-           let next = jump_to ~cur (p + 2) in
-           finish (fun ctx ->
-             let id = ctx.id in
-             if f (Array.unsafe_get id s) (Array.unsafe_get id (s + 1)) then
-               taken ctx
-             else next ctx)
-         | XBrIfEqz k ->
-           let s = !h - 1 in
-           let taken = branch_edge ~cur ~from_h:(!h - 1) frames_at.(p) k in
-           let next = jump_to ~cur (p + 2) in
-           finish (fun ctx ->
-             if Array.unsafe_get ctx.id s = 0 then taken ctx else next ctx)
-         | XFusedTail -> raise Unsupported);
-        if probed && Option.is_none !term then events sc ~h:!h types_at.(p + 1) post.(p)
+         | XReturn -> finish (ret_edge ~from_h:!h)));
+        if probed && Option.is_none !term then events sc ~h:!h types_at.(!last + 1) post.(!last)
       done;
       flush sc ~h:!h;
       let term_closure =
@@ -2094,6 +2310,8 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
     Obs.Metrics.inc ~by:(Float.of_int !ngroups) (count_groups_counter ());
     Obs.Metrics.inc ~by:(Float.of_int !ncounted) (counted_sites_counter ())
   end;
+  if !nfused > 0 then Obs.Metrics.inc ~by:(Float.of_int !nfused) (fused_counter ());
+  if !nelided > 0 then Obs.Metrics.inc ~by:(Float.of_int !nelided) (elided_counter ());
   let nparams = code.c_nparams in
   let has_il = Array.exists (fun t -> t = I32T) ltypes in
   let has_fl = Array.exists (fun t -> t = F64T) ltypes in

@@ -1,7 +1,8 @@
 (** Tier-1 execution: closure compilation of pre-decoded function
     bodies, with the tier-0 dispatch loop as reference and deopt path
     for unprobed bodies; engine-probe sites compile into the same
-    closures.
+    closures. Superinstruction fusion and save/restore elision happen
+    here only, where the bound hook sites are known.
 
     A compiled body implements {!Interp.compiled_body} — the exact
     [exec_body] calling convention (locals in, results at the frame
@@ -22,7 +23,11 @@ val compile : Interp.instance -> int -> Interp.compiled_body option
     before them, to host functions with an {!Interp.site_binder}, bind to
     the callee's site-specialised entries. The counted sites of a
     trap-free straight-line stretch run as one count group at its end
-    (see {!Interp.site_binder}). *)
+    (see {!Interp.site_binder}). Short idioms fuse into
+    superinstructions across the code compiled away between them; a
+    [local.get] of a value its operand slot still holds compiles to
+    nothing, and, in a body with counted sites, so do stores no
+    surviving read needs (a dead [local.set] pops). *)
 
 val hook_sites : unit -> int * int
 (** [(bound, generic)]: calls to host functions offering site entries
@@ -39,6 +44,14 @@ val count_groups : unit -> int * int
     into, one per trap-free straight-line stretch holding any. The
     counters [wasabi_tier1_counted_sites_total] and
     [wasabi_tier1_count_groups_total] in {!Obs.Metrics.default}. *)
+
+val peephole : unit -> int * int
+(** [(fused, elided)]: the superinstructions tier 1 has compiled in this
+    process, and the [local.get], [local.set] and [local.tee]
+    instructions it compiled away (loads of a value their operand slot
+    still holds, stores no surviving read needs). The counters
+    [wasabi_tier1_fused_total] and [wasabi_tier1_elided_total] in
+    {!Obs.Metrics.default}. *)
 
 val policy : ?threshold:int -> unit -> Interp.tier_policy
 (** A tier-up policy compiling with {!compile} after [threshold]

@@ -352,6 +352,168 @@ let test_count_group_size () =
     ignore (Helpers.run_analysis Helpers.Probes (W.Instrument.instrument e.module_) (mix ())
             : Wasm.Value.t list))
 
+(* --- save/restore elision ------------------------------------------- *)
+
+(** Tier 1 drops the save/restore code that only counted hook sites
+    read. These programs put its rules on the spot: liveness across
+    blocks, a restore whose slot or local was overwritten, boxed
+    temporaries across uncounted hooks and calls. *)
+let elision_cases () =
+  let module B = Wasm.Builder in
+  let open Wasm.Ast in
+  let open Wasm.Types in
+  let program ?(helper = false) ~locals ~results body =
+    let b = B.create () in
+    let g =
+      (* i64 -> i64: one more than its argument *)
+      B.add_func b ~params:[ I64T ] ~results:[ I64T ] ~locals:[]
+        ~body:[ B.local_get 0; B.i64 1L; Binary (IBin (S64, Add)) ]
+    in
+    let body = if helper then body g else body (-1) in
+    B.export_func b ~name:"run" (B.add_func b ~params:[] ~results ~locals ~body);
+    B.build b
+  in
+  [ ( "temporary written before a loop, read after it",
+      program ~locals:[ I32T; I32T ] ~results:[ I32T ] (fun _ ->
+        [ B.i32 7; B.local_set 0 ]
+        @ B.block
+            (B.loop
+               [ B.local_get 1; B.i32 1; B.i32_add; B.local_tee 1; B.i32 10; B.i32_lt_s;
+                 BrIf 0 ])
+        @ [ B.local_get 0; B.local_get 1; B.i32_add ]) );
+    ( "local.tee read in a br_if target block",
+      program ~locals:[ I32T; I32T ] ~results:[ I32T ] (fun _ ->
+        [ B.i32 5; B.local_set 0 ]
+        @ B.block
+            [ B.local_get 0; B.i32 3; B.i32_mul; B.local_tee 1; BrIf 0; B.i32 99;
+              B.local_set 1 ]
+        @ [ B.local_get 1 ]) );
+    ( "restore after a write to its slot or its local",
+      program ~locals:[ I32T; I32T; I32T ] ~results:[ I32T ] (fun _ ->
+        [ B.i32 5; B.local_set 0;
+          (* the slot [local.set 1] left holds 9 when [local.get 1] reads it *)
+          B.local_get 0; B.local_set 1; B.i32 9; Drop; B.local_get 1;
+          (* local 1 is written while its slot still holds the old value *)
+          B.local_get 0; B.local_tee 1; Drop; B.i32 4; B.local_set 1; B.local_get 1;
+          B.i32_add; B.local_tee 2; B.local_get 2; B.i32_mul ]) );
+    ( "increment, then a load its slot serves",
+      program ~locals:[ I32T ] ~results:[ I32T ] (fun _ ->
+        (* the fused [local.get 0; i32.const 3; i32.add; local.set 0]
+           must leave the sum in the slot the next [local.get 0] reuses *)
+        [ B.i32 5; B.local_set 0; B.i32 1; Drop; B.local_get 0; B.i32 3; B.i32_add;
+          B.local_set 0; B.local_get 0; B.local_get 0; B.i32_mul ]) );
+    ( "i64 and f32 temporaries across hooks and a call",
+      program ~helper:true ~locals:[ I64T; F32T ] ~results:[ I32T ] (fun g ->
+        [ B.i64 40L; B.local_set 0; B.f32 1.5; B.local_set 1;
+          B.local_get 0; Call g; B.local_set 0;
+          B.local_get 1; B.f32 2.0; Binary (FBin (SF32, FMul)); B.local_set 1;
+          B.local_get 0; B.local_get 0; Binary (IBin (S64, Mul)); Convert I32WrapI64;
+          B.local_get 1; Convert I32TruncF32S; B.i32_add ]) ) ]
+
+(** Each case gives the same result on tier 0 and tier 1, uninstrumented
+    and instrumented (i64 values split into halves or passed whole), and
+    the counted reports are the same bytes on every backend. *)
+let test_elision_cases () =
+  List.iter
+    (fun (name, m) ->
+       Wasm.Validate.validate_module m;
+       let run tier1 =
+         let inst = Wasm.Interp.instantiate ~imports:[] m in
+         if tier1 then ignore (Wasm.Tier1.compile_all inst : int);
+         Wasm.Interp.invoke_export inst "run" []
+       in
+       let expected = run false in
+       Helpers.check_values (name ^ ": tier 1") expected (run true);
+       List.iter
+         (fun split_i64 ->
+            let res = W.Instrument.instrument ~split_i64 m in
+            List.iter
+              (fun (aname, make) ->
+                 let report backend =
+                   let analysis, report = make () in
+                   let vs = Helpers.run_analysis backend res analysis in
+                   if backend <> Helpers.Async then
+                     Helpers.check_values
+                       (Printf.sprintf "%s: %s result (%s)" name aname (Helpers.backend_name backend))
+                       expected vs;
+                   report ()
+                 in
+                 let reference = report Helpers.T0 in
+                 List.iter
+                   (fun backend ->
+                      Alcotest.(check string)
+                        (Printf.sprintf "%s: %s, split %b (%s)" name aname split_i64
+                           (Helpers.backend_name backend))
+                        reference (report backend))
+                   [ Helpers.T1; T1_profiled; Probes; Async ])
+              counted_analyses)
+         [ true; false ])
+    (elision_cases ())
+
+(** A site wrapped by a fault plan binds an entry, which reads its
+    arguments: tier 1 keeps the temporaries it reads, so the run and the
+    instruction mix match tier 0's, and fewer instructions are compiled
+    away than under the bare counters. *)
+let test_elision_faulted () =
+  List.iter
+    (fun (e : Workloads.Corpus.entry) ->
+       let res = W.Instrument.instrument e.module_ in
+       let run ?wrap_host tier1 =
+         let t = Analyses.Instruction_mix.create () in
+         let inst, _ =
+           W.Runtime.instantiate ?wrap_host res (Analyses.Instruction_mix.analysis t)
+         in
+         let _, e0 = Wasm.Tier1.peephole () in
+         if tier1 then ignore (Wasm.Tier1.compile_all inst : int);
+         let _, e1 = Wasm.Tier1.peephole () in
+         let vs = Wasm.Interp.invoke_export inst "run" [] in
+         (vs, Analyses.Instruction_mix.report t, e1 - e0)
+       in
+       let plan = Fuzz.Faults.plan ~seed:5 ~index:0 in
+       let wrap_host = Fuzz.Faults.wrap plan in
+       let vs0, mix0, _ = run ~wrap_host false in
+       let vs1, mix1, elided_wrapped = run ~wrap_host true in
+       let _, _, elided = run true in
+       Helpers.check_values (e.name ^ ": wrapped, tier 1") vs0 vs1;
+       Alcotest.(check string) (e.name ^ ": wrapped mix, tier 1") mix0 mix1;
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: %d elided when wrapped, %d bare" e.name elided_wrapped elided)
+         true (elided_wrapped < elided))
+    (Workloads.Corpus.polybench (Lazy.force corpus))
+
+(** On the PolyBench corpus with every event counted, tier 1 compiles
+    away at least as many instructions as the instrumenter added stores
+    to its temporaries (the save/restore code of Table 3). *)
+let test_elided_stores () =
+  List.iter
+    (fun (e : Workloads.Corpus.entry) ->
+       let res = W.Instrument.instrument e.module_ in
+       let stores =
+         List.fold_left2
+           (fun acc (f : Wasm.Ast.func) (f' : Wasm.Ast.func) ->
+              let first_temp =
+                List.length (List.nth e.module_.types f.ftype).Wasm.Types.params
+                + List.length f.locals
+              in
+              List.fold_left
+                (fun acc -> function
+                   | Wasm.Ast.LocalSet x | LocalTee x when x >= first_temp -> acc + 1
+                   | _ -> acc)
+                acc f'.body)
+           0 e.module_.funcs res.W.Instrument.instrumented.funcs
+       in
+       let inst, _ =
+         W.Runtime.instantiate res Analyses.Instruction_mix.(analysis (create ()))
+       in
+       let _, e0 = Wasm.Tier1.peephole () in
+       ignore (Wasm.Tier1.compile_all inst : int);
+       let _, e1 = Wasm.Tier1.peephole () in
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: %d elided, %d temporary stores" e.name (e1 - e0) stores)
+         true
+         (stores > 0 && e1 - e0 >= stores))
+    (Workloads.Corpus.polybench (Lazy.force corpus))
+
 let suite =
   [ case "corpus: compiled = reference" test_corpus_differential;
     case "kitchen sink, split i64" test_kitchen_sink_split;
@@ -360,4 +522,7 @@ let suite =
     case "tier 1 binds >= 95% of corpus hook sites" test_site_binding;
     case "counted reports: same bytes on every backend" test_counted_reports;
     case "counted reports on trapping runs" test_counted_trapping;
-    case "count groups: >= 4 instruction-mix sites per group on PolyBench" test_count_group_size ]
+    case "count groups: >= 4 instruction-mix sites per group on PolyBench" test_count_group_size;
+    case "elision: liveness and restore rules on every backend" test_elision_cases;
+    case "elision: a faulted site keeps its reads" test_elision_faulted;
+    case "elision: counted PolyBench bodies drop their temporary stores" test_elided_stores ]

@@ -199,9 +199,9 @@ let test_profile_sites_and_counters () =
 
 let test_profile_fused_site_attribution () =
   (* fused superinstructions charge every original site exactly once.
-     The loop body below fuses (local.get i / const / add / local.set i
-     is one XIncrL slot, the back-edge compare another group), yet the
-     per-site counts must equal those of an unfused reference — which,
+     Tier 1 fuses the loop body below (local.get i / const / add /
+     local.set i is one closure, the header compare another), yet the
+     per-site counts must equal those of the unfused reference — which,
      for site attribution, is simply "each executed original
      instruction counts once per execution". Both tiers must agree with
      it. *)
@@ -247,9 +247,6 @@ let test_profile_fused_site_attribution () =
     | Some c -> c
     | None -> Alcotest.fail "no site counts recorded"
   in
-  let xbody = inst.Wasm.Interp.inst_code.(fid).Wasm.Interp.c_xbody in
-  Alcotest.(check bool) "the loop body actually fused" true
-    (Array.exists (fun x -> x = Wasm.Interp.XFusedTail) xbody);
   (* the reference, per original site: block/loop entry once; the header
      compare (local.get/const/eq/br_if — a fused group) 11 times, ten
      failing passes plus the exit pass; the two fused groups in the loop
@@ -263,8 +260,12 @@ let test_profile_fused_site_attribution () =
     expected counts;
   Alcotest.(check int) "site counts sum to retired instructions"
     inst.Wasm.Interp.steps (Array.fold_left ( + ) 0 counts);
-  (* and the compiled tier produces the identical profile *)
+  (* and the compiled tier, which fuses the loop body, produces the
+     identical profile *)
+  let fused_before, _ = Wasm.Tier1.peephole () in
   let inst1, p1 = profile true in
+  Alcotest.(check bool) "the loop body actually fused" true
+    (fst (Wasm.Tier1.peephole ()) >= fused_before + 2);
   Alcotest.(check int) "tiers retire the same instruction count"
     inst.Wasm.Interp.steps inst1.Wasm.Interp.steps;
   (match Obs.Profile.site_counts p1 fid with
