@@ -16,10 +16,15 @@
     itself.
 
     Termination is structural: loops are bounded counter idioms, the
-    call graph is acyclic ([run] → helpers → leaves), and recursion is
-    absent — so any generated program terminates well inside the
-    harness's base fuel unless the generator has a bug (which the
-    differential oracle's skip-statistics would expose). *)
+    call graph is acyclic ([run] → helpers → earlier helpers → leaves),
+    and recursion is absent — so any generated program terminates well
+    inside the harness's base fuel unless the generator has a bug (which
+    the differential oracle's skip-statistics would expose).
+
+    Helpers take 0–3 parameters of any value type and return one value
+    of any type or none, so calls between compiled bodies carry every
+    value type; [run] ends by calling each helper once and folding its
+    result into the value it returns. *)
 
 open Wasm
 open Types
@@ -33,16 +38,23 @@ type info = {
   n_globals : int;
 }
 
+(** A callable helper function: its index and signature. *)
+type helper = {
+  h_index : int;
+  h_params : value_type list;
+  h_result : value_type option;
+}
+
 type ctx = {
   rng : Rng.t;
   locals : value_type array;  (** params @ declared locals *)
   scratch : int array;  (** reserved i32 loop counters, by loop depth *)
   globals : (value_type * bool) array;  (** (type, mutable) *)
-  helpers : int list;  (** callable function indices, all [i32] -> [i32] *)
+  helpers : helper list;  (** the helpers this function may call *)
   has_memory : bool;
   has_table : bool;
   leaf_type : int;  (** type index of [] -> [i32], the call_indirect type *)
-  result : value_type;  (** result type of the function being generated *)
+  result : value_type option;  (** result type of the function being generated *)
   mutable budget : int;  (** remaining instruction allowance *)
 }
 
@@ -118,6 +130,9 @@ and expr ctx depth ty : instr list =
   else begin
     spend ctx 1;
     let d = depth + 1 in
+    match List.filter (fun h -> h.h_result = Some ty) ctx.helpers with
+    | hs when hs <> [] && Rng.chance rng 5 -> call_helper ctx d (Rng.choose_list rng hs)
+    | _ ->
     match ty with
     | I32T -> (
       match Rng.int rng 100 with
@@ -149,8 +164,6 @@ and expr ctx depth ty : instr list =
         in
         let align = match pack with None -> 2 | Some (Pack16, _) -> 1 | _ -> 0 in
         addr ctx d @ [ Load { lty = I32T; lalign = align; loffset = Rng.int rng 16; lpack = pack } ]
-      | n when n < 80 && ctx.helpers <> [] ->
-        expr ctx d I32T @ [ Call (Rng.choose_list rng ctx.helpers) ]
       | n when n < 84 && ctx.has_table ->
         (* the index is masked loosely: out-of-range and uninitialised
            slots are reachable on purpose *)
@@ -212,6 +225,10 @@ and expr ctx depth ty : instr list =
       | _ -> expr ctx d I32T @ [ Convert F32ReinterpretI32 ])
   end
 
+(** A call to helper [h], its arguments computed in order. *)
+and call_helper ctx depth h =
+  List.concat_map (fun ty -> expr ctx depth ty) h.h_params @ [ Call h.h_index ]
+
 (** Emit a statement: net stack effect zero. [loop_depth] indexes the
     reserved counter locals so nested bounded loops don't clobber each
     other. *)
@@ -222,6 +239,9 @@ let rec stmt ctx depth loop_depth : instr list =
     spend ctx 1;
     let d = depth + 1 in
     match Rng.int rng 100 with
+    | n when n < 4 && ctx.helpers <> [] ->
+      let h = Rng.choose_list rng ctx.helpers in
+      call_helper ctx 1 h @ (if Option.is_some h.h_result then [ Drop ] else [])
     | n when n < 8 -> [ Nop ]
     | n when n < 22 ->
       let ty = any_type rng in
@@ -286,7 +306,7 @@ let rec stmt ctx depth loop_depth : instr list =
       expr ctx 1 I32T @ [ If None; Unreachable; End ]
     | n when n < 99 ->
       (* early return (the code after it is dead but must still validate) *)
-      expr ctx 1 ctx.result @ [ Return ]
+      (match ctx.result with Some ty -> expr ctx 1 ty | None -> []) @ [ Return ]
     | _ -> [ Nop ]
   end
 
@@ -317,14 +337,29 @@ let gen_body rng ~params ~result ~globals ~helpers ~has_memory ~has_table ~leaf_
       budget;
     }
   in
-  let body = stmts ctx 0 0 @ expr ctx 0 result in
-  (locals, body)
+  let body = stmts ctx 0 0 @ (match result with Some ty -> expr ctx 0 ty | None -> []) in
+  (locals, body, ctx)
+
+(** Fold a value of type [ty] into an [i32] that depends on all its
+    bits. *)
+let fold_to_i32 ty =
+  (* an odd multiplier carries every bit into the high half *)
+  let fold64 =
+    [ Const (Value.I64 0x9E3779B97F4A7C15L); Binary (IBin (S64, Mul)); Const (Value.I64 32L);
+      Binary (IBin (S64, ShrU)); Convert I32WrapI64 ]
+  in
+  match ty with
+  | I32T -> []
+  | F32T -> [ Convert I32ReinterpretF32 ]
+  | I64T -> fold64
+  | F64T -> Convert I64ReinterpretF64 :: fold64
 
 (** Generate one random valid module. Layout: an optional memory
     (exported ["mem"]), 0–3 mutable exported globals (["g0"], ...), an
-    optional table of leaf functions (the [call_indirect] targets), 0–2
-    helper functions, and an exported ["run"] [] -> [i32] entry point.
-    The call graph is run → helpers → leaves, so there is no recursion. *)
+    optional table of leaf functions (the [call_indirect] targets), 0–3
+    helper functions of random signatures, and an exported ["run"]
+    [] -> [i32] entry point. The call graph is run → helpers → earlier
+    helpers → leaves, so there is no recursion. *)
 let generate rng : info =
   let bld = B.create () in
   let has_memory = Rng.chance rng 80 in
@@ -352,8 +387,8 @@ let generate rng : info =
   let n_leaves = Rng.int rng 4 in
   let leaves =
     List.init n_leaves (fun _ ->
-      let locals, body =
-        gen_body rng ~params:[] ~result:I32T ~globals ~helpers:[] ~has_memory
+      let locals, body, _ =
+        gen_body rng ~params:[] ~result:(Some I32T) ~globals ~helpers:[] ~has_memory
           ~has_table:false ~leaf_type ~budget:(Rng.range rng 5 25)
       in
       B.add_func bld ~params:[] ~results:[ I32T ] ~locals ~body)
@@ -363,20 +398,36 @@ let generate rng : info =
     B.add_table bld ~min_size:(n_leaves + Rng.int rng 3) ~max_size:(Some 16);
     B.add_elem bld ~offset:0 ~funcs:leaves
   end;
-  (* helper functions: may use the table but not each other *)
-  let n_helpers = Rng.int rng 3 in
+  (* helper functions: may use the table and the helpers before them *)
+  let n_helpers = Rng.int rng 4 in
   let helpers =
-    List.init n_helpers (fun _ ->
-      let locals, body =
-        gen_body rng ~params:[ I32T ] ~result:I32T ~globals ~helpers:[] ~has_memory
-          ~has_table ~leaf_type ~budget:(Rng.range rng 10 50)
-      in
-      B.add_func bld ~params:[ I32T ] ~results:[ I32T ] ~locals ~body)
+    List.fold_left
+      (fun earlier _ ->
+         let params = List.init (Rng.int rng 4) (fun _ -> any_type rng) in
+         let result = if Rng.chance rng 25 then None else Some (any_type rng) in
+         let locals, body, _ =
+           gen_body rng ~params ~result ~globals ~helpers:earlier ~has_memory ~has_table
+             ~leaf_type ~budget:(Rng.range rng 10 50)
+         in
+         let results = Option.to_list result in
+         { h_index = B.add_func bld ~params ~results ~locals ~body; h_params = params;
+           h_result = result }
+         :: earlier)
+      [] (List.init n_helpers Fun.id)
   in
-  let locals, body =
-    gen_body rng ~params:[] ~result:I32T ~globals ~helpers ~has_memory ~has_table
+  let locals, body, ctx =
+    gen_body rng ~params:[] ~result:(Some I32T) ~globals ~helpers ~has_memory ~has_table
       ~leaf_type ~budget:(Rng.range rng 30 150)
   in
+  (* each helper's result joins run's value, so every oracle comparing
+     run's outcome compares it too *)
+  let fold h =
+    call_helper ctx 1 h
+    @ match h.h_result with
+      | Some ty -> fold_to_i32 ty @ [ Binary (IBin (S32, Xor)) ]
+      | None -> []
+  in
+  let body = body @ List.concat_map fold (List.rev helpers) in
   let run = B.add_func bld ~params:[] ~results:[ I32T ] ~locals ~body in
   B.export_func bld ~name:"run" run;
   if has_memory then begin

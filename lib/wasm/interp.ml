@@ -105,6 +105,23 @@ type stack = {
   mutable size : int;
 }
 
+(** One tier-1 activation, threaded through every compiled closure.
+    [base] is the frame's operand base; [charged] mirrors tier 0's
+    [charged_upto]. The typed scratch arrays are indexed by static
+    slot/local index: [id]/[fd] hold i32/f64 operand slots, [il]/[fl]
+    i32/f64 locals; i64 and f32 slots stay boxed at
+    [st.data.(base + slot)] and i64/f32 locals in [locals]. *)
+type ectx = {
+  st : stack;
+  locals : Value.t array;
+  il : int array;
+  fl : float array;
+  id : int array;
+  fd : float array;
+  base : int;
+  mutable charged : int;
+}
+
 (** Registration handle of a probe controller, so snapshot/restore can
     treat probe state explicitly: [ps_capture] returns a thunk that
     re-arms exactly the probe set attached at capture time, and
@@ -254,11 +271,20 @@ and probe_hooks = {
   ph_compile : instance -> int -> compiled_body option;
 }
 
-(** A compiled (tier-1) function body. Called with the frame's locals;
-    operands live on the instance stack with the frame base at the
-    current [size]; on normal return exactly [c_arity] results sit at
-    that base (same contract as [exec_body]). *)
-and compiled_body = instance -> Value.t array -> unit
+(** A compiled (tier-1) function body, with one entry per argument
+    source. Both build the same frame over the instance stack with its
+    base at [base], and on normal return leave exactly [c_arity] boxed
+    results at that base (the [exec_body] contract). [cb_enter base]
+    takes every parameter boxed at [st.data.(base + j)], with the stack
+    size at [base]: the engine's calling convention ({!call_wasm}).
+    [cb_call caller abase] takes the parameters from the caller's
+    tier-1 frame, i32/f64 ones from its typed slots [abase + j] and
+    i64/f32 ones from the boxed slots where they already are, so the
+    frame base is [caller.base + abase] ({!call_typed}). *)
+and compiled_body = {
+  cb_enter : int -> unit;
+  cb_call : ectx -> int -> unit;
+}
 
 and tier_state =
   | T_interp  (** not (yet) compiled; runs on the tier-0 dispatch loop *)
@@ -543,25 +569,30 @@ let rec invoke (f : func_inst) (args : Value.t list) : Value.t list =
     pop_n st code.c_arity
 
 (** Call function [idx] of [cinst] with its arguments on top of
-    [from_st]; afterwards the results are there instead. When caller and
-    callee share the instance (the common case) results need no copying:
-    the callee's frame base is exactly where the caller expects them. *)
+    [from_st]; afterwards the results are there instead. The arguments
+    stay where they are and become the callee's frame base, so when
+    caller and callee share the instance (the common case) nothing is
+    copied either way; a call from another instance moves them over
+    first and the results back after. *)
 and call_wasm (cinst : instance) (idx : int) (from_st : stack) : unit =
   let code = cinst.inst_code.(idx) in
   if cinst.call_depth >= max_call_depth then
     raise (Exhaustion "call stack exhausted");
-  let locals = Array.make code.c_frame_size dummy_value in
-  (* popping yields the last argument first: fill right to left *)
-  for i = code.c_nparams - 1 downto 0 do
-    locals.(i) <- pop from_st
-  done;
-  Array.blit code.c_local_defaults 0 locals code.c_nparams
-    (Array.length code.c_local_defaults);
+  let np = code.c_nparams in
+  if from_st.size < np then raise (Value.Trap "value stack underflow (engine bug)");
   let st = cinst.inst_stack in
-  let base = st.size in
+  if st != from_st then begin
+    let b = from_st.size - np in
+    for i = b to b + np - 1 do
+      push st from_st.data.(i)
+    done;
+    from_st.size <- b
+  end;
+  let base = st.size - np in
+  st.size <- base;
   cinst.call_depth <- cinst.call_depth + 1;
   (match cinst.inst_prof with None -> () | Some p -> Obs.Profile.enter p idx);
-  (try enter_body cinst idx code locals with
+  (try enter_body cinst idx code base with
    | e ->
      (match cinst.inst_prof with None -> () | Some p -> Obs.Profile.leave p);
      cinst.call_depth <- cinst.call_depth - 1;
@@ -577,16 +608,17 @@ and call_wasm (cinst : instance) (idx : int) (from_st : stack) : unit =
     st.size <- base
   end
 
-(** Tier dispatch: run the compiled body when one is cached, otherwise
+(** Tier dispatch for a frame whose boxed arguments sit at [base] (the
+    stack size): run the compiled body when one is cached, otherwise
     compile a probed body at once, or count the call against the
     instance's tier policy and compile at the threshold. Tier state
     lives on [code], so one compilation serves every future call. *)
-and enter_body cinst (idx : int) (code : code) (locals : Value.t array) : unit =
+and enter_body cinst (idx : int) (code : code) (base : int) : unit =
   match code.c_tier with
   | T_compiled f when not cinst.inst_deopt_on_fault ->
     (match cinst.inst_prof with
-     | None -> f cinst locals
-     | Some p -> Obs.Profile.time p "tier.execute" (fun () -> f cinst locals))
+     | None -> f.cb_enter base
+     | Some p -> Obs.Profile.time p "tier.execute" (fun () -> f.cb_enter base))
   | T_compiled f ->
     (* deopt-on-fault: every compiled frame on the unwind path of a
        governor violation or injected host fault is distrusted. An
@@ -595,39 +627,39 @@ and enter_body cinst (idx : int) (code : code) (locals : Value.t array) : unit =
        entry *)
     (try
        match cinst.inst_prof with
-       | None -> f cinst locals
-       | Some p -> Obs.Profile.time p "tier.execute" (fun () -> f cinst locals)
+       | None -> f.cb_enter base
+       | Some p -> Obs.Profile.time p "tier.execute" (fun () -> f.cb_enter base)
      with e when is_fault_exn e ->
        code.c_tier <- (match code.c_probe with None -> T_unsupported | Some _ -> T_interp);
        Obs.Metrics.inc (Lazy.force deopt_total);
        (match cinst.inst_prof with None -> () | Some p -> Obs.Profile.count p "tier.deopt");
        raise e)
-  | T_unsupported -> exec_body cinst idx code locals
+  | T_unsupported -> exec_frame cinst idx code base
   | T_interp ->
     (match code.c_probe with
      | Some ph ->
        (* probes imply tier 1, with or without a tier policy *)
-       if not (tier_up cinst idx code locals ph.ph_compile) then probe_declined idx
+       if not (tier_up cinst idx code base ph.ph_compile) then probe_declined idx
      | None ->
        (match cinst.inst_tier with
-        | None -> exec_body cinst idx code locals
+        | None -> exec_frame cinst idx code base
         | Some tp ->
           let hot = code.c_hot + 1 in
           code.c_hot <- hot;
-          if hot < tp.tp_threshold then exec_body cinst idx code locals
-          else if not (tier_up cinst idx code locals tp.tp_compile) then begin
+          if hot < tp.tp_threshold then exec_frame cinst idx code base
+          else if not (tier_up cinst idx code base tp.tp_compile) then begin
             code.c_tier <- T_unsupported;
             (match cinst.inst_prof with
              | None -> ()
              | Some p -> Obs.Profile.count p "tier.unsupported");
-            exec_body cinst idx code locals
+            exec_frame cinst idx code base
           end))
 
 (** Compile [code] and, when the compiler accepts it, cache the result
     and run this frame on it (through {!enter_body}, so deopt-on-fault
     covers the first compiled frame too); [false], with nothing run,
     when it declines. *)
-and tier_up cinst idx code locals compile =
+and tier_up cinst idx code base compile =
   let compiled =
     match cinst.inst_prof with
     | None -> compile cinst idx
@@ -638,8 +670,18 @@ and tier_up cinst idx code locals compile =
   | Some f ->
     code.c_tier <- T_compiled f;
     (match cinst.inst_prof with None -> () | Some p -> Obs.Profile.count p "tier.up");
-    enter_body cinst idx code locals;
+    enter_body cinst idx code base;
     true
+
+(** Run [code] on tier 0 as a frame whose boxed arguments sit at [base]
+    (the stack size): the boxed locals array is built only here. *)
+and exec_frame cinst idx code base =
+  let locals = Array.make code.c_frame_size dummy_value in
+  let st = cinst.inst_stack in
+  Array.blit st.data base locals 0 code.c_nparams;
+  Array.blit code.c_local_defaults 0 locals code.c_nparams
+    (Array.length code.c_local_defaults);
+  exec_body cinst idx code locals
 
 (* The arguments are handed to the host function in place: the stack is
    shrunk below them first, and [h_fn] reads them straight out of the
@@ -947,6 +989,25 @@ and exec_body inst (fid : int) (code : code) (locals : Value.t array) : unit =
         incr pc
     end
   done
+
+(** A call from a tier-1 frame [caller] of [inst] to a compiled body
+    [cb] of the same instance, its arguments in the caller's slots from
+    [abase] on: {!call_wasm} without the boxing. Depth limit, depth
+    accounting and the unwind restore are [call_wasm]'s; a profiler and
+    deopt-on-fault, which wrap the frame, are left to [call_wasm], so
+    the caller takes this entry only when neither is on. *)
+let call_typed inst (cb : compiled_body) (caller : ectx) abase =
+  if inst.call_depth >= max_call_depth then raise (Exhaustion "call stack exhausted");
+  let st = caller.st in
+  let base = caller.base + abase in
+  st.size <- base;
+  inst.call_depth <- inst.call_depth + 1;
+  (try cb.cb_call caller abase with
+   | e ->
+     inst.call_depth <- inst.call_depth - 1;
+     st.size <- base;
+     raise e);
+  inst.call_depth <- inst.call_depth - 1
 
 (** {1 Instantiation} *)
 

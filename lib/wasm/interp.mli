@@ -22,6 +22,23 @@ type stack = {
 }
 (** The operand stack: top of stack at [data.(size - 1)]. *)
 
+(** One tier-1 activation, threaded through every compiled closure.
+    [base] is the frame's operand base (results land there); [charged]
+    mirrors tier 0's charge mark. [id]/[fd] hold the i32/f64 operand
+    slots and [il]/[fl] the i32/f64 locals, indexed by static slot and
+    local index (i32 as sign-extended native ints); i64 and f32 slots
+    stay boxed at [st.data.(base + slot)], i64/f32 locals in [locals]. *)
+type ectx = {
+  st : stack;
+  locals : Value.t array;
+  il : int array;
+  fl : float array;
+  id : int array;
+  fd : float array;
+  base : int;
+  mutable charged : int;
+}
+
 (** Pre-decoded instructions: what the dispatch loop executes. Decoding
     (once per function, at instantiation) resolves operator tags into
     dedicated opcodes, jump targets into absolute instruction indices,
@@ -246,11 +263,26 @@ and probe_hooks = {
   ph_compile : instance -> int -> compiled_body option;
 }
 
-(** A compiled (tier-1) function body: called with the frame's locals,
-    operands on the instance stack with the frame base at the current
-    [size]; on normal return exactly [c_arity] results sit at that base
-    (the [exec_body] contract). See {!Tier1}. *)
-and compiled_body = instance -> Value.t array -> unit
+(** A compiled (tier-1) function body ({!Tier1}), with one entry per
+    argument source. Both build the same frame, over the instance stack
+    with its operand base at [base], and on normal return leave exactly
+    [c_arity] boxed results at that base (the [exec_body] contract).
+    - [cb_enter base]: every parameter boxed at [st.data.(base + j)],
+      the stack size at [base]. This is the engine's calling convention
+      ({!call_wasm}), used by tier-0 callers, host re-entry, other
+      instances and whenever a profiler or deopt-on-fault is on.
+    - [cb_call caller abase]: the typed entry for a tier-1 caller of the
+      same instance ({!call_typed}). i32/f64 parameters are copied from
+      the caller's typed slots [abase + j], i64/f32 ones read from the
+      boxed slots where they already are; the frame base is
+      [caller.base + abase].
+
+    Neither builds a boxed locals array unless the body has i64/f32
+    locals or is probed. *)
+and compiled_body = {
+  cb_enter : int -> unit;
+  cb_call : ectx -> int -> unit;
+}
 
 and tier_state =
   | T_interp  (** not (yet) compiled; runs on the tier-0 dispatch loop *)
@@ -402,8 +434,22 @@ val set_probes : instance -> probe_set option -> unit
 
 val call_wasm : instance -> int -> stack -> unit
 (** Call function [idx] of the instance with its arguments on top of the
-    given stack; afterwards the results are there instead. Exposed for
-    compiled (tier-1) bodies, which re-enter the engine through it. *)
+    given stack; afterwards the results are there instead. The
+    arguments become the callee's frame base in place (a call from
+    another instance's stack moves them over first): a tier-0 callee
+    copies them into its boxed locals array, a compiled one takes them
+    through [cb_enter]. Exposed for compiled (tier-1) bodies, which
+    re-enter the engine through it on every call that cannot take
+    {!call_typed}. *)
+
+val call_typed : instance -> compiled_body -> ectx -> int -> unit
+(** [call_typed inst cb caller abase]: call compiled body [cb] of
+    [inst] from the tier-1 frame [caller] of the same instance, its
+    arguments in the caller's slots from [abase] on, through
+    [cb.cb_call]. The call depth limit and accounting, and the restore
+    of depth and stack size on unwind, are {!call_wasm}'s. The caller
+    must have checked that [inst] has no profiler and no deopt-on-fault,
+    which only {!call_wasm} applies. *)
 
 val call_host : instance -> host_func -> stack -> unit
 (** Invoke a host function with its arguments on top of the stack

@@ -24,8 +24,9 @@
       [fd]/[fl], and only the rare i64/f32 values keep their boxed
       {!Value.t} form on the instance stack. Straight-line arithmetic,
       comparisons, loads and stores therefore run allocation-free;
-      boxing happens only at call boundaries, returns, globals and the
-      generic fallback operators.
+      boxing happens only at returns (one boxed result per call),
+      globals, the generic fallback operators and calls that take the
+      boxed entry (below).
     - {b No label stack.} Branch targets, the values they carry and
       the heights they cut back to are all static; a taken branch is a
       (possibly empty) slot copy followed by a tail call. Loop
@@ -48,12 +49,18 @@
     therefore cuts both tiers off at the same instruction, which is
     what lets the differential oracle compare exhausted runs too.
 
-    The deopt contract: compiled bodies implement the [exec_body]
-    calling convention exactly (boxed locals array in, boxed results
-    at the frame base on return, traps/exhaustion raised as the same
-    exceptions), so tier-0 and tier-1 frames interleave freely on one
-    call stack — a compiled function calling an interpreted one and
-    vice versa.
+    The deopt contract: a compiled body ({!Interp.compiled_body}) has
+    two entries over one frame constructor. The boxed entry takes its
+    arguments boxed at the frame base, where {!Interp.call_wasm} leaves
+    them; the typed entry copies them from a tier-1 caller's typed
+    slots. Both leave boxed results at the frame base and raise traps
+    and exhaustion as the same exceptions as [exec_body], so tier-0 and
+    tier-1 frames interleave freely on one call stack — a compiled
+    function calling an interpreted one and vice versa. A call within
+    the instance picks the entry per call from the callee's tier state
+    ([local_call]): typed into a compiled body while the instance has
+    no profiler and no deopt-on-fault, boxed through [call_wasm]
+    otherwise, so [set_tier], profilers and deopt keep their effect.
 
     Host calls whose arguments are all constants and [local.get]s
     pushed just before the call, to a callee offering an
@@ -98,24 +105,6 @@ open Interp
 exception Unsupported
 
 let default_threshold = 32
-
-(** Per-activation execution context threaded through every compiled
-    closure. [base] is the frame's operand base (the stack size on
-    entry); [charged] mirrors tier 0's [charged_upto]. The typed
-    scratch arrays are indexed by static slot/local index directly:
-    [id]/[fd] hold i32/f64 operand slots, [il]/[fl] hold i32/f64
-    locals; i64 and f32 slots stay boxed at [st.data.(base + slot)]
-    and i64/f32 locals in [locals]. *)
-type ectx = {
-  st : stack;
-  locals : Value.t array;
-  il : int array;
-  fl : float array;
-  id : int array;
-  fd : float array;
-  base : int;
-  mutable charged : int;
-}
 
 type label = {
   l_target : int;  (** branch target: absolute instruction index *)
@@ -431,14 +420,16 @@ let rec chain (fs : (ectx -> unit) list) : (ectx -> unit) option =
             f ctx;
             g ctx))
 
+(** [slot] (boxing or unpacking) over the values of types [tys] from
+    slot [abase] on. *)
+let stage slot ~abase tys =
+  chain (List.concat (List.mapi (fun j ty -> Option.to_list (slot ty (abase + j))) tys))
+
 (** [invoke] with the unboxed arguments of types [ft.params] from slot
     [abase] on boxed before it and its unboxed results unpacked after
     it. *)
 let staged_call ~abase (ft : func_type) (invoke : ectx -> unit) : ectx -> unit =
-  let stage slot tys =
-    chain (List.concat (List.mapi (fun j ty -> Option.to_list (slot ty (abase + j))) tys))
-  in
-  match stage box_slot ft.params, stage unbox_slot ft.results with
+  match stage box_slot ~abase ft.params, stage unbox_slot ~abase ft.results with
   | None, None -> invoke
   | Some f, None ->
     fun ctx ->
@@ -693,11 +684,22 @@ let elided_counter () =
   Obs.Metrics.counter "wasabi_tier1_elided_total"
     ~help:"local.get/set/tee instructions tier 1 compiled away: elided loads and dead stores"
 
+let typed_calls_counter () =
+  Obs.Metrics.counter "wasabi_tier1_typed_calls_total"
+    ~help:"Tier-1 call sites with a typed entry: direct calls within the instance, call_indirect"
+
 let read_counter c = int_of_float (Obs.Metrics.counter_value (c ()))
 
 let count_groups () = (read_counter counted_sites_counter, read_counter count_groups_counter)
 
-let peephole () = (read_counter fused_counter, read_counter elided_counter)
+type peephole = { fused : int; elided : int; typed_calls : int }
+
+let peephole () =
+  {
+    fused = read_counter fused_counter;
+    elided = read_counter elided_counter;
+    typed_calls = read_counter typed_calls_counter;
+  }
 
 (** Straight-line code under construction: the closures emitted so far
     (reversed) and the counted sites of the open count group
@@ -709,6 +711,56 @@ type stretch = {
 
 let empty_ints : int array = [||]
 let empty_floats : float array = [||]
+
+(** {1 Frames and calls} *)
+
+(** Fresh zeroed scratch of at least [n] slots, by an allocator chosen
+    once per body: up to 16 slots a literal array of the next power of
+    two, which OCaml allocates inline on the minor heap, beyond that
+    [Array.make], which is a C call. The frames of the real-world
+    programs hold 2 to 13 locals. *)
+let int_scratch n : unit -> int array =
+  if n = 0 then fun () -> empty_ints
+  else if n <= 2 then fun () -> [| 0; 0 |]
+  else if n <= 4 then fun () -> [| 0; 0; 0; 0 |]
+  else if n <= 8 then fun () -> [| 0; 0; 0; 0; 0; 0; 0; 0 |]
+  else if n <= 16 then
+    fun () -> [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]
+  else fun () -> Array.make n 0
+
+let float_scratch n : unit -> float array =
+  if n = 0 then fun () -> empty_floats
+  else if n <= 2 then fun () -> [| 0.; 0. |]
+  else if n <= 4 then fun () -> [| 0.; 0.; 0.; 0. |]
+  else if n <= 8 then fun () -> [| 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0. |]
+  else if n <= 16 then
+    fun () -> [| 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0. |]
+  else fun () -> Array.make n 0.
+
+(** The typed entry may be taken: the frame needs neither the profiler's
+    timing nor the deopt-on-fault handler, which {!call_wasm} installs. *)
+let typed_ok inst = match inst.inst_prof with None -> not inst.inst_deopt_on_fault | Some _ -> false
+
+(** A call from a compiled body of [inst] to its own function [j]
+    ([ft]), the arguments at slot [abase] on and the operand height
+    [hh] above them. Which entry it takes is decided per call, from the
+    callee's tier state then: a compiled callee is entered typed
+    ({!call_typed}), anything else boxed through {!call_wasm}, so
+    tier-up, [set_tier], profilers and deopt keep their effect. *)
+let local_call inst ~abase ~hh (ft : func_type) j : ectx -> unit =
+  let code = inst.inst_code.(j) in
+  let boxed =
+    staged_call ~abase ft (fun ctx ->
+      ctx.st.size <- ctx.base + hh;
+      call_wasm inst j ctx.st)
+  in
+  let unbox = Option.value (stage unbox_slot ~abase ft.results) ~default:ignore in
+  fun ctx ->
+    match code.c_tier with
+    | T_compiled cb when typed_ok inst ->
+      call_typed inst cb ctx abase;
+      unbox ctx
+    | _ -> boxed ctx
 
 let compile_exn (inst : instance) (fid : int) : compiled_body =
   let code = inst.inst_code.(fid) in
@@ -1089,9 +1141,10 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
         fire ctx.locals
   in
   (* the count groups compiled and the sites in them, the
-     superinstructions and the instructions compiled away *)
+     superinstructions, the instructions compiled away and the call
+     sites with a typed branch *)
   let ngroups = ref 0 and ncounted = ref 0 in
-  let nfused = ref 0 and nelided = ref 0 in
+  let nfused = ref 0 and nelided = ref 0 and ntyped = ref 0 in
   (* close the open count group, if any, at operand height [h] *)
   let flush sc ~h =
     match sc.pending with
@@ -2170,9 +2223,10 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
            emit (fun ctx -> wv ctx (Eval_numeric.eval_cvtop op (rv ctx)));
            step 1
          | XCall fidx ->
-           (* box the unboxed arguments, materialise the stack size,
-              re-enter the engine, unpack the results; the callee may
-              be tier 0, tier 1 or a host function *)
+           (* within the instance, a compiled callee takes the typed
+              entry; otherwise box the unboxed arguments, materialise
+              the stack size, re-enter the engine, unpack the results:
+              the callee may be tier 0, tier 1 or a host function *)
            let callee = inst.inst_funcs.(fidx) in
            let ft = func_type_of callee in
            let np = List.length ft.params
@@ -2180,18 +2234,18 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
            let hh = !h in
            let abase = hh - np in
            if abase < 0 then raise Unsupported;
-           let invoke : ectx -> unit =
-             match callee with
-             | Wasm_func (j, ci) ->
-               fun ctx ->
-                 ctx.st.size <- ctx.base + hh;
-                 call_wasm ci j ctx.st
-             | Host_func hf ->
-               fun ctx ->
-                 ctx.st.size <- ctx.base + hh;
-                 call_host inst hf ctx.st
-           in
-           emit (staged_call ~abase ft invoke);
+           (match callee with
+            | Wasm_func (j, ci) when ci == inst ->
+              incr ntyped;
+              emit (local_call inst ~abase ~hh ft j)
+            | Wasm_func (j, ci) ->
+              emit (staged_call ~abase ft (fun ctx ->
+                ctx.st.size <- ctx.base + hh;
+                call_wasm ci j ctx.st))
+            | Host_func hf ->
+              emit (staged_call ~abase ft (fun ctx ->
+                ctx.st.size <- ctx.base + hh;
+                call_host inst hf ctx.st)));
            h := hh - np + nr;
            step 1
          | XCallIndirect tidx ->
@@ -2205,23 +2259,32 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
            (match inst.inst_table with
             | None -> emit (fun _ -> raise (Value.Trap "no table"))
             | Some table ->
-              let invoke ctx =
-                let st = ctx.st in
+              incr ntyped;
+              let box = Option.value (stage box_slot ~abase expected.params) ~default:ignore
+              and unbox = Option.value (stage unbox_slot ~abase expected.results) ~default:ignore in
+              let boxed ctx callee =
+                box ctx;
+                ctx.st.size <- ctx.base + si;
+                match callee with
+                | Wasm_func (j, ci) -> call_wasm ci j ctx.st
+                | Host_func hf -> call_host inst hf ctx.st
+              in
+              emit (fun ctx ->
                 let i = Array.unsafe_get ctx.id si land 0xFFFFFFFF in
-                st.size <- ctx.base + si;
                 let elems = table.t_elems in
-                if i >= Array.length elems then
-                  raise (Value.Trap "undefined element");
+                if i >= Array.length elems then raise (Value.Trap "undefined element");
                 match Array.unsafe_get elems i with
                 | None -> raise (Value.Trap "uninitialized element")
                 | Some callee ->
                   if not (equal_func_type (func_type_of callee) expected) then
                     raise (Value.Trap "indirect call type mismatch");
                   (match callee with
-                   | Wasm_func (j, ci) -> call_wasm ci j st
-                   | Host_func hf -> call_host inst hf st)
-              in
-              emit (staged_call ~abase expected invoke));
+                   | Wasm_func (j, ci) when ci == inst && typed_ok inst ->
+                     (match ci.inst_code.(j).c_tier with
+                      | T_compiled cb -> call_typed inst cb ctx abase
+                      | _ -> boxed ctx callee)
+                   | _ -> boxed ctx callee);
+                  unbox ctx));
            h := hh - 1 - np + nr;
            step 1
          (* terminators: every control transfer ends the block *)
@@ -2312,38 +2375,76 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
   end;
   if !nfused > 0 then Obs.Metrics.inc ~by:(Float.of_int !nfused) (fused_counter ());
   if !nelided > 0 then Obs.Metrics.inc ~by:(Float.of_int !nelided) (elided_counter ());
-  let nparams = code.c_nparams in
-  let has_il = Array.exists (fun t -> t = I32T) ltypes in
-  let has_fl = Array.exists (fun t -> t = F64T) ltypes in
-  let i32_params = ref []
-  and f64_params = ref [] in
-  for j = nparams - 1 downto 0 do
-    match ltypes.(j) with
-    | I32T -> i32_params := j :: !i32_params
-    | F64T -> f64_params := j :: !f64_params
-    | I64T | F32T -> ()
-  done;
-  let i32_params = Array.of_list !i32_params in
-  let f64_params = Array.of_list !f64_params in
-  fun _inst locals ->
-    let st = inst.inst_stack in
-    stack_reserve st (st.size + max_h);
-    (* fresh typed scratch per activation; declared locals default to
-       zero, matching [c_local_defaults] *)
-    let il = if has_il then Array.make nlocals 0 else empty_ints in
-    let fl = if has_fl then Array.make nlocals 0.0 else empty_floats in
-    Array.iter
-      (fun j ->
-         Array.unsafe_set il j
-           (Int32.to_int (Value.as_i32 (Array.unsafe_get locals j))))
-      i32_params;
-    Array.iter
-      (fun j -> Array.unsafe_set fl j (Value.as_f64 (Array.unsafe_get locals j)))
-      f64_params;
-    let id = if max_h = 0 then empty_ints else Array.make max_h 0 in
-    let fd = if max_h = 0 then empty_floats else Array.make max_h 0.0 in
-    let ctx = { st; locals; il; fl; id; fd; base = st.size; charged = 0 } in
-    entry ctx
+  if !ntyped > 0 then Obs.Metrics.inc ~by:(Float.of_int !ntyped) (typed_calls_counter ());
+  (* the frame constructor: scratch allocators sized to this body, the
+     parameters by type, and a boxed locals array only where a probe
+     event or an i64/f32 local reads it *)
+  let params_of ty =
+    let js = ref [] in
+    for j = code.c_nparams - 1 downto 0 do
+      if ltypes.(j) = ty then js := j :: !js
+    done;
+    Array.of_list !js
+  in
+  let i32_params = params_of I32T and f64_params = params_of F64T in
+  let boxed_params = Array.append (params_of I64T) (params_of F32T) in
+  let has ty = Array.exists (fun t -> t = ty) ltypes in
+  let new_il = int_scratch (if has I32T then nlocals else 0)
+  and new_fl = float_scratch (if has F64T then nlocals else 0)
+  and new_id = int_scratch max_h
+  and new_fd = float_scratch max_h in
+  let boxed_locals = probed || has I64T || has F32T in
+  let defaults = code.c_local_defaults in
+  let st = inst.inst_stack in
+  (* the boxed locals, reading the i64/f32 parameters from the frame's
+     boxed slots; declared locals default to zero *)
+  let new_locals base =
+    if not boxed_locals then [||]
+    else begin
+      let locals = Array.make nlocals (Value.I32 0l) in
+      Array.blit defaults 0 locals code.c_nparams (Array.length defaults);
+      let d = st.data in
+      for k = 0 to Array.length boxed_params - 1 do
+        let j = Array.unsafe_get boxed_params k in
+        Array.unsafe_set locals j (Array.unsafe_get d (base + j))
+      done;
+      locals
+    end
+  in
+  (* the parameters are all read before the stack may grow, which keeps
+     only the slots below its size *)
+  let enter base locals il fl =
+    stack_reserve st (base + max_h);
+    entry { st; locals; il; fl; id = new_id (); fd = new_fd (); base; charged = 0 }
+  in
+  let cb_enter base =
+    let d = st.data in
+    let il = new_il () and fl = new_fl () in
+    for k = 0 to Array.length i32_params - 1 do
+      let j = Array.unsafe_get i32_params k in
+      Array.unsafe_set il j (Int32.to_int (Value.as_i32 (Array.unsafe_get d (base + j))))
+    done;
+    for k = 0 to Array.length f64_params - 1 do
+      let j = Array.unsafe_get f64_params k in
+      Array.unsafe_set fl j (Value.as_f64 (Array.unsafe_get d (base + j)))
+    done;
+    enter base (new_locals base) il fl
+  in
+  let cb_call caller abase =
+    let il = new_il () and fl = new_fl () in
+    let cid = caller.id and cfd = caller.fd in
+    for k = 0 to Array.length i32_params - 1 do
+      let j = Array.unsafe_get i32_params k in
+      Array.unsafe_set il j (Array.unsafe_get cid (abase + j))
+    done;
+    for k = 0 to Array.length f64_params - 1 do
+      let j = Array.unsafe_get f64_params k in
+      Array.unsafe_set fl j (Array.unsafe_get cfd (abase + j))
+    done;
+    let base = caller.base + abase in
+    enter base (new_locals base) il fl
+  in
+  { cb_enter; cb_call }
 
 (** {1 Public API} *)
 

@@ -4,11 +4,12 @@
     closures. Superinstruction fusion and save/restore elision happen
     here only, where the bound hook sites are known.
 
-    A compiled body implements {!Interp.compiled_body} — the exact
-    [exec_body] calling convention (locals in, results at the frame
-    base, same exceptions) — so tier-0 and tier-1 frames interleave
-    freely, and fuel/step/profile charging matches tier 0 boundary for
-    boundary. *)
+    A compiled body is an {!Interp.compiled_body}: a boxed entry (the
+    engine's calling convention) and a typed entry for tier-1 callers of
+    the same instance, both leaving results at the frame base and
+    raising the same exceptions as [exec_body]. So tier-0 and tier-1
+    frames interleave freely, and fuel/step/profile charging matches
+    tier 0 boundary for boundary. *)
 
 val default_threshold : int
 (** Calls observed on tier 0 before a function is compiled when no
@@ -21,7 +22,9 @@ val compile : Interp.instance -> int -> Interp.compiled_body option
     support (an unprobed function then stays on tier 0 permanently).
     Calls whose arguments are constants and [local.get]s pushed just
     before them, to host functions with an {!Interp.site_binder}, bind to
-    the callee's site-specialised entries. The counted sites of a
+    the callee's site-specialised entries. A call to a function of the
+    same instance, direct or through the table, enters a compiled callee
+    by its typed entry (see {!Interp.call_typed}). The counted sites of a
     trap-free straight-line stretch run as one count group at its end
     (see {!Interp.site_binder}). Short idioms fuse into
     superinstructions across the code compiled away between them; a
@@ -45,13 +48,22 @@ val count_groups : unit -> int * int
     counters [wasabi_tier1_counted_sites_total] and
     [wasabi_tier1_count_groups_total] in {!Obs.Metrics.default}. *)
 
-val peephole : unit -> int * int
-(** [(fused, elided)]: the superinstructions tier 1 has compiled in this
-    process, and the [local.get], [local.set] and [local.tee]
-    instructions it compiled away (loads of a value their operand slot
-    still holds, stores no surviving read needs). The counters
-    [wasabi_tier1_fused_total] and [wasabi_tier1_elided_total] in
-    {!Obs.Metrics.default}. *)
+type peephole = {
+  fused : int;  (** superinstructions *)
+  elided : int;
+      (** [local.get], [local.set] and [local.tee] instructions compiled
+          away: loads of a value their operand slot still holds, stores
+          no surviving read needs *)
+  typed_calls : int;
+      (** call sites compiled with a typed branch: direct calls to a
+          function of the same instance, and [call_indirect]s, whose
+          callee is known only at run time *)
+}
+
+val peephole : unit -> peephole
+(** What tier 1 has compiled in this process. The counters
+    [wasabi_tier1_fused_total], [wasabi_tier1_elided_total] and
+    [wasabi_tier1_typed_calls_total] in {!Obs.Metrics.default}. *)
 
 val policy : ?threshold:int -> unit -> Interp.tier_policy
 (** A tier-up policy compiling with {!compile} after [threshold]

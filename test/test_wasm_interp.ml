@@ -503,6 +503,219 @@ let test_tier1_select () =
     [ ("i32", Types.I32T, B.i32 7, B.i32 9); ("i64", Types.I64T, B.i64 7L, B.i64 9L);
       ("f32", Types.F32T, B.f32 7.0, B.f32 9.0); ("f64", Types.F64T, B.f64 7.0, B.f64 9.0) ]
 
+(* Calls between compiled bodies of one instance take the typed entry
+   (arguments copied from the caller's typed slots); every other call
+   keeps the boxed one. Each test below runs the same module on tier 0
+   and, after [Tier1.compile_all], on tier 1. *)
+let both_tiers ?(imports = []) m =
+  Validate.validate_module m;
+  let t0 = Interp.instantiate ~imports m and t1 = Interp.instantiate ~imports m in
+  (t0, t1, Tier1.compile_all t1)
+
+let typed_calls () = (Tier1.peephole ()).Tier1.typed_calls
+
+let sub_of : Types.value_type -> instr = function
+  | Types.I32T -> B.i32_sub
+  | Types.I64T -> Binary (IBin (Types.S64, Sub))
+  | Types.F32T -> Binary (FBin (Types.SF32, FSub))
+  | Types.F64T -> B.f64_sub
+
+let test_tier1_typed_call_types () =
+  (* per value type: an order-sensitive two-parameter callee, a
+     result-less one writing a global, and a caller chaining both; then
+     one mixed signature whose callee also declares a local of every
+     type *)
+  List.iter
+    (fun (name, ty, a, b) ->
+       let bld = B.create () in
+       let g = B.add_global bld ~ty ~mutable_:true ~init:a in
+       let diff = B.add_func bld ~params:[ ty; ty ] ~results:[ ty ] ~locals:[]
+           ~body:[ B.local_get 0; B.local_get 1; sub_of ty ] in
+       let store = B.add_func bld ~params:[ ty ] ~results:[] ~locals:[]
+           ~body:[ B.local_get 0; B.global_set g ] in
+       let f = B.add_func bld ~params:[ ty; ty ] ~results:[ ty ] ~locals:[]
+           ~body:
+             [ B.local_get 1; B.local_get 0; B.local_get 1; Call diff; Call diff; Call store;
+               B.global_get g; B.local_get 0; Call diff ] in
+       B.export_func bld ~name:"f" f;
+       let before = typed_calls () in
+       let t0, t1, compiled = both_tiers (B.build bld) in
+       Alcotest.(check int) (name ^ ": every body compiles") 3 compiled;
+       Alcotest.(check int) (name ^ ": typed call sites") 4 (typed_calls () - before);
+       List.iter
+         (fun (x, y) ->
+            check_values (Printf.sprintf "%s: f(%s, %s)" name (Value.to_string x) (Value.to_string y))
+              (Interp.invoke_export t0 "f" [ x; y ]) (Interp.invoke_export t1 "f" [ x; y ]))
+         [ (a, b); (b, a); (a, a) ])
+    [ ("i32", Types.I32T, i32 (-7), i32 100); ("i64", Types.I64T, Value.I64 Int64.min_int, i64 3);
+      ("f32", Types.F32T, Value.F32 (Int32.bits_of_float 1.5), Value.F32 (Int32.bits_of_float (-0.25)));
+      ("f64", Types.F64T, f64 2.5, f64 (-0.0)) ];
+  let bld = B.create () in
+  let mixed =
+    B.add_func bld ~params:[ Types.F64T; Types.I32T; Types.I64T; Types.F32T ] ~results:[ Types.F64T ]
+      ~locals:[ Types.I32T; Types.I64T; Types.F32T; Types.F64T ]
+      ~body:
+        [ B.local_get 0; B.f64 10.0; B.f64_mul;
+          B.local_get 1; B.local_get 4; B.i32_add; Convert F64ConvertI32S; B.f64_add; B.f64 10.0; B.f64_mul;
+          B.local_get 2; B.local_get 5; B.i64_add; Convert F64ConvertI64S; B.f64_add; B.f64 10.0; B.f64_mul;
+          B.local_get 3; B.local_get 6; Binary (FBin (Types.SF32, FAdd)); Convert F64PromoteF32; B.f64_add;
+          B.local_get 7; B.f64_add ]
+  in
+  let f =
+    B.add_func bld ~params:[ Types.I32T ] ~results:[ Types.F64T ] ~locals:[]
+      ~body:[ B.f64 1.0; B.local_get 0; B.i64 3L; B.f32 4.0; Call mixed ]
+  in
+  B.export_func bld ~name:"f" f;
+  let t0, t1, compiled = both_tiers (B.build bld) in
+  Alcotest.(check int) "mixed: every body compiles" 2 compiled;
+  check_values "mixed signature" (Interp.invoke_export t0 "f" [ i32 2 ])
+    (Interp.invoke_export t1 "f" [ i32 2 ]);
+  check_values "mixed signature, value" [ f64 1234.0 ] (Interp.invoke_export t1 "f" [ i32 2 ])
+
+let test_tier1_call_declined () =
+  (* tier 1 declines bodies only outside validation: here an operand
+     stack underflow in a branch that never runs. Its compiled caller
+     enters it boxed, on tier 0, every time *)
+  let bld = B.create () in
+  let declined = B.add_func bld ~params:[ Types.I64T; Types.F64T ] ~results:[ Types.F64T ] ~locals:[]
+      ~body:([ B.i32 0; If None; B.i32_add; Drop; End; B.local_get 0; Test (IEqz Types.S64) ]
+             @ B.if_ ~result:Types.F64T ~then_:[ B.f64 (-1.0) ] ~else_:[ B.local_get 1; B.f64_neg ] ())
+  in
+  let f = B.add_func bld ~params:[ Types.I32T ] ~results:[ Types.F64T ] ~locals:[]
+      ~body:[ B.local_get 0; Convert I64ExtendI32S; B.f64 2.5; Call declined;
+              B.i64 0L; B.f64 0.0; Call declined; B.f64_add ]
+  in
+  B.export_func bld ~name:"f" f;
+  let m = B.build bld in
+  let t0 = Interp.instantiate ~imports:[] m and t1 = Interp.instantiate ~imports:[] m in
+  Alcotest.(check int) "only the caller compiles" 1 (Tier1.compile_all t1);
+  Alcotest.(check bool) "the callee is declined" true
+    (t1.Interp.inst_code.(declined).Interp.c_tier = Interp.T_unsupported);
+  List.iter
+    (fun x ->
+       check_values (Printf.sprintf "f(%d)" x) (Interp.invoke_export t0 "f" [ i32 x ])
+         (Interp.invoke_export t1 "f" [ i32 x ]))
+    [ 0; 5; -3 ]
+
+let test_tier1_typed_callee_trap () =
+  (* a trap two typed calls deep unwinds to a clean instance: no call
+     depth, no stack left over, and the next invocation is right *)
+  let bld = B.create () in
+  let divide = B.add_func bld ~params:[ Types.I32T; Types.F64T; Types.I32T ] ~results:[ Types.I32T ]
+      ~locals:[ Types.I64T ]
+      ~body:[ B.local_get 0; B.local_get 2; B.i32_div_s; B.local_get 1; Convert I32TruncF64S; B.i32_add ]
+  in
+  let mid = B.add_func bld ~params:[ Types.I32T; Types.I32T ] ~results:[ Types.I32T ] ~locals:[]
+      ~body:[ B.local_get 0; B.f64 1.5; B.local_get 1; Call divide; B.i32 1; B.i32_add ]
+  in
+  let f = B.add_func bld ~params:[ Types.I32T; Types.I32T ] ~results:[ Types.I32T ] ~locals:[]
+      ~body:[ B.i32 1000; B.local_get 0; B.local_get 1; Call mid; B.i32_add ]
+  in
+  B.export_func bld ~name:"f" f;
+  let t0, t1, compiled = both_tiers (B.build bld) in
+  Alcotest.(check int) "every body compiles" 3 compiled;
+  List.iter
+    (fun inst ->
+       check_traps "divide by zero in the callee" "divide by zero" (fun () ->
+         Interp.invoke_export inst "f" [ i32 7; i32 0 ]);
+       Alcotest.(check int) "call depth restored" 0 inst.Interp.call_depth;
+       Alcotest.(check int) "stack size restored" 0 inst.Interp.inst_stack.Interp.size)
+    [ t0; t1 ];
+  check_values "invoked again" (Interp.invoke_export t0 "f" [ i32 7; i32 2 ])
+    (Interp.invoke_export t1 "f" [ i32 7; i32 2 ])
+
+let test_tier1_profiled_calls () =
+  (* a profiler attached after compile_all sees every call: profiled
+     frames take the boxed entry, which counts them *)
+  let bld = B.create () in
+  let fh = B.declare_func bld ~params:[ Types.I32T ] ~results:[ Types.I32T ] in
+  B.set_body fh ~locals:[]
+    ~body:
+      ([ B.local_get 0; B.i32 2; B.i32_lt_s ]
+       @ B.if_ ~result:Types.I32T ~then_:[ B.local_get 0 ]
+           ~else_:[ B.local_get 0; B.i32 1; B.i32_sub; Call fh.B.fh_index;
+                    B.local_get 0; B.i32 2; B.i32_sub; Call fh.B.fh_index; B.i32_add ]
+           ());
+  B.export_func bld ~name:"fib" fh.B.fh_index;
+  let t0, t1, compiled = both_tiers (B.build bld) in
+  Alcotest.(check int) "compiled" 1 compiled;
+  let calls inst =
+    let p = Obs.Profile.create () in
+    Interp.set_profiler inst (Some p);
+    let vs = Interp.invoke_export inst "fib" [ i32 12 ] in
+    Interp.set_profiler inst None;
+    (vs, List.map (fun r -> (r.Obs.Profile.fr_fid, r.Obs.Profile.fr_calls)) (Obs.Profile.func_rows p))
+  in
+  let v0, c0 = calls t0 and v1, c1 = calls t1 in
+  check_values "fib 12" v0 v1;
+  Alcotest.(check (list (pair int int))) "profiled call counts" c0 c1;
+  Alcotest.(check (list (pair int int))) "every call counted" [ (0, 465) ] c1
+
+let test_tier1_cross_instance_call () =
+  (* a wasm function imported from another instance keeps the boxed
+     entry: arguments and results move between the two stacks *)
+  let lib =
+    let bld = B.create () in
+    let g = B.add_func bld ~params:[ Types.I32T; Types.F64T; Types.I64T ] ~results:[ Types.F64T ]
+        ~locals:[]
+        ~body:[ B.local_get 1; B.local_get 0; Convert F64ConvertI32S; B.f64_sub;
+                B.local_get 2; Convert F64ConvertI64S; B.f64_mul ]
+    in
+    B.export_func bld ~name:"g" g;
+    B.build bld
+  in
+  let bld = B.create () in
+  let g = B.import_func bld ~module_name:"lib" ~name:"g"
+      ~params:[ Types.I32T; Types.F64T; Types.I64T ] ~results:[ Types.F64T ] in
+  let f = B.add_func bld ~params:[ Types.I32T ] ~results:[ Types.F64T ] ~locals:[]
+      ~body:[ B.local_get 0; B.f64 0.5; B.i64 3L; Call g; B.local_get 0; B.f64 4.0; B.i64 (-2L);
+              Call g; B.f64_add ]
+  in
+  B.export_func bld ~name:"f" f;
+  let m = B.build bld in
+  let imports_of tier1 =
+    let li = Interp.instantiate ~imports:[] lib in
+    if tier1 then ignore (Tier1.compile_all li);
+    [ ("lib", "g", Interp.export li "g") ]
+  in
+  Validate.validate_module lib;
+  Validate.validate_module m;
+  let t0 = Interp.instantiate ~imports:(imports_of false) m in
+  let before = typed_calls () in
+  let t1 = Interp.instantiate ~imports:(imports_of true) m in
+  Alcotest.(check int) "caller compiles" 1 (Tier1.compile_all t1);
+  Alcotest.(check int) "no typed call site" before (typed_calls ());
+  List.iter
+    (fun x ->
+       check_values (Printf.sprintf "f(%d)" x) (Interp.invoke_export t0 "f" [ i32 x ])
+         (Interp.invoke_export t1 "f" [ i32 x ]);
+       Alcotest.(check int) "callee stack empty" 0 t1.Interp.inst_stack.Interp.size)
+    [ 1; -6 ]
+
+let test_tier1_typed_sites_pdfkit () =
+  (* compile_all of pdfkit compiles every reachable direct call and
+     call_indirect with the typed entry *)
+  let m = Minic.Mc_compile.compile (Workloads.Realworld.pdfkit ()) in
+  let inst = Interp.instantiate ~imports:[] m in
+  let sites = ref 0 in
+  Array.iter
+    (fun (c : Interp.code) ->
+       Array.iter
+         (function
+           | Interp.XCall j ->
+             (match inst.Interp.inst_funcs.(j) with
+              | Interp.Wasm_func (_, ci) when ci == inst -> incr sites
+              | _ -> ())
+           | Interp.XCallIndirect _ -> incr sites
+           | _ -> ())
+         c.Interp.c_xbody)
+    inst.Interp.inst_code;
+  let before = typed_calls () in
+  Alcotest.(check int) "every body compiles" (Array.length inst.Interp.inst_code)
+    (Tier1.compile_all inst);
+  Alcotest.(check bool) "pdfkit makes calls" true (!sites >= 10);
+  Alcotest.(check int) "typed call sites" !sites (typed_calls () - before)
+
 let suite =
   [
     case "consts" test_consts;
@@ -539,4 +752,10 @@ let suite =
     case "tier-1 out-of-fuel parity" test_tier1_fuel_parity;
     case "deep operand stack" test_deep_operand_stack;
     case "tier-1 select of every type" test_tier1_select;
+    case "tier-1 typed calls: every param/result type" test_tier1_typed_call_types;
+    case "tier-1 call into a declined body" test_tier1_call_declined;
+    case "tier-1 trap in a typed-entry callee" test_tier1_typed_callee_trap;
+    case "tier-1 profiler attached after compile_all" test_tier1_profiled_calls;
+    case "tier-1 call into another instance" test_tier1_cross_instance_call;
+    case "tier-1 typed call sites on pdfkit" test_tier1_typed_sites_pdfkit;
   ]
