@@ -22,9 +22,9 @@ let analysis (t : t) : Analysis.t =
     Analysis.default with
     begin_ = (fun loc kind -> incr (cell t (loc, kind)));
     site =
-      (fun spec loc ->
-         match spec with
-         | Hook.S_begin kind -> let c = cell t (loc, kind) in Some (fun () -> incr c)
+      (fun s ->
+         match s.spec with
+         | Hook.S_begin kind -> let c = cell t (s.loc, kind) in Some (fun () -> incr c)
          | _ -> Some ignore);
   }
 

@@ -1,15 +1,21 @@
-(** Dynamic call graph analysis (paper, Table 4, 18 LoC): records the
-    edges (caller function, callee function), including indirect calls —
-    resolved to the actually called function by the Wasabi runtime — and
-    calls between functions that are neither imported nor exported.
-    Useful for finding dynamically dead code or reverse-engineering.
-    Uses only the [call_pre] hook. *)
+(** Dynamic call graph analysis (paper, Table 4, 18 LoC; [bench table4]
+    counts this file at 57 lines, 7 of them the site binding): records
+    the edges (caller function, callee function), including indirect
+    calls — resolved to the actually called function by the Wasabi
+    runtime — and calls between functions that are neither imported nor
+    exported. Useful for finding dynamically dead code or
+    reverse-engineering. Uses only the [call_pre] hook.
+
+    A direct call's edge is a static fact of its site: the site binds a
+    closure that adds the edge the first time it fires, and no argument
+    is decoded. An indirect call keeps the callback, which reads the
+    resolved callee. *)
 
 open Wasabi
 
 module Edge_set = Set.Make (struct
   type t = int * int
-  let compare = Stdlib.compare
+  let compare (a, b) (c, d) = match Int.compare a c with 0 -> Int.compare b d | n -> n
 end)
 
 type t = {
@@ -29,6 +35,14 @@ let analysis (t : t) : Analysis.t =
          let edge = (loc.Location.func, callee) in
          t.edges <- Edge_set.add edge t.edges;
          if table_idx <> None then t.indirect_edges <- Edge_set.add edge t.indirect_edges);
+    site =
+      (fun s ->
+         match s.spec, s.callee with
+         | Hook.S_call_pre _, Some f ->
+           (* an edge is never removed: adding it once is adding it always *)
+           Some (Analysis.once (fun () -> t.edges <- Edge_set.add (s.loc.func, f) t.edges))
+         | S_call_pre _, None -> None
+         | _ -> Some ignore);
   }
 
 let edges t = Edge_set.elements t.edges

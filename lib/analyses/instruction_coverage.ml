@@ -1,6 +1,7 @@
 (** Instruction coverage (paper, Table 4, 11 LoC): records which static
     instructions were executed at least once; useful for assessing test
-    quality. Uses all hooks. *)
+    quality. Uses all hooks. A site marks its location the first time it
+    fires, and decodes no argument. *)
 
 open Wasabi
 
@@ -44,7 +45,7 @@ let analysis (t : t) : Analysis.t =
     call_post = m2;
     return_ = m2;
     start = m1;
-    site = Analysis.default.site;
+    site = (fun s -> Some (Analysis.once (fun () -> mark t s.loc)));
   }
 
 let executed_count t = Hashtbl.length t.executed

@@ -83,8 +83,8 @@ let analysis (t : t) : Analysis.t =
     return_ = (fun _ _ -> bump t "return");
     start = (fun _ -> bump t "start");
     site =
-      (fun spec _ ->
-         match key spec with
+      (fun s ->
+         match key s.spec with
          | None -> Some ignore
          | Some k -> let c = cell t k in Some (fun () -> incr c));
   }

@@ -198,7 +198,7 @@ let run_instrumented ?(counted = false) (m : Ast.module_) ~fuel : (run_result, s
       if not counted then Wasabi.Analysis.default
       else
         let n = ref 0 in
-        { Wasabi.Analysis.default with site = (fun _ _ -> Some (fun () -> incr n)) }
+        { Wasabi.Analysis.default with site = (fun _ -> Some (fun () -> incr n)) }
     in
     let inst, _rt = Wasabi.Runtime.instantiate ~fuel res analysis in
     if counted then Tier1.enable ~threshold:1 inst;

@@ -21,6 +21,15 @@ type memarg = {
   offset : int;
 }
 
+(** The static facts of one hook site (see the .mli). *)
+type site = {
+  spec : Hook.spec;
+  loc : Location.t;
+  callee : int option;
+      (** [Some f] only at a direct [call_pre]: its callee, in the
+          original index space *)
+}
+
 type t = {
   nop : Location.t -> unit;
   unreachable : Location.t -> unit;
@@ -54,7 +63,7 @@ type t = {
   call_post : Location.t -> Value.t list -> unit;
   return_ : Location.t -> Value.t list -> unit;
   start : Location.t -> unit;
-  site : Hook.spec -> Location.t -> (unit -> unit) option;
+  site : site -> (unit -> unit) option;
       (** the counter of one hook site, resolved once when the site
           binds; [None] keeps the per-event callbacks (see the .mli) *)
 }
@@ -91,8 +100,15 @@ let default = {
   call_post = nop2;
   return_ = nop2;
   start = nop1;
-  site = (fun _ _ -> None);
+  site = (fun _ -> None);
 }
+
+(** [once f] runs [f] the first time it is called and nothing after: a
+    site counter whose work is idempotent (see the .mli). The flag is
+    set when it fires, not when the site binds. *)
+let once f =
+  let fired = ref false in
+  fun () -> if not !fired then begin fired := true; f () end
 
 (** {1 Reified hook events}
 
@@ -214,8 +230,8 @@ let combine (a : t) (b : t) : t = {
   return_ = (fun l rs -> a.return_ l rs; b.return_ l rs);
   start = (fun l -> a.start l; b.start l);
   site =
-    (fun spec l ->
-       match a.site spec l, b.site spec l with
+    (fun s ->
+       match a.site s, b.site s with
        | Some f, Some g -> Some (fun () -> f (); g ())
        | _ -> None);
 }

@@ -10,6 +10,17 @@ type memarg = {
   offset : int;
 }
 
+(** The static facts of one hook site, known when it binds; see
+    {!section-site}. *)
+type site = {
+  spec : Hook.spec;
+  loc : Location.t;
+  callee : int option;
+      (** [Some f] only at a direct [call_pre]: the callee, in the original
+          index space, as [call_pre] receives it. [None] at every other
+          site, an indirect [call_pre] included. *)
+}
+
 type t = {
   nop : Location.t -> unit;
   unreachable : Location.t -> unit;
@@ -43,27 +54,38 @@ type t = {
   call_post : Location.t -> Value.t list -> unit;
   return_ : Location.t -> Value.t list -> unit;
   start : Location.t -> unit;
-  site : Hook.spec -> Location.t -> (unit -> unit) option;
-      (** The counter of one hook site, resolved once when the site
-          binds; see {!section-site}. *)
+  site : site -> (unit -> unit) option;
+      (** The counter of one hook site, resolved once from its static
+          facts when the site binds; see {!section-site}. *)
 }
 
 (** {1:site Site-bound counters}
 
-    [site spec l] is asked once per hook site: when tier 1 binds an AOT
-    hook call whose location is a constant, and when the probe backend
-    builds a probed body's site table. Both happen at compile time, so
-    it is also asked for sites in code that never runs; state it creates
-    there (a zero counter cell) must not show in any report. It is never
-    asked for [S_br_table], whose events include the [end] events of the
-    entry taken, at other locations.
+    [site s] is asked once per hook site, with the site's static facts
+    {!type-site}: when tier 1 binds an AOT hook call whose location is a
+    constant, and when the probe backend builds a probed body's site
+    table. Both happen at compile time, so it is also asked for sites in
+    code that never runs; state it creates there (a zero counter cell, a
+    flag) must not show in any report. It is never asked for
+    [S_br_table], whose events include the [end] events of the entry
+    taken, at other locations. A fact is a value every event of the site
+    would carry: the [callee] of a direct [call_pre] is its static
+    immediate, the same on both backends.
 
     [Some f] says that at this site the analysis only needs to know that
     the event fired: [f ()] then runs in place of the callback, once per
     event, and no argument is decoded. It must do exactly what the
-    callback of [spec] would do for every event of that spec at [l],
-    whatever its arguments; a spec whose callback is a no-op may return
-    [Some ignore]. [None] keeps the per-event callback.
+    callback of [s.spec] would do for every event of that spec at
+    [s.loc], whatever its dynamic arguments; a spec whose callback is a
+    no-op may return [Some ignore]. [None] keeps the per-event callback.
+
+    [f] may do its work only the first time it fires ({!once}), when
+    that work is idempotent and nothing undoes it: a second run would
+    find it done. The flag is set when [f] fires, never at bind, which
+    also happens in code that never runs. The call graph adds a direct
+    call's edge this way, and instruction coverage marks a location; an
+    analysis that counts, or whose state some other event may undo, must
+    not.
 
     [f ()] need not run where its event happens. On tier 1 a counter may
     run at the end of its trap-free straight-line stretch, together with
@@ -88,6 +110,11 @@ type t = {
 val default : t
 (** The empty analysis: every hook is a no-op. Build analyses with
     [{ default with binary = ...; ... }]. *)
+
+val once : (unit -> unit) -> unit -> unit
+(** [once f] is a counter that runs [f] the first time it fires and
+    nothing after, for a site whose work is idempotent
+    ({!section-site}). *)
 
 val combine : t -> t -> t
 (** Sequential composition: both analyses observe every event, the first

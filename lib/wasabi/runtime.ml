@@ -641,11 +641,16 @@ let timed (b : binding) ~timer_key ~decode_key ~ret (loc : ('a, 'b, Location.t) 
 
 let timer_key spec = "hook." ^ Hook.group_name (Hook.group_of_spec spec)
 
-(** The analysis's counter of the site of [spec] at [l] ({!Analysis.site}).
-    A [br_table] is never counted: its decoder also fires the [end]
-    events of the entry it takes, at their own locations. *)
-let counter (a : Analysis.t) (spec : Hook.spec) l =
-  match spec with Hook.S_br_table -> None | _ -> a.site spec l
+(** The analysis's counter of the site of [spec] at [loc]
+    ({!Analysis.site}). [callee ()], asked only at a direct [call_pre],
+    reads the site's static callee. A [br_table] is never counted: its
+    decoder also fires the [end] events of the entry it takes, at their
+    own locations. *)
+let counter (a : Analysis.t) (spec : Hook.spec) loc ~callee =
+  match spec with
+  | Hook.S_br_table -> None
+  | S_call_pre (_, false) -> a.site { spec; loc; callee = callee () }
+  | _ -> a.site { spec; loc; callee = None }
 
 (** Build the host function implementing one low-level hook: the
     selected decoder on the array ABI, plus — for the compiled decoder —
@@ -672,7 +677,11 @@ let make_hook rt env (spec : Hook.spec) : Interp.extern =
                  let src = site_source site in
                  let loc = map2 location (src.int 0) (src.int 1) in
                  let prof = !(b.prof) in
-                 match (match prof, loc with None, Const l -> counter b.analysis spec l | _ -> None) with
+                 (* a direct call's callee is its constant slot 2 *)
+                 let callee () =
+                   match src.int 2 with Const f -> Some f | Read _ | (exception Unbindable) -> None
+                 in
+                 match (match prof, loc with None, Const l -> counter b.analysis spec l ~callee | _ -> None) with
                  | Some count -> Some (Interp.Site_count count)
                  | None ->
                    match compile env src spec with
@@ -946,8 +955,12 @@ module Probe = struct
        it with the counted events around it *)
     let counted (ev : Plan.event) =
       let b = c.pc_binding in
+      (* a direct call's callee is its leading immediate *)
+      let callee () =
+        match ev.args with Plan.Imm v :: _ -> Some (Int32.to_int (Value.as_i32 v)) | _ -> None
+      in
       match !(b.prof) with
-      | None -> counter b.analysis ev.spec (location fidx ev.at)
+      | None -> counter b.analysis ev.spec (location fidx ev.at) ~callee
       | Some _ -> None
     in
     (* a [br_table]'s decoder fires the [br_table] event and the [end]

@@ -419,7 +419,7 @@ let test_tie_order () =
     let a = Analyses.Instruction_mix.analysis t in
     for k = 1 to unrun do
       let op = Printf.sprintf "op%d" k in
-      ignore (a.W.Analysis.site (W.Hook.S_unary (op, I32T, I32T)) l)
+      ignore (a.W.Analysis.site { spec = W.Hook.S_unary (op, I32T, I32T); loc = l; callee = None })
     done;
     List.iter (fun op -> a.W.Analysis.unary l op x x) ops;
     Analyses.Instruction_mix.sorted t

@@ -245,30 +245,38 @@ let counted_analyses =
   in
   [ ("instruction-mix", mix); ("basic-blocks", blocks) ]
 
-let test_counted_reports () =
-  let modules =
-    ("kitchen-sink", kitchen_sink ())
-    :: List.map (fun (e : Workloads.Corpus.entry) -> (e.name, e.module_)) (Lazy.force corpus)
+(** Run [make ()]'s analysis on every backend and check that [report]
+    reads the same as on tier 0, which runs the per-event callbacks;
+    tier 1 and the probes bind the analysis's sites, the profiled run
+    decodes every event and the async consumer applies reified events. *)
+let same_on_every_backend name res make =
+  let report backend =
+    let analysis, report = make () in
+    ignore (Helpers.run_analysis backend res analysis : Wasm.Value.t list);
+    report ()
   in
+  let expected = report Helpers.T0 in
+  List.iter
+    (fun backend ->
+       Alcotest.(check string)
+         (Printf.sprintf "%s (%s)" name (Helpers.backend_name backend))
+         expected (report backend))
+    [ Helpers.T1; T1_profiled; Probes; Async ];
+  expected
+
+let kitchen_and_corpus () =
+  ("kitchen-sink", kitchen_sink ())
+  :: List.map (fun (e : Workloads.Corpus.entry) -> (e.name, e.module_)) (Lazy.force corpus)
+
+let test_counted_reports () =
   List.iter
     (fun (name, m) ->
        let res = W.Instrument.instrument m in
        List.iter
          (fun (aname, make) ->
-            let report backend =
-              let analysis, report = make () in
-              ignore (Helpers.run_analysis backend res analysis : Wasm.Value.t list);
-              report ()
-            in
-            let expected = report Helpers.T0 in
-            List.iter
-              (fun backend ->
-                 Alcotest.(check string)
-                   (Printf.sprintf "%s: %s (%s)" name aname (Helpers.backend_name backend))
-                   expected (report backend))
-              [ Helpers.T1; T1_profiled; Probes; Async ])
+            ignore (same_on_every_backend (name ^ ": " ^ aname) res make : string))
          counted_analyses)
-    modules
+    (kitchen_and_corpus ())
 
 (* --- counted reports on trapping runs --------------------------------- *)
 
@@ -514,6 +522,161 @@ let test_elided_stores () =
          (stores > 0 && e1 - e0 >= stores))
     (Workloads.Corpus.polybench (Lazy.force corpus))
 
+(* --- site facts: call graph and instruction coverage ------------------ *)
+
+let call_graph () =
+  let t = Analyses.Call_graph.create () in
+  (Analyses.Call_graph.analysis t, fun () -> Analyses.Call_graph.(to_dot t ^ report t))
+
+(** A direct call's edge is a fact of its site, which tier 1 and the
+    probes bind once: the dot graph and the report of the corpus and
+    the kitchen sink read the same on every backend. *)
+let test_call_graph_backends () =
+  List.iter
+    (fun (name, m) ->
+       ignore (same_on_every_backend name (W.Instrument.instrument m) call_graph : string))
+    (kitchen_and_corpus ())
+
+(** [leaf] (f0) reached through the table, [direct] (f1) by a direct
+    call, and [never] (f2) by a direct call in a branch that never runs,
+    all from [run] (f3). *)
+let call_graph_module () =
+  let open Dsl in
+  Minic.Mc_compile.compile
+    (program ~globals:[ ("g", TInt, i 0) ] ~table:[ "leaf" ]
+       [ func "leaf" ~result:TInt ~export:false [ Return (Some (i 1)) ];
+         func "direct" ~result:TInt ~export:false [ Return (Some (i 2)) ];
+         func "never" ~result:TInt ~export:false [ Return (Some (i 3)) ];
+         func "run" ~result:TFloat ~locals:[ ("k", TInt) ]
+           [ If (Global "g" = i 1, [ Assign ("k", Call ("never", [])) ], []);
+             Assign ("k", v "k" + Call ("direct", []));
+             Assign ("k", v "k" + CallIndirect (i 0, [], Some TInt));
+             Return (Some (Cast (TFloat, v "k"))) ] ])
+
+(** Tier 1 and the probes bind the direct call to [never] at compile
+    time, but its site adds the edge only when it fires: no edge to f2
+    on any backend. *)
+let test_call_graph_unrun () =
+  let dot =
+    same_on_every_backend "unrun call" (W.Instrument.instrument (call_graph_module ())) call_graph
+  in
+  Alcotest.(check string) "no edge to the call that never runs"
+    "digraph calls {\n  \"f3\" -> \"f0\" [style=dashed];\n  \"f3\" -> \"f1\";\n}\n\
+     call graph: 2 edges (1 from indirect calls)\n"
+    dot
+
+(** [res] with the table index of its indirect [call_pre] hook calls
+    pushed as the constant 0 in place of the [local.get] the rewriter
+    emits (the module's one [call_indirect] takes entry 0): tier 1 then
+    binds a constant slot where a direct call's callee sits. *)
+let constant_table_index (res : W.Instrument.result) =
+  let meta = res.metadata in
+  let hook = ref (-1) in
+  Array.iteri
+    (fun k spec ->
+       match spec with
+       | W.Hook.S_call_pre (_, true) -> hook := meta.W.Metadata.num_original_func_imports + k
+       | _ -> ())
+    meta.hook_specs;
+  let rewritten = ref 0 in
+  let rec rewrite = function
+    | Wasm.Ast.LocalGet _ :: (Call h :: _ as rest) when h = !hook ->
+      incr rewritten;
+      Wasm.Ast.Const (Wasm.Value.I32 0l) :: rewrite rest
+    | ins :: rest -> ins :: rewrite rest
+    | [] -> []
+  in
+  let m = res.instrumented in
+  let funcs = List.map (fun (f : Wasm.Ast.func) -> { f with body = rewrite f.body }) m.funcs in
+  Alcotest.(check int) "one indirect call_pre hook call rewritten" 1 !rewritten;
+  { res with instrumented = { m with funcs } }
+
+(** An indirect call has no static callee, even where its table index
+    is a constant at the hook call: it keeps its callback on every
+    backend, which marks its edge dashed. (The rewriter's own shape is
+    checked by the test above.) *)
+let test_call_graph_indirect () =
+  let res = constant_table_index (W.Instrument.instrument (call_graph_module ())) in
+  let dot = same_on_every_backend "constant table index" res call_graph in
+  Alcotest.(check bool) "dashed indirect edge" true
+    (Helpers.contains dot "\"f3\" -> \"f0\" [style=dashed]")
+
+(** Under the call graph, tier 1 compiles every direct [call_pre] and
+    every [call_post] of [pdfkit] as a counted site; only the indirect
+    [call_pre]s keep a decoder. With split i64 halves, a site that
+    passes an i64 computes its halves, so tier 1 does not bind it and it
+    stays generic (the native-i64 instrumentation binds them all). *)
+let test_call_graph_counted () =
+  let m = (Workloads.Corpus.find (Lazy.force corpus) "pdfkit").module_ in
+  (* (call_pre, call_post) of each call site: does its hook pass an i64? *)
+  let sites =
+    List.concat_map
+      (fun (f : Wasm.Ast.func) ->
+         List.filter_map
+           (fun instr ->
+              let i64 (ft : Wasm.Types.func_type) =
+                (List.mem Wasm.Types.I64T ft.params, List.mem Wasm.Types.I64T ft.results)
+              in
+              match instr with
+              | Wasm.Ast.Call g -> Some (`Direct, i64 (Wasm.Ast.func_type_at m g))
+              | CallIndirect ti -> Some (`Indirect, i64 (List.nth m.types ti))
+              | _ -> None)
+           f.body)
+      m.funcs
+  in
+  Alcotest.(check bool) "pdfkit makes direct and indirect calls" true
+    (List.mem_assoc `Direct sites && List.mem_assoc `Indirect sites);
+  let n b = if b then 1 else 0 in
+  List.iter
+    (fun split ->
+       let generic (_, (pre, post)) = if split then n pre + n post else 0 in
+       let counted (kind, (pre, post)) =
+         (if kind = `Direct && not (split && pre) then 1 else 0) + n (not (split && post))
+       in
+       let sum f = List.fold_left (fun acc site -> acc + f site) 0 sites in
+       let s0, _ = Wasm.Tier1.count_groups () and b0, g0 = Wasm.Tier1.hook_sites () in
+       let inst, _ =
+         W.Runtime.instantiate
+           (W.Instrument.instrument ~split_i64:split ~groups:Analyses.Call_graph.groups m)
+           Analyses.Call_graph.(analysis (create ()))
+       in
+       ignore (Wasm.Tier1.compile_all inst : int);
+       let s1, _ = Wasm.Tier1.count_groups () and b1, g1 = Wasm.Tier1.hook_sites () in
+       let mode = if split then "split i64" else "native i64" in
+       Alcotest.(check int) (mode ^ ": every hook site compiled")
+         (2 * List.length sites) (b1 - b0 + (g1 - g0));
+       Alcotest.(check int) (mode ^ ": counted direct call_pre and call_post sites")
+         (sum counted) (s1 - s0);
+       Alcotest.(check int) (mode ^ ": generic sites, those passing split i64 halves")
+         (sum generic) (g1 - g0))
+    [ false; true ]
+
+(** Instruction coverage marks a location the first time one of its
+    sites fires: the executed locations and the report read the same on
+    every backend. *)
+let test_coverage_backends () =
+  List.iter
+    (fun (name, m) ->
+       let make () =
+         let t = Analyses.Instruction_coverage.create () in
+         ( Analyses.Instruction_coverage.analysis t,
+           fun () ->
+             (* every location of every body, the synthetic begin (-1)
+                and end (body length) included: '+' where covered *)
+             let n_imp = Wasm.Ast.num_imported_funcs m in
+             let covered j (f : Wasm.Ast.func) =
+               String.init
+                 (List.length f.body + 2)
+                 (fun k ->
+                    let l = W.Location.make ~func:(n_imp + j) ~instr:(k - 1) in
+                    if Analyses.Instruction_coverage.is_covered t l then '+' else '.')
+             in
+             Analyses.Instruction_coverage.report t m
+             ^ String.concat "\n" (List.mapi covered m.funcs) )
+       in
+       ignore (same_on_every_backend name (W.Instrument.instrument m) make : string))
+    (kitchen_and_corpus ())
+
 let suite =
   [ case "corpus: compiled = reference" test_corpus_differential;
     case "kitchen sink, split i64" test_kitchen_sink_split;
@@ -525,4 +688,9 @@ let suite =
     case "count groups: >= 4 instruction-mix sites per group on PolyBench" test_count_group_size;
     case "elision: liveness and restore rules on every backend" test_elision_cases;
     case "elision: a faulted site keeps its reads" test_elision_faulted;
-    case "elision: counted PolyBench bodies drop their temporary stores" test_elided_stores ]
+    case "elision: counted PolyBench bodies drop their temporary stores" test_elided_stores;
+    case "call graph: same edges on every backend" test_call_graph_backends;
+    case "call graph: a direct call that never runs adds no edge" test_call_graph_unrun;
+    case "call graph: an indirect call's edge stays dashed" test_call_graph_indirect;
+    case "call graph: pdfkit counts every direct call_pre and call_post" test_call_graph_counted;
+    case "instruction coverage: same locations on every backend" test_coverage_backends ]

@@ -46,10 +46,10 @@ let recorder ?(counted = false) buf : Wasabi.Analysis.t =
     call_pre = (fun loc callee _ _ -> p "call@%s->%d" (l loc) callee);
     call_post = (fun loc _ -> p "ret@%s" (l loc));
     site =
-      (fun spec loc ->
-         match spec with
-         | Wasabi.Hook.S_begin _ when counted -> count "begin" loc
-         | S_end _ when counted -> count "end" loc
+      (fun s ->
+         match s.spec with
+         | Wasabi.Hook.S_begin _ when counted -> count "begin" s.loc
+         | S_end _ when counted -> count "end" s.loc
          | _ -> None);
   }
 
