@@ -570,13 +570,45 @@ let ablation () =
 (* Interpreter throughput microbenchmark                               *)
 (* ------------------------------------------------------------------ *)
 
+(** Tier-1 compile cost: the best of [reps] [Tier1.compile_all] times of
+    the 25-copy real-world programs (as [bench_e2e]'s [table5-large]
+    builds them), uninstrumented and AOT-instrumented with every hook
+    under the instruction mix. Each rep compiles a fresh instance after
+    a full major collection. Printed, not gated. *)
+let compile_cost corpus =
+  let reps = if Support.fast then 5 else 10 in
+  Printf.printf "%-16s %14s %14s\n" "compile_all" "plain (ms)" "instr-mix (ms)";
+  List.iter
+    (fun name ->
+       let m = Support.replicate_module (Workloads.Corpus.find corpus name).module_ ~copies:24 in
+       let res = W.Instrument.instrument m in
+       let best instantiate =
+         let t = ref infinity in
+         for _ = 1 to reps do
+           let inst = instantiate () in
+           Gc.full_major ();
+           let t0 = Support.now () in
+           ignore (Tier1.compile_all inst : int);
+           t := Float.min !t (Support.now () -. t0)
+         done;
+         !t *. 1000.0
+       in
+       let plain = best (fun () -> Interp.instantiate ~imports:[] m) in
+       let mix =
+         best (fun () ->
+           fst (W.Runtime.instantiate res Analyses.Instruction_mix.(analysis (create ()))))
+       in
+       Printf.printf "%-16s %14.2f %14.2f\n" (name ^ " x25") plain mix)
+    [ "pdfkit"; "zen_garden" ]
+
 (** Instructions/second of the execution engine on the PolyBench corpus:
     the tier-0 dispatch loop, the tier-1 closure-compiled backend, and
     the fully instrumented run (empty analysis). The uninstrumented
     columns are the denominator of every RQ5-style overhead number, so
     EXPERIMENTS.md tracks them across interpreter changes. The two
     call-heavy real-world programs follow in their own rows, outside the
-    aggregate and geomean rows, which stay PolyBench's. Returns the
+    aggregate and geomean rows, which stay PolyBench's, and then the
+    {!compile_cost} rows. Returns the
     PolyBench geomean tier-1 speedup for the [tier-check] gate and tier
     1's geomean rate. *)
 let interp_bench () =
@@ -639,6 +671,7 @@ let interp_bench () =
   Printf.printf
     "   instrumented runs execute the instrumented module's own instructions,\n";
   Printf.printf "   hook calls excluded; aggregate and geomean are PolyBench's)\n";
+  compile_cost corpus;
   (speedup, geo_t)
 
 (** CI throughput-floor gate: the tier-1 backend must deliver at least

@@ -61,19 +61,16 @@ let input_arg =
 let tier_arg =
   let doc =
     "Tier-up threshold for the closure-compiled execution tier: a function is \
-     compiled to closures after $(docv) interpreted entries. 0 disables tiering. \
-     Defaults to the $(b,WASABI_TIER) environment variable (unset = disabled; \
-     $(b,on) = default threshold; a positive integer = that threshold)."
+     compiled to closures after $(docv) interpreted entries. 0 or no $(b,--tier) \
+     runs tier 0 only."
   in
   Arg.(value & opt (some int) None & info [ "tier" ] ~docv:"N" ~doc)
 
-(** Apply the tier policy requested by [--tier] (explicit) or
-    [WASABI_TIER] (ambient) to a fresh instance. *)
+(** Apply the tier policy requested by [--tier] to a fresh instance. *)
 let apply_tier tier inst =
   match tier with
-  | Some 0 -> ()
+  | None | Some 0 -> ()
   | Some n -> Wasm.Tier1.enable ~threshold:n inst
-  | None -> Wasm.Tier1.enable_from_env inst
 
 (* resource-governor flags: per-run budgets beyond fuel, each violation
    exiting with its own code (deadline 10, growth cap 11, call budget 12) *)

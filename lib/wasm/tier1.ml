@@ -62,39 +62,20 @@
     no profiler and no deopt-on-fault, boxed through [call_wasm]
     otherwise, so [set_tier], profilers and deopt keep their effect.
 
-    Host calls whose arguments are all constants and [local.get]s
-    pushed just before the call, to a callee offering an
-    {!Interp.site_binder} (the AOT backend's hooks), compile with their
-    pushes to one closure calling the callee's site-specialised entry:
-    nothing is boxed and the pushes never materialise.
-
     Engine probes ({!Interp.probe_hooks}) compile into the same closures:
     at a probe site, and only there, the operands and the local its
     event reads are boxed onto the instance stack / locals array and the
     event fires. An unprobed body compiles to exactly the closures it
     would without probe support. Probed bodies have no tier-0 form.
 
-    Superinstructions ({!fused}) are tier 1's alone. They match over
-    the stream as compiled, so a bound counted run, an elided load or a
-    dead store between their instructions does not stop them.
-
-    Save/restore elision: a [local.get x] whose operand slot still holds
-    [x] compiles to nothing, and in a body with counted runs a store no
-    surviving read needs is dead (see [compile_exn]). This drops the
-    AOT backend's Table 3 temporaries where only counted sites read
-    them; a bound entry or a firing probe event reads its locals, so
-    uncounted, faulted and profiled sites keep theirs.
-
-    Counted sites ({!Interp.Site_count}, {!Interp.Probe_count}) read
-    nothing of the frame, so they need not run where they stand: the
-    counted sites of a trap-free straight-line stretch run together as
-    one count group, in site order, at the stretch's end. A stretch ends
-    at the first instruction that is not [frame_local], at the first
-    event or bound site that is not counted, and at the block's
-    terminator or end. The instructions a group is moved across touch
-    only the frame's locals and operand slots, which a trap or a
-    governor kill discards, and fuel, steps, triggers and the deadline
-    are charged at block prologues, which a group never spans. *)
+    {b The passes.} [compile_exn] runs one pass after another, each a
+    function over the body's arrays whose typed result only later passes
+    read: [analyze] (heights, type stacks, labels), [blocks] (basic
+    blocks), [bind] (host calls bound to site entries), [elide] (loads of
+    a value the slot still holds), [dead_stores] (stores no surviving
+    read needs), [plan] (superinstructions), [emit_body] (the block
+    closures and their count groups) and [frames] (the frame
+    constructor). Each section below documents its pass. *)
 
 open Types
 open Interp
@@ -155,7 +136,7 @@ let cvt_types : Ast.cvtop -> value_type * value_type = function
   | Ast.F32ReinterpretI32 -> (I32T, F32T)
   | Ast.F64ReinterpretI64 -> (I64T, F64T)
 
-(** {1 Pass 1: static heights and types}
+(** {1 Pass [analyze]: static heights and types}
 
     A validator-style walk over the original instruction stream
     computing, for every reachable instruction boundary (the body's end
@@ -170,8 +151,32 @@ let cvt_types : Ast.cvtop -> value_type * value_type = function
     them). Dead stretches are revived at the [End] of a block/if frame
     exactly as in validation, because branches may still target the
     block's end. *)
-let analyze (inst : instance) (code : code) :
-  int array * value_type list array * frame list array * int =
+
+(** A body's engine-probe events, dense per pc ([pre] and [post] are
+    empty in an unprobed body). *)
+type probes = {
+  probed : bool;
+  pre : probe_event list array;
+  post : probe_event list array;
+  enter : probe_event list;
+  exit : probe_event list;
+}
+
+(** What [analyze] finds of a body: the input of every later pass. *)
+type body = {
+  fid : int;
+  code : code;
+  xbody : xinstr array;
+  heights : int array;
+  types_at : value_type list array;
+  frames_at : frame list array;
+  max_h : int;
+  ltypes : value_type array;  (** parameter and declared-local types *)
+  pr : probes;
+}
+
+let analyze (inst : instance) (fid : int) : body =
+  let code = inst.inst_code.(fid) in
   let body = code.c_body in
   let n = Array.length body in
   let end_of = code.c_jumps.end_of in
@@ -185,12 +190,30 @@ let analyze (inst : instance) (code : code) :
   let ts = ref [] in
   let dead = ref false in
   let max_h = ref 0 in
-  let arities ft = (List.length ft.params, List.length ft.results) in
   let pop_ts () =
     match !ts with [] -> raise Unsupported | x :: r -> ts := r; x
   in
-  let popn k = for _ = 1 to k do ignore (pop_ts ()) done in
   let push t = ts := t :: !ts in
+  (* [k] operands popped; then, by [pop_push], one of type [t] pushed *)
+  let pop k =
+    h := !h - k;
+    if not !dead then for _ = 1 to k do ignore (pop_ts ()) done
+  in
+  let pop_push k t =
+    h := !h - k + 1;
+    if not !dead then begin
+      for _ = 1 to k do ignore (pop_ts ()) done;
+      push t
+    end
+  in
+  let call ft ~extra =
+    pop (extra + List.length ft.params);
+    h := !h + List.length ft.results;
+    if not !dead then List.iter push ft.results
+  in
+  let open_frame l bt loop =
+    frames := { f_label = l; f_bt = bt; f_ts = !ts; f_entry_dead = !dead; f_loop = loop } :: !frames
+  in
   for pc = 0 to n - 1 do
     if not !dead then begin
       heights.(pc) <- !h;
@@ -202,26 +225,15 @@ let analyze (inst : instance) (code : code) :
       if !h > !max_h then max_h := !h
     end;
     (match body.(pc) with
-     | Ast.Unreachable -> dead := true
-     | Ast.Nop -> ()
-     | Ast.Block bt ->
-       frames :=
-         { f_label = { l_target = end_of.(pc) + 1; l_height = !h; l_ty = bt };
-           f_bt = bt; f_ts = !ts; f_entry_dead = !dead; f_loop = false }
-         :: !frames
+     | Ast.Unreachable | Ast.Br _ | Ast.Return -> dead := true
+     | Ast.Nop | Ast.LocalTee _ | Ast.Unary _ -> ()
+     | Ast.Block bt -> open_frame { l_target = end_of.(pc) + 1; l_height = !h; l_ty = bt } bt false
      | Ast.Loop bt ->
        (* a loop label carries no values in the MVP *)
-       frames :=
-         { f_label = { l_target = pc + 1; l_height = !h; l_ty = None };
-           f_bt = bt; f_ts = !ts; f_entry_dead = !dead; f_loop = true }
-         :: !frames
+       open_frame { l_target = pc + 1; l_height = !h; l_ty = None } bt true
      | Ast.If bt ->
-       h := !h - 1;
-       if not !dead then popn 1;
-       frames :=
-         { f_label = { l_target = end_of.(pc) + 1; l_height = !h; l_ty = bt };
-           f_bt = bt; f_ts = !ts; f_entry_dead = !dead; f_loop = false }
-         :: !frames
+       pop 1;
+       open_frame { l_target = end_of.(pc) + 1; l_height = !h; l_ty = bt } bt false
      | Ast.Else ->
        (match !frames with
         | f :: _ ->
@@ -241,34 +253,12 @@ let analyze (inst : instance) (code : code) :
           end
           (* a dead loop end stays dead: nothing targets a loop's end *)
         | [] -> raise Unsupported)
-     | Ast.Br _ -> dead := true
-     | Ast.BrIf _ ->
-       h := !h - 1;
-       if not !dead then popn 1
+     | Ast.BrIf _ | Ast.Drop | Ast.LocalSet _ | Ast.GlobalSet _ | Ast.Binary _ -> pop 1
      | Ast.BrTable _ ->
-       h := !h - 1;
-       if not !dead then popn 1;
+       pop 1;
        dead := true
-     | Ast.Return -> dead := true
-     | Ast.Call fidx ->
-       let ft = func_type_of inst.inst_funcs.(fidx) in
-       let np, nr = arities ft in
-       h := !h - np + nr;
-       if not !dead then begin
-         popn np;
-         List.iter push ft.results
-       end
-     | Ast.CallIndirect tidx ->
-       let ft = inst.inst_types.(tidx) in
-       let np, nr = arities ft in
-       h := !h - 1 - np + nr;
-       if not !dead then begin
-         popn (1 + np);
-         List.iter push ft.results
-       end
-     | Ast.Drop ->
-       h := !h - 1;
-       if not !dead then popn 1
+     | Ast.Call fidx -> call (func_type_of inst.inst_funcs.(fidx)) ~extra:0
+     | Ast.CallIndirect tidx -> call inst.inst_types.(tidx) ~extra:1
      | Ast.Select ->
        h := !h - 2;
        if not !dead then begin
@@ -278,58 +268,19 @@ let analyze (inst : instance) (code : code) :
          push t
        end
      | Ast.LocalGet x ->
-       h := !h + 1;
+       incr h;
        if not !dead then
          if x < Array.length ltypes then push ltypes.(x) else raise Unsupported
-     | Ast.LocalSet _ ->
-       h := !h - 1;
-       if not !dead then popn 1
-     | Ast.LocalTee _ -> ()
      | Ast.GlobalGet x ->
-       h := !h + 1;
+       incr h;
        if not !dead then push inst.inst_globals.(x).g_type.content
-     | Ast.GlobalSet _ ->
-       h := !h - 1;
-       if not !dead then popn 1
-     | Ast.Load op ->
-       if not !dead then begin
-         ignore (pop_ts ());
-         push op.Ast.lty
-       end
-     | Ast.Store _ ->
-       h := !h - 2;
-       if not !dead then popn 2
-     | Ast.MemorySize ->
-       h := !h + 1;
-       if not !dead then push I32T
-     | Ast.MemoryGrow ->
-       if not !dead then begin
-         ignore (pop_ts ());
-         push I32T
-       end
-     | Ast.Const v ->
-       h := !h + 1;
-       if not !dead then push (type_of_value v)
-     | Ast.Test _ ->
-       if not !dead then begin
-         ignore (pop_ts ());
-         push I32T
-       end
-     | Ast.Compare _ ->
-       h := !h - 1;
-       if not !dead then begin
-         popn 2;
-         push I32T
-       end
-     | Ast.Unary _ -> ()
-     | Ast.Convert op ->
-       if not !dead then begin
-         ignore (pop_ts ());
-         push (snd (cvt_types op))
-       end
-     | Ast.Binary _ ->
-       h := !h - 1;
-       if not !dead then popn 1);
+     | Ast.Load op -> pop_push 1 op.Ast.lty
+     | Ast.Store _ -> pop 2
+     | Ast.MemorySize -> pop_push 0 I32T
+     | Ast.MemoryGrow | Ast.Test _ -> pop_push 1 I32T
+     | Ast.Compare _ -> pop_push 2 I32T
+     | Ast.Const v -> pop_push 0 (type_of_value v)
+     | Ast.Convert op -> pop_push 1 (snd (cvt_types op)));
     if not !dead then begin
       if !h < 0 then raise Unsupported;
       (* the two stacks must stay in lock step: a divergence here would
@@ -342,8 +293,320 @@ let analyze (inst : instance) (code : code) :
     types_at.(n) <- !ts;
     if !h > !max_h then max_h := !h
   end;
-  (heights, types_at, frames_at, !max_h)
+  let pr =
+    match code.c_probe with
+    | None -> { probed = false; pre = [||]; post = [||]; enter = []; exit = [] }
+    | Some ph ->
+      let pre = Array.make n [] and post = Array.make n [] in
+      Array.iter
+        (fun s ->
+           pre.(s.site_pc) <- s.site_pre;
+           post.(s.site_pc) <- s.site_post)
+        ph.ph_sites;
+      { probed = true; pre; post; enter = ph.ph_enter; exit = ph.ph_exit }
+  in
+  { fid; code; xbody = code.c_xbody; heights; types_at; frames_at; max_h = !max_h; ltypes; pr }
 
+(** {1 Pass [blocks]: basic blocks}
+
+    A block starts at 0, after every control transfer, and at every
+    label target (= tier 0's fresh-charge points plus the positions
+    branches resolve to). The body's end starts the last block, the
+    implicit return. *)
+type blocks = {
+  block_of : int array;  (** the block a pc starts, the body's end included; [-1] inside one *)
+  starts : int array;  (** each block's first pc *)
+}
+
+let blocks (b : body) : blocks =
+  let body = b.code.c_body and end_of = b.code.c_jumps.end_of in
+  let n = Array.length body in
+  (* the starts are marked, then numbered in order *)
+  let block_of = Array.make (n + 1) (-1) in
+  let start pc = block_of.(pc) <- 0 in
+  start 0;
+  start n;
+  for pc = 0 to n - 1 do
+    match body.(pc) with
+    | Ast.Block _ -> start (end_of.(pc) + 1)
+    | Ast.If _ | Ast.Loop _ ->
+      start (pc + 1);
+      start (end_of.(pc) + 1)
+    | Ast.Else | Ast.Br _ | Ast.BrIf _ | Ast.BrTable _ | Ast.Return | Ast.Unreachable ->
+      start (pc + 1)
+    | _ -> ()
+  done;
+  let nblocks = ref 0 in
+  for pc = 0 to n do
+    if block_of.(pc) >= 0 then begin
+      block_of.(pc) <- !nblocks;
+      incr nblocks
+    end
+  done;
+  let starts = Array.make !nblocks 0 in
+  for pc = 0 to n do
+    if block_of.(pc) >= 0 then starts.(block_of.(pc)) <- pc
+  done;
+  { block_of; starts }
+
+(** The blocks that compile to code: those [analyze] reached, the
+    body's end excluded. *)
+let reachable (b : body) (bl : blocks) blk =
+  let sb = bl.starts.(blk) in
+  sb < Array.length b.xbody && b.heights.(sb) >= 0
+
+(** {1 Pass [bind]: bound host call sites}
+
+    A call to a result-less host function whose arguments are all
+    pushed by constants and [local.get]s inside the call's block, at no
+    probe site, compiles (pushes included) to the callee's
+    site-specialised entry: nothing is boxed and the pushes never
+    materialise. One backward walk from each call finds the run. A body
+    calling no host function with a binder binds nothing and allocates
+    nothing. *)
+type binding = {
+  runs : (ectx site_entry * int) option array;
+      (** at a run's first push, its entry and the call's pc; [[||]]
+          when nothing binds *)
+  nbound : int;
+  ngeneric : int;  (** calls to a binding callee that keep the array ABI *)
+}
+
+let bound_at (bd : binding) p = if Array.length bd.runs = 0 then None else bd.runs.(p)
+
+let quiet (pr : probes) p =
+  not pr.probed || (match pr.pre.(p), pr.post.(p) with [], [] -> true | _ -> false)
+
+let bind (inst : instance) (b : body) (bl : blocks) : binding =
+  let xbody = b.xbody and ltypes = b.ltypes in
+  let nlocals = Array.length ltypes in
+  let site_arg ty p : ectx site_arg option =
+    match xbody.(p) with
+    | XConst v when Value.type_of v = ty -> Some (Site_const v)
+    | XLocalGet x when x < nlocals && ltypes.(x) = ty ->
+      Some
+        (match ty with
+         | I32T -> Site_i32 (fun ctx -> Array.unsafe_get ctx.il x)
+         | F64T -> Site_f64 (fun ctx -> Array.unsafe_get ctx.fl x)
+         | I64T | F32T -> Site_boxed (fun ctx -> Array.unsafe_get ctx.locals x))
+    | _ -> None
+  in
+  (* the arguments of parameter types [rtys] (last first), walking back
+     from the push at [p] *)
+  let rec site_args p rtys acc =
+    match rtys with
+    | [] -> Some acc
+    | ty :: rest ->
+      if bl.block_of.(p + 1) >= 0 || not (quiet b.pr p) then None
+      else
+        match site_arg ty p with
+        | Some a -> site_args (p - 1) rest (a :: acc)
+        | None -> None
+  in
+  let runs = ref [||] and nbound = ref 0 and ngeneric = ref 0 in
+  for pc = 0 to Array.length xbody - 1 do
+    match xbody.(pc) with
+    | XCall fidx when b.heights.(pc) >= 0 ->
+      (* (a call in unreachable code compiles to nothing) *)
+      (match inst.inst_funcs.(fidx) with
+       | Host_func { h_bind = Some binder; h_type = { params; results }; h_nparams; _ } ->
+         let p0 = pc - h_nparams in
+         let entry =
+           if results <> [] || p0 < 0 || not (quiet b.pr pc) then None
+           else
+             match site_args (pc - 1) (List.rev params) [] with
+             | Some args -> binder.bind (Array.of_list args)
+             | None -> None
+         in
+         (match entry with
+          | Some e ->
+            if Array.length !runs = 0 then runs := Array.make (Array.length xbody) None;
+            !runs.(p0) <- Some (e, pc);
+            incr nbound
+          | None -> incr ngeneric)
+       | _ -> ())
+    | _ -> ()
+  done;
+  { runs = !runs; nbound = !nbound; ngeneric = !ngeneric }
+
+(** {1 Pass [elide]: save/restore elision}
+
+    A [local.get x] whose operand slot still holds the value of [x]
+    compiles to nothing. Per block, [facts.(s)] is the local slot [s]
+    holds: a [local.get], [local.set] or [local.tee] of [x] records it,
+    and it is dropped by any instruction that pops or writes slot [s],
+    any write to [x], any call, bound entry or firing probe event. Each
+    pc gets a role: plain, elided, in a counted run or in a bound entry's. *)
+
+let r_plain = '\000'
+let r_elided = '\001'
+let r_dead = '\002'
+let r_counted = '\003'
+let r_entry = '\004'
+
+type roles = {
+  role : Bytes.t;
+  counted_runs : int;
+  nelided : int;  (** instructions compiled away: elided loads and dead stores *)
+}
+
+let elide (b : body) (bl : blocks) (bd : binding) : roles =
+  let xbody = b.xbody and heights = b.heights and pr = b.pr in
+  let role = Bytes.make (Array.length xbody) r_plain in
+  let facts = Array.make (b.max_h + 1) (-1) in
+  let ftop = ref 0 and counted_runs = ref 0 and nelided = ref 0 in
+  let forget_from s =
+    let s = if s < 0 then 0 else s in
+    for i = s to !ftop - 1 do
+      facts.(i) <- -1
+    done;
+    if s < !ftop then ftop := s
+  in
+  let fires evs = List.exists (function Probe_fire _ -> true | Probe_count _ -> false) evs in
+  for blk = 0 to Array.length bl.starts - 1 do
+    if reachable b bl blk then begin
+      forget_from 0;
+      let p = ref bl.starts.(blk) in
+      while !p < bl.starts.(blk + 1) do
+        let q = !p in
+        match bound_at bd q with
+        | Some (Site_count _, cp) ->
+          Bytes.fill role q (cp + 1 - q) r_counted;
+          incr counted_runs;
+          p := cp + 1
+        | Some (Site_entry _, cp) ->
+          Bytes.fill role q (cp + 1 - q) r_entry;
+          forget_from 0;
+          p := cp + 1
+        | None ->
+          let h = heights.(q) in
+          if pr.probed && fires pr.pre.(q) then forget_from 0;
+          (match xbody.(q) with
+           | XLocalGet x ->
+             if facts.(h) = x then begin
+               Bytes.set role q r_elided;
+               incr nelided
+             end
+             else begin
+               facts.(h) <- x;
+               if h >= !ftop then ftop := h + 1
+             end
+           | XLocalSet x | XLocalTee x ->
+             for i = 0 to !ftop - 1 do
+               if facts.(i) = x then facts.(i) <- -1
+             done;
+             facts.(h - 1) <- x;
+             if h > !ftop then ftop := h
+           | XCall _ | XCallIndirect _ -> forget_from 0
+           | _ ->
+             let h' = heights.(q + 1) in
+             let s = (if h' < h then h' else h) - 1 in
+             if s < !ftop then forget_from s);
+          if pr.probed && fires pr.post.(q) then forget_from 0;
+          p := q + 1
+      done
+    end
+  done;
+  { role; counted_runs = !counted_runs; nelided = !nelided }
+
+(** {1 Pass [dead_stores]: stores no surviving read needs}
+
+    In an unprobed body with counted runs, one backward liveness pass
+    over the blocks counts only the reads that survive compilation (not
+    an elided load, not the argument pushes of a counted run), and a
+    store to a local no surviving read needs compiles to a pop. Liveness
+    is kept per block only: [gen] (read before any write in the block),
+    [kill] (written) and [live] (live on entry), 32 locals a word; each
+    block's stores are then marked walking back from its live-out set.
+    With [elide] this drops the AOT backend's Table 3 temporaries where
+    only counted sites read them; a bound entry or a firing probe event
+    reads its locals, so uncounted, faulted and profiled sites keep
+    theirs. Other bodies skip the pass: without counted runs a store can lose
+    only reads that an elided load replaced, which leaves few stores
+    dead, and compiling uninstrumented code stays cheap. *)
+let dead_stores (b : body) (bl : blocks) (r : roles) : roles =
+  if r.counted_runs = 0 || b.pr.probed then r
+  else begin
+    let xbody = b.xbody and starts = bl.starts and role = Bytes.copy r.role in
+    let nb = Array.length starts and nlocals = Array.length b.ltypes in
+    let w = (nlocals + 31) lsr 5 in
+    let live = Array.make (nb * w) 0 and succs = Array.make nb [] in
+    let gen = Array.make (nb * w) 0 and kill = Array.make (nb * w) 0 in
+    for blk = 0 to nb - 1 do
+      let o = blk * w in
+      if reachable b bl blk then begin
+        let eb = starts.(blk + 1) in
+        for q = starts.(blk) to eb - 1 do
+          match xbody.(q) with
+          | XLocalGet x when Bytes.get role q <> r_elided && Bytes.get role q <> r_counted ->
+            if x >= nlocals then raise Unsupported;
+            let i = o + (x lsr 5) and m = 1 lsl (x land 31) in
+            if kill.(i) land m = 0 then gen.(i) <- gen.(i) lor m
+          | (XLocalSet x | XLocalTee x) when Bytes.get role q = r_plain ->
+            if x >= nlocals then raise Unsupported;
+            let i = o + (x lsr 5) in
+            kill.(i) <- kill.(i) lor (1 lsl (x land 31))
+          | _ -> ()
+        done;
+        let last = eb - 1 in
+        let label k =
+          match List.nth_opt b.frames_at.(last) k with
+          | Some f -> bl.block_of.(f.f_label.l_target)
+          | None -> -1
+        in
+        succs.(blk) <-
+          List.filter (fun t -> t >= 0)
+            (match xbody.(last) with
+             | XBr k -> [ label k ]
+             | XBrIf k -> [ label k; blk + 1 ]
+             | XBrTable tbl -> Array.to_list (Array.map label tbl)
+             | XIf (e, _) | XIfElse (e, _, _) -> [ blk + 1; bl.block_of.(e) ]
+             | XElse e -> [ bl.block_of.(e) ]
+             | XReturn | XUnreachable -> []
+             | _ -> [ blk + 1 ])
+      end
+    done;
+    let rec union ts i acc =
+      match ts with [] -> acc | t :: r -> union r i (acc lor live.((t * w) + i))
+    in
+    let live_out blk i = union succs.(blk) i 0 in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for blk = nb - 1 downto 0 do
+        for i = 0 to w - 1 do
+          let o = (blk * w) + i in
+          let v = gen.(o) lor (live_out blk i land lnot kill.(o)) in
+          if v <> live.(o) then begin
+            live.(o) <- v;
+            changed := true
+          end
+        done
+      done
+    done;
+    let out = Array.make w 0 and ndead = ref 0 in
+    for blk = 0 to nb - 1 do
+      if reachable b bl blk then begin
+        for i = 0 to w - 1 do
+          out.(i) <- live_out blk i
+        done;
+        for q = starts.(blk + 1) - 1 downto starts.(blk) do
+          match Bytes.get role q, xbody.(q) with
+          | ro, XLocalGet x when ro = r_plain || ro = r_entry ->
+            out.(x lsr 5) <- out.(x lsr 5) lor (1 lsl (x land 31))
+          | ro, (XLocalSet x | XLocalTee x) when ro = r_plain ->
+            let m = 1 lsl (x land 31) in
+            if out.(x lsr 5) land m = 0 then begin
+              Bytes.set role q r_dead;
+              incr ndead
+            end;
+            out.(x lsr 5) <- out.(x lsr 5) land lnot m
+          | _ -> ()
+        done
+      end
+    done;
+    { r with role; nelided = r.nelided + !ndead }
+  end
 (** {1 Slot marshalling}
 
     The boxed/unboxed boundary, used by generic (rare) operators, call
@@ -645,17 +908,114 @@ let count_group (inst : instance) ~h (sites : counted list) : ectx -> unit =
       done
   end
 
-(** {1 Pass 2: code generation} *)
+(** {1 Pass [plan]: the fusion plan}
 
-(* per-pc roles of the elision pass (see [compile_exn]) *)
-let r_plain = '\000'
-let r_elided = '\001'
-let r_dead = '\002'
-let r_counted = '\003'
-let r_entry = '\004'
+    Superinstruction fusion over the stream as compiled: from each pc
+    emission will reach, the next (up to four) instructions of its block
+    that compile to code, skipping elided loads, dead stores and bound
+    counted runs; the counted sites met on the way join the form's count
+    group, in order. A firing probe event or a bound entry ends the
+    window, which is not walked when the next instruction cannot
+    continue any form. The walk visits the pcs emission does: a bound
+    run is stepped over whole, a form up to its last instruction. *)
 
-let engine_bug : ectx -> unit =
- fun _ -> raise (Value.Trap "tier1 reached an unreachable block (engine bug)")
+(** A superinstruction as planned. *)
+type form = {
+  fused : fused;
+  first : int;  (** the pc of its first instruction *)
+  last : int;  (** the pc of its last instruction *)
+  skipped : int;  (** instructions compiled away between its first and last *)
+  absorbed : counted list;
+      (** the counted sites met before its last instruction, newest first *)
+}
+
+let plan (b : body) (bl : blocks) (bd : binding) (r : roles) : form list =
+  let xbody = b.xbody and role = r.role and pr = b.pr in
+  let probed = pr.probed in
+  (* [win_pc.(i)]: instruction [i] of the window; [win_acc.(i)],
+     [win_skip.(i)]: the counted sites (in [acc], newest first) and the
+     instructions compiled away before it *)
+  let win_pc = Array.make 4 0 and win_acc = Array.make 4 0 and win_skip = Array.make 4 0 in
+  let acc = ref [] and nacc = ref 0 in
+  (* the counted probe events [evs.(q)] onto [acc]; [false] at a firing
+     one *)
+  let counted_at evs q =
+    List.for_all
+      (function
+        | Probe_count (e, c) ->
+          acc := Count_probe (e, c) :: !acc;
+          incr nacc;
+          true
+        | Probe_fire _ -> false)
+      evs.(q)
+  in
+  let window eb p =
+    let next = p + 1 in
+    match xbody.(p) with
+    | (XLocalGet _ | XConst _ | XI32Rel _ | XI32Eqz) as x0
+      when probed || next >= eb || Option.is_some (bound_at bd next)
+           || Bytes.get role next <> r_plain || fusible_pair x0 xbody.(next) ->
+      acc := [];
+      nacc := 0;
+      let skip = ref 0 and len = ref 0 and q = ref p and open_ = ref true in
+      (* instruction [!len] is sought from [!q] *)
+      while !open_ && !len < 4 && !q < eb do
+        match bound_at bd !q with
+        | Some (Site_count c, cp) ->
+          acc := Count_hook c :: !acc;
+          incr nacc;
+          q := cp + 1
+        | Some (Site_entry _, _) -> open_ := false
+        | None ->
+          (* the events of [p] before it have run *)
+          if probed && !q > p && not (counted_at pr.pre !q) then open_ := false
+          else begin
+            if Bytes.get role !q <> r_plain then incr skip
+            else if !len = 1 && not (fusible_pair x0 xbody.(!q)) then open_ := false
+            else begin
+              win_pc.(!len) <- !q;
+              win_acc.(!len) <- !nacc;
+              win_skip.(!len) <- !skip;
+              incr len
+            end;
+            if probed && !open_ && not (counted_at pr.post !q) then open_ := false;
+            incr q
+          end
+      done;
+      if !len < 2 then None
+      else (
+        match fuse xbody b.heights win_pc !len with
+        | None -> None
+        | Some fused ->
+          let last = fused_len fused - 1 in
+          let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
+          Some { fused; first = p; last = win_pc.(last); skipped = win_skip.(last);
+                 absorbed = drop (!nacc - win_acc.(last)) !acc })
+    | _ -> None
+  in
+  let forms = ref [] in
+  for blk = 0 to Array.length bl.starts - 1 do
+    if reachable b bl blk then begin
+      let eb = bl.starts.(blk + 1) in
+      let p = ref bl.starts.(blk) in
+      while !p < eb do
+        let q = !p in
+        p := q + 1;
+        (* only a push or an i32 test starts a form or a bound run with arguments *)
+        match xbody.(q) with
+        | XLocalGet _ | XConst _ | XI32Rel _ | XI32Eqz -> (
+          match bound_at bd q with
+          | Some (_, cp) -> p := cp + 1
+          | None when Bytes.get role q = r_plain -> (
+            match window eb q with Some f -> forms := f :: !forms; p := f.last + 1 | None -> ())
+          | None -> ())
+        | _ -> ()
+      done
+    end
+  done;
+  List.rev !forms
+
+(** {1 Counters} *)
 
 (* compiled calls to host functions that offer site entries, by whether
    the site bound one (registration is idempotent, so a counter is
@@ -762,1623 +1122,1194 @@ let local_call inst ~abase ~hh (ft : func_type) j : ectx -> unit =
       unbox ctx
     | _ -> boxed ctx
 
-let compile_exn (inst : instance) (fid : int) : compiled_body =
-  let code = inst.inst_code.(fid) in
-  let body = code.c_body in
-  let xbody = code.c_xbody in
-  let run_len = code.c_run_len in
-  let end_of = code.c_jumps.end_of in
-  let n = Array.length body in
-  let results = code.c_type.results in
-  let ltypes = Array.of_list (code.c_type.params @ code.c_func.Ast.locals) in
-  let nlocals = Array.length ltypes in
-  let local_ty x = if x < nlocals then ltypes.(x) else raise Unsupported in
-  let want_local ty x = if local_ty x <> ty then raise Unsupported in
-  let heights, types_at, frames_at, max_h = analyze inst code in
-  (* basic blocks: a block starts at 0, after every control transfer,
-     and at every label target (= tier 0's fresh-charge points plus the
-     positions branches resolve to) *)
-  let is_start = Array.make (n + 1) false in
-  is_start.(0) <- true;
-  is_start.(n) <- true;
-  for pc = 0 to n - 1 do
-    (match body.(pc) with
-     | Ast.If _ | Ast.Else | Ast.Br _ | Ast.BrIf _ | Ast.BrTable _
-     | Ast.Return | Ast.Unreachable ->
-       is_start.(pc + 1) <- true
-     | _ -> ());
-    match body.(pc) with
-    | Ast.Block _ | Ast.If _ -> is_start.(end_of.(pc) + 1) <- true
-    | Ast.Loop _ ->
-      is_start.(pc + 1) <- true;
-      is_start.(end_of.(pc) + 1) <- true
-    | _ -> ()
-  done;
-  let block_of = Array.make (n + 1) (-1) in
-  let nblocks = ref 0 in
-  for pc = 0 to n do
-    if is_start.(pc) then begin
-      block_of.(pc) <- !nblocks;
-      incr nblocks
-    end
-  done;
-  let starts = Array.make !nblocks 0 in
-  for pc = n downto 0 do
-    if is_start.(pc) then starts.(block_of.(pc)) <- pc
-  done;
-  let cells : (ectx -> unit) ref array =
-    Array.init !nblocks (fun _ -> ref engine_bug)
+(** {1 Pass [emit_body]: code generation}
+
+    One closure per basic block: its straight-line operations in order,
+    then its terminator in tail position, behind the charge prologue. A
+    bound run compiles whole, a planned form to one superinstruction, a
+    pc [elide] or [dead_stores] marked to nothing, any other instruction
+    by its category: locals, globals and constants; memory; numeric;
+    calls; terminators.
+
+    Count groups: counted sites ({!Interp.Site_count},
+    {!Interp.Probe_count}) read nothing of the frame, so the counted
+    sites of a trap-free straight-line stretch run together, in site
+    order, at the stretch's end. A stretch ends at the first instruction
+    that is not [frame_local], at the first event or bound site that is
+    not counted, and at the block's terminator or end. The instructions
+    a group is moved across touch only the frame's locals and operand
+    slots, which a trap or a governor kill discards, and fuel, steps,
+    triggers and the deadline are charged at block prologues, which a
+    group never spans. *)
+
+(** What emission compiled besides the closures: the count groups and
+    the sites merged into them, and the call sites with a typed branch. *)
+type tally = { mutable groups : int; mutable counted : int; mutable typed : int }
+
+(** Emission's compile-time environment: the body and the results of the
+    earlier passes, the blocks' closure cells and the tally. Emitted
+    closures capture values read out of it, never the record. *)
+type env = {
+  inst : instance;
+  b : body;
+  bl : blocks;
+  bd : binding;
+  role : Bytes.t;
+  mutable forms : form list;  (** the planned forms not yet emitted *)
+  cells : (ectx -> unit) ref array;
+  tally : tally;
+}
+
+let emit sc f = sc.ops <- f :: sc.ops
+
+let engine_bug : ectx -> unit =
+ fun _ -> raise (Value.Trap "tier1 reached an unreachable block (engine bug)")
+
+let local_ty env x = if x < Array.length env.b.ltypes then env.b.ltypes.(x) else raise Unsupported
+let want_local env ty x = if local_ty env x <> ty then raise Unsupported
+
+(* fire a probe event at operand height [h] ([tys]: the type stack
+   there, top first): box the operands and the local it reads, expose
+   the height as the stack size, call it *)
+let fire_at env ~h tys (ev : probe_fire) : ectx -> unit =
+  let rec boxes i tys =
+    if i >= ev.pe_operands then []
+    else
+      match tys with
+      | [] -> raise Unsupported
+      | ty :: rest ->
+        (match box_slot ty (h - 1 - i) with
+         | Some f -> f :: boxes (i + 1) rest
+         | None -> boxes (i + 1) rest)
   in
-  (* engine-probe sites: dense per-pc views of the sparse table *)
-  let probed, pre, post, enter, exit =
-    match code.c_probe with
-    | None -> (false, [||], [||], [], [])
-    | Some ph ->
-      let pre = Array.make n [] and post = Array.make n [] in
-      Array.iter
-        (fun s ->
-           pre.(s.site_pc) <- s.site_pre;
-           post.(s.site_pc) <- s.site_post)
-        ph.ph_sites;
-      (true, pre, post, ph.ph_enter, ph.ph_exit)
+  let x = ev.pe_local in
+  let local =
+    if x < 0 then []
+    else
+      match local_ty env x with
+      | I32T ->
+        [ (fun ctx ->
+            Array.unsafe_set ctx.locals x
+              (Value.I32 (Int32.of_int (Array.unsafe_get ctx.il x)))) ]
+      | F64T ->
+        [ (fun ctx -> Array.unsafe_set ctx.locals x (Value.F64 (Array.unsafe_get ctx.fl x))) ]
+      | I64T | F32T -> []
   in
-  (* bound host call sites: a call to a result-less host function whose
-     arguments are all pushed by constants and [local.get]s inside the
-     call's block, at no probe site, compiles (pushes included) to the
-     callee's site-specialised entry. One backward walk
-     from each call finds the run; [bound.(p)] holds the entry of the
-     run starting at [p] and the call's pc. *)
-  let bound = ref [||] in
-  let nbound = ref 0 and ngeneric = ref 0 in
-  let quiet p = not probed || (match pre.(p), post.(p) with [], [] -> true | _ -> false) in
-  let site_arg ty p : ectx site_arg option =
-    match xbody.(p) with
-    | XConst v when Value.type_of v = ty -> Some (Site_const v)
-    | XLocalGet x when x < nlocals && ltypes.(x) = ty ->
-      Some
-        (match ty with
-         | I32T -> Site_i32 (fun ctx -> Array.unsafe_get ctx.il x)
-         | F64T -> Site_f64 (fun ctx -> Array.unsafe_get ctx.fl x)
-         | I64T | F32T -> Site_boxed (fun ctx -> Array.unsafe_get ctx.locals x))
-    | _ -> None
-  in
-  (* the arguments of parameter types [rtys] (last first), walking back
-     from the push at [p] *)
-  let rec site_args p rtys acc =
-    match rtys with
-    | [] -> Some acc
-    | ty :: rest ->
-      if is_start.(p + 1) || not (quiet p) then None
-      else
-        match site_arg ty p with
-        | Some a -> site_args (p - 1) rest (a :: acc)
-        | None -> None
-  in
-  for pc = 0 to n - 1 do
-    match xbody.(pc) with
-    | XCall fidx when heights.(pc) >= 0 ->
-      (* (a call in unreachable code compiles to nothing) *)
-      (match inst.inst_funcs.(fidx) with
-       | Host_func { h_bind = Some b; h_type = { params; results }; h_nparams; _ } ->
-         let p0 = pc - h_nparams in
-         let entry =
-           if results <> [] || p0 < 0 || not (quiet pc) then None
-           else
-             match site_args (pc - 1) (List.rev params) [] with
-             | Some args -> b.bind (Array.of_list args)
-             | None -> None
-         in
-         (match entry with
-          | Some e ->
-            if Array.length !bound = 0 then bound := Array.make n None;
-            !bound.(p0) <- Some (e, pc);
-            incr nbound
-          | None -> incr ngeneric)
-       | _ -> ())
-    | _ -> ()
-  done;
-  let bound = !bound in
-  let bound_at p = if Array.length bound = 0 then None else bound.(p) in
-  (* Save/restore elision. A [local.get x] whose operand slot still
-     holds the value of [x] compiles to nothing. Per block, [facts.(s)]
-     is the local slot [s] holds: a [local.get], [local.set] or
-     [local.tee] of [x] records it, and it is dropped by any
-     instruction that pops or writes slot [s], any write to [x], any
-     call, bound entry or firing probe event. [role] marks these elided
-     loads and the instructions of bound runs. *)
-  let role = Bytes.make n r_plain in
-  let nb = !nblocks in
-  let facts = Array.make (max_h + 1) (-1) in
-  let ftop = ref 0 in
-  let forget_from s =
-    let s = if s < 0 then 0 else s in
-    for i = s to !ftop - 1 do
-      facts.(i) <- -1
-    done;
-    if s < !ftop then ftop := s
-  in
-  let fires evs = List.exists (function Probe_fire _ -> true | Probe_count _ -> false) evs in
-  let counted_runs = ref 0 in
-  for b = 0 to nb - 1 do
-    let sb = starts.(b) in
-    if sb < n && heights.(sb) >= 0 then begin
-      forget_from 0;
-      let p = ref sb in
-      while !p < starts.(b + 1) do
-        let q = !p in
-        match bound_at q with
-        | Some (Site_count _, cp) ->
-          Bytes.fill role q (cp + 1 - q) r_counted;
-          incr counted_runs;
-          p := cp + 1
-        | Some (Site_entry _, cp) ->
-          Bytes.fill role q (cp + 1 - q) r_entry;
-          forget_from 0;
-          p := cp + 1
-        | None ->
-          let h = heights.(q) in
-          if probed && fires pre.(q) then forget_from 0;
-          (match xbody.(q) with
-           | XLocalGet x ->
-             if facts.(h) = x then Bytes.set role q r_elided
-             else begin
-               facts.(h) <- x;
-               if h >= !ftop then ftop := h + 1
-             end
-           | XLocalSet x | XLocalTee x ->
-             for i = 0 to !ftop - 1 do
-               if facts.(i) = x then facts.(i) <- -1
-             done;
-             facts.(h - 1) <- x;
-             if h > !ftop then ftop := h
-           | XCall _ | XCallIndirect _ -> forget_from 0
-           | _ ->
-             let h' = heights.(q + 1) in
-             let s = (if h' < h then h' else h) - 1 in
-             if s < !ftop then forget_from s);
-          if probed && fires post.(q) then forget_from 0;
-          p := q + 1
-      done
-    end
-  done;
-  (* Dead stores. In an unprobed body with counted runs, one backward
-     liveness pass over the blocks counts only the reads that survive
-     compilation (not an elided load, not the argument pushes of a
-     counted run), and a store to a local no surviving read needs
-     compiles to a pop ([mark_dead]). Liveness is kept per block only:
-     [gen] (read before any write in the block), [kill] (written) and
-     [live] (live on entry), 32 locals a word. Other bodies skip the
-     pass: without counted runs a store can lose only reads that an
-     elided load replaced, which leaves few stores dead, and compiling
-     uninstrumented code stays cheap. *)
-  let dead_stores = !counted_runs > 0 && not probed in
-  let w = (nlocals + 31) lsr 5 in
-  let live = Array.make (if dead_stores then nb * w else 0) 0 in
-  let out = Array.make w 0 in
-  let succs = Array.make nb [] in
-  if dead_stores then begin
-    let gen = Array.make (nb * w) 0 and kill = Array.make (nb * w) 0 in
-    for b = 0 to nb - 1 do
-      let sb = starts.(b) and o = b * w in
-      if sb < n && heights.(sb) >= 0 then begin
-        let eb = starts.(b + 1) in
-        for q = sb to eb - 1 do
-          match xbody.(q) with
-          | XLocalGet x when Bytes.get role q <> r_elided && Bytes.get role q <> r_counted ->
-            if x >= nlocals then raise Unsupported;
-            let i = o + (x lsr 5) and m = 1 lsl (x land 31) in
-            if kill.(i) land m = 0 then gen.(i) <- gen.(i) lor m
-          | (XLocalSet x | XLocalTee x) when Bytes.get role q = r_plain ->
-            if x >= nlocals then raise Unsupported;
-            let i = o + (x lsr 5) in
-            kill.(i) <- kill.(i) lor (1 lsl (x land 31))
-          | _ -> ()
-        done;
-        let last = eb - 1 in
-        let label k =
-          match List.nth_opt frames_at.(last) k with
-          | Some f -> block_of.(f.f_label.l_target)
-          | None -> -1
-        in
-        succs.(b) <-
-          List.filter (fun t -> t >= 0)
-            (match xbody.(last) with
-             | XBr k -> [ label k ]
-             | XBrIf k -> [ label k; b + 1 ]
-             | XBrTable tbl -> Array.to_list (Array.map label tbl)
-             | XIf (e, _) | XIfElse (e, _, _) -> [ b + 1; block_of.(e) ]
-             | XElse e -> [ block_of.(e) ]
-             | XReturn | XUnreachable -> []
-             | _ -> [ b + 1 ])
-      end
-    done;
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for b = nb - 1 downto 0 do
-        for i = 0 to w - 1 do
-          let o = (b * w) + i in
-          let out = List.fold_left (fun acc t -> acc lor live.((t * w) + i)) 0 succs.(b) in
-          let v = gen.(o) lor (out land lnot kill.(o)) in
-          if v <> live.(o) then begin
-            live.(o) <- v;
-            changed := true
-          end
-        done
-      done
-    done
-  end;
-  (* mark the dead stores of block [b] ([sb] to [eb]), walking back from
-     its live-out set *)
-  let mark_dead b sb eb =
-    for i = 0 to w - 1 do
-      out.(i) <- List.fold_left (fun acc t -> acc lor live.((t * w) + i)) 0 succs.(b)
-    done;
-    for q = eb - 1 downto sb do
-      match Bytes.get role q, xbody.(q) with
-      | r, XLocalGet x when r = r_plain || r = r_entry ->
-        out.(x lsr 5) <- out.(x lsr 5) lor (1 lsl (x land 31))
-      | r, (XLocalSet x | XLocalTee x) when r = r_plain ->
-        let m = 1 lsl (x land 31) in
-        if out.(x lsr 5) land m = 0 then Bytes.set role q r_dead;
-        out.(x lsr 5) <- out.(x lsr 5) land lnot m
-      | _ -> ()
-    done
-  in
-  (* Superinstruction fusion over the stream as compiled: from [p], the
-     next (up to four) instructions of its block that compile to code,
-     skipping elided loads, dead stores and bound counted runs; the
-     counted sites met on the way join the open count group, in order.
-     A firing probe event or a bound entry ends the window, which is not
-     walked when the next instruction cannot continue any form.
-     [win_pc.(i)]: instruction [i]; [win_acc.(i)], [win_skip.(i)]: the
-     counted sites (in [acc], newest first) and the instructions
-     compiled away before it. With a form, [win_last] is its last
-     instruction, [acc] its counted sites, [win_skipped] what it skips. *)
-  let win_pc = Array.make 4 0 and win_acc = Array.make 4 0 and win_skip = Array.make 4 0 in
-  let acc = ref [] and nacc = ref 0 and win_last = ref 0 and win_skipped = ref 0 in
-  (* the counted probe events [evs.(q)] onto [acc]; [false] at a firing
-     one *)
-  let counted_at evs q =
-    List.for_all
-      (function
-        | Probe_count (e, c) ->
-          acc := Count_probe (e, c) :: !acc;
-          incr nacc;
-          true
-        | Probe_fire _ -> false)
-      evs.(q)
-  in
-  let window eb p =
-    let next = p + 1 in
-    match xbody.(p) with
-    | (XLocalGet _ | XConst _ | XI32Rel _ | XI32Eqz) as x0
-      when probed || next >= eb || Option.is_some (bound_at next)
-           || Bytes.get role next <> r_plain || fusible_pair x0 xbody.(next) ->
-      if !nacc > 0 then begin
-        acc := [];
-        nacc := 0
-      end;
-      let skip = ref 0 and len = ref 0 and q = ref p and open_ = ref true in
-      (* instruction [!len] is sought from [!q] *)
-      while !open_ && !len < 4 && !q < eb do
-        match bound_at !q with
-        | Some (Site_count c, cp) ->
-          acc := Count_hook c :: !acc;
-          incr nacc;
-          q := cp + 1
-        | Some (Site_entry _, _) -> open_ := false
-        | None ->
-          (* the events of [p] before it have run *)
-          if probed && !q > p && not (counted_at pre !q) then open_ := false
-          else begin
-            if Bytes.get role !q <> r_plain then incr skip
-            else if !len = 1 && not (fusible_pair x0 xbody.(!q)) then open_ := false
-            else begin
-              win_pc.(!len) <- !q;
-              win_acc.(!len) <- !nacc;
-              win_skip.(!len) <- !skip;
-              incr len
-            end;
-            if probed && !open_ && not (counted_at post !q) then open_ := false;
-            incr q
-          end
-      done;
-      if !len < 2 then None
-      else begin
-        let f = fuse xbody heights win_pc !len in
-        (match f with
-         | None -> ()
-         | Some f ->
-           let last = fused_len f - 1 in
-           win_last := win_pc.(last);
-           win_skipped := win_skip.(last);
-           (* the counted sites met before the form's last instruction *)
-           for _ = win_acc.(last) + 1 to !nacc do
-             acc := List.tl !acc
-           done);
-        f
-      end
-    | _ -> None
-  in
-  (* fire a probe event at operand height [h] ([tys]: the type stack
-     there, top first): box the operands and the local it reads, expose
-     the height as the stack size, call it *)
-  let fire_at ~h tys (ev : probe_fire) : ectx -> unit =
-    let rec boxes i tys =
-      if i >= ev.pe_operands then []
-      else
-        match tys with
-        | [] -> raise Unsupported
-        | ty :: rest ->
-          (match box_slot ty (h - 1 - i) with
-           | Some f -> f :: boxes (i + 1) rest
-           | None -> boxes (i + 1) rest)
-    in
-    let x = ev.pe_local in
-    let local =
-      if x < 0 then []
-      else
-        match local_ty x with
-        | I32T ->
-          [ (fun ctx ->
-              Array.unsafe_set ctx.locals x
-                (Value.I32 (Int32.of_int (Array.unsafe_get ctx.il x)))) ]
-        | F64T ->
-          [ (fun ctx -> Array.unsafe_set ctx.locals x (Value.F64 (Array.unsafe_get ctx.fl x))) ]
-        | I64T | F32T -> []
-    in
-    let fire = ev.pe_fire in
-    match chain (boxes 0 tys @ local) with
-    | None ->
-      fun ctx ->
-        ctx.st.size <- ctx.base + h;
-        fire ctx.locals
-    | Some box ->
-      fun ctx ->
-        box ctx;
-        ctx.st.size <- ctx.base + h;
-        fire ctx.locals
-  in
-  (* the count groups compiled and the sites in them, the
-     superinstructions, the instructions compiled away and the call
-     sites with a typed branch *)
-  let ngroups = ref 0 and ncounted = ref 0 in
-  let nfused = ref 0 and nelided = ref 0 and ntyped = ref 0 in
-  (* close the open count group, if any, at operand height [h] *)
-  let flush sc ~h =
-    match sc.pending with
-    | [] -> ()
-    | sites ->
-      sc.ops <- count_group inst ~h (List.rev sites) :: sc.ops;
-      incr ngroups;
-      ncounted := !ncounted + List.length sites;
-      sc.pending <- []
-  in
-  (* probe events [evs] at height [h], in order: a counted one joins the
-     open group, any other closes it and fires *)
-  let events sc ~h tys evs =
-    List.iter
-      (function
-        | Probe_count (e, c) -> sc.pending <- Count_probe (e, c) :: sc.pending
-        | Probe_fire f ->
-          flush sc ~h;
-          sc.ops <- fire_at ~h tys f :: sc.ops)
-      evs
-  in
-  (* the closure running probe events [evs] at height [h], then [k] *)
-  let events_then ~h tys evs (k : ectx -> unit) : ectx -> unit =
-    match evs with
-    | [] -> k
-    | _ ->
-      let sc = { ops = []; pending = [] } in
-      events sc ~h tys evs;
-      flush sc ~h;
-      seq (List.rev sc.ops) k
-  in
-  (* blocks are compiled in increasing index order, so a back-edge
-     (the loop case) can capture the final target closure directly;
-     forward and self edges go through the target's cell *)
-  let jump_to ~cur (target : int) : ectx -> unit =
-    let bi = block_of.(target) in
-    if bi < 0 then raise Unsupported;
-    if bi < cur then !(cells.(bi))
-    else begin
-      let cell = cells.(bi) in
-      fun ctx -> !cell ctx
-    end
-  in
-  (* returning: box the result (if any) at the frame base and
-     materialise the stack size; ends the tail-call chain *)
-  let ret_edge ~from_h : ectx -> unit =
-    match results with
-    | [] ->
-      if from_h < 0 then raise Unsupported;
-      fun ctx -> ctx.st.size <- ctx.base
-    | [ ty ] ->
-      let src = from_h - 1 in
-      if src < 0 then raise Unsupported;
-      (match ty with
-       | I32T ->
+  let fire = ev.pe_fire in
+  match chain (boxes 0 tys @ local) with
+  | None ->
+    fun ctx ->
+      ctx.st.size <- ctx.base + h;
+      fire ctx.locals
+  | Some box ->
+    fun ctx ->
+      box ctx;
+      ctx.st.size <- ctx.base + h;
+      fire ctx.locals
+
+(* close the open count group, if any, at operand height [h] *)
+let flush env sc ~h =
+  match sc.pending with
+  | [] -> ()
+  | sites ->
+    sc.ops <- count_group env.inst ~h (List.rev sites) :: sc.ops;
+    env.tally.groups <- env.tally.groups + 1;
+    env.tally.counted <- env.tally.counted + List.length sites;
+    sc.pending <- []
+
+(* probe events [evs] at height [h], in order: a counted one joins the
+   open group, any other closes it and fires *)
+let events env sc ~h tys evs =
+  List.iter
+    (function
+      | Probe_count (e, c) -> sc.pending <- Count_probe (e, c) :: sc.pending
+      | Probe_fire f ->
+        flush env sc ~h;
+        emit sc (fire_at env ~h tys f))
+    evs
+
+(* the closure running probe events [evs] at height [h], then [k] *)
+let events_then env ~h tys evs (k : ectx -> unit) : ectx -> unit =
+  match evs with
+  | [] -> k
+  | _ ->
+    let sc = { ops = []; pending = [] } in
+    events env sc ~h tys evs;
+    flush env sc ~h;
+    seq (List.rev sc.ops) k
+
+(* blocks are compiled in increasing index order, so a back-edge
+   (the loop case) can capture the final target closure directly;
+   forward and self edges go through the target's cell *)
+let jump_to env ~cur (target : int) : ectx -> unit =
+  let bi = env.bl.block_of.(target) in
+  if bi < 0 then raise Unsupported;
+  if bi < cur then !(env.cells.(bi))
+  else begin
+    let cell = env.cells.(bi) in
+    fun ctx -> !cell ctx
+  end
+
+(* returning: box the result (if any) at the frame base and
+   materialise the stack size; ends the tail-call chain *)
+let ret_edge env ~from_h : ectx -> unit =
+  match env.b.code.c_type.results with
+  | [] ->
+    if from_h < 0 then raise Unsupported;
+    fun ctx -> ctx.st.size <- ctx.base
+  | [ ty ] ->
+    let src = from_h - 1 in
+    if src < 0 then raise Unsupported;
+    (match ty with
+     | I32T ->
+       fun ctx ->
+         Array.unsafe_set ctx.st.data ctx.base
+           (Value.I32 (Int32.of_int (Array.unsafe_get ctx.id src)));
+         ctx.st.size <- ctx.base + 1
+     | F64T ->
+       fun ctx ->
+         Array.unsafe_set ctx.st.data ctx.base
+           (Value.F64 (Array.unsafe_get ctx.fd src));
+         ctx.st.size <- ctx.base + 1
+     | I64T | F32T ->
+       if src = 0 then fun ctx -> ctx.st.size <- ctx.base + 1
+       else
          fun ctx ->
-           Array.unsafe_set ctx.st.data ctx.base
-             (Value.I32 (Int32.of_int (Array.unsafe_get ctx.id src)));
-           ctx.st.size <- ctx.base + 1
-       | F64T ->
-         fun ctx ->
-           Array.unsafe_set ctx.st.data ctx.base
-             (Value.F64 (Array.unsafe_get ctx.fd src));
-           ctx.st.size <- ctx.base + 1
-       | I64T | F32T ->
-         if src = 0 then fun ctx -> ctx.st.size <- ctx.base + 1
-         else
-           fun ctx ->
-             let d = ctx.st.data in
-             Array.unsafe_set d ctx.base (Array.unsafe_get d (ctx.base + src));
-             ctx.st.size <- ctx.base + 1)
-    | _ -> raise Unsupported
-  in
-  (* a taken branch: copy the carried value down to the label height,
-     reset the charge mark, tail-jump to the target block *)
-  let label_edge ~cur ~from_h (l : label) : ectx -> unit =
-    let jmp = jump_to ~cur l.l_target in
-    match l.l_ty with
-    | None ->
-      if from_h < l.l_height then raise Unsupported;
+           let d = ctx.st.data in
+           Array.unsafe_set d ctx.base (Array.unsafe_get d (ctx.base + src));
+           ctx.st.size <- ctx.base + 1)
+  | _ -> raise Unsupported
+
+(* a taken branch: copy the carried value down to the label height,
+   reset the charge mark, tail-jump to the target block *)
+let label_edge env ~cur ~from_h (l : label) : ectx -> unit =
+  let jmp = jump_to env ~cur l.l_target in
+  match l.l_ty with
+  | None ->
+    if from_h < l.l_height then raise Unsupported;
+    fun ctx ->
+      ctx.charged <- 0;
+      jmp ctx
+  | Some ty ->
+    let src = from_h - 1 and dst = l.l_height in
+    if src < 0 || dst < 0 || src < dst then raise Unsupported;
+    if src = dst then
       fun ctx ->
         ctx.charged <- 0;
         jmp ctx
-    | Some ty ->
-      let src = from_h - 1
-      and dst = l.l_height in
-      if src < 0 || dst < 0 || src < dst then raise Unsupported;
-      if src = dst then
-        fun ctx ->
-          ctx.charged <- 0;
-          jmp ctx
-      else begin
-        let cp = copy_slot ty ~src ~dst in
-        fun ctx ->
-          cp ctx;
-          ctx.charged <- 0;
-          jmp ctx
-      end
-  in
-  (* relative label [k] at a branch site: label if in range, else the
-     function return (tier 0's [branch] does the same) *)
-  let branch_edge ~cur ~from_h frames k : ectx -> unit =
-    match List.nth_opt frames k with
-    | Some f -> label_edge ~cur ~from_h f.f_label
-    | None -> ret_edge ~from_h
-  in
-  (* the implicit fall-off-the-end exit, the one place the function-exit
-     probe fires *)
-  let end_edge ~from_h : ectx -> unit = events_then ~h:from_h types_at.(n) exit (ret_edge ~from_h) in
-  let with_mem (k : Memory.t -> ectx -> unit) : ectx -> unit =
-    match inst.inst_memory with
-    | Some m -> k m
-    | None -> fun _ -> raise (Value.Trap "no memory")
-  in
-  let emit sc f = sc.ops <- f :: sc.ops in
-  let finish term t = term := Some t in
-  (* superinstruction [f] ending at [q], at operand height [!h] (that
-     of its first instruction) *)
-  let compile_fused sc term h ~cur f q =
-    match f with
-    | I32BinLL (op, a, b) ->
-      want_local I32T a;
-      want_local I32T b;
-      let s = !h in
-      (match op with
-       | Ast.Add ->
-         emit sc (fun ctx ->
-           let il = ctx.il in
-           Array.unsafe_set ctx.id s
-             (Eval_numeric.norm32
-                (Array.unsafe_get il a + Array.unsafe_get il b)))
-       | _ ->
-         let f = Eval_numeric.ibinop_i32_int op in
-         emit sc (fun ctx ->
-           let il = ctx.il in
-           Array.unsafe_set ctx.id s
-             (f (Array.unsafe_get il a) (Array.unsafe_get il b))));
-      h := !h + 1
-    | I32BinLC (op, a, c) ->
-      want_local I32T a;
-      let ci = Int32.to_int c in
-      let s = !h in
-      (match op with
-       | Ast.Add ->
-         emit sc (fun ctx ->
-           Array.unsafe_set ctx.id s
-             (Eval_numeric.norm32 (Array.unsafe_get ctx.il a + ci)))
-       | _ ->
-         let f = Eval_numeric.ibinop_i32_int op in
-         emit sc (fun ctx ->
-           Array.unsafe_set ctx.id s (f (Array.unsafe_get ctx.il a) ci)));
-      h := !h + 1
-    | I32BinSL (op, b) ->
-      want_local I32T b;
-      let s = !h - 1 in
-      (match op with
-       | Ast.Add ->
-         emit sc (fun ctx ->
-           let id = ctx.id in
-           Array.unsafe_set id s
-             (Eval_numeric.norm32
-                (Array.unsafe_get id s + Array.unsafe_get ctx.il b)))
-       | _ ->
-         let f = Eval_numeric.ibinop_i32_int op in
-         emit sc (fun ctx ->
-           let id = ctx.id in
-           Array.unsafe_set id s
-             (f (Array.unsafe_get id s) (Array.unsafe_get ctx.il b))))
-    | I32BinSC (op, c) ->
-      let ci = Int32.to_int c in
-      let s = !h - 1 in
-      (match op with
-       | Ast.Add ->
-         emit sc (fun ctx ->
-           let id = ctx.id in
-           Array.unsafe_set id s
-             (Eval_numeric.norm32 (Array.unsafe_get id s + ci)))
-       | _ ->
-         let f = Eval_numeric.ibinop_i32_int op in
-         emit sc (fun ctx ->
-           let id = ctx.id in
-           Array.unsafe_set id s (f (Array.unsafe_get id s) ci)))
-    | F64BinLL (op, a, b) ->
-      want_local F64T a;
-      want_local F64T b;
-      let s = !h in
-      (match op with
-       | Ast.FAdd ->
-         emit sc (fun ctx ->
-           let fl = ctx.fl in
-           Array.unsafe_set ctx.fd s
-             (Array.unsafe_get fl a +. Array.unsafe_get fl b))
-       | Ast.FSub ->
-         emit sc (fun ctx ->
-           let fl = ctx.fl in
-           Array.unsafe_set ctx.fd s
-             (Array.unsafe_get fl a -. Array.unsafe_get fl b))
-       | Ast.FMul ->
-         emit sc (fun ctx ->
-           let fl = ctx.fl in
-           Array.unsafe_set ctx.fd s
-             (Array.unsafe_get fl a *. Array.unsafe_get fl b))
-       | Ast.FDiv ->
-         emit sc (fun ctx ->
-           let fl = ctx.fl in
-           Array.unsafe_set ctx.fd s
-             (Array.unsafe_get fl a /. Array.unsafe_get fl b))
-       | Ast.Min | Ast.Max | Ast.CopySign ->
-         let f = Eval_numeric.fbinop_fn op in
-         emit sc (fun ctx ->
-           let fl = ctx.fl in
-           Array.unsafe_set ctx.fd s
-             (f (Array.unsafe_get fl a) (Array.unsafe_get fl b))));
-      h := !h + 1
-    | F64BinSL (op, b) ->
-      want_local F64T b;
-      let s = !h - 1 in
-      (match op with
-       | Ast.FAdd ->
-         emit sc (fun ctx ->
-           let fd = ctx.fd in
-           Array.unsafe_set fd s
-             (Array.unsafe_get fd s +. Array.unsafe_get ctx.fl b))
-       | Ast.FSub ->
-         emit sc (fun ctx ->
-           let fd = ctx.fd in
-           Array.unsafe_set fd s
-             (Array.unsafe_get fd s -. Array.unsafe_get ctx.fl b))
-       | Ast.FMul ->
-         emit sc (fun ctx ->
-           let fd = ctx.fd in
-           Array.unsafe_set fd s
-             (Array.unsafe_get fd s *. Array.unsafe_get ctx.fl b))
-       | Ast.FDiv ->
-         emit sc (fun ctx ->
-           let fd = ctx.fd in
-           Array.unsafe_set fd s
-             (Array.unsafe_get fd s /. Array.unsafe_get ctx.fl b))
-       | Ast.Min | Ast.Max | Ast.CopySign ->
-         let f = Eval_numeric.fbinop_fn op in
-         emit sc (fun ctx ->
-           let fd = ctx.fd in
-           Array.unsafe_set fd s
-             (f (Array.unsafe_get fd s) (Array.unsafe_get ctx.fl b))))
-    | F64BinSC (op, c) ->
-      let s = !h - 1 in
-      (match op with
-       | Ast.FAdd ->
-         emit sc (fun ctx ->
-           let fd = ctx.fd in
-           Array.unsafe_set fd s (Array.unsafe_get fd s +. c))
-       | Ast.FSub ->
-         emit sc (fun ctx ->
-           let fd = ctx.fd in
-           Array.unsafe_set fd s (Array.unsafe_get fd s -. c))
-       | Ast.FMul ->
-         emit sc (fun ctx ->
-           let fd = ctx.fd in
-           Array.unsafe_set fd s (Array.unsafe_get fd s *. c))
-       | Ast.FDiv ->
-         emit sc (fun ctx ->
-           let fd = ctx.fd in
-           Array.unsafe_set fd s (Array.unsafe_get fd s /. c))
-       | Ast.Min | Ast.Max | Ast.CopySign ->
-         let f = Eval_numeric.fbinop_fn op in
-         emit sc (fun ctx ->
-           let fd = ctx.fd in
-           Array.unsafe_set fd s (f (Array.unsafe_get fd s) c)))
-    | IncrL (x, c) ->
-      (* the sum also lands in its operand slot, which the elision
-         pass takes to hold [x] *)
-      want_local I32T x;
-      let ci = Int32.to_int c in
-      let s = !h in
-      emit sc (fun ctx ->
-        let v = Eval_numeric.norm32 (Array.unsafe_get ctx.il x + ci) in
-        Array.unsafe_set ctx.il x v;
-        Array.unsafe_set ctx.id s v)
-    | I32LoadScaled (c, off) ->
-      let ci = Int32.to_int c in
-      let s = !h - 2 in
-      emit sc
-        (with_mem (fun m ctx ->
-           let id = ctx.id in
-           let addr =
-             (Array.unsafe_get id s + (Array.unsafe_get id (s + 1) * ci))
-             land 0xFFFFFFFF
-           in
-           Array.unsafe_set id s (Memory.load_i32_u m addr off)));
-      h := !h - 1
-    | F64LoadScaled (c, off) ->
-      let ci = Int32.to_int c in
-      let s = !h - 2 in
-      emit sc
-        (with_mem (fun m ctx ->
-           let id = ctx.id in
-           let addr =
-             (Array.unsafe_get id s + (Array.unsafe_get id (s + 1) * ci))
-             land 0xFFFFFFFF
-           in
-           Array.unsafe_set ctx.fd s (Memory.load_f64_u m addr off)));
-      h := !h - 1
-    | I32LoadL (a, off) ->
-      want_local I32T a;
-      let s = !h in
-      emit sc
-        (with_mem (fun m ctx ->
-           Array.unsafe_set ctx.id s
-             (Memory.load_i32_u m
-                (Array.unsafe_get ctx.il a land 0xFFFFFFFF)
-                off)));
-      h := !h + 1
-    | F64LoadL (a, off) ->
-      want_local I32T a;
-      let s = !h in
-      emit sc
-        (with_mem (fun m ctx ->
-           Array.unsafe_set ctx.fd s
-             (Memory.load_f64_u m
-                (Array.unsafe_get ctx.il a land 0xFFFFFFFF)
-                off)));
-      h := !h + 1
-    | BrIfRelLL (r, a, b, k) ->
-      want_local I32T a;
-      want_local I32T b;
-      let taken = branch_edge ~cur ~from_h:!h frames_at.(q) k in
-      let next = jump_to ~cur (q + 1) in
-      (* the loop-controlling comparison: every relop inlined so
-         the back-edge test costs no closure call *)
-      (match r with
-       | Ast.Eq ->
-         finish term (fun ctx ->
-           if Array.unsafe_get ctx.il a = Array.unsafe_get ctx.il b then
-             taken ctx
-           else next ctx)
-       | Ast.Ne ->
-         finish term (fun ctx ->
-           if Array.unsafe_get ctx.il a <> Array.unsafe_get ctx.il b then
-             taken ctx
-           else next ctx)
-       | Ast.LtS ->
-         finish term (fun ctx ->
-           if Array.unsafe_get ctx.il a < Array.unsafe_get ctx.il b then
-             taken ctx
-           else next ctx)
-       | Ast.LtU ->
-         finish term (fun ctx ->
-           if
-             Array.unsafe_get ctx.il a land 0xFFFFFFFF
-             < Array.unsafe_get ctx.il b land 0xFFFFFFFF
-           then taken ctx
-           else next ctx)
-       | Ast.GtS ->
-         finish term (fun ctx ->
-           if Array.unsafe_get ctx.il a > Array.unsafe_get ctx.il b then
-             taken ctx
-           else next ctx)
-       | Ast.GtU ->
-         finish term (fun ctx ->
-           if
-             Array.unsafe_get ctx.il a land 0xFFFFFFFF
-             > Array.unsafe_get ctx.il b land 0xFFFFFFFF
-           then taken ctx
-           else next ctx)
-       | Ast.LeS ->
-         finish term (fun ctx ->
-           if Array.unsafe_get ctx.il a <= Array.unsafe_get ctx.il b then
-             taken ctx
-           else next ctx)
-       | Ast.LeU ->
-         finish term (fun ctx ->
-           if
-             Array.unsafe_get ctx.il a land 0xFFFFFFFF
-             <= Array.unsafe_get ctx.il b land 0xFFFFFFFF
-           then taken ctx
-           else next ctx)
-       | Ast.GeS ->
-         finish term (fun ctx ->
-           if Array.unsafe_get ctx.il a >= Array.unsafe_get ctx.il b then
-             taken ctx
-           else next ctx)
-       | Ast.GeU ->
-         finish term (fun ctx ->
-           if
-             Array.unsafe_get ctx.il a land 0xFFFFFFFF
-             >= Array.unsafe_get ctx.il b land 0xFFFFFFFF
-           then taken ctx
-           else next ctx))
-    | BrIfRelLC (r, a, c, k) ->
-      want_local I32T a;
-      let ci = Int32.to_int c in
-      let cu = ci land 0xFFFFFFFF in
-      let taken = branch_edge ~cur ~from_h:!h frames_at.(q) k in
-      let next = jump_to ~cur (q + 1) in
-      (match r with
-       | Ast.Eq ->
-         finish term (fun ctx ->
-           if Array.unsafe_get ctx.il a = ci then taken ctx else next ctx)
-       | Ast.Ne ->
-         finish term (fun ctx ->
-           if Array.unsafe_get ctx.il a <> ci then taken ctx else next ctx)
-       | Ast.LtS ->
-         finish term (fun ctx ->
-           if Array.unsafe_get ctx.il a < ci then taken ctx else next ctx)
-       | Ast.LtU ->
-         finish term (fun ctx ->
-           if Array.unsafe_get ctx.il a land 0xFFFFFFFF < cu then taken ctx
-           else next ctx)
-       | Ast.GtS ->
-         finish term (fun ctx ->
-           if Array.unsafe_get ctx.il a > ci then taken ctx else next ctx)
-       | Ast.GtU ->
-         finish term (fun ctx ->
-           if Array.unsafe_get ctx.il a land 0xFFFFFFFF > cu then taken ctx
-           else next ctx)
-       | Ast.LeS ->
-         finish term (fun ctx ->
-           if Array.unsafe_get ctx.il a <= ci then taken ctx else next ctx)
-       | Ast.LeU ->
-         finish term (fun ctx ->
-           if Array.unsafe_get ctx.il a land 0xFFFFFFFF <= cu then taken ctx
-           else next ctx)
-       | Ast.GeS ->
-         finish term (fun ctx ->
-           if Array.unsafe_get ctx.il a >= ci then taken ctx else next ctx)
-       | Ast.GeU ->
-         finish term (fun ctx ->
-           if Array.unsafe_get ctx.il a land 0xFFFFFFFF >= cu then taken ctx
-           else next ctx))
-    | BrIfRel (r, k) ->
-      let f = Eval_numeric.irelop_i32_int r in
-      let s = !h - 2 in
-      let taken = branch_edge ~cur ~from_h:(!h - 2) frames_at.(q) k in
-      let next = jump_to ~cur (q + 1) in
-      finish term (fun ctx ->
-        let id = ctx.id in
-        if f (Array.unsafe_get id s) (Array.unsafe_get id (s + 1)) then
-          taken ctx
-        else next ctx)
-    | BrIfEqz k ->
-      let s = !h - 1 in
-      let taken = branch_edge ~cur ~from_h:(!h - 1) frames_at.(q) k in
-      let next = jump_to ~cur (q + 1) in
-      finish term (fun ctx ->
-        if Array.unsafe_get ctx.id s = 0 then taken ctx else next ctx)
-  in
-  let compile_block cur : ectx -> unit =
-    let sb = starts.(cur) in
-    if sb = n then
-      if heights.(n) >= 0 then end_edge ~from_h:heights.(n) else engine_bug
-    else if heights.(sb) < 0 then engine_bug
     else begin
-      let eb = starts.(cur + 1) in
-      if dead_stores then mark_dead cur sb eb;
-      let h = ref heights.(sb) in
-      let sc = { ops = []; pending = [] } in
-      let term : (ectx -> unit) option ref = ref None in
-      let emit f = sc.ops <- f :: sc.ops in
-      let finish t = term := Some t in
-      let pc = ref sb in
-      while Option.is_none !term && !pc < eb do
-        let p = !pc in
-        if heights.(p) >= 0 && heights.(p) <> !h then raise Unsupported;
-        let last = ref p in
-        let step len = pc := p + len in
-        (* a bound run compiles whole; everything else instruction by
-           instruction or as a superinstruction *)
-        match bound_at p with
-        | Some (Site_count c, call_pc) ->
-          sc.pending <- Count_hook c :: sc.pending;
-          step (call_pc + 1 - p)
-        | Some (Site_entry entry, call_pc) ->
-          (* the call's side effects as [call_host] has them: governor
-             count, then the stack size at the height below the
-             arguments, so the entry may re-enter the engine *)
-          flush sc ~h:!h;
-          let hp = !h in
-          emit (fun ctx ->
-            (match inst.inst_gov with None -> () | Some g -> Governor.count_host_call g);
-            ctx.st.size <- ctx.base + hp;
-            entry ctx);
-          step (call_pc + 1 - p)
-        | None ->
-        if probed then events sc ~h:!h types_at.(p) pre.(p);
-        (if Bytes.get role p <> r_plain then begin
-           (* compiled away: an elided load pushes, a dead store pops *)
-           incr nelided;
-           (match xbody.(p) with XLocalGet _ -> incr h | XLocalSet _ -> decr h | _ -> ());
-           step 1
-         end
-         else
-           match window eb p with
-           | Some f ->
-             let q = !win_last in
-             sc.pending <- !acc @ sc.pending;
-             nelided := !nelided + !win_skipped;
-             incr nfused;
-             (* only a form's last instruction may trap or leave the frame *)
-             if not (frame_local xbody.(q)) then flush sc ~h:!h;
-             compile_fused sc term h ~cur f q;
-             last := q;
-             pc := q + 1
-           | None ->
-        let x = xbody.(p) in
-        if not (frame_local x) then flush sc ~h:!h;
-        (match x with
-         (* no-ops at run time: all control bookkeeping is static *)
-         | XNop | XBlock _ | XLoop | XEnd -> step 1
-         | XDrop ->
-           h := !h - 1;
-           step 1
-         | XSelect ->
-           let s = !h - 3 in
-           let ty =
-             match types_at.(p) with
-             | _cond :: ty :: _ -> ty
-             | _ -> raise Unsupported
-           in
-           (match ty with
-            | I32T ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                if Array.unsafe_get id (s + 2) = 0 then
-                  Array.unsafe_set id s (Array.unsafe_get id (s + 1)))
-            | F64T ->
-              emit (fun ctx ->
-                if Array.unsafe_get ctx.id (s + 2) = 0 then
-                  Array.unsafe_set ctx.fd s (Array.unsafe_get ctx.fd (s + 1)))
-            | I64T | F32T ->
-              emit (fun ctx ->
-                if Array.unsafe_get ctx.id (s + 2) = 0 then begin
-                  let d = ctx.st.data in
-                  let b = ctx.base + s in
-                  Array.unsafe_set d b (Array.unsafe_get d (b + 1))
-                end));
-           h := !h - 2;
-           step 1
-         | XLocalGet x ->
-           let s = !h in
-           (match local_ty x with
-            | I32T ->
-              emit (fun ctx ->
-                Array.unsafe_set ctx.id s (Array.unsafe_get ctx.il x))
-            | F64T ->
-              emit (fun ctx ->
-                Array.unsafe_set ctx.fd s (Array.unsafe_get ctx.fl x))
-            | I64T | F32T ->
-              emit (fun ctx ->
-                Array.unsafe_set ctx.st.data (ctx.base + s)
-                  (Array.unsafe_get ctx.locals x)));
-           h := !h + 1;
-           step 1
-         | XLocalSet x | XLocalTee x ->
-           let s = !h - 1 in
-           (match local_ty x with
-            | I32T ->
-              emit (fun ctx ->
-                Array.unsafe_set ctx.il x (Array.unsafe_get ctx.id s))
-            | F64T ->
-              emit (fun ctx ->
-                Array.unsafe_set ctx.fl x (Array.unsafe_get ctx.fd s))
-            | I64T | F32T ->
-              emit (fun ctx ->
-                Array.unsafe_set ctx.locals x
-                  (Array.unsafe_get ctx.st.data (ctx.base + s))));
-           (match xbody.(p) with XLocalSet _ -> h := s | _ -> ());
-           step 1
-         | XGlobalGet x ->
-           let g = inst.inst_globals.(x) in
-           let s = !h in
-           (match g.g_type.content with
-            | I32T ->
-              emit (fun ctx ->
-                Array.unsafe_set ctx.id s (Int32.to_int (Value.as_i32 g.g_value)))
-            | F64T ->
-              emit (fun ctx ->
-                Array.unsafe_set ctx.fd s (Value.as_f64 g.g_value))
-            | I64T | F32T ->
-              emit (fun ctx ->
-                Array.unsafe_set ctx.st.data (ctx.base + s) g.g_value));
-           h := !h + 1;
-           step 1
-         | XGlobalSet x ->
-           let g = inst.inst_globals.(x) in
-           let s = !h - 1 in
-           (match g.g_type.content with
-            | I32T ->
-              emit (fun ctx ->
-                g.g_value <- Value.I32 (Int32.of_int (Array.unsafe_get ctx.id s)))
-            | F64T ->
-              emit (fun ctx -> g.g_value <- Value.F64 (Array.unsafe_get ctx.fd s))
-            | I64T | F32T ->
-              emit (fun ctx ->
-                g.g_value <- Array.unsafe_get ctx.st.data (ctx.base + s)));
-           h := !h - 1;
-           step 1
-         | XConst v ->
-           let s = !h in
-           (match v with
-            | Value.I32 c ->
-              let ci = Int32.to_int c in
-              emit (fun ctx -> Array.unsafe_set ctx.id s ci)
-            | Value.F64 f -> emit (fun ctx -> Array.unsafe_set ctx.fd s f)
-            | Value.I64 _ | Value.F32 _ ->
-              emit (fun ctx -> Array.unsafe_set ctx.st.data (ctx.base + s) v));
-           h := !h + 1;
-           step 1
-         | XI32Load off ->
-           let s = !h - 1 in
-           emit
-             (with_mem (fun m ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (Memory.load_i32_u m (Array.unsafe_get id s land 0xFFFFFFFF) off)));
-           step 1
-         | XI64Load off ->
-           let s = !h - 1 in
-           emit
-             (with_mem (fun m ctx ->
-                let addr = Int32.of_int (Array.unsafe_get ctx.id s) in
-                Array.unsafe_set ctx.st.data (ctx.base + s)
-                  (Value.I64 (Memory.load_i64 m addr off))));
-           step 1
-         | XF32Load off ->
-           let s = !h - 1 in
-           emit
-             (with_mem (fun m ctx ->
-                let addr = Int32.of_int (Array.unsafe_get ctx.id s) in
-                Array.unsafe_set ctx.st.data (ctx.base + s)
-                  (Value.F32 (Memory.load_f32_bits m addr off))));
-           step 1
-         | XF64Load off ->
-           let s = !h - 1 in
-           emit
-             (with_mem (fun m ctx ->
-                Array.unsafe_set ctx.fd s
-                  (Memory.load_f64_u m
-                     (Array.unsafe_get ctx.id s land 0xFFFFFFFF)
-                     off)));
-           step 1
-         | XI32Store off ->
-           let s = !h - 2 in
-           emit
-             (with_mem (fun m ctx ->
-                let id = ctx.id in
-                Memory.store_i32_u m
-                  (Array.unsafe_get id s land 0xFFFFFFFF)
-                  off
-                  (Array.unsafe_get id (s + 1))));
-           h := !h - 2;
-           step 1
-         | XI64Store off ->
-           let s = !h - 2 in
-           emit
-             (with_mem (fun m ctx ->
-                let addr = Int32.of_int (Array.unsafe_get ctx.id s) in
-                Memory.store_i64 m addr off
-                  (Value.as_i64 (Array.unsafe_get ctx.st.data (ctx.base + s + 1)))));
-           h := !h - 2;
-           step 1
-         | XF32Store off ->
-           let s = !h - 2 in
-           emit
-             (with_mem (fun m ctx ->
-                let addr = Int32.of_int (Array.unsafe_get ctx.id s) in
-                Memory.store_f32_bits m addr off
-                  (Value.as_f32_bits
-                     (Array.unsafe_get ctx.st.data (ctx.base + s + 1)))));
-           h := !h - 2;
-           step 1
-         | XF64Store off ->
-           let s = !h - 2 in
-           emit
-             (with_mem (fun m ctx ->
-                Memory.store_f64_u m
-                  (Array.unsafe_get ctx.id s land 0xFFFFFFFF)
-                  off
-                  (Array.unsafe_get ctx.fd (s + 1))));
-           h := !h - 2;
-           step 1
-         | XLoadGen op ->
-           let s = !h - 1 in
-           (match op.Ast.lty with
-            | I32T ->
-              emit
-                (with_mem (fun m ctx ->
-                   let id = ctx.id in
-                   let addr = Int32.of_int (Array.unsafe_get id s) in
-                   Array.unsafe_set id s
-                     (Int32.to_int (Value.as_i32 (Memory.load m op addr)))))
-            | F64T ->
-              emit
-                (with_mem (fun m ctx ->
-                   let addr = Int32.of_int (Array.unsafe_get ctx.id s) in
-                   Array.unsafe_set ctx.fd s (Value.as_f64 (Memory.load m op addr))))
-            | I64T | F32T ->
-              emit
-                (with_mem (fun m ctx ->
-                   let addr = Int32.of_int (Array.unsafe_get ctx.id s) in
-                   Array.unsafe_set ctx.st.data (ctx.base + s)
-                     (Memory.load m op addr))));
-           step 1
-         | XStoreGen op ->
-           let s = !h - 2 in
-           (match op.Ast.sty with
-            | I32T ->
-              emit
-                (with_mem (fun m ctx ->
-                   let id = ctx.id in
-                   Memory.store m op
-                     (Int32.of_int (Array.unsafe_get id s))
-                     (Value.I32 (Int32.of_int (Array.unsafe_get id (s + 1))))))
-            | F64T ->
-              emit
-                (with_mem (fun m ctx ->
-                   Memory.store m op
-                     (Int32.of_int (Array.unsafe_get ctx.id s))
-                     (Value.F64 (Array.unsafe_get ctx.fd (s + 1)))))
-            | I64T | F32T ->
-              emit
-                (with_mem (fun m ctx ->
-                   Memory.store m op
-                     (Int32.of_int (Array.unsafe_get ctx.id s))
-                     (Array.unsafe_get ctx.st.data (ctx.base + s + 1)))));
-           h := !h - 2;
-           step 1
-         | XMemorySize ->
-           let s = !h in
-           emit
-             (with_mem (fun m ctx ->
-                Array.unsafe_set ctx.id s (Memory.size_pages m)));
-           h := !h + 1;
-           step 1
-         | XMemoryGrow ->
-           let s = !h - 1 in
-           emit
-             (with_mem (fun m ctx ->
-                let id = ctx.id in
-                let old =
-                  match inst.inst_gov with
-                  | None -> Memory.grow m (Array.unsafe_get id s)
-                  | Some g -> Governor.governed_grow g m (Array.unsafe_get id s)
-                in
-                Array.unsafe_set id s old));
-           step 1
-         | XI32Eqz ->
-           let s = !h - 1 in
-           emit (fun ctx ->
-             let id = ctx.id in
-             Array.unsafe_set id s (if Array.unsafe_get id s = 0 then 1 else 0));
-           step 1
-         | XI32Bin op ->
-           let s = !h - 2 in
-           (match op with
-            | Ast.Add ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (Eval_numeric.norm32
-                     (Array.unsafe_get id s + Array.unsafe_get id (s + 1))))
-            | Ast.Sub ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (Eval_numeric.norm32
-                     (Array.unsafe_get id s - Array.unsafe_get id (s + 1))))
-            | Ast.Mul ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (Eval_numeric.norm32
-                     (Array.unsafe_get id s * Array.unsafe_get id (s + 1))))
-            | Ast.And ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (Array.unsafe_get id s land Array.unsafe_get id (s + 1)))
-            | Ast.Or ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (Array.unsafe_get id s lor Array.unsafe_get id (s + 1)))
-            | Ast.Xor ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (Array.unsafe_get id s lxor Array.unsafe_get id (s + 1)))
-            | Ast.Shl ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (Eval_numeric.norm32
-                     (Array.unsafe_get id s lsl (Array.unsafe_get id (s + 1) land 31))))
-            | Ast.ShrS ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (Array.unsafe_get id s asr (Array.unsafe_get id (s + 1) land 31)))
-            | Ast.ShrU ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (Eval_numeric.norm32
-                     ((Array.unsafe_get id s land 0xFFFFFFFF)
-                      lsr (Array.unsafe_get id (s + 1) land 31))))
-            | Ast.DivS | Ast.DivU | Ast.RemS | Ast.RemU | Ast.Rotl | Ast.Rotr ->
-              let f = Eval_numeric.ibinop_i32_int op in
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (f (Array.unsafe_get id s) (Array.unsafe_get id (s + 1)))));
-           h := !h - 1;
-           step 1
-         | XI32Rel r ->
-           let s = !h - 2 in
-           (match r with
-            | Ast.Eq ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (if Array.unsafe_get id s = Array.unsafe_get id (s + 1) then 1
-                   else 0))
-            | Ast.Ne ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (if Array.unsafe_get id s <> Array.unsafe_get id (s + 1) then 1
-                   else 0))
-            | Ast.LtS ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (if Array.unsafe_get id s < Array.unsafe_get id (s + 1) then 1
-                   else 0))
-            | Ast.LtU ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (if
-                     Array.unsafe_get id s land 0xFFFFFFFF
-                     < Array.unsafe_get id (s + 1) land 0xFFFFFFFF
-                   then 1
-                   else 0))
-            | Ast.GtS ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (if Array.unsafe_get id s > Array.unsafe_get id (s + 1) then 1
-                   else 0))
-            | Ast.GtU ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (if
-                     Array.unsafe_get id s land 0xFFFFFFFF
-                     > Array.unsafe_get id (s + 1) land 0xFFFFFFFF
-                   then 1
-                   else 0))
-            | Ast.LeS ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (if Array.unsafe_get id s <= Array.unsafe_get id (s + 1) then 1
-                   else 0))
-            | Ast.LeU ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (if
-                     Array.unsafe_get id s land 0xFFFFFFFF
-                     <= Array.unsafe_get id (s + 1) land 0xFFFFFFFF
-                   then 1
-                   else 0))
-            | Ast.GeS ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (if Array.unsafe_get id s >= Array.unsafe_get id (s + 1) then 1
-                   else 0))
-            | Ast.GeU ->
-              emit (fun ctx ->
-                let id = ctx.id in
-                Array.unsafe_set id s
-                  (if
-                     Array.unsafe_get id s land 0xFFFFFFFF
-                     >= Array.unsafe_get id (s + 1) land 0xFFFFFFFF
-                   then 1
-                   else 0)));
-           h := !h - 1;
-           step 1
-         | XI64Bin op ->
-           let f = Eval_numeric.ibinop_i64_fn op in
-           let s = !h - 2 in
-           emit (fun ctx ->
-             let d = ctx.st.data in
-             let b = ctx.base + s in
-             Array.unsafe_set d b
-               (Value.I64
-                  (f
-                     (Value.as_i64 (Array.unsafe_get d b))
-                     (Value.as_i64 (Array.unsafe_get d (b + 1))))));
-           h := !h - 1;
-           step 1
-         | XI64Rel r ->
-           let f = Eval_numeric.irelop_i64_fn r in
-           let s = !h - 2 in
-           emit (fun ctx ->
-             let d = ctx.st.data in
-             let b = ctx.base + s in
-             Array.unsafe_set ctx.id s
-               (if
-                  f
-                    (Value.as_i64 (Array.unsafe_get d b))
-                    (Value.as_i64 (Array.unsafe_get d (b + 1)))
-                then 1
-                else 0));
-           h := !h - 1;
-           step 1
-         | XF64Bin op ->
-           let s = !h - 2 in
-           (match op with
-            | Ast.FAdd ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set fd s
-                  (Array.unsafe_get fd s +. Array.unsafe_get fd (s + 1)))
-            | Ast.FSub ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set fd s
-                  (Array.unsafe_get fd s -. Array.unsafe_get fd (s + 1)))
-            | Ast.FMul ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set fd s
-                  (Array.unsafe_get fd s *. Array.unsafe_get fd (s + 1)))
-            | Ast.FDiv ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set fd s
-                  (Array.unsafe_get fd s /. Array.unsafe_get fd (s + 1)))
-            | Ast.Min | Ast.Max | Ast.CopySign ->
-              let f = Eval_numeric.fbinop_fn op in
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set fd s
-                  (f (Array.unsafe_get fd s) (Array.unsafe_get fd (s + 1)))));
-           h := !h - 1;
-           step 1
-         | XF64Rel r ->
-           let s = !h - 2 in
-           (match r with
-            | Ast.FEq ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set ctx.id s
-                  (if Array.unsafe_get fd s = Array.unsafe_get fd (s + 1) then 1
-                   else 0))
-            | Ast.FNe ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set ctx.id s
-                  (if Array.unsafe_get fd s <> Array.unsafe_get fd (s + 1) then 1
-                   else 0))
-            | Ast.FLt ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set ctx.id s
-                  (if Array.unsafe_get fd s < Array.unsafe_get fd (s + 1) then 1
-                   else 0))
-            | Ast.FGt ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set ctx.id s
-                  (if Array.unsafe_get fd s > Array.unsafe_get fd (s + 1) then 1
-                   else 0))
-            | Ast.FLe ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set ctx.id s
-                  (if Array.unsafe_get fd s <= Array.unsafe_get fd (s + 1) then 1
-                   else 0))
-            | Ast.FGe ->
-              emit (fun ctx ->
-                let fd = ctx.fd in
-                Array.unsafe_set ctx.id s
-                  (if Array.unsafe_get fd s >= Array.unsafe_get fd (s + 1) then 1
-                   else 0)));
-           h := !h - 1;
-           step 1
-         | XF64Un u ->
-           let s = !h - 1 in
-           (match u with
-            | Ast.Abs ->
-              emit (fun ctx ->
-                Array.unsafe_set ctx.fd s (abs_float (Array.unsafe_get ctx.fd s)))
-            | Ast.Neg ->
-              emit (fun ctx ->
-                Array.unsafe_set ctx.fd s (-.Array.unsafe_get ctx.fd s))
-            | Ast.Sqrt ->
-              emit (fun ctx ->
-                Array.unsafe_set ctx.fd s (sqrt (Array.unsafe_get ctx.fd s)))
-            | Ast.Ceil | Ast.Floor | Ast.Trunc | Ast.Nearest ->
-              let f = Eval_numeric.funop_impl u in
-              emit (fun ctx ->
-                Array.unsafe_set ctx.fd s (f (Array.unsafe_get ctx.fd s))));
-           step 1
-         | XF64ConvertI32S ->
-           let s = !h - 1 in
-           emit (fun ctx ->
-             Array.unsafe_set ctx.fd s (float_of_int (Array.unsafe_get ctx.id s)));
-           step 1
-         | XI32TruncF64S ->
-           let s = !h - 1 in
-           emit (fun ctx ->
-             Array.unsafe_set ctx.id s
-               (Int32.to_int (Value.Cvt.i32_trunc_s (Array.unsafe_get ctx.fd s))));
-           step 1
-         (* the generic forms: [Interp.decode_instr] leaves only the
-            i64 test, f32 comparisons and arithmetic, and the unary
-            operators other than f64's here; any other operator makes
-            tier 1 decline the body *)
-         | XTestGen (Ast.IEqz S64) ->
-           let s = !h - 1 in
-           emit (fun ctx ->
-             Array.unsafe_set ctx.id s
-               (if Int64.equal (Value.as_i64 (Array.unsafe_get ctx.st.data (ctx.base + s))) 0L
-                then 1
-                else 0));
-           step 1
-         | XCompareGen (Ast.FRel (SF32, _) as op) ->
-           let s = !h - 2 in
-           emit (fun ctx ->
-             let d = ctx.st.data in
-             let b = ctx.base + s in
-             Array.unsafe_set ctx.id s
-               (Int32.to_int
-                  (Value.as_i32
-                     (Eval_numeric.eval_relop op (Array.unsafe_get d b)
-                        (Array.unsafe_get d (b + 1))))));
-           h := !h - 1;
-           step 1
-         | XUnaryGen op ->
-           let s = !h - 1 in
-           (match op with
-            | Ast.IUn (S32, _) ->
-              emit (fun ctx ->
-                let v =
-                  Eval_numeric.eval_unop op
-                    (Value.I32 (Int32.of_int (Array.unsafe_get ctx.id s)))
-                in
-                Array.unsafe_set ctx.id s (Int32.to_int (Value.as_i32 v)))
-            | Ast.IUn (S64, _) | Ast.FUn (SF32, _) ->
-              emit (fun ctx ->
-                let d = ctx.st.data in
-                let b = ctx.base + s in
-                Array.unsafe_set d b
-                  (Eval_numeric.eval_unop op (Array.unsafe_get d b)))
-            | Ast.FUn (SF64, _) -> raise Unsupported);
-           step 1
-         | XBinaryGen (Ast.FBin (SF32, _) as op) ->
-           let s = !h - 2 in
-           emit (fun ctx ->
-             let d = ctx.st.data in
-             let b = ctx.base + s in
-             Array.unsafe_set d b
-               (Eval_numeric.eval_binop op (Array.unsafe_get d b) (Array.unsafe_get d (b + 1))));
-           h := !h - 1;
-           step 1
-         | XTestGen _ | XCompareGen _ | XBinaryGen _ -> raise Unsupported
-         | XConvertGen op ->
-           let s = !h - 1 in
-           let src, dst = cvt_types op in
-           let rv = read_val src s
-           and wv = write_val dst s in
-           emit (fun ctx -> wv ctx (Eval_numeric.eval_cvtop op (rv ctx)));
-           step 1
-         | XCall fidx ->
-           (* within the instance, a compiled callee takes the typed
-              entry; otherwise box the unboxed arguments, materialise
-              the stack size, re-enter the engine, unpack the results:
-              the callee may be tier 0, tier 1 or a host function *)
-           let callee = inst.inst_funcs.(fidx) in
-           let ft = func_type_of callee in
-           let np = List.length ft.params
-           and nr = List.length ft.results in
-           let hh = !h in
-           let abase = hh - np in
-           if abase < 0 then raise Unsupported;
-           (match callee with
-            | Wasm_func (j, ci) when ci == inst ->
-              incr ntyped;
-              emit (local_call inst ~abase ~hh ft j)
-            | Wasm_func (j, ci) ->
-              emit (staged_call ~abase ft (fun ctx ->
-                ctx.st.size <- ctx.base + hh;
-                call_wasm ci j ctx.st))
-            | Host_func hf ->
-              emit (staged_call ~abase ft (fun ctx ->
-                ctx.st.size <- ctx.base + hh;
-                call_host inst hf ctx.st)));
-           h := hh - np + nr;
-           step 1
-         | XCallIndirect tidx ->
-           let expected = inst.inst_types.(tidx) in
-           let np = List.length expected.params
-           and nr = List.length expected.results in
-           let hh = !h in
-           let abase = hh - 1 - np in
-           if abase < 0 then raise Unsupported;
-           let si = hh - 1 in
-           (match inst.inst_table with
-            | None -> emit (fun _ -> raise (Value.Trap "no table"))
-            | Some table ->
-              incr ntyped;
-              let box = Option.value (stage box_slot ~abase expected.params) ~default:ignore
-              and unbox = Option.value (stage unbox_slot ~abase expected.results) ~default:ignore in
-              let boxed ctx callee =
-                box ctx;
-                ctx.st.size <- ctx.base + si;
-                match callee with
-                | Wasm_func (j, ci) -> call_wasm ci j ctx.st
-                | Host_func hf -> call_host inst hf ctx.st
-              in
-              emit (fun ctx ->
-                let i = Array.unsafe_get ctx.id si land 0xFFFFFFFF in
-                let elems = table.t_elems in
-                if i >= Array.length elems then raise (Value.Trap "undefined element");
-                match Array.unsafe_get elems i with
-                | None -> raise (Value.Trap "uninitialized element")
-                | Some callee ->
-                  if not (equal_func_type (func_type_of callee) expected) then
-                    raise (Value.Trap "indirect call type mismatch");
-                  (match callee with
-                   | Wasm_func (j, ci) when ci == inst && typed_ok inst ->
-                     (match ci.inst_code.(j).c_tier with
-                      | T_compiled cb -> call_typed inst cb ctx abase
-                      | _ -> boxed ctx callee)
-                   | _ -> boxed ctx callee);
-                  unbox ctx));
-           h := hh - 1 - np + nr;
-           step 1
-         (* terminators: every control transfer ends the block *)
-         | XUnreachable ->
-           finish (fun _ -> raise (Value.Trap "unreachable executed"))
-         | XIf (else_target, _) | XIfElse (else_target, _, _) ->
-           (* a valid [if] without [else] has no results: a false
-              condition skips to its end *)
-           let s = !h - 1 in
-           let then_edge = jump_to ~cur (p + 1)
-           and else_edge = jump_to ~cur else_target in
-           finish (fun ctx ->
-             if Array.unsafe_get ctx.id s = 0 then begin
-               ctx.charged <- 0;
-               else_edge ctx
-             end
-             else then_edge ctx)
-         | XElse end_target ->
-           let edge = jump_to ~cur end_target in
-           finish (fun ctx ->
-             ctx.charged <- 0;
-             edge ctx)
-         | XBr k -> finish (branch_edge ~cur ~from_h:!h frames_at.(p) k)
-         | XBrIf k ->
-           let s = !h - 1 in
-           let taken = branch_edge ~cur ~from_h:(!h - 1) frames_at.(p) k in
-           let next = jump_to ~cur (p + 1) in
-           finish (fun ctx ->
-             if Array.unsafe_get ctx.id s = 0 then next ctx else taken ctx)
-         | XBrTable tbl ->
-           let s = !h - 1 in
-           let from_h = !h - 1 in
-           let edges =
-             Array.map (fun k -> branch_edge ~cur ~from_h frames_at.(p) k) tbl
-           in
-           let last = Array.length tbl - 1 in
-           finish (fun ctx ->
-             let i = Array.unsafe_get ctx.id s land 0xFFFFFFFF in
-             (if i < last then Array.unsafe_get edges i
-              else Array.unsafe_get edges last)
-               ctx)
-         | XReturn -> finish (ret_edge ~from_h:!h)));
-        if probed && Option.is_none !term then events sc ~h:!h types_at.(!last + 1) post.(!last)
-      done;
-      flush sc ~h:!h;
-      let term_closure =
-        match !term with
-        | Some t -> t
-        | None ->
-          (* fall through to the next block (a label target), keeping
-             the charge mark — tier 0 does not recharge here either *)
-          if eb = n then end_edge ~from_h:!h else jump_to ~cur eb
-      in
-      let body_cl = seq (List.rev sc.ops) term_closure in
-      (* the charge prologue replicates tier 0's batched fuel/step
-         accounting bit for bit: same condition, same amounts, same
-         profiler run credit *)
-      let len = run_len.(sb) in
+      let cp = copy_slot ty ~src ~dst in
       fun ctx ->
-        if sb >= ctx.charged then begin
-          if inst.fuel <= 0 then raise (Exhaustion "out of fuel");
-          (match inst.inst_gov with None -> () | Some g -> Governor.check_batch g);
-          inst.steps <- inst.steps + len;
-          inst.fuel <- inst.fuel - len;
-          ctx.charged <- sb + len;
-          (match inst.inst_prof with
-           | None -> ()
-           | Some pr -> Obs.Profile.bump_run pr ~fid ~body_len:n ~pc:sb ~len);
-          match inst.inst_triggers with
-          | [] -> ()
-          | _ -> fire_triggers inst
-        end;
-        body_cl ctx
+        cp ctx;
+        ctx.charged <- 0;
+        jmp ctx
     end
+
+(* relative label [k] of the branch at [p]: label if in range, else the
+   function return (tier 0's [branch] does the same) *)
+let branch_edge env ~cur ~from_h p k : ectx -> unit =
+  match List.nth_opt env.b.frames_at.(p) k with
+  | Some f -> label_edge env ~cur ~from_h f.f_label
+  | None -> ret_edge env ~from_h
+
+(* the implicit fall-off-the-end exit, the one place the function-exit
+   probe fires *)
+let end_edge env ~from_h : ectx -> unit =
+  let b = env.b in
+  events_then env ~h:from_h b.types_at.(Array.length b.xbody) b.pr.exit (ret_edge env ~from_h)
+
+let with_mem env (k : Memory.t -> ectx -> unit) : ectx -> unit =
+  match env.inst.inst_memory with
+  | Some m -> k m
+  | None -> fun _ -> raise (Value.Trap "no memory")
+
+(** The straight-line superinstruction [f] at operand height [h] (that
+    of its first instruction); returns the height after it. *)
+let fused_op env sc ~h (f : fused) : int =
+  match f with
+  | I32BinLL (op, a, b) ->
+    want_local env I32T a;
+    want_local env I32T b;
+    let s = h in
+    (match op with
+     | Ast.Add ->
+       emit sc (fun ctx ->
+         let il = ctx.il in
+         Array.unsafe_set ctx.id s (Eval_numeric.norm32
+              (Array.unsafe_get il a + Array.unsafe_get il b)))
+     | _ ->
+       let f = Eval_numeric.ibinop_i32_int op in
+       emit sc (fun ctx ->
+         let il = ctx.il in
+         Array.unsafe_set ctx.id s (f (Array.unsafe_get il a) (Array.unsafe_get il b))));
+    h + 1
+  | I32BinLC (op, a, c) ->
+    want_local env I32T a;
+    let ci = Int32.to_int c in
+    let s = h in
+    (match op with
+     | Ast.Add ->
+       emit sc (fun ctx ->
+         Array.unsafe_set ctx.id s (Eval_numeric.norm32 (Array.unsafe_get ctx.il a + ci)))
+     | _ ->
+       let f = Eval_numeric.ibinop_i32_int op in
+       emit sc (fun ctx ->
+         Array.unsafe_set ctx.id s (f (Array.unsafe_get ctx.il a) ci)));
+    h + 1
+  | I32BinSL (op, b) ->
+    want_local env I32T b;
+    let s = h - 1 in
+    (match op with
+     | Ast.Add ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s (Eval_numeric.norm32
+              (Array.unsafe_get id s + Array.unsafe_get ctx.il b)))
+     | _ ->
+       let f = Eval_numeric.ibinop_i32_int op in
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s (f (Array.unsafe_get id s) (Array.unsafe_get ctx.il b))));
+    h
+  | I32BinSC (op, c) ->
+    let ci = Int32.to_int c in
+    let s = h - 1 in
+    (match op with
+     | Ast.Add ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s (Eval_numeric.norm32 (Array.unsafe_get id s + ci)))
+     | _ ->
+       let f = Eval_numeric.ibinop_i32_int op in
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s (f (Array.unsafe_get id s) ci)));
+    h
+  | F64BinLL (op, a, b) ->
+    want_local env F64T a;
+    want_local env F64T b;
+    let s = h in
+    (match op with
+     | Ast.FAdd ->
+       emit sc (fun ctx ->
+         let fl = ctx.fl in
+         Array.unsafe_set ctx.fd s (Array.unsafe_get fl a +. Array.unsafe_get fl b))
+     | Ast.FSub ->
+       emit sc (fun ctx ->
+         let fl = ctx.fl in
+         Array.unsafe_set ctx.fd s (Array.unsafe_get fl a -. Array.unsafe_get fl b))
+     | Ast.FMul ->
+       emit sc (fun ctx ->
+         let fl = ctx.fl in
+         Array.unsafe_set ctx.fd s (Array.unsafe_get fl a *. Array.unsafe_get fl b))
+     | Ast.FDiv ->
+       emit sc (fun ctx ->
+         let fl = ctx.fl in
+         Array.unsafe_set ctx.fd s (Array.unsafe_get fl a /. Array.unsafe_get fl b))
+     | Ast.Min | Ast.Max | Ast.CopySign ->
+       let f = Eval_numeric.fbinop_fn op in
+       emit sc (fun ctx ->
+         let fl = ctx.fl in
+         Array.unsafe_set ctx.fd s (f (Array.unsafe_get fl a) (Array.unsafe_get fl b))));
+    h + 1
+  | F64BinSL (op, b) ->
+    want_local env F64T b;
+    let s = h - 1 in
+    (match op with
+     | Ast.FAdd ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set fd s (Array.unsafe_get fd s +. Array.unsafe_get ctx.fl b))
+     | Ast.FSub ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set fd s (Array.unsafe_get fd s -. Array.unsafe_get ctx.fl b))
+     | Ast.FMul ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set fd s (Array.unsafe_get fd s *. Array.unsafe_get ctx.fl b))
+     | Ast.FDiv ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set fd s (Array.unsafe_get fd s /. Array.unsafe_get ctx.fl b))
+     | Ast.Min | Ast.Max | Ast.CopySign ->
+       let f = Eval_numeric.fbinop_fn op in
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set fd s (f (Array.unsafe_get fd s) (Array.unsafe_get ctx.fl b))));
+    h
+  | F64BinSC (op, c) ->
+    let s = h - 1 in
+    (match op with
+     | Ast.FAdd ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set fd s (Array.unsafe_get fd s +. c))
+     | Ast.FSub ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set fd s (Array.unsafe_get fd s -. c))
+     | Ast.FMul ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set fd s (Array.unsafe_get fd s *. c))
+     | Ast.FDiv ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set fd s (Array.unsafe_get fd s /. c))
+     | Ast.Min | Ast.Max | Ast.CopySign ->
+       let f = Eval_numeric.fbinop_fn op in
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set fd s (f (Array.unsafe_get fd s) c)));
+    h
+  | IncrL (x, c) ->
+    (* the sum also lands in its operand slot, which the elision
+       pass takes to hold [x] *)
+    want_local env I32T x;
+    let ci = Int32.to_int c in
+    let s = h in
+    emit sc (fun ctx ->
+      let v = Eval_numeric.norm32 (Array.unsafe_get ctx.il x + ci) in
+      Array.unsafe_set ctx.il x v;
+      Array.unsafe_set ctx.id s v);
+    h
+  | I32LoadScaled (c, off) ->
+    let ci = Int32.to_int c in
+    let s = h - 2 in
+    emit sc
+      (with_mem env (fun m ctx ->
+         let id = ctx.id in
+         let addr =
+           (Array.unsafe_get id s + (Array.unsafe_get id (s + 1) * ci))
+           land 0xFFFFFFFF
+         in
+         Array.unsafe_set id s (Memory.load_i32_u m addr off)));
+    h - 1
+  | F64LoadScaled (c, off) ->
+    let ci = Int32.to_int c in
+    let s = h - 2 in
+    emit sc
+      (with_mem env (fun m ctx ->
+         let id = ctx.id in
+         let addr =
+           (Array.unsafe_get id s + (Array.unsafe_get id (s + 1) * ci))
+           land 0xFFFFFFFF
+         in
+         Array.unsafe_set ctx.fd s (Memory.load_f64_u m addr off)));
+    h - 1
+  | I32LoadL (a, off) ->
+    want_local env I32T a;
+    let s = h in
+    emit sc
+      (with_mem env (fun m ctx ->
+         Array.unsafe_set ctx.id s (Memory.load_i32_u m
+              (Array.unsafe_get ctx.il a land 0xFFFFFFFF)
+              off)));
+    h + 1
+  | F64LoadL (a, off) ->
+    want_local env I32T a;
+    let s = h in
+    emit sc
+      (with_mem env (fun m ctx ->
+         Array.unsafe_set ctx.fd s (Memory.load_f64_u m
+              (Array.unsafe_get ctx.il a land 0xFFFFFFFF)
+              off)));
+    h + 1
+  | BrIfRelLL _ | BrIfRelLC _ | BrIfRel _ | BrIfEqz _ -> invalid_arg "Tier1.fused_op"
+
+(** The compare-and-branch superinstruction [f] ending at [q], at
+    operand height [h]: the block's terminator. *)
+let fused_branch env ~cur ~h (f : fused) q : ectx -> unit =
+  let next = jump_to env ~cur (q + 1) in
+  match f with
+  | BrIfRelLL (r, a, b, k) ->
+    want_local env I32T a;
+    want_local env I32T b;
+    let taken = branch_edge env ~cur ~from_h:h q k in
+    (* the loop-controlling comparison: every relop inlined so
+       the back-edge test costs no closure call *)
+    (match r with
+     | Ast.Eq -> fun ctx ->
+       if Array.unsafe_get ctx.il a = Array.unsafe_get ctx.il b then taken ctx else next ctx
+     | Ast.Ne -> fun ctx ->
+       if Array.unsafe_get ctx.il a <> Array.unsafe_get ctx.il b then taken ctx else next ctx
+     | Ast.LtS -> fun ctx ->
+       if Array.unsafe_get ctx.il a < Array.unsafe_get ctx.il b then taken ctx else next ctx
+     | Ast.LtU -> fun ctx ->
+       if Array.unsafe_get ctx.il a land 0xFFFFFFFF < Array.unsafe_get ctx.il b land 0xFFFFFFFF
+       then taken ctx else next ctx
+     | Ast.GtS -> fun ctx ->
+       if Array.unsafe_get ctx.il a > Array.unsafe_get ctx.il b then taken ctx else next ctx
+     | Ast.GtU -> fun ctx ->
+       if Array.unsafe_get ctx.il a land 0xFFFFFFFF > Array.unsafe_get ctx.il b land 0xFFFFFFFF
+       then taken ctx else next ctx
+     | Ast.LeS -> fun ctx ->
+       if Array.unsafe_get ctx.il a <= Array.unsafe_get ctx.il b then taken ctx else next ctx
+     | Ast.LeU -> fun ctx ->
+       if Array.unsafe_get ctx.il a land 0xFFFFFFFF <= Array.unsafe_get ctx.il b land 0xFFFFFFFF
+       then taken ctx else next ctx
+     | Ast.GeS -> fun ctx ->
+       if Array.unsafe_get ctx.il a >= Array.unsafe_get ctx.il b then taken ctx else next ctx
+     | Ast.GeU -> fun ctx ->
+       if Array.unsafe_get ctx.il a land 0xFFFFFFFF >= Array.unsafe_get ctx.il b land 0xFFFFFFFF
+       then taken ctx
+       else next ctx)
+  | BrIfRelLC (r, a, c, k) ->
+    want_local env I32T a;
+    let ci = Int32.to_int c in
+    let cu = ci land 0xFFFFFFFF in
+    let taken = branch_edge env ~cur ~from_h:h q k in
+    (match r with
+     | Ast.Eq -> fun ctx -> if Array.unsafe_get ctx.il a = ci then taken ctx else next ctx
+     | Ast.Ne -> fun ctx -> if Array.unsafe_get ctx.il a <> ci then taken ctx else next ctx
+     | Ast.LtS -> fun ctx -> if Array.unsafe_get ctx.il a < ci then taken ctx else next ctx
+     | Ast.LtU ->
+       fun ctx -> if Array.unsafe_get ctx.il a land 0xFFFFFFFF < cu then taken ctx else next ctx
+     | Ast.GtS -> fun ctx -> if Array.unsafe_get ctx.il a > ci then taken ctx else next ctx
+     | Ast.GtU ->
+       fun ctx -> if Array.unsafe_get ctx.il a land 0xFFFFFFFF > cu then taken ctx else next ctx
+     | Ast.LeS -> fun ctx -> if Array.unsafe_get ctx.il a <= ci then taken ctx else next ctx
+     | Ast.LeU ->
+       fun ctx -> if Array.unsafe_get ctx.il a land 0xFFFFFFFF <= cu then taken ctx else next ctx
+     | Ast.GeS -> fun ctx -> if Array.unsafe_get ctx.il a >= ci then taken ctx else next ctx
+     | Ast.GeU ->
+       fun ctx -> if Array.unsafe_get ctx.il a land 0xFFFFFFFF >= cu then taken ctx else next ctx)
+  | BrIfRel (r, k) ->
+    let f = Eval_numeric.irelop_i32_int r in
+    let s = h - 2 in
+    let taken = branch_edge env ~cur ~from_h:(h - 2) q k in
+    fun ctx ->
+      let id = ctx.id in
+      if f (Array.unsafe_get id s) (Array.unsafe_get id (s + 1)) then taken ctx else next ctx
+  | BrIfEqz k ->
+    let s = h - 1 in
+    let taken = branch_edge env ~cur ~from_h:(h - 1) q k in
+    fun ctx -> if Array.unsafe_get ctx.id s = 0 then taken ctx else next ctx
+  | _ -> invalid_arg "Tier1.fused_branch"
+
+(** Locals, globals, constants, [drop] and [select] at operand height
+    [h] ([p]: the instruction's pc); returns the height after it. *)
+let emit_variable env sc ~h p (xi : xinstr) : int =
+  match xi with
+  | XDrop -> h - 1
+  | XSelect ->
+    let s = h - 3 in
+    let ty =
+      match env.b.types_at.(p) with
+      | _cond :: ty :: _ -> ty
+      | _ -> raise Unsupported
+    in
+    (match ty with
+     | I32T ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         if Array.unsafe_get id (s + 2) = 0 then
+           Array.unsafe_set id s (Array.unsafe_get id (s + 1)))
+     | F64T ->
+       emit sc (fun ctx ->
+         if Array.unsafe_get ctx.id (s + 2) = 0 then
+           Array.unsafe_set ctx.fd s (Array.unsafe_get ctx.fd (s + 1)))
+     | I64T | F32T ->
+       emit sc (fun ctx ->
+         if Array.unsafe_get ctx.id (s + 2) = 0 then begin
+           let d = ctx.st.data in
+           let b = ctx.base + s in
+           Array.unsafe_set d b (Array.unsafe_get d (b + 1))
+         end));
+    h - 2
+  | XLocalGet x ->
+    let s = h in
+    (match local_ty env x with
+     | I32T -> emit sc (fun ctx -> Array.unsafe_set ctx.id s (Array.unsafe_get ctx.il x))
+     | F64T -> emit sc (fun ctx -> Array.unsafe_set ctx.fd s (Array.unsafe_get ctx.fl x))
+     | I64T | F32T ->
+       emit sc (fun ctx ->
+         Array.unsafe_set ctx.st.data (ctx.base + s) (Array.unsafe_get ctx.locals x)));
+    h + 1
+  | XLocalSet x | XLocalTee x ->
+    let s = h - 1 in
+    (match local_ty env x with
+     | I32T -> emit sc (fun ctx -> Array.unsafe_set ctx.il x (Array.unsafe_get ctx.id s))
+     | F64T -> emit sc (fun ctx -> Array.unsafe_set ctx.fl x (Array.unsafe_get ctx.fd s))
+     | I64T | F32T ->
+       emit sc (fun ctx ->
+         Array.unsafe_set ctx.locals x (Array.unsafe_get ctx.st.data (ctx.base + s))));
+    (match xi with XLocalSet _ -> s | _ -> h)
+  | XGlobalGet x ->
+    let g = env.inst.inst_globals.(x) in
+    let s = h in
+    (match g.g_type.content with
+     | I32T ->
+       emit sc (fun ctx ->
+         Array.unsafe_set ctx.id s (Int32.to_int (Value.as_i32 g.g_value)))
+     | F64T -> emit sc (fun ctx -> Array.unsafe_set ctx.fd s (Value.as_f64 g.g_value))
+     | I64T | F32T -> emit sc (fun ctx -> Array.unsafe_set ctx.st.data (ctx.base + s) g.g_value));
+    h + 1
+  | XGlobalSet x ->
+    let g = env.inst.inst_globals.(x) in
+    let s = h - 1 in
+    (match g.g_type.content with
+     | I32T ->
+       emit sc (fun ctx -> g.g_value <- Value.I32 (Int32.of_int (Array.unsafe_get ctx.id s)))
+     | F64T -> emit sc (fun ctx -> g.g_value <- Value.F64 (Array.unsafe_get ctx.fd s))
+     | I64T | F32T ->
+       emit sc (fun ctx -> g.g_value <- Array.unsafe_get ctx.st.data (ctx.base + s)));
+    h - 1
+  | XConst v ->
+    let s = h in
+    (match v with
+     | Value.I32 c ->
+       let ci = Int32.to_int c in
+       emit sc (fun ctx -> Array.unsafe_set ctx.id s ci)
+     | Value.F64 f -> emit sc (fun ctx -> Array.unsafe_set ctx.fd s f)
+     | Value.I64 _ | Value.F32 _ ->
+       emit sc (fun ctx -> Array.unsafe_set ctx.st.data (ctx.base + s) v));
+    h + 1
+  | _ -> invalid_arg "Tier1.emit_variable"
+
+(** Loads, stores, [memory.size] and [memory.grow] at operand height
+    [h]; returns the height after the instruction. *)
+let emit_memory env sc ~h (xi : xinstr) : int =
+  match xi with
+  | XI32Load off ->
+    let s = h - 1 in
+    emit sc
+      (with_mem env (fun m ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s (Memory.load_i32_u m (Array.unsafe_get id s land 0xFFFFFFFF) off)));
+    h
+  | XI64Load off ->
+    let s = h - 1 in
+    emit sc
+      (with_mem env (fun m ctx ->
+         let addr = Int32.of_int (Array.unsafe_get ctx.id s) in
+         Array.unsafe_set ctx.st.data (ctx.base + s) (Value.I64 (Memory.load_i64 m addr off))));
+    h
+  | XF32Load off ->
+    let s = h - 1 in
+    emit sc
+      (with_mem env (fun m ctx ->
+         let addr = Int32.of_int (Array.unsafe_get ctx.id s) in
+         Array.unsafe_set ctx.st.data (ctx.base + s)
+           (Value.F32 (Memory.load_f32_bits m addr off))));
+    h
+  | XF64Load off ->
+    let s = h - 1 in
+    emit sc
+      (with_mem env (fun m ctx ->
+         Array.unsafe_set ctx.fd s
+           (Memory.load_f64_u m (Array.unsafe_get ctx.id s land 0xFFFFFFFF) off)));
+    h
+  | XI32Store off ->
+    let s = h - 2 in
+    emit sc
+      (with_mem env (fun m ctx ->
+         let id = ctx.id in
+         Memory.store_i32_u m
+           (Array.unsafe_get id s land 0xFFFFFFFF)
+           off
+           (Array.unsafe_get id (s + 1))));
+    h - 2
+  | XI64Store off ->
+    let s = h - 2 in
+    emit sc
+      (with_mem env (fun m ctx ->
+         let addr = Int32.of_int (Array.unsafe_get ctx.id s) in
+         Memory.store_i64 m addr off
+           (Value.as_i64 (Array.unsafe_get ctx.st.data (ctx.base + s + 1)))));
+    h - 2
+  | XF32Store off ->
+    let s = h - 2 in
+    emit sc
+      (with_mem env (fun m ctx ->
+         let addr = Int32.of_int (Array.unsafe_get ctx.id s) in
+         Memory.store_f32_bits m addr off
+           (Value.as_f32_bits (Array.unsafe_get ctx.st.data (ctx.base + s + 1)))));
+    h - 2
+  | XF64Store off ->
+    let s = h - 2 in
+    emit sc
+      (with_mem env (fun m ctx ->
+         Memory.store_f64_u m
+           (Array.unsafe_get ctx.id s land 0xFFFFFFFF)
+           off
+           (Array.unsafe_get ctx.fd (s + 1))));
+    h - 2
+  | XLoadGen op ->
+    let s = h - 1 in
+    (match op.Ast.lty with
+     | I32T ->
+       emit sc
+         (with_mem env (fun m ctx ->
+            let id = ctx.id in
+            let addr = Int32.of_int (Array.unsafe_get id s) in
+            Array.unsafe_set id s (Int32.to_int (Value.as_i32 (Memory.load m op addr)))))
+     | F64T ->
+       emit sc
+         (with_mem env (fun m ctx ->
+            let addr = Int32.of_int (Array.unsafe_get ctx.id s) in
+            Array.unsafe_set ctx.fd s (Value.as_f64 (Memory.load m op addr))))
+     | I64T | F32T ->
+       emit sc
+         (with_mem env (fun m ctx ->
+            let addr = Int32.of_int (Array.unsafe_get ctx.id s) in
+            Array.unsafe_set ctx.st.data (ctx.base + s) (Memory.load m op addr))));
+    h
+  | XStoreGen op ->
+    let s = h - 2 in
+    (match op.Ast.sty with
+     | I32T ->
+       emit sc
+         (with_mem env (fun m ctx ->
+            let id = ctx.id in
+            Memory.store m op
+              (Int32.of_int (Array.unsafe_get id s))
+              (Value.I32 (Int32.of_int (Array.unsafe_get id (s + 1))))))
+     | F64T ->
+       emit sc
+         (with_mem env (fun m ctx ->
+            Memory.store m op
+              (Int32.of_int (Array.unsafe_get ctx.id s))
+              (Value.F64 (Array.unsafe_get ctx.fd (s + 1)))))
+     | I64T | F32T ->
+       emit sc
+         (with_mem env (fun m ctx ->
+            Memory.store m op
+              (Int32.of_int (Array.unsafe_get ctx.id s))
+              (Array.unsafe_get ctx.st.data (ctx.base + s + 1)))));
+    h - 2
+  | XMemorySize ->
+    let s = h in
+    emit sc (with_mem env (fun m ctx -> Array.unsafe_set ctx.id s (Memory.size_pages m)));
+    h + 1
+  | XMemoryGrow ->
+    let s = h - 1 in
+    let inst = env.inst in
+    emit sc
+      (with_mem env (fun m ctx ->
+         let id = ctx.id in
+         let old =
+           match inst.inst_gov with
+           | None -> Memory.grow m (Array.unsafe_get id s)
+           | Some g -> Governor.governed_grow g m (Array.unsafe_get id s)
+         in
+         Array.unsafe_set id s old));
+    h
+  | _ -> invalid_arg "Tier1.emit_memory"
+
+(** Numeric operators at operand height [h]; returns the height after
+    the instruction. *)
+let emit_numeric sc ~h (xi : xinstr) : int =
+  match xi with
+  | XI32Eqz ->
+    let s = h - 1 in
+    emit sc (fun ctx ->
+      let id = ctx.id in
+      Array.unsafe_set id s (if Array.unsafe_get id s = 0 then 1 else 0));
+    h
+  | XI32Bin op ->
+    let s = h - 2 in
+    (match op with
+     | Ast.Add ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s
+           (Eval_numeric.norm32 (Array.unsafe_get id s + Array.unsafe_get id (s + 1))))
+     | Ast.Sub ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s
+           (Eval_numeric.norm32 (Array.unsafe_get id s - Array.unsafe_get id (s + 1))))
+     | Ast.Mul ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s
+           (Eval_numeric.norm32 (Array.unsafe_get id s * Array.unsafe_get id (s + 1))))
+     | Ast.And ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s (Array.unsafe_get id s land Array.unsafe_get id (s + 1)))
+     | Ast.Or ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s (Array.unsafe_get id s lor Array.unsafe_get id (s + 1)))
+     | Ast.Xor ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s (Array.unsafe_get id s lxor Array.unsafe_get id (s + 1)))
+     | Ast.Shl ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s (Eval_numeric.norm32
+              (Array.unsafe_get id s lsl (Array.unsafe_get id (s + 1) land 31))))
+     | Ast.ShrS ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s (Array.unsafe_get id s asr (Array.unsafe_get id (s + 1) land 31)))
+     | Ast.ShrU ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s (Eval_numeric.norm32
+              ((Array.unsafe_get id s land 0xFFFFFFFF)
+               lsr (Array.unsafe_get id (s + 1) land 31))))
+     | Ast.DivS | Ast.DivU | Ast.RemS | Ast.RemU | Ast.Rotl | Ast.Rotr ->
+       let f = Eval_numeric.ibinop_i32_int op in
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s (f (Array.unsafe_get id s) (Array.unsafe_get id (s + 1)))));
+    h - 1
+  | XI32Rel r ->
+    let s = h - 2 in
+    (match r with
+     | Ast.Eq ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s
+           (if Array.unsafe_get id s = Array.unsafe_get id (s + 1) then 1 else 0))
+     | Ast.Ne ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s
+           (if Array.unsafe_get id s <> Array.unsafe_get id (s + 1) then 1 else 0))
+     | Ast.LtS ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s
+           (if Array.unsafe_get id s < Array.unsafe_get id (s + 1) then 1 else 0))
+     | Ast.LtU ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s (if
+              Array.unsafe_get id s land 0xFFFFFFFF
+              < Array.unsafe_get id (s + 1) land 0xFFFFFFFF
+            then 1
+            else 0))
+     | Ast.GtS ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s
+           (if Array.unsafe_get id s > Array.unsafe_get id (s + 1) then 1 else 0))
+     | Ast.GtU ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s (if
+              Array.unsafe_get id s land 0xFFFFFFFF
+              > Array.unsafe_get id (s + 1) land 0xFFFFFFFF
+            then 1
+            else 0))
+     | Ast.LeS ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s
+           (if Array.unsafe_get id s <= Array.unsafe_get id (s + 1) then 1 else 0))
+     | Ast.LeU ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s (if
+              Array.unsafe_get id s land 0xFFFFFFFF
+              <= Array.unsafe_get id (s + 1) land 0xFFFFFFFF
+            then 1
+            else 0))
+     | Ast.GeS ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s
+           (if Array.unsafe_get id s >= Array.unsafe_get id (s + 1) then 1 else 0))
+     | Ast.GeU ->
+       emit sc (fun ctx ->
+         let id = ctx.id in
+         Array.unsafe_set id s (if
+              Array.unsafe_get id s land 0xFFFFFFFF
+              >= Array.unsafe_get id (s + 1) land 0xFFFFFFFF
+            then 1
+            else 0)));
+    h - 1
+  | XI64Bin op ->
+    let f = Eval_numeric.ibinop_i64_fn op in
+    let s = h - 2 in
+    emit sc (fun ctx ->
+      let d = ctx.st.data in
+      let b = ctx.base + s in
+      Array.unsafe_set d b (Value.I64
+           (f (Value.as_i64 (Array.unsafe_get d b)) (Value.as_i64 (Array.unsafe_get d (b + 1))))));
+    h - 1
+  | XI64Rel r ->
+    let f = Eval_numeric.irelop_i64_fn r in
+    let s = h - 2 in
+    emit sc (fun ctx ->
+      let d = ctx.st.data in
+      let b = ctx.base + s in
+      Array.unsafe_set ctx.id s
+        (if f (Value.as_i64 (Array.unsafe_get d b)) (Value.as_i64 (Array.unsafe_get d (b + 1)))
+         then 1
+         else 0));
+    h - 1
+  | XF64Bin op ->
+    let s = h - 2 in
+    (match op with
+     | Ast.FAdd ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set fd s (Array.unsafe_get fd s +. Array.unsafe_get fd (s + 1)))
+     | Ast.FSub ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set fd s (Array.unsafe_get fd s -. Array.unsafe_get fd (s + 1)))
+     | Ast.FMul ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set fd s (Array.unsafe_get fd s *. Array.unsafe_get fd (s + 1)))
+     | Ast.FDiv ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set fd s (Array.unsafe_get fd s /. Array.unsafe_get fd (s + 1)))
+     | Ast.Min | Ast.Max | Ast.CopySign ->
+       let f = Eval_numeric.fbinop_fn op in
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set fd s (f (Array.unsafe_get fd s) (Array.unsafe_get fd (s + 1)))));
+    h - 1
+  | XF64Rel r ->
+    let s = h - 2 in
+    (match r with
+     | Ast.FEq ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set ctx.id s
+           (if Array.unsafe_get fd s = Array.unsafe_get fd (s + 1) then 1 else 0))
+     | Ast.FNe ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set ctx.id s
+           (if Array.unsafe_get fd s <> Array.unsafe_get fd (s + 1) then 1 else 0))
+     | Ast.FLt ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set ctx.id s
+           (if Array.unsafe_get fd s < Array.unsafe_get fd (s + 1) then 1 else 0))
+     | Ast.FGt ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set ctx.id s
+           (if Array.unsafe_get fd s > Array.unsafe_get fd (s + 1) then 1 else 0))
+     | Ast.FLe ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set ctx.id s
+           (if Array.unsafe_get fd s <= Array.unsafe_get fd (s + 1) then 1 else 0))
+     | Ast.FGe ->
+       emit sc (fun ctx ->
+         let fd = ctx.fd in
+         Array.unsafe_set ctx.id s
+           (if Array.unsafe_get fd s >= Array.unsafe_get fd (s + 1) then 1 else 0)));
+    h - 1
+  | XF64Un u ->
+    let s = h - 1 in
+    (match u with
+     | Ast.Abs ->
+       emit sc (fun ctx -> Array.unsafe_set ctx.fd s (abs_float (Array.unsafe_get ctx.fd s)))
+     | Ast.Neg -> emit sc (fun ctx -> Array.unsafe_set ctx.fd s (-.Array.unsafe_get ctx.fd s))
+     | Ast.Sqrt ->
+       emit sc (fun ctx -> Array.unsafe_set ctx.fd s (sqrt (Array.unsafe_get ctx.fd s)))
+     | Ast.Ceil | Ast.Floor | Ast.Trunc | Ast.Nearest ->
+       let f = Eval_numeric.funop_impl u in
+       emit sc (fun ctx -> Array.unsafe_set ctx.fd s (f (Array.unsafe_get ctx.fd s))));
+    h
+  | XF64ConvertI32S ->
+    let s = h - 1 in
+    emit sc (fun ctx -> Array.unsafe_set ctx.fd s (float_of_int (Array.unsafe_get ctx.id s)));
+    h
+  | XI32TruncF64S ->
+    let s = h - 1 in
+    emit sc (fun ctx ->
+      Array.unsafe_set ctx.id s (Int32.to_int (Value.Cvt.i32_trunc_s (Array.unsafe_get ctx.fd s))));
+    h
+  (* the generic forms: [Interp.decode_instr] leaves only the i64 test,
+     f32 comparisons and arithmetic, and the unary operators other than
+     f64's here; any other operator makes tier 1 decline the body *)
+  | XTestGen (Ast.IEqz S64) ->
+    let s = h - 1 in
+    emit sc (fun ctx ->
+      Array.unsafe_set ctx.id s
+        (if Int64.equal (Value.as_i64 (Array.unsafe_get ctx.st.data (ctx.base + s))) 0L then 1
+         else 0));
+    h
+  | XCompareGen (Ast.FRel (SF32, _) as op) ->
+    let s = h - 2 in
+    emit sc (fun ctx ->
+      let d = ctx.st.data in
+      let b = ctx.base + s in
+      Array.unsafe_set ctx.id s (Int32.to_int
+           (Value.as_i32
+              (Eval_numeric.eval_relop op (Array.unsafe_get d b) (Array.unsafe_get d (b + 1))))));
+    h - 1
+  | XUnaryGen op ->
+    let s = h - 1 in
+    (match op with
+     | Ast.IUn (S32, _) ->
+       emit sc (fun ctx ->
+         let v =
+           Eval_numeric.eval_unop op (Value.I32 (Int32.of_int (Array.unsafe_get ctx.id s)))
+         in
+         Array.unsafe_set ctx.id s (Int32.to_int (Value.as_i32 v)))
+     | Ast.IUn (S64, _) | Ast.FUn (SF32, _) ->
+       emit sc (fun ctx ->
+         let d = ctx.st.data in
+         let b = ctx.base + s in
+         Array.unsafe_set d b (Eval_numeric.eval_unop op (Array.unsafe_get d b)))
+     | Ast.FUn (SF64, _) -> raise Unsupported);
+    h
+  | XBinaryGen (Ast.FBin (SF32, _) as op) ->
+    let s = h - 2 in
+    emit sc (fun ctx ->
+      let d = ctx.st.data in
+      let b = ctx.base + s in
+      Array.unsafe_set d b
+        (Eval_numeric.eval_binop op (Array.unsafe_get d b) (Array.unsafe_get d (b + 1))));
+    h - 1
+  | XTestGen _ | XCompareGen _ | XBinaryGen _ -> raise Unsupported
+  | XConvertGen op ->
+    let s = h - 1 in
+    let src, dst = cvt_types op in
+    let rv = read_val src s and wv = write_val dst s in
+    emit sc (fun ctx -> wv ctx (Eval_numeric.eval_cvtop op (rv ctx)));
+    h
+  | _ -> invalid_arg "Tier1.emit_numeric"
+
+(** A call at operand height [h]; returns the height after it. Within
+    the instance, a compiled callee takes the typed entry; otherwise box
+    the unboxed arguments, materialise the stack size, re-enter the
+    engine, unpack the results: the callee may be tier 0, tier 1 or a
+    host function. *)
+let emit_call env sc ~h (xi : xinstr) : int =
+  let inst = env.inst in
+  match xi with
+  | XCall fidx ->
+    let callee = inst.inst_funcs.(fidx) in
+    let ft = func_type_of callee in
+    let np = List.length ft.params and nr = List.length ft.results in
+    let abase = h - np in
+    if abase < 0 then raise Unsupported;
+    (match callee with
+     | Wasm_func (j, ci) when ci == inst ->
+       env.tally.typed <- env.tally.typed + 1;
+       emit sc (local_call inst ~abase ~hh:h ft j)
+     | Wasm_func (j, ci) ->
+       emit sc (staged_call ~abase ft (fun ctx ->
+         ctx.st.size <- ctx.base + h;
+         call_wasm ci j ctx.st))
+     | Host_func hf ->
+       emit sc (staged_call ~abase ft (fun ctx ->
+         ctx.st.size <- ctx.base + h;
+         call_host inst hf ctx.st)));
+    h - np + nr
+  | XCallIndirect tidx ->
+    let expected = inst.inst_types.(tidx) in
+    let np = List.length expected.params and nr = List.length expected.results in
+    let abase = h - 1 - np in
+    if abase < 0 then raise Unsupported;
+    let si = h - 1 in
+    (match inst.inst_table with
+     | None -> emit sc (fun _ -> raise (Value.Trap "no table"))
+     | Some table ->
+       env.tally.typed <- env.tally.typed + 1;
+       let box = Option.value (stage box_slot ~abase expected.params) ~default:ignore
+       and unbox = Option.value (stage unbox_slot ~abase expected.results) ~default:ignore in
+       let boxed ctx callee =
+         box ctx;
+         ctx.st.size <- ctx.base + si;
+         match callee with
+         | Wasm_func (j, ci) -> call_wasm ci j ctx.st
+         | Host_func hf -> call_host inst hf ctx.st
+       in
+       emit sc (fun ctx ->
+         let i = Array.unsafe_get ctx.id si land 0xFFFFFFFF in
+         let elems = table.t_elems in
+         if i >= Array.length elems then raise (Value.Trap "undefined element");
+         match Array.unsafe_get elems i with
+         | None -> raise (Value.Trap "uninitialized element")
+         | Some callee ->
+           if not (equal_func_type (func_type_of callee) expected) then
+             raise (Value.Trap "indirect call type mismatch");
+           (match callee with
+            | Wasm_func (j, ci) when ci == inst && typed_ok inst ->
+              (match ci.inst_code.(j).c_tier with
+               | T_compiled cb -> call_typed inst cb ctx abase
+               | _ -> boxed ctx callee)
+            | _ -> boxed ctx callee);
+           unbox ctx));
+    h - 1 - np + nr
+  | _ -> invalid_arg "Tier1.emit_call"
+
+(** The terminator [xi] at [p], operand height [h]: every control
+    transfer ends its block. *)
+let emit_terminator env ~cur ~h p (xi : xinstr) : ectx -> unit =
+  match xi with
+  | XUnreachable -> fun _ -> raise (Value.Trap "unreachable executed")
+  | XIf (else_target, _) | XIfElse (else_target, _, _) ->
+    (* a valid [if] without [else] has no results: a false condition
+       skips to its end *)
+    let s = h - 1 in
+    let then_edge = jump_to env ~cur (p + 1)
+    and else_edge = jump_to env ~cur else_target in
+    fun ctx ->
+      if Array.unsafe_get ctx.id s = 0 then begin
+        ctx.charged <- 0;
+        else_edge ctx
+      end
+      else then_edge ctx
+  | XElse end_target ->
+    let edge = jump_to env ~cur end_target in
+    fun ctx ->
+      ctx.charged <- 0;
+      edge ctx
+  | XBr k -> branch_edge env ~cur ~from_h:h p k
+  | XBrIf k ->
+    let s = h - 1 in
+    let taken = branch_edge env ~cur ~from_h:(h - 1) p k in
+    let next = jump_to env ~cur (p + 1) in
+    fun ctx -> if Array.unsafe_get ctx.id s = 0 then next ctx else taken ctx
+  | XBrTable tbl ->
+    let s = h - 1 in
+    let edges = Array.map (fun k -> branch_edge env ~cur ~from_h:(h - 1) p k) tbl in
+    let last = Array.length tbl - 1 in
+    fun ctx ->
+      let i = Array.unsafe_get ctx.id s land 0xFFFFFFFF in
+      (if i < last then Array.unsafe_get edges i else Array.unsafe_get edges last) ctx
+  | XReturn -> ret_edge env ~from_h:h
+  | _ -> invalid_arg "Tier1.emit_terminator"
+
+(** The closure of block [cur]. *)
+let compile_block env cur : ectx -> unit =
+  let b = env.b and inst = env.inst in
+  let xbody = b.xbody and heights = b.heights and pr = b.pr in
+  let n = Array.length xbody in
+  let sb = env.bl.starts.(cur) in
+  if sb = n then if heights.(n) >= 0 then end_edge env ~from_h:heights.(n) else engine_bug
+  else if heights.(sb) < 0 then engine_bug
+  else begin
+    let eb = env.bl.starts.(cur + 1) in
+    let h = ref heights.(sb) in
+    let sc = { ops = []; pending = [] } in
+    let term = ref None in
+    let pc = ref sb in
+    while Option.is_none !term && !pc < eb do
+      let p = !pc in
+      if heights.(p) >= 0 && heights.(p) <> !h then raise Unsupported;
+      (* a bound run compiles whole; everything else instruction by
+         instruction or as a superinstruction *)
+      match bound_at env.bd p with
+      | Some (Site_count c, call_pc) ->
+        sc.pending <- Count_hook c :: sc.pending;
+        pc := call_pc + 1
+      | Some (Site_entry entry, call_pc) ->
+        (* the call's side effects as [call_host] has them: governor
+           count, then the stack size at the height below the
+           arguments, so the entry may re-enter the engine *)
+        flush env sc ~h:!h;
+        let hp = !h in
+        emit sc (fun ctx ->
+          (match inst.inst_gov with None -> () | Some g -> Governor.count_host_call g);
+          ctx.st.size <- ctx.base + hp;
+          entry ctx);
+        pc := call_pc + 1
+      | None ->
+        if pr.probed then events env sc ~h:!h b.types_at.(p) pr.pre.(p);
+        let last =
+          if Bytes.get env.role p <> r_plain then begin
+            (* compiled away: an elided load pushes, a dead store pops *)
+            (match xbody.(p) with XLocalGet _ -> incr h | XLocalSet _ -> decr h | _ -> ());
+            p
+          end
+          else
+            match env.forms with
+            | fm :: rest when fm.first = p ->
+              env.forms <- rest;
+              sc.pending <- fm.absorbed @ sc.pending;
+              (* only a form's last instruction may trap or leave the frame *)
+              if not (frame_local xbody.(fm.last)) then flush env sc ~h:!h;
+              (match fm.fused with
+               | BrIfRelLL _ | BrIfRelLC _ | BrIfRel _ | BrIfEqz _ ->
+                 term := Some (fused_branch env ~cur ~h:!h fm.fused fm.last)
+               | f -> h := fused_op env sc ~h:!h f);
+              fm.last
+            | _ ->
+              let xi = xbody.(p) in
+              if not (frame_local xi) then flush env sc ~h:!h;
+              (match xi with
+               (* no-ops at run time: all control bookkeeping is static *)
+               | XNop | XBlock _ | XLoop | XEnd -> ()
+               | XUnreachable | XIf _ | XIfElse _ | XElse _ | XBr _ | XBrIf _ | XBrTable _
+               | XReturn ->
+                 term := Some (emit_terminator env ~cur ~h:!h p xi)
+               | XDrop | XSelect | XLocalGet _ | XLocalSet _ | XLocalTee _ | XGlobalGet _
+               | XGlobalSet _ | XConst _ ->
+                 h := emit_variable env sc ~h:!h p xi
+               | XI32Load _ | XI64Load _ | XF32Load _ | XF64Load _ | XI32Store _ | XI64Store _
+               | XF32Store _ | XF64Store _ | XLoadGen _ | XStoreGen _ | XMemorySize
+               | XMemoryGrow ->
+                 h := emit_memory env sc ~h:!h xi
+               | XCall _ | XCallIndirect _ -> h := emit_call env sc ~h:!h xi
+               | _ -> h := emit_numeric sc ~h:!h xi);
+              p
+        in
+        pc := last + 1;
+        if pr.probed && Option.is_none !term then
+          events env sc ~h:!h b.types_at.(last + 1) pr.post.(last)
+    done;
+    flush env sc ~h:!h;
+    let term_closure =
+      match !term with
+      | Some t -> t
+      | None ->
+        (* fall through to the next block (a label target), keeping
+           the charge mark — tier 0 does not recharge here either *)
+        if eb = n then end_edge env ~from_h:!h else jump_to env ~cur eb
+    in
+    let body_cl = seq (List.rev sc.ops) term_closure in
+    (* the charge prologue replicates tier 0's batched fuel/step
+       accounting bit for bit: same condition, same amounts, same
+       profiler run credit *)
+    let len = b.code.c_run_len.(sb) and fid = b.fid in
+    fun ctx ->
+      if sb >= ctx.charged then begin
+        if inst.fuel <= 0 then raise (Exhaustion "out of fuel");
+        (match inst.inst_gov with None -> () | Some g -> Governor.check_batch g);
+        inst.steps <- inst.steps + len;
+        inst.fuel <- inst.fuel - len;
+        ctx.charged <- sb + len;
+        (match inst.inst_prof with
+         | None -> ()
+         | Some prof -> Obs.Profile.bump_run prof ~fid ~body_len:n ~pc:sb ~len);
+        match inst.inst_triggers with
+        | [] -> ()
+        | _ -> fire_triggers inst
+      end;
+      body_cl ctx
+  end
+
+(** Compile every block, in increasing order so that back-edge targets
+    are final when referenced; returns the function's entry (the
+    function-entry probe events, then block 0) and the tally. *)
+let emit_body inst b bl bd (r : roles) forms : (ectx -> unit) * tally =
+  let cells = Array.map (fun _ -> ref engine_bug) bl.starts in
+  let env =
+    { inst; b; bl; bd; role = r.role; forms; cells;
+      tally = { groups = 0; counted = 0; typed = 0 } }
   in
-  (* increasing order: back-edge targets are final when referenced *)
-  for b = 0 to !nblocks - 1 do
-    cells.(b) := compile_block b
-  done;
-  let entry = events_then ~h:0 [] enter !(cells.(0)) in
-  if !nbound + !ngeneric > 0 then begin
-    Obs.Metrics.inc ~by:(Float.of_int !nbound) (hook_sites_counter "bound");
-    Obs.Metrics.inc ~by:(Float.of_int !ngeneric) (hook_sites_counter "generic")
-  end;
-  if !ngroups > 0 then begin
-    Obs.Metrics.inc ~by:(Float.of_int !ngroups) (count_groups_counter ());
-    Obs.Metrics.inc ~by:(Float.of_int !ncounted) (counted_sites_counter ())
-  end;
-  if !nfused > 0 then Obs.Metrics.inc ~by:(Float.of_int !nfused) (fused_counter ());
-  if !nelided > 0 then Obs.Metrics.inc ~by:(Float.of_int !nelided) (elided_counter ());
-  if !ntyped > 0 then Obs.Metrics.inc ~by:(Float.of_int !ntyped) (typed_calls_counter ());
-  (* the frame constructor: scratch allocators sized to this body, the
-     parameters by type, and a boxed locals array only where a probe
-     event or an i64/f32 local reads it *)
+  Array.iteri (fun blk cell -> cell := compile_block env blk) cells;
+  (events_then env ~h:0 [] b.pr.enter !(cells.(0)), env.tally)
+
+(** {1 Pass [frames]: the frame constructor}
+
+    Scratch allocators sized to the body, the parameters by type, and a
+    boxed locals array only where a probe event or an i64/f32 local
+    reads it; both entries of the compiled body run [entry] on the
+    frame. *)
+let frames (inst : instance) (b : body) (entry : ectx -> unit) : compiled_body =
+  let code = b.code and ltypes = b.ltypes and max_h = b.max_h in
+  let nlocals = Array.length ltypes in
   let params_of ty =
     let js = ref [] in
     for j = code.c_nparams - 1 downto 0 do
@@ -2393,7 +2324,7 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
   and new_fl = float_scratch (if has F64T then nlocals else 0)
   and new_id = int_scratch max_h
   and new_fd = float_scratch max_h in
-  let boxed_locals = probed || has I64T || has F32T in
+  let boxed_locals = b.pr.probed || has I64T || has F32T in
   let defaults = code.c_local_defaults in
   let st = inst.inst_stack in
   (* the boxed locals, reading the i64/f32 parameters from the frame's
@@ -2448,6 +2379,28 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
 
 (** {1 Public API} *)
 
+let compile_exn (inst : instance) (fid : int) : compiled_body =
+  let b = analyze inst fid in
+  let bl = blocks b in
+  let bd = bind inst b bl in
+  let roles = dead_stores b bl (elide b bl bd) in
+  let forms = plan b bl bd roles in
+  let entry, tally = emit_body inst b bl bd roles forms in
+  let inc c k = Obs.Metrics.inc ~by:(Float.of_int k) c in
+  if bd.nbound + bd.ngeneric > 0 then begin
+    inc (hook_sites_counter "bound") bd.nbound;
+    inc (hook_sites_counter "generic") bd.ngeneric
+  end;
+  if tally.groups > 0 then begin
+    inc (count_groups_counter ()) tally.groups;
+    inc (counted_sites_counter ()) tally.counted
+  end;
+  (match forms with [] -> () | _ -> inc (fused_counter ()) (List.length forms));
+  if roles.nelided > 0 then inc (elided_counter ()) roles.nelided;
+  if tally.typed > 0 then inc (typed_calls_counter ()) tally.typed;
+  frames inst b entry
+
+
 let compile (inst : instance) (fid : int) : compiled_body option =
   try Some (compile_exn inst fid) with Unsupported -> None
 
@@ -2477,26 +2430,3 @@ let compile_all inst =
        | None -> if Option.is_none c.c_probe then c.c_tier <- T_unsupported)
     inst.inst_code;
   !ok
-
-(** Tier threshold requested via the [WASABI_TIER] environment
-    variable: unset / ["0"] / ["off"] / ["none"] disable tier-up,
-    ["on"] / ["default"] select {!default_threshold}, a positive
-    integer is used as the threshold directly. *)
-let env_threshold () =
-  match Sys.getenv_opt "WASABI_TIER" with
-  | None -> None
-  | Some s ->
-    (match String.lowercase_ascii (String.trim s) with
-     | "" | "0" | "off" | "none" -> None
-     | "on" | "default" -> Some default_threshold
-     | s ->
-       (match int_of_string_opt s with
-        | Some k when k > 0 -> Some k
-        | _ -> None))
-
-(** Apply the environment policy: enable tier-up iff [WASABI_TIER]
-    requests it. *)
-let enable_from_env inst =
-  match env_threshold () with
-  | Some threshold -> enable ~threshold inst
-  | None -> ()

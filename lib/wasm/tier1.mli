@@ -13,7 +13,7 @@
 
 val default_threshold : int
 (** Calls observed on tier 0 before a function is compiled when no
-    explicit threshold is given (and for [WASABI_TIER=on]). *)
+    explicit threshold is given. *)
 
 val compile : Interp.instance -> int -> Interp.compiled_body option
 (** [compile inst fid] closure-compiles function [fid] of [inst],
@@ -80,12 +80,80 @@ val compile_all : Interp.instance -> int
     unsupported unprobed ones so they stay on tier 0; returns the number
     compiled. Installs a threshold-1 policy if none is present. *)
 
-val env_threshold : unit -> int option
-(** The tier-up threshold requested by the [WASABI_TIER] environment
-    variable: [None] when unset / ["0"] / ["off"] / ["none"] (or
-    unparseable), {!default_threshold} for ["on"] / ["default"], the
-    integer itself for a positive number. *)
+(** {1 Passes (for tests)}
 
-val enable_from_env : Interp.instance -> unit
-(** {!enable} with {!env_threshold}'s value, a no-op when the
-    environment does not request tiering. *)
+    [compile] runs these passes in order; each returns a typed result
+    that only later passes read. They are exposed so that each pass can
+    be tested alone on a hand-built body; nothing else should call them.
+    A pass raises {!Unsupported} on a body the compiler declines. *)
+
+exception Unsupported
+
+type body
+(** What [analyze] finds of a body: operand heights, type stacks, label
+    environments, local types and probe events. *)
+
+val analyze : Interp.instance -> int -> body
+(** [analyze inst fid] of a defined function of [inst]. *)
+
+type blocks = {
+  block_of : int array;  (** the block a pc starts, the body's end included; [-1] inside one *)
+  starts : int array;  (** each block's first pc *)
+}
+
+val blocks : body -> blocks
+
+type binding = {
+  runs : (Interp.ectx Interp.site_entry * int) option array;
+      (** at a bound run's first push, its entry and the call's pc; [[||]]
+          when nothing binds *)
+  nbound : int;
+  ngeneric : int;  (** calls to a binding callee that keep the array ABI *)
+}
+
+val bind : Interp.instance -> body -> blocks -> binding
+
+type roles = {
+  role : Bytes.t;  (** per pc, one of the [r_*] roles below *)
+  counted_runs : int;
+  nelided : int;  (** instructions compiled away: elided loads and dead stores *)
+}
+
+val r_plain : char
+val r_elided : char
+val r_dead : char
+val r_counted : char
+val r_entry : char
+(** The roles: compiled as written; a load of the value its operand slot
+    holds; a store no surviving read needs; in a bound run whose entry
+    counts; in a bound run with a site entry. *)
+
+val elide : body -> blocks -> binding -> roles
+
+val dead_stores : body -> blocks -> roles -> roles
+(** A copy of the roles with the dead stores marked; the roles
+    themselves in a probed body or one without counted runs. *)
+
+type fused
+(** A superinstruction. *)
+
+val fused_len : fused -> int
+(** The instructions it covers. *)
+
+type counted
+(** A counted site joining a count group. *)
+
+type form = {
+  fused : fused;
+  first : int;
+  last : int;
+  skipped : int;  (** instructions compiled away between [first] and [last] *)
+  absorbed : counted list;  (** counted sites met before [last], newest first *)
+}
+
+val plan : body -> blocks -> binding -> roles -> form list
+(** The superinstructions emission will compile, in pc order. *)
+
+val frames : Interp.instance -> body -> (Interp.ectx -> unit) -> Interp.compiled_body
+(** The two entries of a compiled body, each building the frame and
+    running the given block code on it. *)

@@ -716,6 +716,216 @@ let test_tier1_typed_sites_pdfkit () =
   Alcotest.(check bool) "pdfkit makes calls" true (!sites >= 10);
   Alcotest.(check int) "typed call sites" !sites (typed_calls () - before)
 
+(* --- tier-1 compile census ----------------------------------------------- *)
+
+(** What tier 1 decides for every corpus program, as the deltas of its
+    compile counters: bodies compiled, superinstructions, instructions
+    compiled away, typed call sites, counted sites and their count
+    groups, and bound and generic hook sites. Three configurations: the
+    module uninstrumented, the AOT-instrumented module under the
+    instruction mix (all hooks), and the original module under probes on
+    every group with the instruction mix. The golden file pins every
+    codegen decision of the compiler's passes; on a mismatch the actual
+    census is written to a temporary file named in the failure. *)
+let tier1_census () =
+  let module W = Wasabi in
+  let buf = Buffer.create 4096 in
+  let mix () = Analyses.Instruction_mix.(analysis (create ())) in
+  let census name config (inst : Interp.instance) compile =
+    let p0 = Tier1.peephole () and s0, g0 = Tier1.count_groups ()
+    and b0, n0 = Tier1.hook_sites () in
+    let compiled = compile inst in
+    let p1 = Tier1.peephole () and s1, g1 = Tier1.count_groups ()
+    and b1, n1 = Tier1.hook_sites () in
+    Printf.bprintf buf
+      "%-14s %-6s compiled=%d fused=%d elided=%d typed_calls=%d counted=%d groups=%d \
+       bound=%d generic=%d\n"
+      name config compiled (p1.fused - p0.fused) (p1.elided - p0.elided)
+      (p1.typed_calls - p0.typed_calls) (s1 - s0) (g1 - g0) (b1 - b0) (n1 - n0)
+  in
+  List.iter
+    (fun (e : Workloads.Corpus.entry) ->
+       let m = e.module_ in
+       census e.name "plain" (Interp.instantiate ~imports:[] m) Tier1.compile_all;
+       let res = W.Instrument.instrument m in
+       census e.name "aot" (fst (W.Runtime.instantiate res (mix ()))) Tier1.compile_all;
+       (* a probed body compiles with its sites through its own hook *)
+       census e.name "probes" (Interp.instantiate ~imports:[] m) (fun inst ->
+         let c = W.Runtime.Probe.create inst (mix ()) in
+         ignore (Result.get_ok (W.Runtime.Probe.attach_spec c "all"));
+         let compiled = ref 0 in
+         Array.iteri
+           (fun j (code : Interp.code) ->
+              match code.c_probe with
+              | Some ph -> if Option.is_some (ph.ph_compile inst j) then incr compiled
+              | None -> ())
+           inst.inst_code;
+         !compiled))
+    (Workloads.Corpus.make ~n:4 ());
+  Buffer.contents buf
+
+let test_tier1_census () =
+  let golden = Filename.concat "golden" "tier1_census.txt" in
+  let expected = In_channel.with_open_bin golden In_channel.input_all in
+  let actual = tier1_census () in
+  if not (String.equal expected actual) then begin
+    let dump = Filename.temp_file "tier1-census" ".txt" in
+    Out_channel.with_open_bin dump (fun oc -> output_string oc actual);
+    Alcotest.failf "tier-1 census differs from %s (actual dumped to %s)" golden dump
+  end
+
+(* --- tier-1 passes, one hand-built body each ------------------------------ *)
+
+(** An imported [h (i32)] whose site binder counts: tier 1 binds every
+    call with constant or [local.get] arguments to [Site_count]. Both
+    entries add to the returned counter. *)
+let counting_hook () =
+  let hits = ref 0 in
+  let bind = { Interp.bind = (fun _ -> Some (Interp.Site_count (fun () -> incr hits))) } in
+  ( hits,
+    Interp.host_func_raw ~bind ~name:"h" ~params:[ Types.I32T ] ~results:[] (fun _ _ ->
+      incr hits;
+      []) )
+
+(** Function 1 of a module importing [h] as function 0 and, when
+    [helper], defining an empty function 2 ([g]); instantiated with the
+    hook, its body analysed. *)
+let pass_subject ?(helper = false) ~params ~results ~locals body =
+  let hits, hook = counting_hook () in
+  let b = B.create () in
+  ignore (B.import_func b ~module_name:"env" ~name:"h" ~params:[ Types.I32T ] ~results:[]);
+  let f = B.add_func b ~params ~results ~locals ~body in
+  if helper then ignore (B.add_func b ~params:[] ~results:[] ~locals:[] ~body:[]);
+  B.export_func b ~name:"f" f;
+  let m = B.build b in
+  Validate.validate_module m;
+  (* fuel, so that a miscompiled loop exhausts instead of spinning *)
+  let inst = Interp.instantiate ~fuel:1_000_000 ~imports:[ ("env", "h", hook) ] m in
+  (inst, hits, Tier1.analyze inst 0)
+
+(** [f] of [inst] on tier 1 after [compile_all]. *)
+let run_tier1 inst args =
+  ignore (Tier1.compile_all inst : int);
+  Interp.invoke_export inst "f" args
+
+let test_pass_blocks_bind () =
+  let body =
+    B.loop
+      [ B.i32 7; Call 0; B.local_get 1; B.i32 1; B.i32_add; B.local_tee 1; B.local_get 0;
+        B.i32_lt_s; BrIf 0 ]
+    @ [ B.i32 3; Call 0; B.local_get 0; B.i32_eqz; Call 0 ]
+  in
+  let inst, hits, b = pass_subject ~params:[ Types.I32T ] ~results:[] ~locals:[ Types.I32T ] body in
+  let bl = Tier1.blocks b in
+  (* the loop head, the pc after its br_if, the pc after its end, the
+     body's end *)
+  Alcotest.(check (array int)) "block starts" [| 0; 1; 10; 11; 16 |] bl.starts;
+  Alcotest.(check (list int)) "block of each start" [ 0; 1; 2; 3; 4 ]
+    (List.map (fun pc -> bl.block_of.(pc)) [ 0; 1; 10; 11; 16 ]);
+  let bd = Tier1.bind inst b bl in
+  let run p =
+    match bd.runs.(p) with
+    | Some (Interp.Site_count _, call_pc) -> call_pc
+    | Some (Interp.Site_entry _, _) -> -2
+    | None -> -1
+  in
+  Alcotest.(check (list int)) "bound runs: const and call, in the loop and after it"
+    [ -1; 2; -1; -1; -1; -1; -1; -1; -1; -1; -1; 12; -1; -1; -1; -1 ]
+    (List.init 16 run);
+  Alcotest.(check (pair int int)) "bound, generic" (2, 1) (bd.nbound, bd.ngeneric);
+  check_values "tier 1 result" [] (run_tier1 inst [ i32 5 ]);
+  Alcotest.(check int) "hook calls: 5 in the loop, 2 after it" 7 !hits
+
+let test_pass_elide () =
+  (* a store's value is still in its slot at the next load, until a call *)
+  let body =
+    [ B.i32 5; B.local_set 0; B.local_get 0; B.local_set 0; Call 2; B.local_get 0 ]
+  in
+  let inst, _, b =
+    pass_subject ~helper:true ~params:[] ~results:[ Types.I32T ] ~locals:[ Types.I32T ] body
+  in
+  let bl = Tier1.blocks b in
+  let r = Tier1.elide b bl (Tier1.bind inst b bl) in
+  Alcotest.(check bool) "load after the store elided" true (Bytes.get r.role 2 = Tier1.r_elided);
+  Alcotest.(check bool) "load after the call kept" true (Bytes.get r.role 5 = Tier1.r_plain);
+  Alcotest.(check int) "elided" 1 r.nelided;
+  check_values "tier 1 result" [ i32 5 ] (run_tier1 inst [])
+
+let test_pass_dead_stores () =
+  (* t = 7 is read after the block when the br_if is taken; t = 9 only
+     by a counted run, then overwritten *)
+  let body =
+    B.block
+      [ B.i32 7; B.local_set 1; B.local_get 1; Call 0; B.local_get 0; BrIf 0; B.i32 9;
+        B.local_set 1; B.local_get 1; Call 0; B.i32 11; B.local_set 1 ]
+    @ [ B.local_get 1 ]
+  in
+  let inst, hits, b =
+    pass_subject ~params:[ Types.I32T ] ~results:[ Types.I32T ] ~locals:[ Types.I32T ] body
+  in
+  let bl = Tier1.blocks b in
+  let r = Tier1.elide b bl (Tier1.bind inst b bl) in
+  Alcotest.(check int) "counted runs" 2 r.counted_runs;
+  let d = Tier1.dead_stores b bl r in
+  let role pc = Bytes.get d.role pc in
+  Alcotest.(check bool) "store read across the taken br_if kept" true (role 2 = Tier1.r_plain);
+  Alcotest.(check bool) "store read only by a counted run dead" true (role 8 = Tier1.r_dead);
+  Alcotest.(check bool) "store read after the block kept" true (role 12 = Tier1.r_plain);
+  Alcotest.(check int) "compiled away" (r.nelided + 1) d.nelided;
+  Alcotest.(check bool) "the elision's roles are not changed" true
+    (Bytes.get r.role 8 = Tier1.r_plain);
+  check_values "branch taken" [ i32 7 ] (run_tier1 inst [ i32 1 ]);
+  check_values "fall through" [ i32 11 ] (Interp.invoke_export inst "f" [ i32 0 ]);
+  Alcotest.(check int) "hook calls" 3 !hits
+
+let test_pass_plan () =
+  (* x = x + 1 with a counted hook call between the constant and the add;
+     the constant pushed and dropped after it keeps the final load, and so
+     the store *)
+  let body =
+    [ B.local_get 0; B.i32 1; B.i32 3; Call 0; B.i32_add; B.local_set 0; B.i32 0; Drop;
+      B.local_get 0 ]
+  in
+  let inst, hits, b = pass_subject ~params:[] ~results:[ Types.I32T ] ~locals:[ Types.I32T ] body in
+  let bl = Tier1.blocks b in
+  let bd = Tier1.bind inst b bl in
+  let r = Tier1.dead_stores b bl (Tier1.elide b bl bd) in
+  (match Tier1.plan b bl bd r with
+   | [ f ] ->
+     Alcotest.(check (list int)) "four instructions, from 0 to 5, none skipped" [ 4; 0; 5; 0 ]
+       [ Tier1.fused_len f.fused; f.first; f.last; f.skipped ];
+     Alcotest.(check int) "the counted site joins the form's group" 1 (List.length f.absorbed)
+   | forms -> Alcotest.failf "expected one form, planned %d" (List.length forms));
+  check_values "tier 1 result" [ i32 1 ] (run_tier1 inst []);
+  Alcotest.(check int) "hook calls" 1 !hits
+
+let test_pass_frames () =
+  let inst, _, b =
+    pass_subject ~params:[ Types.I32T; Types.F64T; Types.I64T ] ~results:[] ~locals:[] []
+  in
+  let seen = ref [] in
+  let cb =
+    Tier1.frames inst b (fun ctx ->
+      seen := [ Value.I32 (Int32.of_int ctx.il.(0)); Value.F64 ctx.fl.(1); ctx.locals.(2) ])
+  in
+  let expected = [ i32 7; f64 2.5; i64 9 ] in
+  let st = inst.inst_stack in
+  Interp.stack_reserve st 8;
+  (* boxed entry: the arguments boxed at the frame base *)
+  List.iteri (fun j v -> st.data.(2 + j) <- v) expected;
+  cb.cb_enter 2;
+  check_values "boxed entry" expected !seen;
+  (* typed entry: i32 and f64 from the caller's typed slots from [abase]
+     on, i64 boxed on the stack *)
+  seen := [];
+  st.data.(3 + 2) <- i64 9;
+  let caller =
+    { Interp.st; locals = [||]; il = [||]; fl = [||]; id = [| 0; 0; 0; 7; 0; 0 |];
+      fd = [| 0.; 0.; 0.; 0.; 2.5; 0. |]; base = 0; charged = 0 }
+  in
+  cb.cb_call caller 3;
+  check_values "typed entry" expected !seen
+
 let suite =
   [
     case "consts" test_consts;
@@ -758,4 +968,10 @@ let suite =
     case "tier-1 profiler attached after compile_all" test_tier1_profiled_calls;
     case "tier-1 call into another instance" test_tier1_cross_instance_call;
     case "tier-1 typed call sites on pdfkit" test_tier1_typed_sites_pdfkit;
+    case "tier-1 compile census of the corpus" test_tier1_census;
+    case "tier-1 pass blocks and bind: a counted loop" test_pass_blocks_bind;
+    case "tier-1 pass elide: a fact dies at a call" test_pass_elide;
+    case "tier-1 pass dead_stores: liveness across br_if" test_pass_dead_stores;
+    case "tier-1 pass plan: a form across a counted site" test_pass_plan;
+    case "tier-1 pass frames: i32, f64 and i64 params" test_pass_frames;
   ]
