@@ -229,6 +229,35 @@ and expr ctx depth ty : instr list =
 and call_helper ctx depth h =
   List.concat_map (fun ty -> expr ctx depth ty) h.h_params @ [ Call h.h_index ]
 
+(** A call to a helper [h] returning nothing whose first argument is a
+    local [x] of type i64 or f32, with [x] re-loaded right after it, into
+    the operand slot that argument took. Those types live in boxed slots
+    of the shared stack, which the callee's frame reuses, so a compiler
+    that kept the slot's value across the call would read what the
+    callee left there. The re-load is compared with a copy of [x] pushed
+    before the call (bitwise for f32), and a mismatch traps. *)
+and reload_after_call ctx h x =
+  let ty = ctx.locals.(x) in
+  let bits, ne =
+    if ty = F32T then ([ Convert I32ReinterpretF32 ], Compare (IRel (S32, Ne)))
+    else ([], Compare (IRel (S64, Ne)))
+  in
+  spend ctx 6;
+  (LocalGet x :: bits) @ [ LocalGet x ]
+  @ List.concat_map (fun ty -> expr ctx 1 ty) (List.tl h.h_params)
+  @ [ Call h.h_index; LocalGet x ] @ bits @ [ ne; If None; Unreachable; End ]
+
+(** The helpers [reload_after_call] can call, each with a local it can
+    pass. *)
+and reloadable ctx =
+  List.filter_map
+    (fun h ->
+       match h.h_params, h.h_result with
+       | ((I64T | F32T) as ty) :: _, None -> (
+         match locals_of_type ctx ty with [] -> None | ls -> Some (h, ls))
+       | _ -> None)
+    ctx.helpers
+
 (** Emit a statement: net stack effect zero. [loop_depth] indexes the
     reserved counter locals so nested bounded loops don't clobber each
     other. *)
@@ -242,7 +271,12 @@ let rec stmt ctx depth loop_depth : instr list =
     | n when n < 4 && ctx.helpers <> [] ->
       let h = Rng.choose_list rng ctx.helpers in
       call_helper ctx 1 h @ (if Option.is_some h.h_result then [ Drop ] else [])
-    | n when n < 8 -> [ Nop ]
+    | n when n < 8 -> (
+      match reloadable ctx with
+      | [] -> [ Nop ]
+      | hs ->
+        let h, ls = Rng.choose_list rng hs in
+        reload_after_call ctx h (Rng.choose_list rng ls))
     | n when n < 22 ->
       let ty = any_type rng in
       expr ctx 1 ty @ [ Drop ]

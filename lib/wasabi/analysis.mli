@@ -95,7 +95,16 @@ type t = {
     table, and before any callback. The counters of a stretch run in
     site order, and each sees the same memory and globals it would see
     at its own site. So a counter must not read the frame, trap or
-    re-enter the engine. The callbacks
+    re-enter the engine.
+
+    The [end] counters the rewriter guards under a [br_if] (they fire
+    only when the branch is taken) run on tier 1 on the branch's taken
+    edge, once the branch has decided: after the counters of the stretch
+    the [br_if] ends and after the fuel/step charge tier 0 makes on
+    entering the guarded code, before the branch lands. They form a
+    group of their own, which closes no open group and captures no bit:
+    the branch's condition decides whether the group runs at all, and
+    the group sees the memory and globals of the [br_if]. The callbacks
     stay the contract: tier 0, unbound (array-ABI) sites, profiled runs
     and {!reify} all use them. A site is not asked while a profiler is
     attached, so the profile keeps its decode/analysis split; attaching

@@ -131,7 +131,9 @@ and host_func = {
 (** One argument of a bound host call site (see {!site_binder}): the
     constant it pushes, or a reader of the local it pushes, taking the
     caller's tier-1 frame ['e]. Arguments match the callee's parameter
-    types, in order. *)
+    types, in order. The two i32 halves of an i64 local or constant that
+    the rewriter splits (Table 3 row 6) are two arguments, low half
+    first: [Site_const]s, or [Site_i32] readers of the i64 local. *)
 and 'e site_arg =
   | Site_const of Value.t
   | Site_i32 of ('e -> int)  (** an i32 local, as its sign-extended native int *)
@@ -140,7 +142,9 @@ and 'e site_arg =
 
 (** The site-binding hook of a result-less host function. When tier 1
     compiles a call to it whose arguments are all pushed by constants
-    and [local.get]s in straight-line code just before the call, it asks
+    and [local.get]s in straight-line code just before the call, or are
+    i32 halves pushed by the row-6 run over one i64 local or constant
+    ([x; i32.wrap_i64; x; i64.const 32; i64.shr_s; i32.wrap_i64]), it asks
     [bind] for an entry specialised to those arguments ([Site_entry])
     and emits one closure for the whole push-and-call run: the pushes never
     materialise and nothing is boxed. The entry must behave exactly like

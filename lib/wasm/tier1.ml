@@ -45,7 +45,8 @@
     exactly the tier-0 boundaries: a block entered at position [sb]
     charges [c_run_len.(sb)] if and only if [sb >= charged], where
     [charged] mirrors the interpreter's [charged_upto] (taken branches
-    reset it, fall-through edges keep it). Out-of-fuel exhaustion
+    reset it, fall-through edges keep it); the two edges of a guarded
+    [br_if] charge the runs tier 0 enters there. Out-of-fuel exhaustion
     therefore cuts both tiers off at the same instruction, which is
     what lets the differential oracle compare exhausted runs too.
 
@@ -71,8 +72,9 @@
     {b The passes.} [compile_exn] runs one pass after another, each a
     function over the body's arrays whose typed result only later passes
     read: [analyze] (heights, type stacks, labels), [blocks] (basic
-    blocks), [bind] (host calls bound to site entries), [elide] (loads of
-    a value the slot still holds), [dead_stores] (stores no surviving
+    blocks), [bind] (host calls bound to site entries), [guards] (the
+    rewriter's guarded [br_if] end hooks, compiled into the branch's
+    edges), [elide] (loads of a value the slot still holds), [dead_stores] (stores no surviving
     read needs), [plan] (superinstructions), [emit_body] (the block
     closures and their count groups) and [frames] (the frame
     constructor). Each section below documents its pass. *)
@@ -318,6 +320,21 @@ type blocks = {
   starts : int array;  (** each block's first pc *)
 }
 
+(** The blocks of the starts marked [>= 0] in [block_of], which it
+    numbers in place. *)
+let number (block_of : int array) : blocks =
+  let nblocks = ref 0 in
+  Array.iteri
+    (fun pc k ->
+       if k >= 0 then begin
+         block_of.(pc) <- !nblocks;
+         incr nblocks
+       end)
+    block_of;
+  let starts = Array.make !nblocks 0 in
+  Array.iteri (fun pc k -> if k >= 0 then starts.(k) <- pc) block_of;
+  { block_of; starts }
+
 let blocks (b : body) : blocks =
   let body = b.code.c_body and end_of = b.code.c_jumps.end_of in
   let n = Array.length body in
@@ -336,18 +353,7 @@ let blocks (b : body) : blocks =
       start (pc + 1)
     | _ -> ()
   done;
-  let nblocks = ref 0 in
-  for pc = 0 to n do
-    if block_of.(pc) >= 0 then begin
-      block_of.(pc) <- !nblocks;
-      incr nblocks
-    end
-  done;
-  let starts = Array.make !nblocks 0 in
-  for pc = 0 to n do
-    if block_of.(pc) >= 0 then starts.(block_of.(pc)) <- pc
-  done;
-  { block_of; starts }
+  number block_of
 
 (** The blocks that compile to code: those [analyze] reached, the
     body's end excluded. *)
@@ -361,9 +367,13 @@ let reachable (b : body) (bl : blocks) blk =
     pushed by constants and [local.get]s inside the call's block, at no
     probe site, compiles (pushes included) to the callee's
     site-specialised entry: nothing is boxed and the pushes never
-    materialise. One backward walk from each call finds the run. A body
-    calling no host function with a binder binds nothing and allocates
-    nothing. *)
+    materialise. Two consecutive i32 arguments may also be the halves of
+    one i64 local or constant, pushed as the rewriter's Table 3 row 6
+    does ([x; i32.wrap_i64; x; i64.const 32; i64.shr_s; i32.wrap_i64]):
+    they bind as two i32 arguments, low half first, each read
+    sign-extended. One backward walk from each call finds the run. A
+    body calling no host function with a binder binds nothing and
+    allocates nothing. *)
 type binding = {
   runs : (ectx site_entry * int) option array;
       (** at a run's first push, its entry and the call's pc; [[||]]
@@ -391,17 +401,49 @@ let bind (inst : instance) (b : body) (bl : blocks) : binding =
          | I64T | F32T -> Site_boxed (fun ctx -> Array.unsafe_get ctx.locals x))
     | _ -> None
   in
+  (* the [k] instructions ending at [p] run straight into the next one:
+     no block starts after any of them and no probe event is at any *)
+  let rec straight p k =
+    k = 0 || (p >= 0 && bl.block_of.(p + 1) < 0 && quiet b.pr p && straight (p - 1) (k - 1))
+  in
+  (* the row-6 run of six instructions ending at [p]: the low and high
+     halves of one i64 local or constant *)
+  let halves p : (ectx site_arg * ectx site_arg) option =
+    if p < 5 || not (straight p 6) then None
+    else
+      match xbody.(p - 5), xbody.(p - 4), xbody.(p - 3), xbody.(p - 2), xbody.(p - 1), xbody.(p) with
+      | x0, XConvertGen Ast.I32WrapI64, x2, XConst (Value.I64 32L), XI64Bin Ast.ShrS,
+        XConvertGen Ast.I32WrapI64 -> (
+        match x0, x2 with
+        | XConst (Value.I64 v), XConst (Value.I64 w) when Int64.equal v w ->
+          Some
+            ( Site_const (Value.I32 (Int64.to_int32 v)),
+              Site_const (Value.I32 (Int64.to_int32 (Int64.shift_right v 32))) )
+        | XLocalGet x, XLocalGet y when x = y && x < nlocals && ltypes.(x) = I64T ->
+          Some
+            ( Site_i32
+                (fun ctx ->
+                   Eval_numeric.norm32 (Int64.to_int (Value.as_i64 (Array.unsafe_get ctx.locals x)))),
+              Site_i32
+                (fun ctx ->
+                   Int64.to_int (Int64.shift_right (Value.as_i64 (Array.unsafe_get ctx.locals x)) 32))
+            )
+        | _ -> None)
+      | _ -> None
+  in
   (* the arguments of parameter types [rtys] (last first), walking back
-     from the push at [p] *)
+     from the instruction at [p], and the run's first pc *)
   let rec site_args p rtys acc =
     match rtys with
-    | [] -> Some acc
+    | [] -> Some (acc, p + 1)
     | ty :: rest ->
-      if bl.block_of.(p + 1) >= 0 || not (quiet b.pr p) then None
-      else
-        match site_arg ty p with
-        | Some a -> site_args (p - 1) rest (a :: acc)
-        | None -> None
+      match (if straight p 1 then site_arg ty p else None), rest with
+      | Some a, _ -> site_args (p - 1) rest (a :: acc)
+      | None, I32T :: rest when ty = I32T -> (
+        match halves p with
+        | Some (lo, hi) -> site_args (p - 6) rest (lo :: hi :: acc)
+        | None -> None)
+      | None, _ -> None
   in
   let runs = ref [||] and nbound = ref 0 and ngeneric = ref 0 in
   for pc = 0 to Array.length xbody - 1 do
@@ -409,17 +451,17 @@ let bind (inst : instance) (b : body) (bl : blocks) : binding =
     | XCall fidx when b.heights.(pc) >= 0 ->
       (* (a call in unreachable code compiles to nothing) *)
       (match inst.inst_funcs.(fidx) with
-       | Host_func { h_bind = Some binder; h_type = { params; results }; h_nparams; _ } ->
-         let p0 = pc - h_nparams in
-         let entry =
-           if results <> [] || p0 < 0 || not (quiet b.pr pc) then None
+       | Host_func { h_bind = Some binder; h_type = { params; results }; _ } ->
+         let bound =
+           if results <> [] || not (quiet b.pr pc) then None
            else
              match site_args (pc - 1) (List.rev params) [] with
-             | Some args -> binder.bind (Array.of_list args)
+             | Some (args, p0) ->
+               Option.map (fun e -> (e, p0)) (binder.bind (Array.of_list args))
              | None -> None
          in
-         (match entry with
-          | Some e ->
+         (match bound with
+          | Some (e, p0) ->
             if Array.length !runs = 0 then runs := Array.make (Array.length xbody) None;
             !runs.(p0) <- Some (e, pc);
             incr nbound
@@ -429,6 +471,96 @@ let bind (inst : instance) (b : body) (bl : blocks) : binding =
   done;
   { runs = !runs; nbound = !nbound; ngeneric = !ngeneric }
 
+(** {1 Pass [guards]: guarded counts}
+
+    Around a [br_if] whose taken edge has hooks, the rewriter emits
+    [local.tee t; ...; local.get t; if; <end hooks>; end; br_if k]: the
+    [if] runs the end hooks only when the branch will be taken. Where
+    the [br_if]'s condition slot holds [t] (a [local.tee t] at its
+    height with only bound runs after it, the fact [elide] records) and
+    the [if]'s body is bound counted runs only, in an unprobed body, the
+    guard compiles to nothing, with no block split: its counters run on
+    the [br_if]'s taken edge, after the block's count group, and each
+    edge charges the fuel/step run tier 0 charges there (the then-start
+    when taken, the [br_if] itself when not). So the header stays one
+    block, the guard's [local.get t] is no surviving read, and the
+    compare can fuse with the branch. *)
+
+(** A guarded [br_if]. *)
+type guard = {
+  first : int;  (** the guard's [local.get t] *)
+  then_pc : int;  (** the [if]'s then-start, whose run the taken edge charges *)
+  sites : (unit -> unit) list;  (** the counters of the [if]'s body, in order *)
+}
+
+type guards = {
+  at : guard option array;  (** at a guarded [br_if]; [[||]] when there is none *)
+  nsites : int;  (** the counters of all guards *)
+  merged : blocks;  (** the blocks, with no block starting inside a guard or at its [br_if] *)
+}
+
+let guard_at (gd : guards) p = if Array.length gd.at = 0 then None else gd.at.(p)
+
+let guards (b : body) (bl : blocks) (bd : binding) : guards =
+  if b.pr.probed || Array.length bd.runs = 0 then { at = [||]; nsites = 0; merged = bl }
+  else begin
+    let xbody = b.xbody and heights = b.heights in
+    let n = Array.length xbody in
+    let at = ref [||] and nsites = ref 0 in
+    (* the counters of the bound counted runs filling [p, e) *)
+    let rec counted p e acc =
+      if p = e then Some (List.rev acc)
+      else
+        match bound_at bd p with
+        | Some (Site_count c, cp) when cp < e -> counted (cp + 1) e (c :: acc)
+        | _ -> None
+    in
+    (* [tee]: the local the slot below height [tee_h] holds, by a
+       [local.tee] followed only by bound runs; -1 when none *)
+    let tee = ref (-1) and tee_h = ref (-1) in
+    let p = ref 0 in
+    while !p < n do
+      let q = !p in
+      if bl.block_of.(q) >= 0 then tee := -1;
+      match bound_at bd q with
+      | Some (_, cp) -> p := cp + 1
+      | None ->
+        (match xbody.(q) with
+         | XLocalTee x when heights.(q) >= 0 ->
+           tee := x;
+           tee_h := heights.(q)
+         | XLocalGet x when x = !tee && heights.(q) = !tee_h && q + 1 < n ->
+           (match xbody.(q + 1) with
+            | XIf (e, 0) when e < n && heights.(e) = !tee_h -> (
+              match xbody.(e) with
+              | XBrIf _ -> (
+                match counted (q + 2) (e - 1) [] with
+                | Some sites ->
+                  if Array.length !at = 0 then at := Array.make n None;
+                  !at.(e) <- Some { first = q; then_pc = q + 2; sites };
+                  nsites := !nsites + List.length sites
+                | None -> ())
+              | _ -> ())
+            | _ -> ());
+           tee := -1
+         | _ -> tee := -1);
+        p := q + 1
+    done;
+    if Array.length !at = 0 then { at = [||]; nsites = 0; merged = bl }
+    else begin
+      let block_of = Array.copy bl.block_of in
+      Array.iteri
+        (fun e g ->
+           match g with
+           | Some g ->
+             block_of.(g.then_pc) <- -1;
+             block_of.(e) <- -1
+           | None -> ())
+        !at;
+      { at = !at; nsites = !nsites; merged = number block_of }
+    end
+  end
+
 (** {1 Pass [elide]: save/restore elision}
 
     A [local.get x] whose operand slot still holds the value of [x]
@@ -436,13 +568,15 @@ let bind (inst : instance) (b : body) (bl : blocks) : binding =
     holds: a [local.get], [local.set] or [local.tee] of [x] records it,
     and it is dropped by any instruction that pops or writes slot [s],
     any write to [x], any call, bound entry or firing probe event. Each
-    pc gets a role: plain, elided, in a counted run or in a bound entry's. *)
+    pc gets a role: plain, elided, in a counted run, in a bound entry's
+    or in a guard ([guards]), which writes no slot and no local. *)
 
 let r_plain = '\000'
 let r_elided = '\001'
 let r_dead = '\002'
 let r_counted = '\003'
 let r_entry = '\004'
+let r_guard = '\005'
 
 type roles = {
   role : Bytes.t;
@@ -450,9 +584,12 @@ type roles = {
   nelided : int;  (** instructions compiled away: elided loads and dead stores *)
 }
 
-let elide (b : body) (bl : blocks) (bd : binding) : roles =
+let elide (b : body) (bl : blocks) (bd : binding) (gd : guards) : roles =
   let xbody = b.xbody and heights = b.heights and pr = b.pr in
   let role = Bytes.make (Array.length xbody) r_plain in
+  Array.iteri
+    (fun e g -> match g with Some g -> Bytes.fill role g.first (e - g.first) r_guard | None -> ())
+    gd.at;
   let facts = Array.make (b.max_h + 1) (-1) in
   let ftop = ref 0 and counted_runs = ref 0 and nelided = ref 0 in
   let forget_from s =
@@ -470,6 +607,7 @@ let elide (b : body) (bl : blocks) (bd : binding) : roles =
       while !p < bl.starts.(blk + 1) do
         let q = !p in
         match bound_at bd q with
+        | _ when Bytes.get role q = r_guard -> p := q + 1
         | Some (Site_count _, cp) ->
           Bytes.fill role q (cp + 1 - q) r_counted;
           incr counted_runs;
@@ -507,7 +645,7 @@ let elide (b : body) (bl : blocks) (bd : binding) : roles =
       done
     end
   done;
-  { role; counted_runs = !counted_runs; nelided = !nelided }
+  { role; counted_runs = !counted_runs + gd.nsites; nelided = !nelided }
 
 (** {1 Pass [dead_stores]: stores no surviving read needs}
 
@@ -538,7 +676,7 @@ let dead_stores (b : body) (bl : blocks) (r : roles) : roles =
         let eb = starts.(blk + 1) in
         for q = starts.(blk) to eb - 1 do
           match xbody.(q) with
-          | XLocalGet x when Bytes.get role q <> r_elided && Bytes.get role q <> r_counted ->
+          | XLocalGet x when Bytes.get role q = r_plain || Bytes.get role q = r_entry ->
             if x >= nlocals then raise Unsupported;
             let i = o + (x lsr 5) and m = 1 lsl (x land 31) in
             if kill.(i) land m = 0 then gen.(i) <- gen.(i) lor m
@@ -913,8 +1051,9 @@ let count_group (inst : instance) ~h (sites : counted list) : ectx -> unit =
     Superinstruction fusion over the stream as compiled: from each pc
     emission will reach, the next (up to four) instructions of its block
     that compile to code, skipping elided loads, dead stores and bound
-    counted runs; the counted sites met on the way join the form's count
-    group, in order. A firing probe event or a bound entry ends the
+    counted runs and guards; the counted sites met on the way, but not a
+    guard's, join the form's count group, in order. A firing probe event
+    or a bound entry ends the
     window, which is not walked when the next instruction cannot
     continue any form. The walk visits the pcs emission does: a bound
     run is stepped over whole, a form up to its last instruction. *)
@@ -961,6 +1100,10 @@ let plan (b : body) (bl : blocks) (bd : binding) (r : roles) : form list =
       (* instruction [!len] is sought from [!q] *)
       while !open_ && !len < 4 && !q < eb do
         match bound_at bd !q with
+        | _ when Bytes.get role !q = r_guard ->
+          (* a guard's counters run on its branch's taken edge *)
+          incr skip;
+          incr q
         | Some (Site_count c, cp) ->
           acc := Count_hook c :: !acc;
           incr nacc;
@@ -1154,6 +1297,7 @@ type env = {
   b : body;
   bl : blocks;
   bd : binding;
+  gd : guards;
   role : Bytes.t;
   mutable forms : form list;  (** the planned forms not yet emitted *)
   cells : (ectx -> unit) ref array;
@@ -1238,6 +1382,24 @@ let events_then env ~h tys evs (k : ectx -> unit) : ectx -> unit =
     flush env sc ~h;
     seq (List.rev sc.ops) k
 
+(** Charge the run of [len] instructions at [sb] of a body of [n], as
+    tier 0 does when it enters the run: tier 0's batched fuel/step
+    accounting bit for bit, with the same exhaustion check, governor
+    batch check, profiler run credit and triggers. Block prologues and
+    guarded edges run it. *)
+let[@inline] charge inst ~fid ~n ~sb ~len ctx =
+  if inst.fuel <= 0 then raise (Exhaustion "out of fuel");
+  (match inst.inst_gov with None -> () | Some g -> Governor.check_batch g);
+  inst.steps <- inst.steps + len;
+  inst.fuel <- inst.fuel - len;
+  ctx.charged <- sb + len;
+  (match inst.inst_prof with
+   | None -> ()
+   | Some prof -> Obs.Profile.bump_run prof ~fid ~body_len:n ~pc:sb ~len);
+  match inst.inst_triggers with
+  | [] -> ()
+  | _ -> fire_triggers inst
+
 (* blocks are compiled in increasing index order, so a back-edge
    (the loop case) can capture the final target closure directly;
    forward and self edges go through the target's cell *)
@@ -1311,6 +1473,30 @@ let branch_edge env ~cur ~from_h p k : ectx -> unit =
   match List.nth_opt env.b.frames_at.(p) k with
   | Some f -> label_edge env ~cur ~from_h f.f_label
   | None -> ret_edge env ~from_h
+
+(* the taken and fall-through edges of the [br_if k] at [q]; at a
+   guarded one ([guards]), the taken edge charges the guard's
+   then-start, runs its counters and branches, and the fall-through
+   edge charges the [br_if] itself, as tier 0 does *)
+let br_if_edges env ~cur ~from_h q k : (ectx -> unit) * (ectx -> unit) =
+  let taken = branch_edge env ~cur ~from_h q k and next = jump_to env ~cur (q + 1) in
+  match guard_at env.gd q with
+  | None -> (taken, next)
+  | Some g ->
+    let inst = env.inst and fid = env.b.fid and n = Array.length env.b.xbody in
+    let run_len = env.b.code.c_run_len in
+    let tsb = g.then_pc and tlen = run_len.(g.then_pc) and flen = run_len.(q) in
+    env.tally.groups <- env.tally.groups + 1;
+    env.tally.counted <- env.tally.counted + List.length g.sites;
+    (* the count group at the guard's height, that of the [br_if] *)
+    let group = count_group inst ~h:(from_h + 1) (List.map (fun c -> Count_hook c) g.sites) in
+    ( (fun ctx ->
+        charge inst ~fid ~n ~sb:tsb ~len:tlen ctx;
+        group ctx;
+        taken ctx),
+      fun ctx ->
+        charge inst ~fid ~n ~sb:q ~len:flen ctx;
+        next ctx )
 
 (* the implicit fall-off-the-end exit, the one place the function-exit
    probe fires *)
@@ -1521,12 +1707,11 @@ let fused_op env sc ~h (f : fused) : int =
 (** The compare-and-branch superinstruction [f] ending at [q], at
     operand height [h]: the block's terminator. *)
 let fused_branch env ~cur ~h (f : fused) q : ectx -> unit =
-  let next = jump_to env ~cur (q + 1) in
   match f with
   | BrIfRelLL (r, a, b, k) ->
     want_local env I32T a;
     want_local env I32T b;
-    let taken = branch_edge env ~cur ~from_h:h q k in
+    let taken, next = br_if_edges env ~cur ~from_h:h q k in
     (* the loop-controlling comparison: every relop inlined so
        the back-edge test costs no closure call *)
     (match r with
@@ -1559,7 +1744,7 @@ let fused_branch env ~cur ~h (f : fused) q : ectx -> unit =
     want_local env I32T a;
     let ci = Int32.to_int c in
     let cu = ci land 0xFFFFFFFF in
-    let taken = branch_edge env ~cur ~from_h:h q k in
+    let taken, next = br_if_edges env ~cur ~from_h:h q k in
     (match r with
      | Ast.Eq -> fun ctx -> if Array.unsafe_get ctx.il a = ci then taken ctx else next ctx
      | Ast.Ne -> fun ctx -> if Array.unsafe_get ctx.il a <> ci then taken ctx else next ctx
@@ -1578,13 +1763,13 @@ let fused_branch env ~cur ~h (f : fused) q : ectx -> unit =
   | BrIfRel (r, k) ->
     let f = Eval_numeric.irelop_i32_int r in
     let s = h - 2 in
-    let taken = branch_edge env ~cur ~from_h:(h - 2) q k in
+    let taken, next = br_if_edges env ~cur ~from_h:(h - 2) q k in
     fun ctx ->
       let id = ctx.id in
       if f (Array.unsafe_get id s) (Array.unsafe_get id (s + 1)) then taken ctx else next ctx
   | BrIfEqz k ->
     let s = h - 1 in
-    let taken = branch_edge env ~cur ~from_h:(h - 1) q k in
+    let taken, next = br_if_edges env ~cur ~from_h:(h - 1) q k in
     fun ctx -> if Array.unsafe_get ctx.id s = 0 then taken ctx else next ctx
   | _ -> invalid_arg "Tier1.fused_branch"
 
@@ -2167,8 +2352,7 @@ let emit_terminator env ~cur ~h p (xi : xinstr) : ectx -> unit =
   | XBr k -> branch_edge env ~cur ~from_h:h p k
   | XBrIf k ->
     let s = h - 1 in
-    let taken = branch_edge env ~cur ~from_h:(h - 1) p k in
-    let next = jump_to env ~cur (p + 1) in
+    let taken, next = br_if_edges env ~cur ~from_h:(h - 1) p k in
     fun ctx -> if Array.unsafe_get ctx.id s = 0 then next ctx else taken ctx
   | XBrTable tbl ->
     let s = h - 1 in
@@ -2196,10 +2380,13 @@ let compile_block env cur : ectx -> unit =
     let pc = ref sb in
     while Option.is_none !term && !pc < eb do
       let p = !pc in
-      if heights.(p) >= 0 && heights.(p) <> !h then raise Unsupported;
-      (* a bound run compiles whole; everything else instruction by
-         instruction or as a superinstruction *)
+      if heights.(p) >= 0 && heights.(p) <> !h && Bytes.get env.role p <> r_guard then
+        raise Unsupported;
+      (* a guard compiles into its branch's edges, a bound run whole;
+         everything else instruction by instruction or as a
+         superinstruction *)
       match bound_at env.bd p with
+      | _ when Bytes.get env.role p = r_guard -> pc := p + 1
       | Some (Site_count c, call_pc) ->
         sc.pending <- Count_hook c :: sc.pending;
         pc := call_pc + 1
@@ -2268,34 +2455,19 @@ let compile_block env cur : ectx -> unit =
         if eb = n then end_edge env ~from_h:!h else jump_to env ~cur eb
     in
     let body_cl = seq (List.rev sc.ops) term_closure in
-    (* the charge prologue replicates tier 0's batched fuel/step
-       accounting bit for bit: same condition, same amounts, same
-       profiler run credit *)
     let len = b.code.c_run_len.(sb) and fid = b.fid in
     fun ctx ->
-      if sb >= ctx.charged then begin
-        if inst.fuel <= 0 then raise (Exhaustion "out of fuel");
-        (match inst.inst_gov with None -> () | Some g -> Governor.check_batch g);
-        inst.steps <- inst.steps + len;
-        inst.fuel <- inst.fuel - len;
-        ctx.charged <- sb + len;
-        (match inst.inst_prof with
-         | None -> ()
-         | Some prof -> Obs.Profile.bump_run prof ~fid ~body_len:n ~pc:sb ~len);
-        match inst.inst_triggers with
-        | [] -> ()
-        | _ -> fire_triggers inst
-      end;
+      if sb >= ctx.charged then charge inst ~fid ~n ~sb ~len ctx;
       body_cl ctx
   end
 
 (** Compile every block, in increasing order so that back-edge targets
     are final when referenced; returns the function's entry (the
     function-entry probe events, then block 0) and the tally. *)
-let emit_body inst b bl bd (r : roles) forms : (ectx -> unit) * tally =
+let emit_body inst b bl bd gd (r : roles) forms : (ectx -> unit) * tally =
   let cells = Array.map (fun _ -> ref engine_bug) bl.starts in
   let env =
-    { inst; b; bl; bd; role = r.role; forms; cells;
+    { inst; b; bl; bd; gd; role = r.role; forms; cells;
       tally = { groups = 0; counted = 0; typed = 0 } }
   in
   Array.iteri (fun blk cell -> cell := compile_block env blk) cells;
@@ -2383,9 +2555,11 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
   let b = analyze inst fid in
   let bl = blocks b in
   let bd = bind inst b bl in
-  let roles = dead_stores b bl (elide b bl bd) in
+  let gd = guards b bl bd in
+  let bl = gd.merged in
+  let roles = dead_stores b bl (elide b bl bd gd) in
   let forms = plan b bl bd roles in
-  let entry, tally = emit_body inst b bl bd roles forms in
+  let entry, tally = emit_body inst b bl bd gd roles forms in
   let inc c k = Obs.Metrics.inc ~by:(Float.of_int k) c in
   if bd.nbound + bd.ngeneric > 0 then begin
     inc (hook_sites_counter "bound") bd.nbound;

@@ -21,12 +21,15 @@ val compile : Interp.instance -> int -> Interp.compiled_body option
     ([c_probe]); [None] when the body uses a shape the compiler does not
     support (an unprobed function then stays on tier 0 permanently).
     Calls whose arguments are constants and [local.get]s pushed just
-    before them, to host functions with an {!Interp.site_binder}, bind to
-    the callee's site-specialised entries. A call to a function of the
+    before them (or the split halves of an i64 one), to host functions
+    with an {!Interp.site_binder}, bind to the callee's site-specialised
+    entries. A call to a function of the
     same instance, direct or through the table, enters a compiled callee
     by its typed entry (see {!Interp.call_typed}). The counted sites of a
     trap-free straight-line stretch run as one count group at its end
-    (see {!Interp.site_binder}). Short idioms fuse into
+    (see {!Interp.site_binder}); the rewriter's guard of the counted end
+    hooks of a [br_if] compiles into the branch's taken edge. Short
+    idioms fuse into
     superinstructions across the code compiled away between them; a
     [local.get] of a value its operand slot still holds compiles to
     nothing, and, in a body with counted sites, so do stores no
@@ -36,9 +39,10 @@ val hook_sites : unit -> int * int
 (** [(bound, generic)]: calls to host functions offering site entries
     ({!Interp.site_binder}) that tier 1 has compiled in this process, by
     whether the site bound an entry or kept the array ABI (arguments
-    not all pushed by constants and [local.get]s, e.g. split i64
-    halves). The pair of counters [wasabi_tier1_hook_sites_total]
-    [{binding="bound"|"generic"}] in {!Obs.Metrics.default}. *)
+    not all pushed by constants, [local.get]s and the split halves of
+    an i64 local or constant). The pair of counters
+    [wasabi_tier1_hook_sites_total] [{binding="bound"|"generic"}] in
+    {!Obs.Metrics.default}. *)
 
 val count_groups : unit -> int * int
 (** [(sites, groups)]: the counted hook sites and probe events
@@ -113,6 +117,26 @@ type binding = {
 
 val bind : Interp.instance -> body -> blocks -> binding
 
+type guard = {
+  first : int;  (** the guard's [local.get t] *)
+  then_pc : int;  (** the [if]'s then-start, whose run the taken edge charges *)
+  sites : (unit -> unit) list;  (** the counters of the [if]'s body, in order *)
+}
+(** A guarded [br_if]: the rewriter's
+    [local.get t; if; <bound counted runs>; end; br_if k] where the
+    [br_if]'s condition slot holds [t], compiled into the [br_if]'s
+    edges. *)
+
+type guards = {
+  at : guard option array;  (** at a guarded [br_if]; [[||]] when there is none *)
+  nsites : int;  (** the counters of all guards *)
+  merged : blocks;
+      (** the blocks, with no block starting inside a guard or at its
+          [br_if]; the later passes run on these *)
+}
+
+val guards : body -> blocks -> binding -> guards
+
 type roles = {
   role : Bytes.t;  (** per pc, one of the [r_*] roles below *)
   counted_runs : int;
@@ -124,11 +148,12 @@ val r_elided : char
 val r_dead : char
 val r_counted : char
 val r_entry : char
+val r_guard : char
 (** The roles: compiled as written; a load of the value its operand slot
     holds; a store no surviving read needs; in a bound run whose entry
-    counts; in a bound run with a site entry. *)
+    counts; in a bound run with a site entry; in a guard. *)
 
-val elide : body -> blocks -> binding -> roles
+val elide : body -> blocks -> binding -> guards -> roles
 
 val dead_stores : body -> blocks -> roles -> roles
 (** A copy of the roles with the dead stores marked; the roles

@@ -604,8 +604,8 @@ let test_call_graph_indirect () =
 (** Under the call graph, tier 1 compiles every direct [call_pre] and
     every [call_post] of [pdfkit] as a counted site; only the indirect
     [call_pre]s keep a decoder. With split i64 halves, a site that
-    passes an i64 computes its halves, so tier 1 does not bind it and it
-    stays generic (the native-i64 instrumentation binds them all). *)
+    passes an i64 pushes its halves as Table 3 row 6 does, which tier 1
+    binds too, so no site stays generic in either i64 mode. *)
 let test_call_graph_counted () =
   let m = (Workloads.Corpus.find (Lazy.force corpus) "pdfkit").module_ in
   (* (call_pre, call_post) of each call site: does its hook pass an i64? *)
@@ -626,13 +626,12 @@ let test_call_graph_counted () =
   in
   Alcotest.(check bool) "pdfkit makes direct and indirect calls" true
     (List.mem_assoc `Direct sites && List.mem_assoc `Indirect sites);
+  Alcotest.(check bool) "some of its calls pass or return an i64" true
+    (List.exists (fun (_, (pre, post)) -> pre || post) sites);
   let n b = if b then 1 else 0 in
   List.iter
     (fun split ->
-       let generic (_, (pre, post)) = if split then n pre + n post else 0 in
-       let counted (kind, (pre, post)) =
-         (if kind = `Direct && not (split && pre) then 1 else 0) + n (not (split && post))
-       in
+       let counted (kind, _) = n (kind = `Direct) + 1 in
        let sum f = List.fold_left (fun acc site -> acc + f site) 0 sites in
        let s0, _ = Wasm.Tier1.count_groups () and b0, g0 = Wasm.Tier1.hook_sites () in
        let inst, _ =
@@ -647,8 +646,7 @@ let test_call_graph_counted () =
          (2 * List.length sites) (b1 - b0 + (g1 - g0));
        Alcotest.(check int) (mode ^ ": counted direct call_pre and call_post sites")
          (sum counted) (s1 - s0);
-       Alcotest.(check int) (mode ^ ": generic sites, those passing split i64 halves")
-         (sum generic) (g1 - g0))
+       Alcotest.(check int) (mode ^ ": no generic site") 0 (g1 - g0))
     [ false; true ]
 
 (** Instruction coverage marks a location the first time one of its
@@ -677,6 +675,74 @@ let test_coverage_backends () =
        ignore (same_on_every_backend name (W.Instrument.instrument m) make : string))
     (kitchen_and_corpus ())
 
+
+(* --- split i64 halves: binding and values ------------------------------ *)
+
+(** Every hook site of the 32 corpus programs binds on tier 1 under the
+    instruction mix (all hooks) and the call graph (its hooks), with
+    split and with native i64: none keeps the array ABI. *)
+let test_binding_coverage () =
+  List.iter
+    (fun (split, aname, groups, analysis) ->
+       let b0, g0 = Wasm.Tier1.hook_sites () in
+       List.iter
+         (fun (e : Workloads.Corpus.entry) ->
+            let res = W.Instrument.instrument ~split_i64:split ?groups e.module_ in
+            let inst, _ = W.Runtime.instantiate res (analysis ()) in
+            ignore (Wasm.Tier1.compile_all inst : int))
+         (Lazy.force corpus);
+       let b1, g1 = Wasm.Tier1.hook_sites () in
+       let mode = Printf.sprintf "%s, %s i64" aname (if split then "split" else "native") in
+       Alcotest.(check bool) (mode ^ ": sites bound") true (b1 - b0 > 0);
+       Alcotest.(check int) (mode ^ ": generic sites") 0 (g1 - g0))
+    (List.concat_map
+       (fun split ->
+          [ (split, "instruction-mix", None, fun () -> Analyses.Instruction_mix.(analysis (create ())));
+            ( split, "call-graph", Some Analyses.Call_graph.groups,
+              fun () -> Analyses.Call_graph.(analysis (create ())) ) ])
+       [ true; false ])
+
+(** i64 locals, constants, call arguments, results and a global at the
+    values whose halves are easy to get wrong. *)
+let i64_values () =
+  let module B = Wasm.Builder in
+  let b = B.create () in
+  let g = B.add_global b ~ty:Wasm.Types.I64T ~mutable_:true ~init:(Wasm.Value.I64 0L) in
+  let mix =
+    B.add_func b ~params:[ Wasm.Types.I64T; I64T ] ~results:[ Wasm.Types.I64T ] ~locals:[]
+      ~body:[ B.local_get 0; B.local_get 1; Wasm.Ast.Binary (IBin (S64, Xor)) ]
+  in
+  let step v =
+    [ B.i64 v; B.local_set 0; B.local_get 0; B.local_set 1; B.local_get 1; B.i64 v;
+      Wasm.Ast.Call mix; B.global_get g; Wasm.Ast.Binary (IBin (S64, Add)); B.global_set g;
+      B.local_get 0; Drop ]
+  in
+  let run =
+    B.add_func b ~params:[] ~results:[ Wasm.Types.I32T ] ~locals:[ Wasm.Types.I64T; I64T ]
+      ~body:
+        (List.concat_map step
+           [ 0L; -1L; Int64.min_int; Int64.max_int; 0x8000_0000L; 0xFFFF_FFFF_0000_0000L ]
+         @ [ B.global_get g; B.local_get 0; Wasm.Ast.Binary (IBin (S64, Add));
+             Wasm.Ast.Convert I32WrapI64 ])
+  in
+  B.export_func b ~name:"run" run;
+  B.build b
+
+let test_i64_halves () =
+  let res = W.Instrument.instrument (i64_values ()) in
+  check_identical "i64 halves" res;
+  let transcript () =
+    let analysis, final = recorder () in
+    (analysis, fun () -> let d, n = final () in Printf.sprintf "%s/%d" (Digest.to_hex d) n)
+  in
+  List.iter
+    (fun (aname, make) -> ignore (same_on_every_backend ("i64 halves: " ^ aname) res make : string))
+    (("transcript", transcript) :: ("call-graph", call_graph) :: counted_analyses);
+  let _, g0 = Wasm.Tier1.hook_sites () in
+  ignore (Helpers.run_analysis Helpers.T1 res W.Analysis.default : Wasm.Value.t list);
+  let _, g1 = Wasm.Tier1.hook_sites () in
+  Alcotest.(check int) "no generic site" 0 (g1 - g0)
+
 let suite =
   [ case "corpus: compiled = reference" test_corpus_differential;
     case "kitchen sink, split i64" test_kitchen_sink_split;
@@ -693,4 +759,6 @@ let suite =
     case "call graph: a direct call that never runs adds no edge" test_call_graph_unrun;
     case "call graph: an indirect call's edge stays dashed" test_call_graph_indirect;
     case "call graph: pdfkit counts every direct call_pre and call_post" test_call_graph_counted;
-    case "instruction coverage: same locations on every backend" test_coverage_backends ]
+    case "instruction coverage: same locations on every backend" test_coverage_backends;
+    case "binding coverage: no generic corpus site, split or native i64" test_binding_coverage;
+    case "split i64 halves: same transcript and reports on every backend" test_i64_halves ]

@@ -495,6 +495,83 @@ let test_fault_campaign () =
   Alcotest.(check int) "all cases ran the restore-equivalence oracle" 2000
     stats.Fuzz.Harness.faulted
 
+
+(* ------------------------------------------------------------------ *)
+(* Guarded br_if counts: fuel and host-call budgets on both edges      *)
+(* ------------------------------------------------------------------ *)
+
+(* [run] counts 3 down in a loop closed by a back-edge [br_if] (taken
+   twice, then falling through), then up in a loop left by a [br_if] out
+   of its block (falling through three times, then taken); instrumented
+   with every hook, so the rewriter guards the end hooks of both *)
+let guarded = lazy (
+  let module B = Builder in
+  let b = B.create () in
+  let body =
+    [ B.i32 3; B.local_set 0 ]
+    @ B.loop [ B.local_get 0; B.i32 1; B.i32_sub; B.local_tee 0; Ast.BrIf 0 ]
+    @ B.block
+        (B.loop
+           [ B.local_get 0; B.i32 3; B.i32_ge_s; Ast.BrIf 1; B.local_get 0; B.i32 1; B.i32_add;
+             B.local_set 0; Ast.Br 0 ])
+    @ [ B.local_get 0 ]
+  in
+  let f = B.add_func b ~params:[] ~results:[ Types.I32T ] ~locals:[ Types.I32T ] ~body in
+  B.export_func b ~name:"run" f;
+  Wasabi.Instrument.instrument (B.build b))
+
+(* one run of [guarded] under the instruction mix: how it ended, the
+   steps, the mix report *)
+let guarded_run ~tier1 setup =
+  let analysis, report = mix () in
+  let inst, _ = Wasabi.Runtime.instantiate (Lazy.force guarded) analysis in
+  if tier1 then ignore (Tier1.compile_all inst : int);
+  setup inst;
+  let outcome =
+    match Interp.invoke_export inst "run" [] with
+    | rs -> String.concat ";" (List.map Value.to_string rs)
+    | exception e -> Error.to_string (classify_exn e)
+  in
+  (outcome, inst.Interp.steps, report ())
+
+let test_guarded_edges_compiled () =
+  let analysis, _ = mix () in
+  let inst, _ = Wasabi.Runtime.instantiate (Lazy.force guarded) analysis in
+  let b = Tier1.analyze inst 0 in
+  let bl = Tier1.blocks b in
+  let gd = Tier1.guards b bl (Tier1.bind inst b bl) in
+  Alcotest.(check int) "both br_ifs guarded" 2
+    (Array.fold_left (fun k g -> k + Bool.to_int (Option.is_some g)) 0 gd.at)
+
+let test_guarded_fuel_sweep () =
+  let _, steps, _ = guarded_run ~tier1:false ignore in
+  for fuel = 1 to steps + 1 do
+    let set inst = inst.Interp.fuel <- fuel in
+    let o0, s0, m0 = guarded_run ~tier1:false set in
+    let o1, s1, m1 = guarded_run ~tier1:true set in
+    let name = Printf.sprintf "fuel %d" fuel in
+    Alcotest.(check string) (name ^ ": outcome") o0 o1;
+    Alcotest.(check int) (name ^ ": steps") s0 s1;
+    Alcotest.(check string) (name ^ ": mix") m0 m1
+  done
+
+let test_guarded_host_call_budget () =
+  (* budgets from 1 up, until one lets the run finish *)
+  let rec sweep budget =
+    let set inst =
+      let gov = Governor.create ~host_call_budget:budget () in
+      Interp.set_governor inst (Some gov);
+      Governor.arm gov
+    in
+    let o0, _, m0 = guarded_run ~tier1:false set in
+    let o1, _, m1 = guarded_run ~tier1:true set in
+    let name = Printf.sprintf "budget %d" budget in
+    Alcotest.(check string) (name ^ ": outcome") o0 o1;
+    Alcotest.(check string) (name ^ ": mix") m0 m1;
+    if Helpers.contains o0 "[host-call-budget]" then sweep (budget + 1) else budget
+  in
+  Alcotest.(check bool) "kills at every hook call of the run" true (sweep 1 > 20)
+
 let suite =
   [
     case "error codes and exit codes" test_error_codes;
@@ -518,4 +595,9 @@ let suite =
       (test_faults_fire_on_tier1_sites mix);
     case "host-call budget kills at the same hook call on both tiers: instruction mix"
       (test_host_call_budget_tiers mix);
+    case "guarded br_if: both loop exits compile guarded" test_guarded_edges_compiled;
+    case "guarded br_if: fuel sweep over both edges, same cut on both tiers"
+      test_guarded_fuel_sweep;
+    case "guarded br_if: host-call budget kills at the same hook call on both tiers"
+      test_guarded_host_call_budget;
   ]

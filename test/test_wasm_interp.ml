@@ -803,6 +803,11 @@ let pass_subject ?(helper = false) ~params ~results ~locals body =
   let inst = Interp.instantiate ~fuel:1_000_000 ~imports:[ ("env", "h", hook) ] m in
   (inst, hits, Tier1.analyze inst 0)
 
+(** The [elide] pass over [b], after [bind] and [guards]. *)
+let elide inst b bl =
+  let bd = Tier1.bind inst b bl in
+  Tier1.elide b bl bd (Tier1.guards b bl bd)
+
 (** [f] of [inst] on tier 1 after [compile_all]. *)
 let run_tier1 inst args =
   ignore (Tier1.compile_all inst : int);
@@ -845,7 +850,7 @@ let test_pass_elide () =
     pass_subject ~helper:true ~params:[] ~results:[ Types.I32T ] ~locals:[ Types.I32T ] body
   in
   let bl = Tier1.blocks b in
-  let r = Tier1.elide b bl (Tier1.bind inst b bl) in
+  let r = elide inst b bl in
   Alcotest.(check bool) "load after the store elided" true (Bytes.get r.role 2 = Tier1.r_elided);
   Alcotest.(check bool) "load after the call kept" true (Bytes.get r.role 5 = Tier1.r_plain);
   Alcotest.(check int) "elided" 1 r.nelided;
@@ -864,7 +869,7 @@ let test_pass_dead_stores () =
     pass_subject ~params:[ Types.I32T ] ~results:[ Types.I32T ] ~locals:[ Types.I32T ] body
   in
   let bl = Tier1.blocks b in
-  let r = Tier1.elide b bl (Tier1.bind inst b bl) in
+  let r = elide inst b bl in
   Alcotest.(check int) "counted runs" 2 r.counted_runs;
   let d = Tier1.dead_stores b bl r in
   let role pc = Bytes.get d.role pc in
@@ -889,7 +894,7 @@ let test_pass_plan () =
   let inst, hits, b = pass_subject ~params:[] ~results:[ Types.I32T ] ~locals:[ Types.I32T ] body in
   let bl = Tier1.blocks b in
   let bd = Tier1.bind inst b bl in
-  let r = Tier1.dead_stores b bl (Tier1.elide b bl bd) in
+  let r = Tier1.dead_stores b bl (Tier1.elide b bl bd (Tier1.guards b bl bd)) in
   (match Tier1.plan b bl bd r with
    | [ f ] ->
      Alcotest.(check (list int)) "four instructions, from 0 to 5, none skipped" [ 4; 0; 5; 0 ]
@@ -925,6 +930,173 @@ let test_pass_frames () =
   in
   cb.cb_call caller 3;
   check_values "typed entry" expected !seen
+
+
+(** The rewriter's Table 3 row 6 push of an i64 [x] as two i32 halves. *)
+let split_i64 ?(shift = 32L) x =
+  [ x; Convert I32WrapI64; x; B.i64 shift; Binary (IBin (S64, ShrS)); Convert I32WrapI64 ]
+
+let test_pass_bind_halves () =
+  (* [h (i32, i32)] records its two arguments; its binder takes a site
+     whose arguments are constants or i32 readers *)
+  let seen = ref [] in
+  let record a b = seen := (a, b) :: !seen in
+  let bind =
+    { Interp.bind =
+        (fun args ->
+           let read : type e. e Interp.site_arg -> (e -> int) option = function
+             | Interp.Site_const (Value.I32 x) -> Some (fun _ -> Int32.to_int x)
+             | Site_i32 r -> Some r
+             | _ -> None
+           in
+           match Array.map read args with
+           | [| Some a; Some b |] -> Some (Interp.Site_entry (fun e -> record (a e) (b e)))
+           | _ -> None) }
+  in
+  let hook =
+    Interp.host_func_raw ~bind ~name:"h" ~params:[ Types.I32T; I32T ] ~results:[] (fun args off ->
+      record (Int32.to_int (Value.as_i32 args.(off))) (Int32.to_int (Value.as_i32 args.(off + 1)));
+      [])
+  in
+  (* the halves of the i64 parameter, of a constant, and of the
+     parameter shifted by 16, which is no row-6 run *)
+  let body =
+    split_i64 (B.local_get 0) @ [ Call 0 ]
+    @ split_i64 (B.i64 0x1234_5678_8000_0000L) @ [ Call 0 ]
+    @ split_i64 ~shift:16L (B.local_get 0) @ [ Call 0 ]
+  in
+  let instance () =
+    let b = B.create () in
+    ignore (B.import_func b ~module_name:"env" ~name:"h" ~params:[ Types.I32T; I32T ] ~results:[]);
+    let f = B.add_func b ~params:[ Types.I64T ] ~results:[] ~locals:[] ~body in
+    B.export_func b ~name:"f" f;
+    let m = B.build b in
+    Validate.validate_module m;
+    Interp.instantiate ~imports:[ ("env", "h", hook) ] m
+  in
+  let inst = instance () in
+  let b = Tier1.analyze inst 0 in
+  let bl = Tier1.blocks b in
+  let bd = Tier1.bind inst b bl in
+  let run p = match bd.runs.(p) with Some (_, call_pc) -> call_pc | None -> -1 in
+  Alcotest.(check (list int)) "bound runs from the first half's push to the call"
+    [ 6; -1; -1; -1; -1; -1; -1; 13; -1 ] (List.init 9 run);
+  Alcotest.(check (pair int int)) "bound, generic: the shift by 16 stays generic" (2, 1)
+    (bd.nbound, bd.ngeneric);
+  List.iter
+    (fun v ->
+       let calls tier1 =
+         let inst = instance () in
+         if tier1 then ignore (Tier1.compile_all inst : int);
+         seen := [];
+         ignore (Interp.invoke_export inst "f" [ Value.I64 v ] : Value.t list);
+         List.rev !seen
+       in
+       let name = Printf.sprintf "%Lx" v in
+       let t0 = calls false in
+       Alcotest.(check (list (pair int int))) (name ^ ": same halves on both tiers") t0 (calls true);
+       Alcotest.(check (pair int int)) (name ^ ": low half first, sign-extended")
+         (Int32.to_int (Int64.to_int32 v), Int64.to_int (Int64.shift_right v 32))
+         (List.hd t0))
+    [ 0L; -1L; Int64.min_int; Int64.max_int; 0x8000_0000L; 0xFFFF_FFFF_0000_0000L ];
+  Alcotest.(check (pair int int)) "the constant's halves"
+    (Int32.to_int 0x8000_0000l, 0x1234_5678)
+    (List.nth (List.rev !seen) 1)
+
+(** A countdown loop whose [br_if] the rewriter would guard: the tee
+    [t] (local 1), a counted [br_if] hook, then the end hook counted
+    under [local.get t; if]. *)
+let guarded_loop =
+  B.loop
+    [ B.local_get 0; B.i32 1; B.i32_sub; B.local_tee 0; B.i32 0; B.i32_gt_s; B.local_tee 1;
+      B.i32 7; Call 0; B.local_get 1; If None; B.i32 3; Call 0; End; BrIf 0 ]
+
+let test_pass_guards () =
+  let inst, hits, b =
+    pass_subject ~params:[ Types.I32T ] ~results:[] ~locals:[ Types.I32T ] guarded_loop
+  in
+  let bl = Tier1.blocks b in
+  Alcotest.(check (array int)) "block starts before the guard merges them"
+    [| 0; 1; 12; 15; 16; 17 |] bl.starts;
+  let bd = Tier1.bind inst b bl in
+  let gd = Tier1.guards b bl bd in
+  (match gd.at.(15) with
+   | Some g ->
+     Alcotest.(check (pair int int)) "the guard's local.get and then-start" (10, 12)
+       (g.first, g.then_pc);
+     Alcotest.(check int) "one guarded counter" 1 (List.length g.sites)
+   | None -> Alcotest.fail "the br_if is not guarded");
+  Alcotest.(check int) "one guard" 1
+    (Array.fold_left (fun k g -> k + Bool.to_int (Option.is_some g)) 0 gd.at);
+  Alcotest.(check (array int)) "the loop header is one block" [| 0; 1; 16; 17 |]
+    gd.merged.starts;
+  let bl = gd.merged in
+  let r = Tier1.dead_stores b bl (Tier1.elide b bl bd gd) in
+  Alcotest.(check string) "roles: the guard compiled away, the tee dead"
+    "\000\000\000\000\000\000\000\002\003\003\005\005\005\005\005\000\000"
+    (Bytes.to_string r.role);
+  (match List.filter (fun (f : Tier1.form) -> f.last = 15) (Tier1.plan b bl bd r) with
+   | [ f ] ->
+     Alcotest.(check (list int)) "the compare fuses with the br_if across the guard"
+       [ 2; 6; 6 ] [ Tier1.fused_len f.fused; f.first; f.skipped ];
+     Alcotest.(check int) "the br_if hook joins the form's group, the guard's does not" 1
+       (List.length f.absorbed)
+   | _ -> Alcotest.fail "no superinstruction ends at the br_if");
+  let steps inst = inst.Interp.steps in
+  check_values "tier 1 result" [] (run_tier1 inst [ i32 3 ]);
+  let t1_hits = !hits and t1_steps = steps inst in
+  let inst0, hits0, _ =
+    pass_subject ~params:[ Types.I32T ] ~results:[] ~locals:[ Types.I32T ] guarded_loop
+  in
+  check_values "tier 0 result" [] (Interp.invoke_export inst0 "f" [ i32 3 ]);
+  Alcotest.(check int) "hook calls: 3 br_if hooks, 2 guarded" 5 !hits0;
+  Alcotest.(check (pair int int)) "tier 1 hook calls and steps" (!hits0, steps inst0)
+    (t1_hits, t1_steps)
+
+(** The instrumented [gemm] under the instruction mix: each counted loop
+    header, from the loop's first instruction to its guarded exit
+    [br_if], compiles to one block, ended by a fused compare-and-branch
+    (of two locals where the bound is a local). *)
+let test_gemm_header () =
+  let module W = Wasabi in
+  let m = (Workloads.Corpus.find (Workloads.Corpus.make ~n:4 ()) "gemm").module_ in
+  let inst, _ =
+    W.Runtime.instantiate (W.Instrument.instrument m) Analyses.Instruction_mix.(analysis (create ()))
+  in
+  let headers = ref 0 and local_compares = ref 0 in
+  Array.iteri
+    (fun fid (code : Interp.code) ->
+       let b = Tier1.analyze inst fid in
+       let bl = Tier1.blocks b in
+       let bd = Tier1.bind inst b bl in
+       let gd = Tier1.guards b bl bd in
+       let bl = gd.merged in
+       let forms = Tier1.plan b bl bd (Tier1.dead_stores b bl (Tier1.elide b bl bd gd)) in
+       let n = Array.length code.c_xbody in
+       Array.iteri
+         (fun l x ->
+            match x with
+            | Interp.XLoop ->
+              (* the loop's first guarded br_if *)
+              let rec exit e = if e >= n then -1 else if Option.is_some gd.at.(e) then e else exit (e + 1) in
+              let e = exit l in
+              if e > 0 then begin
+                incr headers;
+                for p = l + 2 to e do
+                  if bl.block_of.(p) >= 0 then
+                    Alcotest.failf "f%d: a block starts at %d in the header %d..%d" fid p (l + 1) e
+                done;
+                (* a compare of two locals fuses all four instructions *)
+                if List.exists (fun (f : Tier1.form) -> f.last = e && Tier1.fused_len f.fused = 4) forms
+                then incr local_compares;
+                if not (List.exists (fun (f : Tier1.form) -> f.last = e) forms)
+                then Alcotest.failf "f%d: the header's br_if at %d is not fused" fid e
+              end
+            | _ -> ())
+         code.c_xbody)
+    inst.inst_code;
+  Alcotest.(check bool) "gemm's loops are counted and guarded" true (!headers >= 3);
+  Alcotest.(check bool) "some headers compare two locals" true (!local_compares > 0)
 
 let suite =
   [
@@ -974,4 +1146,7 @@ let suite =
     case "tier-1 pass dead_stores: liveness across br_if" test_pass_dead_stores;
     case "tier-1 pass plan: a form across a counted site" test_pass_plan;
     case "tier-1 pass frames: i32, f64 and i64 params" test_pass_frames;
+    case "tier-1 pass bind: split i64 halves of a local and a constant" test_pass_bind_halves;
+    case "tier-1 pass guards: a guarded br_if joins its block and fuses" test_pass_guards;
+    case "tier-1 guards: gemm's counted loop headers are one fused block" test_gemm_header;
   ]
